@@ -6,28 +6,20 @@ blocks whose wall-clock cost determines how much of the paper's 6,000-instance
 campaign can be replayed in a given time budget.
 
 Besides the pytest-benchmark cases, this module measures raw engine
-throughput (slots/second on a 20-worker, 100,000-slot capped run) under
-the engine's drivers and writes the numbers to
-``benchmarks/results/BENCH_simulator.json`` so the performance trajectory is
-tracked across PRs:
+throughput (slots/second on a 20-worker, 100,000-slot capped run) and writes
+the numbers to ``benchmarks/results/BENCH_simulator.json`` so the
+performance trajectory is tracked across PRs:
 
-* ``perslot`` — slot-by-slot sampling but with the passive-scheduler
-  contract optimisations (observation skipping, fast-forward);
-* ``block``   — the vectorised ``sample_block`` driver;
-* ``kernel``  — the compiled scan-primitive driver (numba when available,
-  NumPy fallback otherwise — see ``machine.kernel_backend`` in the report);
+* ``kernel``  — one solo :class:`SimulationEngine` run (its span primitives
+  are numba-compiled when available, NumPy otherwise — see
+  ``machine.kernel_backend`` in the report);
 * ``multiheuristic`` — the one-pass :class:`MultiHeuristicDriver` over a
   full cell of contract heuristics sharing one availability realisation.
   Its ``slots_per_second`` is the *effective aggregate* throughput
   ``len(heuristics) * slots / wall``: the cell simulates that many
   heuristic-slots in one pass, which is the number to compare against a
-  ``block`` row's slots/second (a sequential sweep pays the per-slot cost
+  ``kernel`` row's slots/second (a sequential sweep pays the per-slot cost
   once per heuristic).
-* ``legacy``  — slot-by-slot ``next_state`` sampling with every per-slot
-  short-cut disabled (the seed engine's behaviour).  Only measured with
-  ``--include-legacy``: the mode exists for historical comparison and was
-  dropped from the CI gate (the ``reference_seed_baseline`` entry keeps the
-  true seed-engine numbers on record).
 * ``metrics_overhead`` — the kernel driver re-measured with a live
   :class:`~repro.metrics.collector.MetricsCollector` at the default stride;
   the row records collector-on/off slots/second and ``overhead_percent``,
@@ -170,13 +162,8 @@ def test_single_instance_m10_moderate(benchmark, heuristic):
 # ----------------------------------------------------------------------
 # Raw throughput report (BENCH_simulator.json)
 # ----------------------------------------------------------------------
-def _measure_mode(mode: str, heuristic: str, max_slots: int, repeats: int = 3) -> dict:
-    """Best-of-*repeats* slots/sec for one driver mode.
-
-    ``legacy`` emulates the seed engine: per-slot sampling and no
-    contract-based short-cuts (the scheduler's contract flag is cleared, so
-    the engine builds an observation and calls ``select`` on every slot).
-    """
+def _measure_engine(heuristic: str, max_slots: int, repeats: int = 3) -> dict:
+    """Best-of-*repeats* slots/sec of one solo engine run."""
     platform = paper_platform(
         PlatformSpec(num_processors=THROUGHPUT_WORKERS, ncom=10, wmin=2),
         num_tasks=5,
@@ -187,23 +174,19 @@ def _measure_mode(mode: str, heuristic: str, max_slots: int, repeats: int = 3) -
     application = Application(tasks_per_iteration=5, iterations=max_slots)
     best = float("inf")
     for _ in range(repeats):
-        scheduler = create_scheduler(heuristic)
-        if mode == "legacy":
-            scheduler.passive_between_rebuilds = False
         engine = SimulationEngine(
             platform,
             application,
-            scheduler,
+            create_scheduler(heuristic),
             seed=7,
             max_slots=max_slots,
             analysis=analysis,
-            sampler="perslot" if mode in ("legacy", "perslot") else mode,
         )
         start = time.perf_counter()
         engine.run()
         best = min(best, time.perf_counter() - start)
     return {
-        "mode": mode,
+        "mode": "kernel",
         "heuristic": heuristic,
         "workers": THROUGHPUT_WORKERS,
         "slots": max_slots,
@@ -230,14 +213,13 @@ def _median_triple(triples: list) -> dict:
     return ordered[(len(ordered) - 1) // 2]
 
 
-def _measure_metrics_overhead(heuristic: str, max_slots: int, repeats: int = 3) -> dict:
-    """The ``metrics_overhead`` report row: collector on vs off on ``kernel``.
+def _overhead_walls(heuristic: str, max_slots: int, repeats: int, instrument) -> tuple:
+    """``(off_sps, on_sps)`` of one instrument attached to the engine or not.
 
-    Off/on runs are interleaved as A/B/A triples and reduced by
-    :func:`_median_triple`.  The row carries ``overhead_percent`` instead
-    of ``slots_per_second`` — the gate in ``check_regression.py`` treats
-    these rows specially (two-sided: a collector that suddenly got
-    expensive *or* suspiciously free both fail).
+    *instrument(analysis)* returns the engine keyword arguments of an
+    instrumented run.  Off/on runs are interleaved as A/B/A triples and
+    reduced by :func:`_median_triple`, after one untimed warmup so
+    cache effects never land asymmetrically in the first timed run.
     """
     platform = paper_platform(
         PlatformSpec(num_processors=THROUGHPUT_WORKERS, ncom=10, wmin=2),
@@ -247,7 +229,8 @@ def _measure_metrics_overhead(heuristic: str, max_slots: int, repeats: int = 3) 
     analysis = AnalysisContext(platform)
     application = Application(tasks_per_iteration=5, iterations=max_slots)
 
-    def run_once(collect: bool) -> float:
+    def run_once(on: bool) -> float:
+        analysis.tracer = None
         engine = SimulationEngine(
             platform,
             application,
@@ -255,41 +238,56 @@ def _measure_metrics_overhead(heuristic: str, max_slots: int, repeats: int = 3) 
             seed=7,
             max_slots=max_slots,
             analysis=analysis,
-            sampler="kernel",
-            metrics=MetricsCollector() if collect else None,
+            **(instrument(analysis) if on else {}),
         )
         start = time.perf_counter()
         engine.run()
         return time.perf_counter() - start
 
-    run_once(False)  # untimed warmup
+    run_once(False)
     triples = []
     for _ in range(repeats):
         off_before = run_once(False)
         on = run_once(True)
         off_after = run_once(False)
         triples.append({False: (off_before + off_after) / 2.0, True: on})
+    analysis.tracer = None
     walls = _median_triple(triples)
-    off_sps = max_slots / walls[False]
-    on_sps = max_slots / walls[True]
+    return max_slots / walls[False], max_slots / walls[True]
+
+
+def _overhead_row(mode: str, prefix: str, heuristic: str, max_slots: int, sps: tuple) -> dict:
+    off_sps, on_sps = sps
     return {
-        "mode": "metrics_overhead",
+        "mode": mode,
         "heuristic": heuristic,
         "workers": THROUGHPUT_WORKERS,
         "slots": max_slots,
-        "collector_off_slots_per_second": round(off_sps, 1),
-        "collector_on_slots_per_second": round(on_sps, 1),
+        f"{prefix}_off_slots_per_second": round(off_sps, 1),
+        f"{prefix}_on_slots_per_second": round(on_sps, 1),
         "overhead_percent": round(100.0 * (off_sps / on_sps - 1.0), 2),
     }
 
 
-def _measure_telemetry_overhead(heuristic: str, max_slots: int, repeats: int = 3) -> dict:
-    """The ``telemetry_overhead`` report row: span tracer on vs off on ``kernel``.
+def _measure_metrics_overhead(heuristic: str, max_slots: int, repeats: int = 3) -> dict:
+    """The ``metrics_overhead`` report row: collector on vs off.
 
-    Mirrors :func:`_measure_metrics_overhead` — A/B/A triples reduced by
-    :func:`_median_triple`, ``overhead_percent`` instead of
-    ``slots_per_second``, gated two-sided by ``check_regression.py``.  The
-    traced runs write real spans (engine phases plus the allocator's memo
+    The row carries ``overhead_percent`` instead of ``slots_per_second`` —
+    the gate in ``check_regression.py`` treats these rows specially
+    (two-sided: a collector that suddenly got expensive *or* suspiciously
+    free both fail).
+    """
+    sps = _overhead_walls(
+        heuristic, max_slots, repeats, lambda analysis: {"metrics": MetricsCollector()}
+    )
+    return _overhead_row("metrics_overhead", "collector", heuristic, max_slots, sps)
+
+
+def _measure_telemetry_overhead(heuristic: str, max_slots: int, repeats: int = 3) -> dict:
+    """The ``telemetry_overhead`` report row: span tracer on vs off.
+
+    Same shape and gate as :func:`_measure_metrics_overhead`.  The traced
+    runs write real spans (engine phases plus the allocator's memo
     counters) to a throwaway directory so the measured cost includes JSON
     serialisation and buffered writes, not just the timing calls.
     """
@@ -297,55 +295,16 @@ def _measure_telemetry_overhead(heuristic: str, max_slots: int, repeats: int = 3
 
     from repro.telemetry.tracer import Tracer
 
-    platform = paper_platform(
-        PlatformSpec(num_processors=THROUGHPUT_WORKERS, ncom=10, wmin=2),
-        num_tasks=5,
-        seed=123,
-    )
-    analysis = AnalysisContext(platform)
-    application = Application(tasks_per_iteration=5, iterations=max_slots)
     with tempfile.TemporaryDirectory() as scratch:
         tracer = Tracer(scratch)
 
-        def run_once(trace: bool) -> float:
-            analysis.tracer = tracer if trace else None
-            engine = SimulationEngine(
-                platform,
-                application,
-                create_scheduler(heuristic),
-                seed=7,
-                max_slots=max_slots,
-                analysis=analysis,
-                sampler="kernel",
-                tracer=tracer if trace else None,
-            )
-            start = time.perf_counter()
-            engine.run()
-            return time.perf_counter() - start
+        def traced(analysis):
+            analysis.tracer = tracer
+            return {"tracer": tracer}
 
-        # One untimed warmup so compilation/cache effects never land
-        # asymmetrically in the first timed (tracer-off) run.
-        run_once(False)
-        triples = []
-        for _ in range(repeats):
-            off_before = run_once(False)
-            on = run_once(True)
-            off_after = run_once(False)
-            triples.append({False: (off_before + off_after) / 2.0, True: on})
-        analysis.tracer = None
+        sps = _overhead_walls(heuristic, max_slots, repeats, traced)
         tracer.close()
-    walls = _median_triple(triples)
-    off_sps = max_slots / walls[False]
-    on_sps = max_slots / walls[True]
-    return {
-        "mode": "telemetry_overhead",
-        "heuristic": heuristic,
-        "workers": THROUGHPUT_WORKERS,
-        "slots": max_slots,
-        "tracer_off_slots_per_second": round(off_sps, 1),
-        "tracer_on_slots_per_second": round(on_sps, 1),
-        "overhead_percent": round(100.0 * (off_sps / on_sps - 1.0), 2),
-    }
+    return _overhead_row("telemetry_overhead", "tracer", heuristic, max_slots, sps)
 
 
 def _measure_multiheuristic(max_slots: int, repeats: int = 3) -> dict:
@@ -366,7 +325,6 @@ def _measure_multiheuristic(max_slots: int, repeats: int = 3) -> dict:
             seed=7,
             max_slots=max_slots,
             analysis=analysis,
-            sampler="kernel",
         )
         start = time.perf_counter()
         driver.run()
@@ -380,22 +338,16 @@ def _measure_multiheuristic(max_slots: int, repeats: int = 3) -> dict:
         "slots": max_slots,
         "wall_seconds": round(best, 4),
         # Effective aggregate: the one pass simulates |cell| heuristic-slots
-        # per availability slot; comparable to a block row's slots/second,
+        # per availability slot; comparable to a kernel row's slots/second,
         # which a sequential sweep would pay once per heuristic.
         "slots_per_second": round(effective, 1),
         "throughput_formula": "len(heuristics) * slots / wall_seconds",
     }
 
 
-def measure_throughput(
-    max_slots: int = THROUGHPUT_SLOTS, repeats: int = 3, include_legacy: bool = False
-) -> dict:
+def measure_throughput(max_slots: int = THROUGHPUT_SLOTS, repeats: int = 3) -> dict:
     """Measure all modes and return the JSON-ready report."""
-    modes = (("legacy",) if include_legacy else ()) + ("perslot", "block", "kernel")
-    runs = []
-    for heuristic in ("RANDOM", "IE"):
-        for mode in modes:
-            runs.append(_measure_mode(mode, heuristic, max_slots, repeats))
+    runs = [_measure_engine(heuristic, max_slots, repeats) for heuristic in ("RANDOM", "IE")]
     runs.append(_measure_multiheuristic(max_slots, repeats))
     by_key = {(r["heuristic"], r["mode"]): r["slots_per_second"] for r in runs}
     # Overhead rows are a *difference* of two close throughputs, so they are
@@ -416,43 +368,30 @@ def measure_throughput(
         "benchmark": "simulator_throughput",
         "machine": machine_fingerprint(),
         "runs": runs,
-        "speedup_kernel_over_block": {
-            heuristic: round(by_key[(heuristic, "kernel")] / by_key[(heuristic, "block")], 2)
-            for heuristic in ("RANDOM", "IE")
-        },
         # Aggregate heuristic-slots/second of the one-pass cell vs the cost
-        # of one block-driven heuristic (what each member of a sequential
-        # sweep would pay): how much cheaper a campaign cell gets.
-        "speedup_multiheuristic_over_block": {
-            heuristic: round(by_key[("cell", "multiheuristic")] / by_key[(heuristic, "block")], 2)
+        # of one solo heuristic run (what each member of a sequential sweep
+        # would pay): how much cheaper a campaign cell gets.
+        "speedup_multiheuristic_over_kernel": {
+            heuristic: round(by_key[("cell", "multiheuristic")] / by_key[(heuristic, "kernel")], 2)
             for heuristic in ("RANDOM", "IE")
         },
-        # Collector cost on the kernel driver (the campaign default); the
-        # acceptance budget is < 5% on this workload.
+        # Collector cost; the acceptance budget is < 5% on this workload.
         "metrics_overhead_percent": {
             row["heuristic"]: row["overhead_percent"] for row in overhead_rows
         },
-        # Span tracer cost on the kernel driver; same < 5% acceptance budget
+        # Span tracer cost; same < 5% acceptance budget
         # (tracing off must be the exact pre-telemetry code path, so the off
         # side doubles as a guard against accidental always-on instrumentation).
         "telemetry_overhead_percent": {
             row["heuristic"]: row["overhead_percent"] for row in telemetry_rows
         },
-        # The in-tree "legacy" mode still benefits from structural engine
-        # improvements (per-block DOWN/column-change masks, cheaper state
-        # bookkeeping), so it *understates* the gain over the original
-        # engine.  For the record, the seed engine (commit 2fe44f3, true
-        # slot-by-slot sampler) measured on the same workload/machine:
+        # For the record, the seed engine (commit 2fe44f3, slot-by-slot
+        # sampling, no fast paths) measured on the same workload/machine:
         "reference_seed_baseline": {
             "commit": "2fe44f3",
             "slots_per_second": {"RANDOM": 8817, "IE": 8248},
         },
     }
-    if include_legacy:
-        report["speedup_block_over_legacy"] = {
-            heuristic: round(by_key[(heuristic, "block")] / by_key[(heuristic, "legacy")], 2)
-            for heuristic in ("RANDOM", "IE")
-        }
     return report
 
 
@@ -499,16 +438,10 @@ if __name__ == "__main__":
         help=f"slots per measured run (default {THROUGHPUT_SLOTS})",
     )
     parser.add_argument("--repeats", type=int, default=3, help="best-of-N repeats (default 3)")
-    parser.add_argument(
-        "--include-legacy", action="store_true",
-        help="also measure the seed-style legacy mode (off by default, not CI-gated)",
-    )
     cli_args = parser.parse_args()
     if cli_args.output is None and cli_args.slots != THROUGHPUT_SLOTS:
         parser.error("reduced sweeps must pass --output so the tracked baseline is not overwritten")
-    full_report = measure_throughput(
-        cli_args.slots, cli_args.repeats, include_legacy=cli_args.include_legacy
-    )
+    full_report = measure_throughput(cli_args.slots, cli_args.repeats)
     output = write_report(full_report, Path(cli_args.output) if cli_args.output else None)
     print(json.dumps(full_report, indent=2))
     print(f"\nwritten to {output}")

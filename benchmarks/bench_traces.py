@@ -7,7 +7,7 @@ Two costs matter for trace-driven campaigns:
   scaled-up copy of the shipped example dataset;
 * **compiled replay** — simulating on trace-replay models, whose
   ``sample_block`` feeds the engine's vectorised fast path, measured in
-  engine slots/second (with the per-slot driver alongside for the speedup).
+  engine slots/second.
 
 Run directly for the JSON report tracked across PRs
 (``benchmarks/results/BENCH_traces.json``, gated by
@@ -102,7 +102,7 @@ def _replay_platform(seed: int = 123):
     )
 
 
-def measure_replay(mode: str, max_slots: int = REPLAY_SLOTS, repeats: int = 3) -> dict:
+def measure_replay(max_slots: int = REPLAY_SLOTS, repeats: int = 3) -> dict:
     """Best-of-*repeats* engine slots/second replaying bootstrap trace models."""
     platform = _replay_platform()
     application = Application(tasks_per_iteration=5, iterations=max_slots)
@@ -114,13 +114,12 @@ def measure_replay(mode: str, max_slots: int = REPLAY_SLOTS, repeats: int = 3) -
             create_scheduler("RANDOM"),
             seed=7,
             max_slots=max_slots,
-            sampler=mode,
         )
         start = time.perf_counter()
         engine.run()
         best = min(best, time.perf_counter() - start)
     return {
-        "case": f"replay_{mode}",
+        "case": "replay",
         "workers": REPLAY_WORKERS,
         "slots": max_slots,
         "wall_seconds": round(best, 4),
@@ -132,19 +131,10 @@ def measure_traces(
     max_slots: int = REPLAY_SLOTS, ingest_rows: int = INGEST_ROWS, repeats: int = 3
 ) -> dict:
     """Measure all cases and return the JSON-ready report."""
-    runs = [
-        measure_ingest(ingest_rows, repeats),
-        measure_replay("block", max_slots, repeats),
-        measure_replay("perslot", max_slots, repeats),
-    ]
-    by_case = {run["case"]: run["ops_per_second"] for run in runs}
     return {
         "benchmark": "traces_throughput",
         "python": platform_module.python_version(),
-        "runs": runs,
-        "speedup_block_over_perslot": round(
-            by_case["replay_block"] / by_case["replay_perslot"], 2
-        ),
+        "runs": [measure_ingest(ingest_rows, repeats), measure_replay(max_slots, repeats)],
     }
 
 
@@ -181,25 +171,6 @@ def test_replay_throughput_report(benchmark, tmp_path):
     path = write_report(report, tmp_path / "BENCH_traces.json")
     assert path.exists()
     assert all(run["ops_per_second"] > 0 for run in report["runs"])
-
-
-@pytest.mark.benchmark(group="traces")
-def test_block_replay_matches_perslot(benchmark):
-    """Differential guard: both drivers simulate the same trajectory."""
-    results = {}
-    for mode in ("block", "perslot"):
-        engine = SimulationEngine(
-            _replay_platform(),
-            Application(tasks_per_iteration=5, iterations=3),
-            create_scheduler("IE"),
-            seed=11,
-            max_slots=20_000,
-            sampler=mode,
-        )
-        result = engine.run()
-        results[mode] = (result.makespan, result.completed_iterations)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert results["block"] == results["perslot"]
 
 
 if __name__ == "__main__":

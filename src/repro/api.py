@@ -266,7 +266,6 @@ def run(
     platform_seed: Optional[int] = None,
     max_slots: int = 200_000,
     estimator: str = "paper",
-    sampler: str = "kernel",
     collect_metrics: bool = False,
     metrics_stride: int = 64,
 ) -> RunResult:
@@ -280,9 +279,7 @@ def run(
 
     *seed* drives the simulation; *platform_seed* (default: *seed*) drives
     the platform draw, so the same platform can be re-simulated under many
-    seeds.  Results are deterministic in ``(platform, heuristic, seed)`` —
-    *sampler* picks the engine's availability driver
-    (``block``/``kernel``/``perslot``) without affecting any of them.
+    seeds.  Results are deterministic in ``(platform, heuristic, seed)``.
 
     With ``collect_metrics=True`` the run additionally samples per-slot
     series (pool availability, active set, work, communication backlog)
@@ -319,7 +316,6 @@ def run(
         seed=seed,
         max_slots=max_slots,
         analysis=analysis,
-        sampler=sampler,
         metrics=collector,
     )
     result = engine.run()
@@ -345,7 +341,6 @@ def sweep(
     shard: Tuple[int, int] = (1, 1),
     jobs: int = 1,
     max_cells: Optional[int] = None,
-    sampler: str = "kernel",
     collect_metrics: Optional[bool] = None,
     metrics_stride: Optional[int] = None,
     progress: Optional[Callable[[CellProgress], None]] = None,
@@ -358,13 +353,12 @@ def sweep(
     :class:`~repro.experiments.store.ResultStore` — makes the sweep durable:
     completed cells are skipped on re-invocation and appended as they
     finish.  *shard* ``(i, N)`` runs one deterministic partition for
-    multi-machine campaigns.  *sampler* is a runtime engine option (not part
-    of the spec identity); trials whose cells cover two or more
+    multi-machine campaigns.  Trials whose cells cover two or more
     passive-contract heuristics are advanced in one multi-heuristic pass.
     *collect_metrics* / *metrics_stride* attach a per-run metrics collector
     (``InstanceResult.metrics``); ``None`` defers to the spec's own
-    settings.  Like the sampler these are runtime options: metric series
-    are volatile store fields, outside the spec identity.
+    settings.  These are runtime options: metric series are volatile store
+    fields, outside the spec identity.
 
     Example:
         >>> from repro import api
@@ -387,7 +381,6 @@ def sweep(
             shard=shard,
             n_jobs=jobs,
             max_cells=max_cells,
-            sampler=sampler,
             collect_metrics=collect_metrics,
             metrics_stride=metrics_stride,
             cell_progress=progress,
@@ -414,7 +407,6 @@ def compare(
     estimator: str = "paper",
     jobs: int = 1,
     reference: Optional[str] = None,
-    sampler: str = "kernel",
 ) -> ComparisonResult:
     """Evaluate several heuristics head-to-head on a common scenario grid.
 
@@ -424,9 +416,7 @@ def compare(
     the paper's ``IE`` when it is among the compared heuristics, otherwise
     the first heuristic listed — with sharply reduced variance.
     *heuristics* accepts parameterized expressions, e.g.
-    ``api.compare(["IE", "THRESHOLD-IE(tau=0.7)"])``.  *sampler* selects
-    the engine driver (runtime only — results are bit-identical across
-    samplers).
+    ``api.compare(["IE", "THRESHOLD-IE(tau=0.7)"])``.
 
     Example:
         >>> from repro import api
@@ -458,7 +448,7 @@ def compare(
                 f"reference heuristic {reference!r} is not among the compared "
                 f"heuristics {list(spec.heuristics)}"
             )
-    results = run_campaign_spec(spec, n_jobs=jobs, sampler=sampler)
+    results = run_campaign_spec(spec, n_jobs=jobs)
     summaries = summarize_results(results, reference=reference)
     return ComparisonResult(
         spec=spec, results=list(results), summaries=summaries, reference=reference

@@ -114,11 +114,6 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--heuristics", nargs="+", default=None, help="restrict to these heuristic names"
     )
-    parser.add_argument(
-        "--sampler", default="kernel", metavar="NAME",
-        help="availability sampler: block, perslot or kernel (default: kernel; "
-        "runtime-only, results are bit-identical)",
-    )
     parser.add_argument("--output", default=None, help="write raw campaign results to this JSON file")
 
 
@@ -176,11 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--report", choices=("tables", "none"), default="tables",
         help="print Table-I-style summaries after the run (default: tables)",
-    )
-    campaign.add_argument(
-        "--sampler", default="kernel", metavar="NAME",
-        help="availability sampler: block, perslot or kernel (default: kernel; "
-        "runtime-only, results are bit-identical)",
     )
     campaign.add_argument(
         "--collect-metrics", action="store_true",
@@ -298,10 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--iterations", type=int, default=3)
     demo.add_argument("--seed", type=int, default=1)
     demo.add_argument("--gantt-slots", type=int, default=80, help="slots of Gantt chart to print")
-    demo.add_argument(
-        "--sampler", default="kernel", metavar="NAME",
-        help="availability sampler: block, perslot or kernel (default: kernel)",
-    )
 
     offline = subparsers.add_parser("offline", help="solve a small random off-line instance exactly")
     offline.add_argument("--left", type=int, default=8, help="|V| (processors)")
@@ -484,7 +470,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         n_jobs=args.jobs,
         mode=mode,
         progress=progress,
-        sampler=args.sampler,
     )
     if args.output:
         path = save_campaign(campaign, args.output)
@@ -574,7 +559,6 @@ def _cmd_campaign_spec(args: argparse.Namespace) -> int:
             n_jobs=args.jobs,
             max_cells=args.max_cells,
             cell_progress=cell_progress,
-            sampler=args.sampler,
             # None defers to the spec's own settings.
             collect_metrics=True if args.collect_metrics else None,
             metrics_stride=args.metrics_stride,
@@ -650,7 +634,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     scheduler = create_scheduler(args.heuristic)
     engine = SimulationEngine(
         platform, application, scheduler, seed=args.seed, max_slots=200_000,
-        record_activity=True, record_events=True, sampler=args.sampler,
+        record_activity=True, record_events=True,
     )
     result = engine.run()
     print(result.describe())

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.experiments.metrics import HeuristicSummary
 from repro.experiments.store import StoreStatus
@@ -87,6 +86,8 @@ def compare_with_paper(
 
     rank_correlation: Optional[float] = None
     if len(common) >= 3:
+        from scipy import stats  # heavy; only this comparison needs it
+
         measured_values = [measured[name] for name in common]
         paper_values = [paper_table[name][1] for name in common]
         correlation = stats.spearmanr(measured_values, paper_values).correlation

@@ -25,9 +25,7 @@ Three properties of the runner are important for faithfulness and efficiency:
   block prefetch instead of replaying the realisation once per heuristic.
   Results stay bit-identical (the driver's engines take exactly the
   decisions a solo run would); only the heuristic-independent work is paid
-  once.  The ``sampler`` runtime option (default ``"kernel"``) selects the
-  per-engine availability driver and is never part of a campaign's
-  identity — all samplers produce the same results by contract.
+  once.
 
 Campaigns can fan out over processes (``n_jobs > 1``); each process receives
 self-contained scenario descriptions and rebuilds platforms (and their trace
@@ -53,7 +51,7 @@ from repro.platform.platform import Platform
 from repro.components import ComponentError
 from repro.metrics.collector import DEFAULT_STRIDE, MetricsCollector
 from repro.scheduling.registry import ALL_HEURISTICS, canonical_heuristic, create_scheduler
-from repro.simulation.engine import SAMPLERS, SimulationEngine
+from repro.simulation.engine import SimulationEngine
 from repro.simulation.multirun import MultiHeuristicDriver
 from repro.simulation.results import SimulationResult
 from repro.telemetry.tracer import Tracer, active_tracer, shared_tracer
@@ -322,14 +320,6 @@ class TraceBank:
 # ----------------------------------------------------------------------
 # Single instance / scenario execution
 # ----------------------------------------------------------------------
-def _require_sampler(sampler: str) -> None:
-    """Reject unknown sampler names with the registry-style message."""
-    if sampler not in SAMPLERS:
-        raise ExperimentError(
-            f"unknown sampler {sampler!r}; available samplers: " + ", ".join(SAMPLERS)
-        )
-
-
 def _tracer_for(trace_dir: Optional[str]) -> Optional[Tracer]:
     """The process-wide :class:`Tracer` for *trace_dir* (``None`` -> ``None``).
 
@@ -352,7 +342,6 @@ def run_instance(
     platform=None,
     trace=None,
     mode: ExpectationMode = ExpectationMode.PAPER,
-    sampler: str = "kernel",
     collect_metrics: bool = False,
     metrics_stride: int = DEFAULT_STRIDE,
     tracer=None,
@@ -363,9 +352,7 @@ def run_instance(
     calls; when omitted they are rebuilt from the scenario
     (deterministically).  *trace* is the trial's shared availability
     realisation (see :class:`TraceBank`); passing it skips re-sampling the
-    availability chains without changing the result.  *sampler* selects the
-    engine's availability driver (results are sampler-independent by
-    contract; see :data:`~repro.simulation.engine.SAMPLERS`).  With
+    availability chains without changing the result.  With
     *collect_metrics* the run carries a
     :class:`~repro.metrics.collector.MetricsCollector` sampling per-slot
     series every *metrics_stride* slots into ``InstanceResult.metrics``;
@@ -375,7 +362,6 @@ def run_instance(
     ``None`` is the exact untraced path.
     """
     scale = scale or CampaignScale.reduced()
-    _require_sampler(sampler)
     if platform is None:
         platform = scenario.build_platform()
     if analysis is None:
@@ -394,7 +380,6 @@ def run_instance(
         max_slots=scale.makespan_cap,
         trace=trace,
         analysis=analysis,
-        sampler=sampler,
         metrics=collector,
         tracer=tracer,
     )
@@ -416,7 +401,6 @@ def run_scenario(
     scale: Optional[CampaignScale] = None,
     mode: ExpectationMode = ExpectationMode.PAPER,
     share_availability: bool = True,
-    sampler: str = "kernel",
     collect_metrics: bool = False,
     metrics_stride: int = DEFAULT_STRIDE,
     on_result: Optional[Callable[[InstanceResult], None]] = None,
@@ -445,7 +429,6 @@ def run_scenario(
         scale=scale,
         mode=mode,
         share_availability=share_availability,
-        sampler=sampler,
         collect_metrics=collect_metrics,
         metrics_stride=metrics_stride,
         on_result=on_result,
@@ -459,7 +442,6 @@ def _run_scenario_work(
     scale: CampaignScale,
     mode: ExpectationMode = ExpectationMode.PAPER,
     share_availability: bool = True,
-    sampler: str = "kernel",
     collect_metrics: bool = False,
     metrics_stride: int = DEFAULT_STRIDE,
     trace_dir: Optional[str] = None,
@@ -472,8 +454,8 @@ def _run_scenario_work(
     replay keeps every result bit-identical to a full run (the realisation
     depends only on the trial seed, never on which heuristics consume it).
 
-    When a trial's subset contains two or more passive-contract heuristics
-    (and *sampler* is a block driver), those are advanced in one pass by a
+    When a trial's subset contains two or more passive-contract heuristics,
+    those are advanced in one pass by a
     :class:`~repro.simulation.multirun.MultiHeuristicDriver` sharing the
     trial's availability blocks; the remaining heuristics run solo against
     the same realisation.  Either path yields bit-identical results — the
@@ -484,7 +466,6 @@ def _run_scenario_work(
     directory (engine, allocator and analysis spans with cell/trial
     correlation attributes); ``None`` is the exact untraced path.
     """
-    _require_sampler(sampler)
     platform = scenario.build_platform()
     analysis = AnalysisContext(platform, mode=mode)
     tracer = _tracer_for(trace_dir)
@@ -504,7 +485,7 @@ def _run_scenario_work(
         trace = bank.trace_for(scenario.trial_seed(trial)) if bank is not None else None
         names = by_trial[trial]
         one_pass: Dict[str, InstanceResult] = {}
-        if sampler != "perslot" and len(names) >= 2:
+        if len(names) >= 2:
             contract = [
                 (name, scheduler)
                 for name, scheduler in ((n, create_scheduler(n)) for n in names)
@@ -524,7 +505,6 @@ def _run_scenario_work(
                     max_slots=scale.makespan_cap,
                     trace=trace,
                     analysis=analysis,
-                    sampler=sampler,
                     metrics=collectors,
                     tracer=tracer,
                 )
@@ -556,7 +536,6 @@ def _run_scenario_work(
                     platform=platform,
                     trace=trace,
                     mode=mode,
-                    sampler=sampler,
                     collect_metrics=collect_metrics,
                     metrics_stride=metrics_stride,
                     tracer=tracer,
@@ -587,7 +566,6 @@ def _run_scenario_payload(payload: dict) -> List[dict]:
         payload["work"],
         scale=payload["scale"],
         mode=ExpectationMode(payload["mode"]),
-        sampler=payload.get("sampler", "kernel"),
         collect_metrics=payload.get("collect_metrics", False),
         metrics_stride=payload.get("metrics_stride", DEFAULT_STRIDE),
         trace_dir=payload.get("trace_dir"),
@@ -600,7 +578,6 @@ def _scenario_payload(
     work: Sequence[Tuple[int, str]],
     scale: CampaignScale,
     mode: ExpectationMode,
-    sampler: str = "kernel",
     collect_metrics: bool = False,
     metrics_stride: int = DEFAULT_STRIDE,
     trace_dir: Optional[str] = None,
@@ -613,7 +590,6 @@ def _scenario_payload(
         "work": list(work),
         "scale": scale,
         "mode": mode.value,
-        "sampler": sampler,
         "collect_metrics": collect_metrics,
         "metrics_stride": metrics_stride,
         "trace_dir": trace_dir,
@@ -628,7 +604,6 @@ def run_campaign(
     label: str = "campaign",
     n_jobs: int = 1,
     mode: ExpectationMode = ExpectationMode.PAPER,
-    sampler: str = "kernel",
     progress: Optional[Callable[[int, int], None]] = None,
     cell_progress: Optional[Callable[[CellProgress], None]] = None,
 ) -> CampaignResult:
@@ -648,9 +623,6 @@ def run_campaign(
         Number of worker processes (1 = run in-process).
     mode:
         Estimator variant used by the heuristics (paper formula vs renewal).
-    sampler:
-        Engine availability driver (``block``/``kernel``/``perslot``); a
-        runtime option only — results are sampler-independent by contract.
     progress:
         Optional coarse callback ``(done_scenarios, total_scenarios)``.
     cell_progress:
@@ -658,7 +630,6 @@ def run_campaign(
         per finished (scenario, trial, heuristic) cell.
     """
     scale = scale or CampaignScale.reduced()
-    _require_sampler(sampler)
     # Validate and canonicalize through the component registry — the single
     # source of truth shared with create_scheduler and CampaignSpec.
     resolved: List[str] = []
@@ -701,7 +672,6 @@ def run_campaign(
                     heuristics,
                     scale=scale,
                     mode=mode,
-                    sampler=sampler,
                     on_result=lambda result, scenario=scenario: emit_cell(scenario, result),
                 )
             )
@@ -715,7 +685,7 @@ def run_campaign(
         for heuristic in heuristics
     ]
     payloads = [
-        _scenario_payload(scenario, work, scale, mode, sampler) for scenario in scenarios
+        _scenario_payload(scenario, work, scale, mode) for scenario in scenarios
     ]
     done = 0
     with ProcessPoolExecutor(max_workers=n_jobs) as executor:
@@ -740,7 +710,6 @@ def run_campaign_spec(
     shard: Tuple[int, int] = (1, 1),
     n_jobs: int = 1,
     max_cells: Optional[int] = None,
-    sampler: str = "kernel",
     collect_metrics: Optional[bool] = None,
     metrics_stride: Optional[int] = None,
     trace_dir: Optional[str] = None,
@@ -771,15 +740,11 @@ def run_campaign_spec(
     max_cells:
         Stop after this many newly-run cells (used by smoke tests to
         simulate an interrupted campaign deterministically).
-    sampler:
-        Engine availability driver; a runtime option that never enters the
-        spec identity (all samplers produce identical results by contract,
-        so stored and freshly-run cells mix freely).
     collect_metrics, metrics_stride:
         Attach a per-run metrics collector sampling per-slot series into
         ``InstanceResult.metrics``.  ``None`` (the default) defers to the
-        spec's own ``collect_metrics`` / ``metrics_stride`` settings.  Like
-        the sampler, this is a runtime option outside the spec identity:
+        spec's own ``collect_metrics`` / ``metrics_stride`` settings.  This
+        is a runtime option outside the spec identity:
         the series are volatile store fields, so runs with and without them
         resume and merge interchangeably.
     trace_dir:
@@ -796,7 +761,6 @@ def run_campaign_spec(
     result set.
     """
     mode = ExpectationMode(spec.estimator)
-    _require_sampler(sampler)
     if collect_metrics is None:
         collect_metrics = spec.collect_metrics
     if metrics_stride is None:
@@ -862,7 +826,6 @@ def run_campaign_spec(
                 work,
                 scale=scale,
                 mode=mode,
-                sampler=sampler,
                 collect_metrics=collect_metrics,
                 metrics_stride=metrics_stride,
                 trace_dir=trace_dir,
@@ -878,7 +841,6 @@ def run_campaign_spec(
                 [(cell.trial, cell.heuristic) for cell in cells],
                 spec.scale_for(scenario.params.num_processors),
                 mode,
-                sampler,
                 collect_metrics,
                 metrics_stride,
                 trace_dir,

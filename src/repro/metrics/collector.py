@@ -35,9 +35,9 @@ integer series (the composition provably cannot change inside a span the
 engine fast-forwards over) and linear interpolation for ``work_completed``
 and ``comm_backlog`` between two captured breakpoints.  Sampled values at
 slots the engine actually visits are exact; in consequence the five exact
-series are identical across all engine samplers, while the two interpolated
-series may differ inside fast-forwarded spans between samplers (each
-sampler visits a different subset of slots).
+series are identical whether or not the engine fast-forwards, while the two
+interpolated series may differ inside fast-forwarded spans from the
+slot-by-slot path (``record_events=True``), which visits every slot.
 
 The contract with the engine is four hooks, all cheap and all read-only —
 a collector never mutates engine state, so attaching one cannot change a

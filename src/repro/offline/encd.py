@@ -24,18 +24,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
-try:  # optional dependency: only the graph import/export helpers need it
-    import networkx as nx
-except ImportError:  # pragma: no cover - exercised via _require_networkx tests
-    nx = None
 import numpy as np
 
 from repro.availability.trace import AvailabilityTrace
 from repro.exceptions import InvalidModelError
 from repro.offline.problem import OfflineProblem
 from repro.types import DOWN, UP
+
+if TYPE_CHECKING:  # optional dependency, imported on first use
+    import networkx as nx
 
 __all__ = [
     "ENCDInstance",
@@ -52,15 +51,18 @@ def _require_networkx():
     networkx is an optional dependency (the ``graphs`` extra): every core
     ENCD computation works on plain adjacency matrices, only the
     import/export helpers :meth:`ENCDInstance.from_graph` and
-    :meth:`ENCDInstance.to_graph` need the graph library itself.
+    :meth:`ENCDInstance.to_graph` need the graph library itself.  It is
+    imported here, on first use, so ``import repro`` never pays for it.
     """
-    if nx is None:
+    try:
+        import networkx
+    except ImportError:
         raise ImportError(
             "networkx is required for ENCDInstance.from_graph/to_graph; "
             "install it with `pip install networkx` "
             "(or `pip install repro-volatile-master-worker[graphs]`)"
-        )
-    return nx
+        ) from None
+    return networkx
 
 
 @dataclass(frozen=True)

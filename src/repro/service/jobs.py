@@ -33,6 +33,7 @@ Job lifecycle::
 from __future__ import annotations
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -50,6 +51,8 @@ __all__ = [
     "WorkerPool",
     "spawn_worker",
 ]
+
+_LOG = logging.getLogger(__name__)
 
 JOB_FORMAT_VERSION = 1
 JOB_STATUSES = ("queued", "running", "completed", "failed")
@@ -398,8 +401,8 @@ class WorkerPool:
         while not self._stop.is_set():
             try:
                 self.tick()
-            except Exception:  # pragma: no cover - keep the dispatcher alive
-                pass
+            except Exception:  # keep the dispatcher alive, but say why
+                _LOG.exception("service dispatcher tick failed")
             self._stop.wait(self.poll_interval)
 
     def tick(self) -> None:

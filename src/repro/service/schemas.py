@@ -80,8 +80,6 @@ class CampaignSubmission(_Schema):
     spec: Optional[dict] = None
     builtin: Optional[str] = None
     spec_toml: Optional[str] = None
-    #: Engine availability driver (``kernel``/``block``/``perslot``).
-    sampler: str = "kernel"
     #: Attach the per-slot metrics collector (``None`` = the spec's setting).
     collect_metrics: Optional[bool] = None
     metrics_stride: Optional[int] = None
@@ -132,7 +130,6 @@ class CampaignSubmission(_Schema):
     def options(self) -> dict:
         """The runtime options to persist in the job document."""
         return {
-            "sampler": self.sampler,
             "collect_metrics": self.collect_metrics,
             "metrics_stride": self.metrics_stride,
             "n_jobs": int(self.n_jobs),

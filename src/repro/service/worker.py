@@ -66,7 +66,6 @@ def run_job(job_path: Path) -> int:
                 store=store,
                 n_jobs=int(options.get("n_jobs") or 1),
                 max_cells=options.get("max_cells"),
-                sampler=options.get("sampler") or "kernel",
                 collect_metrics=options.get("collect_metrics"),
                 metrics_stride=options.get("metrics_stride"),
                 trace_dir=trace_dir,

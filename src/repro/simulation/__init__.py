@@ -20,7 +20,6 @@ The engine advances slot by slot:
 
 from repro.simulation.engine import (
     BLOCK_BOUNDARY,
-    SAMPLERS,
     SimulationEngine,
     simulate,
 )
@@ -34,7 +33,6 @@ from repro.simulation.state import WorkerRuntime
 __all__ = [
     "SimulationEngine",
     "simulate",
-    "SAMPLERS",
     "BLOCK_BOUNDARY",
     "MultiHeuristicDriver",
     "SharedBlockSource",

@@ -24,35 +24,33 @@ Performance model
 Availability is consumed in *blocks*: worker states are prefetched into an
 ``(m, block_size)`` ``int8`` matrix through the models'
 :meth:`~repro.availability.model.AvailabilityModel.sample_block` vectorised
-samplers (or by slicing the replay trace).  Because every worker owns an
+samplers (or by slicing the replay trace), served in aligned windows by a
+:class:`~repro.simulation.blocks.SharedBlockSource` — private to a solo
+run, shared by the engines of a multi-heuristic pass.  Because every worker owns an
 independent generator stream, block sampling consumes exactly the same draws
-as the historical slot-by-slot sampling, so fixed seeds reproduce the same
-trajectories bit for bit; ``sampler="perslot"`` keeps the legacy
-``next_state`` driver around for differential testing.
+as slot-by-slot sampling, so fixed seeds reproduce the same trajectories bit
+for bit.
 
-Two further optimisations exploit the declared behaviour of schedulers whose
-:attr:`~repro.scheduling.base.Scheduler.passive_between_rebuilds` flag is
-set (they return the carried-over configuration whenever
-``Observation.needs_new_configuration()`` is false):
+Schedulers whose :attr:`~repro.scheduling.base.Scheduler.passive_between_rebuilds`
+flag is set (they return the carried-over configuration whenever
+``Observation.needs_new_configuration()`` is false) unlock the fast paths,
+built on the span primitives of :mod:`repro.simulation.kernels`:
 
 * the per-slot :class:`Observation`/``select`` round-trip is skipped on
   slots where the contract pins the decision;
-* during the computation phase the engine scans the prefetched block for the
-  first slot at which a *relevant* worker changes state and fast-forwards
-  the intervening uneventful slots in one step.
+* a per-worker next-change table turns the uneventful-span search of the
+  communication phase into an O(#enrolled) lookup, and with a channel for
+  every enrolled worker the whole phase collapses into one jump;
+* the computation phase jumps straight over UP/RECLAIMED flicker to the
+  first enrolled DOWN transition or the iteration's completing slot;
+* only the enrolled workers' runtime states are synchronised per event.
 
-Both short-cuts are exact: they change neither the trajectory nor any
-counter of the run (golden-seed tests pin this down).
-
-``sampler="kernel"`` layers the primitives of
-:mod:`repro.simulation.kernels` on top of the block driver: a per-worker
-next-change table turns the uneventful-span search into an O(#enrolled)
-lookup, the computation phase jumps straight over UP/RECLAIMED flicker to
-the first enrolled DOWN transition or the iteration's completing slot, and
-only the enrolled workers' runtime states are synchronised per event.  The
-primitives are numba-compiled when numba is importable (``REPRO_NO_NUMBA=1``
-forces the pure-NumPy fallback); either way the trajectory is bit-identical
-to the ``block`` and ``perslot`` drivers.
+The primitives are numba-compiled when numba is importable
+(``REPRO_NO_NUMBA=1`` forces the pure-NumPy fallback).  Every short-cut is
+exact: it changes neither the trajectory nor any counter of the run.  Keeping
+a per-slot record (``record_events`` or ``record_activity``) disables the
+jumps, so that slot-by-slot path is the in-engine reference the fast paths
+are tested against.
 
 Decision points are exposed as an explicit step iterator: :meth:`run` is a
 thin driver over :meth:`SimulationEngine.steps`, which yields an
@@ -72,11 +70,11 @@ import numpy as np
 from repro.analysis.cache import AnalysisContext
 from repro.application.application import Application
 from repro.application.configuration import Configuration
-from repro.availability.model import AvailabilityModel
 from repro.availability.trace import AvailabilityTrace
 from repro.exceptions import SchedulingError, SimulationError
 from repro.platform.platform import Platform
 from repro.scheduling.base import Observation, Scheduler
+from repro.simulation.blocks import DEFAULT_BLOCK_SIZE, DEFAULT_MAX_SLOTS, SharedBlockSource
 from repro.simulation.comm import CommunicationManager
 from repro.simulation.events import EventKind, EventLog
 from repro.simulation.kernels import (
@@ -88,25 +86,16 @@ from repro.simulation.kernels import (
 from repro.simulation.results import IterationRecord, SimulationResult
 from repro.simulation.state import WorkerRuntime
 from repro.telemetry.tracer import active_tracer
-from repro.types import DOWN, RECLAIMED, UP, ProcessorState
+from repro.types import DOWN, RECLAIMED, UP
 from repro.utils.rng import SeedLike, derive_run_streams
 
-__all__ = ["SimulationEngine", "simulate", "SAMPLERS", "BLOCK_BOUNDARY"]
-
-#: The availability drivers understood by :class:`SimulationEngine`.
-SAMPLERS = ("block", "kernel", "perslot")
+__all__ = ["SimulationEngine", "simulate", "BLOCK_BOUNDARY"]
 
 #: Sentinel yielded by cooperative :meth:`SimulationEngine.steps` iterations
 #: right before a new availability block is fetched, so a multi-engine
 #: driver can interleave engines block by block (see
 #: :mod:`repro.simulation.multirun`).  Never yielded by :meth:`run`.
 BLOCK_BOUNDARY = object()
-
-#: Default makespan cap, matching the paper's 1,000,000-slot limit.
-DEFAULT_MAX_SLOTS = 1_000_000
-
-#: Default number of slots prefetched per availability block.
-DEFAULT_BLOCK_SIZE = 4096
 
 #: Activity codes recorded per worker per slot when ``record_activity`` is on.
 ACTIVITY_NONE = " "
@@ -118,10 +107,6 @@ ACTIVITY_COMPUTE = "C"
 #: Cheap int -> singleton lookup for the three processor states.
 _STATE_OF_CODE = (UP, RECLAIMED, DOWN)
 _DOWN_CODE = int(DOWN)
-
-#: Idle (reclaimed) stretches are fast-forwarded at most this many slots per
-#: scan so the column comparison stays O(scan limit), not O(block size²).
-_IDLE_SCAN_LIMIT = 256
 
 
 class SimulationEngine:
@@ -152,17 +137,8 @@ class SimulationEngine:
         recomputing the Markov machinery.
     block_size:
         Number of slots of worker states prefetched per availability block.
-    sampler:
-        ``"block"`` (default) drives the models through their vectorised
-        :meth:`sample_block`; ``"kernel"`` adds the accelerated span
-        primitives of :mod:`repro.simulation.kernels` on top of the block
-        driver (numba-compiled when available); ``"perslot"`` retains the
-        legacy ``next_state``-per-slot driver.  All three produce identical
-        trajectories for a given seed (the models' block samplers are
-        stream-equivalent by contract and the kernel span jumps are exact);
-        the switch exists for differential tests and benchmarks.
     shared_blocks:
-        Optional :class:`~repro.simulation.multirun.SharedBlockSource`
+        Optional :class:`~repro.simulation.blocks.SharedBlockSource`
         serving aligned availability windows (with their derived masks and
         tables) computed once and shared by several engines simulating the
         same realisation.  Internal to
@@ -199,7 +175,6 @@ class SimulationEngine:
         trace: Optional[AvailabilityTrace] = None,
         analysis: Optional[AnalysisContext] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        sampler: str = "block",
         shared_blocks=None,
         record_events: bool = False,
         record_activity: bool = False,
@@ -210,11 +185,6 @@ class SimulationEngine:
             raise SimulationError(f"max_slots must be >= 1, got {max_slots}")
         if block_size < 1:
             raise SimulationError(f"block_size must be >= 1, got {block_size}")
-        if sampler not in SAMPLERS:
-            raise SimulationError(
-                f"unknown sampler {sampler!r}; available samplers: "
-                + ", ".join(SAMPLERS)
-            )
         if shared_blocks is not None and trace is not None:
             raise SimulationError(
                 "shared_blocks and trace are mutually exclusive; give the "
@@ -232,14 +202,12 @@ class SimulationEngine:
         self.max_slots = int(max_slots)
         self.trace = trace
         self.block_size = int(block_size)
-        self.sampler = sampler
         self.analysis = analysis if analysis is not None else AnalysisContext(platform)
         self.events = EventLog(enabled=record_events)
         self.record_activity = bool(record_activity)
         self.metrics = metrics
         self.tracer = active_tracer(tracer)
         self._shared_blocks = shared_blocks
-        self._kernel = sampler == "kernel"
         #: Result of the most recently completed run (also the
         #: ``StopIteration`` value of an exhausted :meth:`steps` iterator).
         self.last_result: Optional[SimulationResult] = None
@@ -250,37 +218,25 @@ class SimulationEngine:
         # platform-level hazard overlay gets its own master stream — an
         # additional SeedSequence child, so the worker and scheduler streams
         # (and every hazard-free run) are unaffected.
-        self._hazard = platform.hazard if trace is None and shared_blocks is None else None
-        if self._hazard is not None:
-            (
-                self._availability_rngs,
-                self._scheduler_rng,
-                self._hazard_rng,
-            ) = derive_run_streams(seed, platform.num_processors, hazard=True)
-        else:
-            self._availability_rngs, self._scheduler_rng = derive_run_streams(
-                seed, platform.num_processors
-            )
-            self._hazard_rng = None
+        hazard = platform.hazard is not None and trace is None and shared_blocks is None
+        self._streams = derive_run_streams(seed, platform.num_processors, hazard=hazard)
+        self._scheduler_rng = self._streams[1]
+        # A solo run reads a private block source, opened per run.
+        self._private_blocks: Optional[SharedBlockSource] = None
 
         self._comm = CommunicationManager(platform.ncom)
         self._runtimes: List[WorkerRuntime] = []
         self._block: Optional[np.ndarray] = None
-        # Raw (pre-overlay) last column of the previous window: what the
-        # base availability chains continue from when a hazard is active.
-        self._base_last_column: Optional[np.ndarray] = None
         self._block_start = 0
         self._block_len = 0
         # Per-block companions, computed once per prefetch so the per-slot
         # loop does O(1) lookups instead of O(m) array scans:
         # _block_down[j]  — does column j contain a DOWN worker?
         # _block_same[j]  — is column j identical to column j - 1?
-        # _block_changes  — sorted positions j with _block_same[j] False.
-        # _block_data bundles all of it (plus the kernel sampler's lazy
-        # next-change table) so block sources can share one copy.
+        # _block_data bundles both (plus the lazy next-change table) so
+        # block sources can share one copy.
         self._block_down: Optional[np.ndarray] = None
         self._block_same: Optional[np.ndarray] = None
-        self._block_changes: Optional[np.ndarray] = None
         self._block_data: Optional[BlockData] = None
         self.activity_matrix: Optional[np.ndarray] = None
         self.state_matrix: Optional[np.ndarray] = None
@@ -288,134 +244,44 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Availability driving (chunked prefetch)
     # ------------------------------------------------------------------
-    def _states_at(self, slot: int) -> np.ndarray:
-        """The state column of *slot*, prefetching the next block if needed."""
-        offset = slot - self._block_start
-        if self._block is None or offset >= self._block_len:
-            self._fetch_block(slot)
-            offset = slot - self._block_start
-        return self._block[:, offset]
-
     def _fetch_block(self, start: int) -> None:
-        """Materialise worker states for slots ``[start, start + block)``."""
+        """Install the availability window containing slot *start*.
+
+        The window may begin before *start* (the caller recomputes the
+        block-relative offset).
+        """
         tracer = self.tracer
-        if tracer is None:
-            return self._fetch_block_impl(start)
-        begin = time.perf_counter_ns()
-        self._fetch_block_impl(start)
-        tracer.accumulate(
-            "engine.block_fetch",
-            begin,
-            counters={"slots": self._block_len},
-            heuristic=self.scheduler.name,
-        )
-
-    def _fetch_block_impl(self, start: int) -> None:
-        if self._shared_blocks is not None:
-            # The source serves aligned windows shared by every engine of a
-            # multi-heuristic pass; the window containing *start* may begin
-            # earlier (the caller recomputes the block-relative offset).
-            window_start, data = self._shared_blocks.window(start)
-            self._install_block(window_start, data)
-            return
-        if self.trace is not None:
-            horizon = self.trace.horizon
-            if horizon < 1:
-                raise SimulationError("availability trace is empty")
-            if start >= horizon:
-                raise SimulationError(
-                    f"availability trace ends at slot {horizon} but the run "
-                    f"reached slot {start}; provide a longer trace or lower max_slots"
+        begin = time.perf_counter_ns() if tracer is not None else 0
+        source = self._shared_blocks
+        if source is None:
+            if self._private_blocks is None:
+                self._private_blocks = SharedBlockSource(
+                    self.platform,
+                    trace=self.trace,
+                    block_size=self.block_size,
+                    max_slots=self.max_slots,
+                    streams=self._streams,
                 )
-            length = min(self.block_size, horizon - start, self.max_slots - start)
-            block = np.asarray(self.trace.block(start, start + length), dtype=np.int8)
-            if block.shape != (self.platform.num_processors, length):
-                raise SimulationError(
-                    f"availability source returned a block of shape {block.shape}, "
-                    f"expected {(self.platform.num_processors, length)}"
-                )
-        else:
-            if self._block is not None and start != self._block_start + self._block_len:
-                raise SimulationError(
-                    "model-driven availability must be consumed sequentially "
-                    f"(asked for slot {start}, expected "
-                    f"{self._block_start + self._block_len})"
-                )
-            length = min(self.block_size, self.max_slots - start)
-            block = np.empty((self.platform.num_processors, length), dtype=np.int8)
-            if start == 0:
-                for worker_id, processor in enumerate(self.platform.processors):
-                    model = processor.availability
-                    model.reset()
-                    rng = self._availability_rngs[worker_id]
-                    state = model.initial_state(rng)
-                    block[worker_id, 0] = int(state)
-                    if length > 1:
-                        block[worker_id, 1:] = self._sample_worker(
-                            model, 1, length - 1, rng, state
-                        )
-            else:
-                # The base chains continue from the *raw* sampled states: a
-                # hazard overlay is an exogenous forcing that does not alter
-                # the workers' intrinsic processes.  This also keeps the
-                # realisation independent of window boundaries (the bank
-                # trace chunks differently), so every consumption path stays
-                # bit-identical.
-                previous = (
-                    self._base_last_column
-                    if self._hazard is not None
-                    else self._block[:, -1]
-                )
-                for worker_id, processor in enumerate(self.platform.processors):
-                    block[worker_id] = self._sample_worker(
-                        processor.availability,
-                        start,
-                        length,
-                        self._availability_rngs[worker_id],
-                        ProcessorState(int(previous[worker_id])),
-                    )
-            if self._hazard is not None:
-                # Platform-level overlay (correlated outages, churn): applied
-                # once per freshly sampled window, before the per-column
-                # companions are derived, so schedulers, kernels and metrics
-                # all see the overlaid states.
-                if start == 0:
-                    self._hazard.reset(self._hazard_rng)
-                self._base_last_column = block[:, -1].copy()
-                self._hazard.overlay(start, block)
-        last_column = None if self._block is None else self._block[:, -1]
-        self._install_block(start, BlockData(block, last_column))
-
-    def _install_block(self, start: int, data: BlockData) -> None:
+            source = self._private_blocks
+            source.release_below(start)  # a solo run holds one window at a time
+        self._block_start, data = source.window(start)
         self._block = data.block
-        self._block_start = start
         self._block_len = data.length
         self._block_down = data.down
         self._block_same = data.same
-        self._block_changes = data.changes
         self._block_data = data
         if self.metrics is not None:
             # Every availability block of a run funnels through here (model
             # sampling, trace replay and shared windows alike), so this is
             # where the collector sees exact pool states.
-            self.metrics.on_block(start, data.block)
-
-    def _frozen_run(self, offset: int) -> int:
-        """Slots after block-relative *offset* whose column equals column *offset*."""
-        changes = self._block_changes
-        index = int(np.searchsorted(changes, offset, side="right"))
-        next_change = int(changes[index]) if index < changes.size else self._block_len
-        return next_change - offset - 1
-
-    def _sample_worker(self, model, start_slot, horizon, rng, current) -> np.ndarray:
-        if self.sampler != "perslot":
-            return model.sample_block(start_slot, horizon, rng, current=current)
-        # Legacy driver: the base class's slot-by-slot next_state loop,
-        # invoked unbound so model overrides cannot shadow the reference
-        # semantics the "perslot" mode exists to compare against.
-        return AvailabilityModel.sample_block(
-            model, start_slot, horizon, rng, current=current
-        )
+            self.metrics.on_block(self._block_start, data.block)
+        if tracer is not None:
+            tracer.accumulate(
+                "engine.block_fetch",
+                begin,
+                counters={"slots": self._block_len},
+                heuristic=self.scheduler.name,
+            )
 
     # ------------------------------------------------------------------
     # Main loop
@@ -471,6 +337,7 @@ class SimulationEngine:
         self._runtimes = [WorkerRuntime(worker_id=q) for q in range(platform.num_processors)]
         runtimes = self._runtimes
         runtime_by_id = {runtime.worker_id: runtime for runtime in runtimes}
+        self._private_blocks = None
         self._block = None
         self._block_start = 0
         self._block_len = 0
@@ -498,13 +365,12 @@ class SimulationEngine:
         # requires that no per-slot record (events/activity) is kept.
         contract = bool(getattr(self.scheduler, "passive_between_rebuilds", False))
         can_fast_forward = contract and not self.events.enabled and not self.record_activity
-        # The kernel sampler synchronises only the *enrolled* workers'
-        # runtime states per column: nothing in the engine reads the state
-        # of a non-enrolled worker (observations and selection checks use
-        # the raw state column; offline program-holder failures read the
-        # block directly).  Newly enrolled workers are synchronised at the
-        # configuration change that enrols them.
-        kernel = self._kernel
+        # Only the *enrolled* workers' runtime states are synchronised per
+        # column: nothing in the engine reads the state of a non-enrolled
+        # worker (observations and selection checks use the raw state
+        # column; offline program-holder failures read the block directly).
+        # Newly enrolled workers are synchronised at the configuration
+        # change that enrols them.
 
         current_config = Configuration.empty()
         enrolled_runtimes: List[WorkerRuntime] = []
@@ -538,7 +404,7 @@ class SimulationEngine:
                 rel = slot - self._block_start
             states = self._block[:, rel]
             if states_dirty or not self._block_same[rel]:
-                for runtime in enrolled_runtimes if kernel else runtimes:
+                for runtime in enrolled_runtimes:
                     runtime.state = _STATE_OF_CODE[states[runtime.worker_id]]
                 states_dirty = False
             if self.record_activity:
@@ -644,11 +510,10 @@ class SimulationEngine:
                 enrolled_ids = np.fromiter(
                     current_config.workers, dtype=np.intp, count=len(enrolled_runtimes)
                 )
-                if kernel:
-                    # Newly enrolled workers may carry a stale state under
-                    # the enrolled-only synchronisation; refresh the set.
-                    for runtime in enrolled_runtimes:
-                        runtime.state = _STATE_OF_CODE[states[runtime.worker_id]]
+                # Newly enrolled workers may carry a stale state under the
+                # enrolled-only synchronisation; refresh the set.
+                for runtime in enrolled_runtimes:
+                    runtime.state = _STATE_OF_CODE[states[runtime.worker_id]]
 
             # ---- 4. run the slot ---------------------------------------
             feasible = (
@@ -663,11 +528,7 @@ class SimulationEngine:
                 comm_remaining = 0
                 for runtime in enrolled_runtimes:
                     comm_remaining += runtime.comm_slots_remaining(tprog, tdata)
-                if comm_remaining and (
-                    kernel
-                    and can_fast_forward
-                    and len(enrolled_runtimes) <= ncom
-                ):
+                if comm_remaining and can_fast_forward and len(enrolled_runtimes) <= ncom:
                     # ---- whole-phase jump (capacity surplus) ------------
                     # With a channel for every enrolled worker the sticky
                     # policy serves each needing UP worker on every slot,
@@ -736,23 +597,15 @@ class SimulationEngine:
                         # until the transfers complete, and the sticky
                         # channel allocation only changes when a transfer
                         # finishes.  Drain whole grant intervals event by
-                        # event.  The scan window is bounded by the work
-                        # actually left (plus one slot of slack for stalls).
+                        # event.  The window is bounded by the work actually
+                        # left and by the first enrolled state change.
                         begin = time.perf_counter_ns() if tracer is not None else 0
-                        if kernel:
-                            nc_span = frozen_span(
-                                self._block_data.ensure_next_change(),
-                                enrolled_ids,
-                                rel,
-                            )
-                            span = min(
-                                self._block_len - rel - 1, comm_remaining, nc_span
-                            )
-                        else:
-                            span, _ = self._scan_uneventful(
-                                rel, enrolled_ids,
-                                min(comm_remaining + 1, _IDLE_SCAN_LIMIT),
-                            )
+                        nc_span = frozen_span(
+                            self._block_data.ensure_next_change(),
+                            enrolled_ids,
+                            rel,
+                        )
+                        span = min(self._block_len - rel - 1, comm_remaining, nc_span)
                         consumed = self._comm.drain(
                             enrolled_runtimes, span, tprog=tprog, tdata=tdata
                         )
@@ -818,62 +671,37 @@ class SimulationEngine:
                     elif can_fast_forward and not failure:
                         # ---- fast-forward uneventful compute/idle slots --
                         begin = time.perf_counter_ns() if tracer is not None else 0
-                        if kernel:
-                            # Jump straight over UP/RECLAIMED flicker to the
-                            # first enrolled DOWN transition, the iteration's
-                            # completing slot, or the block end — whichever
-                            # comes first — splitting the consumed span into
-                            # compute (all-UP) and idle columns.
-                            advance, progressed = compute_span(
-                                self._block,
-                                enrolled_ids,
-                                rel,
-                                self._block_len,
-                                workload - progress,
-                            )
-                            if advance > 0:
-                                self._apply_offline_failures(rel, advance, runtimes)
-                                idled = advance - progressed
-                                if progressed:
-                                    progress += progressed
-                                    total_compute_slots += progressed
-                                    record.computation_slots += progressed
-                                if idled:
-                                    total_idle_slots += idled
-                                    record.idle_slots += idled
-                                slot += advance
-                                states_dirty = True
-                                if tracer is not None:
-                                    tracer.accumulate(
-                                        "engine.fast_forward",
-                                        begin,
-                                        counters={"advance": advance},
-                                        heuristic=heuristic_name,
-                                    )
-                        else:
-                            advance, clean = self._scan_uneventful(
-                                rel,
-                                enrolled_ids,
-                                workload - progress if all_up else _IDLE_SCAN_LIMIT,
-                            )
-                            if advance > 0:
-                                self._apply_offline_failures(rel, advance, runtimes)
-                                if all_up:
-                                    progress += advance
-                                    total_compute_slots += advance
-                                    record.computation_slots += advance
-                                else:
-                                    total_idle_slots += advance
-                                    record.idle_slots += advance
-                                slot += advance
-                                states_dirty = not clean
-                                if tracer is not None:
-                                    tracer.accumulate(
-                                        "engine.fast_forward",
-                                        begin,
-                                        counters={"advance": advance},
-                                        heuristic=heuristic_name,
-                                    )
+                        # Jump straight over UP/RECLAIMED flicker to the
+                        # first enrolled DOWN transition, the iteration's
+                        # completing slot, or the block end — whichever
+                        # comes first — splitting the consumed span into
+                        # compute (all-UP) and idle columns.
+                        advance, progressed = compute_span(
+                            self._block,
+                            enrolled_ids,
+                            rel,
+                            self._block_len,
+                            workload - progress,
+                        )
+                        if advance > 0:
+                            self._apply_offline_failures(rel, advance, runtimes)
+                            idled = advance - progressed
+                            if progressed:
+                                progress += progressed
+                                total_compute_slots += progressed
+                                record.computation_slots += progressed
+                            if idled:
+                                total_idle_slots += idled
+                                record.idle_slots += idled
+                            slot += advance
+                            states_dirty = True
+                            if tracer is not None:
+                                tracer.accumulate(
+                                    "engine.fast_forward",
+                                    begin,
+                                    counters={"advance": advance},
+                                    heuristic=heuristic_name,
+                                )
             if collector is not None:
                 # ``slot`` is now the last slot this loop pass covered
                 # (fast-forward branches advance it past the entry slot).
@@ -907,7 +735,6 @@ class SimulationEngine:
                 "engine.run",
                 run_begin,
                 heuristic=heuristic_name,
-                sampler=self.sampler,
                 slots=makespan if success else self.max_slots,
                 success=success,
             )
@@ -929,48 +756,6 @@ class SimulationEngine:
         return self.last_result
 
     # ------------------------------------------------------------------
-    def _scan_uneventful(
-        self,
-        rel: int,
-        enrolled_ids: np.ndarray,
-        limit: int,
-    ) -> tuple:
-        """Slots after block-relative *rel* that provably replay this slot's outcome.
-
-        A subsequent slot is uneventful as long as every *enrolled* worker
-        holds exactly its current state: under the passive-scheduler
-        contract nothing else in the engine can change on such a slot, so
-        its bookkeeping is a pure repetition of the current slot's.
-        (Non-enrolled program holders crashing inside the window are handled
-        separately by :meth:`_apply_offline_failures` — they do not stop the
-        fast-forward.)
-
-        Returns ``(advance, clean)`` where *clean* says whether the skipped
-        slots all carried a column identical to the current one (so the
-        engine's column-change shortcut stays valid after the jump).
-
-        The scan never crosses the prefetched block boundary and is capped
-        at *limit* slots (the completing slot of an iteration, which has
-        extra bookkeeping, is always left to the per-slot path; idle
-        stretches are re-scanned every :data:`_IDLE_SCAN_LIMIT` slots).
-        """
-        span = min(self._block_len - rel - 1, limit - 1)
-        if span <= 0:
-            return 0, True
-        # Fast path: the whole-platform column is frozen for long enough.
-        frozen = self._frozen_run(rel)
-        if frozen >= span:
-            return span, True
-        block = self._block
-        column = block[:, rel]
-        window = block[:, rel + 1: rel + 1 + span]
-        uneventful = np.all(
-            window[enrolled_ids] == column[enrolled_ids, None], axis=0
-        )
-        eventful = np.flatnonzero(~uneventful)
-        advance = int(eventful[0]) if eventful.size else int(uneventful.size)
-        return advance, advance <= frozen
-
     def _apply_offline_failures(
         self, rel: int, advance: int, runtimes: Sequence[WorkerRuntime]
     ) -> None:
@@ -1038,35 +823,11 @@ class SimulationEngine:
 
 
 def simulate(
-    platform: Platform,
-    application: Application,
-    scheduler: Scheduler,
-    *,
-    seed: SeedLike = None,
-    max_slots: int = DEFAULT_MAX_SLOTS,
-    trace: Optional[AvailabilityTrace] = None,
-    analysis: Optional[AnalysisContext] = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    sampler: str = "block",
-    record_events: bool = False,
-    record_activity: bool = False,
-    metrics=None,
-    tracer=None,
+    platform: Platform, application: Application, scheduler: Scheduler, **options
 ) -> SimulationResult:
-    """One-shot convenience wrapper around :class:`SimulationEngine`."""
-    engine = SimulationEngine(
-        platform,
-        application,
-        scheduler,
-        seed=seed,
-        max_slots=max_slots,
-        trace=trace,
-        analysis=analysis,
-        block_size=block_size,
-        sampler=sampler,
-        record_events=record_events,
-        record_activity=record_activity,
-        metrics=metrics,
-        tracer=tracer,
-    )
-    return engine.run()
+    """One-shot convenience wrapper: ``SimulationEngine(...).run()``.
+
+    Keyword *options* are those of :class:`SimulationEngine` (``seed``,
+    ``max_slots``, ``trace``, ``analysis``, ``record_events``, ...).
+    """
+    return SimulationEngine(platform, application, scheduler, **options).run()

@@ -3,8 +3,8 @@
 The simulation engine consumes availability in ``(m, block_size)`` ``int8``
 blocks (see :mod:`repro.simulation.engine`).  This module hosts the numeric
 primitives of that consumption — the per-block companion masks, the
-per-worker next-change table, and the span searches used by the
-``sampler="kernel"`` fast paths:
+per-worker next-change table, and the span searches used by the engine's
+fast paths:
 
 ``block_companions``
     The DOWN / column-identical masks the per-slot loop reads at O(1).
@@ -91,13 +91,12 @@ NUMBA_DISABLED_BY_ENV = bool(os.environ.get("REPRO_NO_NUMBA"))
 # ----------------------------------------------------------------------
 def block_companions(
     block: np.ndarray, last_column: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Per-block masks read by the engine's slot loop.
 
-    Returns ``(down, same, changes)`` where ``down[j]`` flags a DOWN worker
-    in column ``j``, ``same[j]`` flags a column identical to its
-    predecessor (``last_column`` supplies the predecessor of column 0), and
-    ``changes`` lists the positions where ``same`` is False, sorted.
+    Returns ``(down, same)`` where ``down[j]`` flags a DOWN worker in column
+    ``j`` and ``same[j]`` flags a column identical to its predecessor
+    (``last_column`` supplies the predecessor of column 0).
     """
     length = block.shape[1]
     down = (block == _DOWN_CODE).any(axis=0)
@@ -105,8 +104,7 @@ def block_companions(
     same[0] = last_column is not None and bool(np.array_equal(block[:, 0], last_column))
     if length > 1:
         same[1:] = ~(block[:, 1:] != block[:, :-1]).any(axis=0)
-    changes = np.flatnonzero(~same)
-    return down, same, changes
+    return down, same
 
 
 def next_change_table(block: np.ndarray) -> np.ndarray:
@@ -362,16 +360,15 @@ class BlockData:
 
     Bundles what the engine installs per prefetch so the multi-heuristic
     driver can compute everything once and hand the same bundle to every
-    engine.  The next-change table is built lazily — only the kernel
-    sampler reads it — and exactly once per block no matter how many
-    engines ask.
+    engine.  The next-change table is built lazily — only the fast paths
+    read it — and exactly once per block no matter how many engines ask.
     """
 
-    __slots__ = ("block", "down", "same", "changes", "_next_change")
+    __slots__ = ("block", "down", "same", "_next_change")
 
     def __init__(self, block: np.ndarray, last_column: Optional[np.ndarray]) -> None:
         self.block = block
-        self.down, self.same, self.changes = block_companions(block, last_column)
+        self.down, self.same = block_companions(block, last_column)
         self._next_change: Optional[np.ndarray] = None
 
     @property

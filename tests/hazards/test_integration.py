@@ -1,11 +1,10 @@
 """Cross-layer determinism of the hazard substrates.
 
-Pins the ISSUE's acceptance bar: a hazard-bearing run is bit-identical
-between the solo engine, the one-pass :class:`MultiHeuristicDriver` and the
-experiment layer's trace-bank replay; across the block / kernel / perslot
-samplers; and the PR 7 metrics plumbing observes the overlays (pool dips
-hitting whole domains in the same slot, Monte Carlo bands over a
-correlated-outage campaign).
+A hazard-bearing run is bit-identical between the solo engine, the
+one-pass :class:`MultiHeuristicDriver`, the experiment layer's trace-bank
+replay and the engine's slot-by-slot path (``record_events=True``); and the
+metrics plumbing observes the overlays (pool dips hitting whole domains in
+the same slot, Monte Carlo bands over a correlated-outage campaign).
 """
 
 import numpy as np
@@ -25,7 +24,7 @@ from repro.hazards import DomainOutageProcess
 from repro.platform import Platform, PlatformSpec, Processor
 from repro.platform.builders import availability_platform
 from repro.scheduling import create_scheduler
-from repro.simulation import MultiHeuristicDriver, SimulationEngine
+from repro.simulation import MultiHeuristicDriver, SimulationEngine, simulate
 
 pytestmark = pytest.mark.slow
 
@@ -42,7 +41,7 @@ SUBSTRATES = [
 HEURISTICS = ["IE", "RANDOM", "IP"]
 
 #: api.run golden makespans (m=8, ncom=5, wmin=1, 10 workers, 5 iterations,
-#: seed 11, platform seed 3) — one per substrate family, every sampler.
+#: seed 11, platform seed 3) — one per substrate family, both engine paths.
 API_GOLDENS = [
     ("correlated(domains=3, rate=0.01, mean_outage=10)", 323),
     ({"kind": "churn", "mean_present": 200, "mean_absent": 80, "present0": 0.7}, 579),
@@ -74,7 +73,6 @@ def test_solo_driver_and_bank_replay_are_bit_identical(kind, params, golden):
             seed=5,
             max_slots=MAX_SLOTS,
             analysis=analysis,
-            sampler="block",
         ).run()
         for name in HEURISTICS
     ]
@@ -86,7 +84,6 @@ def test_solo_driver_and_bank_replay_are_bit_identical(kind, params, golden):
         [create_scheduler(name) for name in HEURISTICS],
         seed=5,
         max_slots=MAX_SLOTS,
-        sampler="block",
     ).run()
     assert shared == solo
 
@@ -107,23 +104,24 @@ def test_solo_driver_and_bank_replay_are_bit_identical(kind, params, golden):
 
 
 @pytest.mark.parametrize("availability,golden", API_GOLDENS)
-def test_samplers_agree_on_every_substrate(availability, golden):
-    makespans = {
-        sampler: api.run(
-            m=8,
-            heuristic="IE",
-            ncom=5,
-            wmin=1,
-            num_processors=10,
-            iterations=5,
-            seed=11,
-            platform_seed=3,
-            availability=availability,
-            sampler=sampler,
-        ).makespan
-        for sampler in ("block", "kernel", "perslot")
-    }
-    assert makespans == {"block": golden, "kernel": golden, "perslot": golden}
+def test_engine_paths_agree_on_every_substrate(availability, golden):
+    fast = api.run(
+        m=8,
+        heuristic="IE",
+        ncom=5,
+        wmin=1,
+        num_processors=10,
+        iterations=5,
+        seed=11,
+        platform_seed=3,
+        availability=availability,
+    )
+    assert fast.makespan == golden
+    per_slot = simulate(
+        fast.platform, Application(tasks_per_iteration=8, iterations=5),
+        create_scheduler("IE"), seed=11, max_slots=200_000, record_events=True,
+    )
+    assert per_slot == fast.simulation
 
 
 class TestMetricsUnderHazards:

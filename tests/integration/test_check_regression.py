@@ -12,7 +12,7 @@ SCRIPT = REPO_ROOT / "benchmarks" / "check_regression.py"
 def make_report(scale=1.0):
     runs = []
     for heuristic in ("RANDOM", "IE"):
-        for mode in ("legacy", "block"):
+        for mode in ("kernel", "multiheuristic"):
             runs.append(
                 {
                     "mode": mode,
@@ -20,7 +20,7 @@ def make_report(scale=1.0):
                     "workers": 20,
                     "slots": 100_000,
                     "wall_seconds": 1.0,
-                    "slots_per_second": scale * (40_000 if mode == "block" else 15_000),
+                    "slots_per_second": scale * (40_000 if mode == "kernel" else 120_000),
                 }
             )
     return {"benchmark": "simulator_throughput", "python": "3.11", "runs": runs}
@@ -177,7 +177,7 @@ class TestMultiBenchmarkGate:
         assert "### simulator_throughput (slots_per_second)" in text
         assert "### analysis_throughput (ops_per_second)" in text
         assert ":warning:" in text  # regressed rows are flagged
-        assert "| RANDOM block |" in text
+        assert "| RANDOM kernel |" in text
 
     def test_committed_analysis_baseline_passes_against_itself(self):
         baseline = REPO_ROOT / "benchmarks" / "results" / "BENCH_analysis.json"
@@ -255,13 +255,14 @@ class TestFingerprintWarnings:
 class TestCommittedSimulatorBaseline:
     def test_rows_fingerprint_and_aggregate_formula(self):
         """Acceptance pins: kernel + multiheuristic rows are tracked, the
-        legacy mode is not, and the report carries a machine fingerprint."""
+        removed engine drivers are not, and the report carries a machine
+        fingerprint."""
         baseline = json.loads(
             (REPO_ROOT / "benchmarks" / "results" / "BENCH_simulator.json").read_text()
         )
         modes = {run["mode"] for run in baseline["runs"]}
-        assert {"perslot", "block", "kernel", "multiheuristic"} <= modes
-        assert "legacy" not in modes  # opt-in via --include-legacy, not gated
+        assert {"kernel", "multiheuristic"} <= modes
+        assert not {"perslot", "block", "legacy"} & modes
         machine = baseline["machine"]
         for field in ("cpu_model", "cpu_count", "python", "numpy", "numba",
                       "kernel_backend"):
@@ -271,8 +272,8 @@ class TestCommittedSimulatorBaseline:
         assert len(cell["heuristics"]) >= 8
         expected = len(cell["heuristics"]) * cell["slots"] / cell["wall_seconds"]
         assert abs(cell["slots_per_second"] - expected) < 1.0
-        # The one-pass cell must beat the per-heuristic block sweep.
-        for speedup in baseline["speedup_multiheuristic_over_block"].values():
+        # The one-pass cell must beat the per-heuristic solo sweep.
+        for speedup in baseline["speedup_multiheuristic_over_kernel"].values():
             assert speedup > 1.0
 
 

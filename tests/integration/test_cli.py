@@ -46,14 +46,6 @@ class TestParser:
         assert args.stores == ["a", "b"]
         assert args.output == "m"
 
-    def test_sampler_option_defaults_to_kernel(self):
-        parser = build_parser()
-        for argv in (["table1"], ["campaign", "--builtin", "smoke"], ["demo"]):
-            assert parser.parse_args(argv).sampler == "kernel"
-        args = parser.parse_args(["campaign", "--builtin", "smoke",
-                                  "--sampler", "perslot"])
-        assert args.sampler == "perslot"
-
     def test_spec_and_builtin_mutually_exclusive(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
@@ -66,21 +58,6 @@ class TestParser:
         assert _parse_shard("2/4") == (2, 4)
         with pytest.raises(ExperimentError):
             _parse_shard("2-4")
-
-
-class TestSamplerRejection:
-    """Unknown --sampler values surface the registry-style error, exit 2."""
-
-    @pytest.mark.parametrize("argv", [
-        ["campaign", "--builtin", "smoke", "--sampler", "bogus"],
-        ["table1", "--scale", "smoke", "--sampler", "bogus"],
-        ["demo", "--sampler", "bogus"],
-    ])
-    def test_unknown_sampler_rejected(self, argv, capsys):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "unknown sampler 'bogus'" in err
-        assert "available samplers:" in err
 
 
 class TestCampaignCommandErrors:

@@ -34,7 +34,7 @@ def make_engine(
     max_slots=20_000,
     iterations=5,
     metrics=None,
-    sampler="kernel",
+    record_events=False,
     record_activity=False,
 ):
     platform = paper_platform(
@@ -48,8 +48,8 @@ def make_engine(
         seed=seed,
         max_slots=max_slots,
         analysis=AnalysisContext(platform),
-        sampler=sampler,
         metrics=metrics,
+        record_events=record_events,
         record_activity=record_activity,
     )
 
@@ -63,7 +63,7 @@ class TestBitIdentity:
     def test_collector_leaves_golden_results_unchanged(self, case):
         """Scalar results with a live collector match the golden seeds exactly."""
         collector = MetricsCollector()
-        result = run_case(case, sampler="kernel", metrics=collector)
+        result = run_case(case, metrics=collector)
         for field in RESULT_FIELDS:
             assert getattr(result, field) == case[field], field
         metrics = collector.result()
@@ -115,19 +115,17 @@ class TestSeriesSemantics:
             values = metrics.series[name]
             assert all(b >= a for a, b in zip(values, values[1:])), name
 
-    def test_exact_series_are_sampler_invariant(self):
-        """The five exact series must agree across every engine driver; the
-        two interpolated ones may differ inside fast-forwarded spans."""
-        per_sampler = {}
-        for sampler in ("block", "perslot", "kernel"):
-            collector = MetricsCollector(stride=32)
-            make_engine(metrics=collector, sampler=sampler).run()
-            per_sampler[sampler] = collector.result()
-        reference = per_sampler["block"]
-        for other in (per_sampler["perslot"], per_sampler["kernel"]):
-            assert other.end_slot == reference.end_slot
-            for name in EXACT_SERIES:
-                assert other.series[name] == reference.series[name], name
+    def test_exact_series_match_per_slot_path(self):
+        """The five exact series must agree between the fast paths and the
+        slot-by-slot path (``record_events`` disables every jump); the two
+        interpolated ones may differ inside fast-forwarded spans."""
+        fast, per_slot = MetricsCollector(stride=32), MetricsCollector(stride=32)
+        make_engine(metrics=fast).run()
+        make_engine(metrics=per_slot, record_events=True).run()
+        fast, per_slot = fast.result(), per_slot.result()
+        assert fast.end_slot == per_slot.end_slot
+        for name in EXACT_SERIES:
+            assert fast.series[name] == per_slot.series[name], name
 
 
 class TestLifecycle:

@@ -1,5 +1,7 @@
 """Tests for ENCD instances and the Theorem 4.1 reductions."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,10 +68,9 @@ class TestENCDInstance:
 
     def test_missing_networkx_gives_clear_error(self, monkeypatch):
         # networkx is optional: the graph helpers must fail with an install
-        # hint (not a bare NameError) when it is absent.
-        import repro.offline.encd as encd_module
-
-        monkeypatch.setattr(encd_module, "nx", None)
+        # hint (not a bare NameError) when it is absent.  A None entry in
+        # sys.modules makes the import raise ImportError.
+        monkeypatch.setitem(sys.modules, "networkx", None)
         with pytest.raises(ImportError, match="networkx"):
             small_instance().to_graph()
         with pytest.raises(ImportError, match="pip install"):

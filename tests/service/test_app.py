@@ -108,6 +108,29 @@ def test_unknown_submission_field_is_422(client):
     assert "unknown submission fields ['bogus']" in payload["error"]
 
 
+def test_sampler_submission_field_is_rejected(service_state, client):
+    # The engine has a single driver; the former "sampler" option is an
+    # unknown field like any other and never reaches the queue.
+    status, payload = client.post_json("/campaigns", {"builtin": "smoke", "sampler": "bogus"})
+    assert status == 422
+    assert "unknown submission fields ['sampler']" in payload["error"]
+    assert service_state.queue.jobs() == []
+
+
+def test_job_document_with_legacy_sampler_option_still_runs(service_state, client):
+    # Job files written before the option was removed may still carry it;
+    # the worker ignores the key.
+    _, accepted = client.post_json("/campaigns", {"spec": tiny_spec_dict("legacy")})
+    job = service_state.queue.job(accepted["id"])
+    service_state.queue.update(
+        accepted["id"], options={**job["options"], "sampler": "perslot"}
+    )
+    assert run_job(service_state.queue.job_path(accepted["id"])) == 0
+    _, payload = client.get_json(accepted["location"])
+    assert payload["status"] == "completed"
+    assert payload["completed_cells"] == payload["total_cells"]
+
+
 def test_unknown_spec_key_is_422(client):
     spec = tiny_spec_dict()
     spec["bogus_key"] = True

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import logging
 import threading
+import time
 
 import pytest
 
@@ -151,3 +153,28 @@ def test_pool_validates_configuration(tmp_path):
         WorkerPool(queue, workers=0)
     with pytest.raises(ExperimentError):
         WorkerPool(queue, max_attempts=0)
+
+
+def test_dispatcher_logs_tick_errors_and_keeps_polling(tmp_path, monkeypatch, caplog):
+    queue = JobQueue(tmp_path)
+    pool = WorkerPool(queue, workers=1, poll_interval=0.01)
+    calls = []
+
+    def broken_jobs():
+        calls.append(None)
+        raise ExperimentError("corrupt job file")
+
+    caplog.set_level(logging.ERROR, logger="repro.service.jobs")
+    pool.start()
+    try:
+        monkeypatch.setattr(queue, "jobs", broken_jobs)
+        deadline = time.monotonic() + 10.0
+        while len(calls) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        pool.stop()
+    assert len(calls) >= 3, "the dispatcher must keep polling after a failed tick"
+    records = [r for r in caplog.records if r.name == "repro.service.jobs"]
+    assert records, "a failed tick must be logged"
+    assert records[0].levelno == logging.ERROR
+    assert "corrupt job file" in str(records[0].exc_info[1])

@@ -37,7 +37,7 @@ SERVICE_SURFACE = [
 
 SCHEMA_FIELDS = {
     "CampaignSubmission": [
-        "spec", "builtin", "spec_toml", "sampler", "collect_metrics",
+        "spec", "builtin", "spec_toml", "collect_metrics",
         "metrics_stride", "n_jobs", "max_cells",
     ],
     "CampaignAccepted": [

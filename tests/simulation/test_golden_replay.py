@@ -1,11 +1,11 @@
 """Golden-seed regression tests for the chunked simulation core.
 
 ``golden_engine_results.json`` was generated with the pre-refactor engine
-(slot-by-slot ``next_state`` sampling, no fast-forwarding).  The refactored
-engine must reproduce every one of those runs bit for bit — under the
-vectorised block sampler, the legacy per-slot sampler, and any block size —
-because the block samplers are stream-equivalent and the fast-forward paths
-are exact.
+(slot-by-slot ``next_state`` sampling, no fast-forwarding).  The engine must
+reproduce every one of those runs bit for bit — on its default fast paths,
+on the slot-by-slot path that ``record_events=True`` forces, and at any
+block size — because the models' block samplers are stream-equivalent and
+the fast-forward jumps are exact.
 """
 
 import json
@@ -67,7 +67,12 @@ def build_setup(case):
     return platform, application
 
 
-def run_case(case, *, sampler, block_size=4096, metrics=None):
+#: The two engine paths: default fast paths, and the slot-by-slot reference
+#: path that keeping an event log forces.
+REFERENCES = {"fast": False, "per-slot": True}
+
+
+def run_case(case, *, block_size=4096, metrics=None, record_events=False):
     platform, application = build_setup(case)
     engine = SimulationEngine(
         platform,
@@ -76,9 +81,9 @@ def run_case(case, *, sampler, block_size=4096, metrics=None):
         seed=case["seed"],
         max_slots=50_000,
         analysis=AnalysisContext(platform),
-        sampler=sampler,
         block_size=block_size,
         metrics=metrics,
+        record_events=record_events,
     )
     return engine.run()
 
@@ -87,42 +92,30 @@ def case_id(case):
     return f"{case['kind']}-{case['heuristic']}-s{case['seed']}"
 
 
+@pytest.mark.parametrize("reference", REFERENCES)
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=case_id)
-def test_block_sampler_reproduces_golden_run(case):
-    result = run_case(case, sampler="block")
+def test_engine_reproduces_golden_run(case, reference):
+    result = run_case(case, record_events=REFERENCES[reference])
     for field in RESULT_FIELDS:
         assert getattr(result, field) == case[field], field
 
 
-@pytest.mark.parametrize("case", GOLDEN_CASES, ids=case_id)
-def test_perslot_sampler_reproduces_golden_run(case):
-    result = run_case(case, sampler="perslot")
-    for field in RESULT_FIELDS:
-        assert getattr(result, field) == case[field], field
-
-
-@pytest.mark.parametrize("case", GOLDEN_CASES, ids=case_id)
-def test_kernel_sampler_reproduces_golden_run(case):
-    result = run_case(case, sampler="kernel")
-    for field in RESULT_FIELDS:
-        assert getattr(result, field) == case[field], field
-
-
-@pytest.mark.parametrize("sampler", ["block", "kernel"])
+@pytest.mark.parametrize("reference", REFERENCES)
 @pytest.mark.parametrize("block_size", [1, 17, 512])
-def test_block_size_does_not_change_results(block_size, sampler):
+def test_block_size_does_not_change_results(block_size, reference):
     """The chunk decomposition is an implementation detail, not a parameter."""
     for case in GOLDEN_CASES[:6]:
-        result = run_case(case, sampler=sampler, block_size=block_size)
+        result = run_case(
+            case, block_size=block_size, record_events=REFERENCES[reference]
+        )
         for field in RESULT_FIELDS:
             assert getattr(result, field) == case[field], (case_id(case), field)
 
 
 @pytest.mark.parametrize("heuristic", ["RANDOM", "IE", "Y-IE", "E-IAY", "THRESHOLD-IE"])
-def test_all_samplers_agree(heuristic):
+def test_fast_paths_match_per_slot_path(heuristic):
     """Differential check on a fresh platform, including proactive heuristics."""
-    results = [run_case({"kind": "markov", "heuristic": heuristic, "seed": 1234},
-                        sampler=sampler) for sampler in ("block", "perslot", "kernel")]
-    for other in results[1:]:
-        for field in RESULT_FIELDS:
-            assert getattr(results[0], field) == getattr(other, field), field
+    case = {"kind": "markov", "heuristic": heuristic, "seed": 1234}
+    fast = run_case(case)
+    per_slot = run_case(case, record_events=True)
+    assert fast == per_slot  # dataclass eq: every field + every iteration record

@@ -1,4 +1,4 @@
-"""Differential tests of the kernel-sampler scan primitives.
+"""Differential tests of the engine's span-scan primitives.
 
 Every primitive in :mod:`repro.simulation.kernels` is checked against a
 dumb slot-by-slot reference on randomized blocks.  The *public* names
@@ -112,7 +112,7 @@ def test_block_companions_matches_brute_force():
     rng = np.random.default_rng(7)
     block = random_block(rng, num_workers=4, length=30)
     for last_column in (None, block[:, 0].copy(), np.full(4, DOWN, dtype=np.int8)):
-        down, same, changes = block_companions(block, last_column)
+        down, same = block_companions(block, last_column)
         for j in range(block.shape[1]):
             assert down[j] == (block[:, j] == DOWN).any()
             if j == 0:
@@ -122,7 +122,6 @@ def test_block_companions_matches_brute_force():
             else:
                 expected = np.array_equal(block[:, j], block[:, j - 1])
             assert same[j] == expected, j
-        assert np.array_equal(changes, np.flatnonzero(~same))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -216,7 +215,7 @@ platform = paper_platform(PlatformSpec(num_processors=10, ncom=5, wmin=2),
 engine = SimulationEngine(
     platform, Application(tasks_per_iteration=5, iterations=5),
     create_scheduler("IE"), seed=42, max_slots=20_000,
-    analysis=AnalysisContext(platform), sampler="kernel",
+    analysis=AnalysisContext(platform),
 )
 result = engine.run()
 print(json.dumps({

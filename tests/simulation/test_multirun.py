@@ -4,11 +4,13 @@ The acceptance bar of the one-pass driver is *exactness*: for every contract
 (``passive_between_rebuilds``) heuristic, driving N schedulers over one
 shared availability realisation must produce ``SimulationResult``s equal —
 field for field, iteration record for iteration record — to N sequential
-``SimulationEngine.run()`` calls with the same seed.  The suite pins that
-over every registered passive heuristic plus the contract-flagged extension
-heuristics (``RANDOM``, ``FAST``, ``STICKY``, ``THRESHOLD-IE(tau=0.5)``),
-in model and replay-trace mode, on the golden-seed platform, and through
-the campaign layer's ``ProcessPoolExecutor`` fan-out.
+``SimulationEngine.run()`` calls with the same seed — both the default
+fast-path engine and the slot-by-slot reference path that
+``record_events=True`` forces.  The suite pins that over every registered
+passive heuristic plus the contract-flagged extension heuristics
+(``RANDOM``, ``FAST``, ``STICKY``, ``THRESHOLD-IE(tau=0.5)``), in model and
+replay-trace mode, on the golden-seed platform, and through the campaign
+layer's ``ProcessPoolExecutor`` fan-out.
 """
 
 import numpy as np
@@ -20,9 +22,12 @@ from repro.availability.trace import AvailabilityTrace
 from repro.exceptions import SimulationError
 from repro.experiments import CampaignScale
 from repro.experiments.runner import run_campaign
+from repro.experiments.scenarios import generate_scenarios
 from repro.platform import PlatformSpec, paper_platform
 from repro.scheduling import PASSIVE_HEURISTICS, create_scheduler
 from repro.simulation import MultiHeuristicDriver, SharedBlockSource, SimulationEngine
+
+from tests.simulation.test_golden_replay import REFERENCES
 
 pytestmark = pytest.mark.slow
 
@@ -45,7 +50,9 @@ def golden_setup():
     return platform, Application(tasks_per_iteration=5, iterations=10)
 
 
-def sequential_results(platform, application, names, *, seed, sampler, trace=None):
+def sequential_results(
+    platform, application, names, *, seed, record_events=False, trace=None
+):
     analysis = AnalysisContext(platform)
     results = []
     for name in names:
@@ -56,14 +63,14 @@ def sequential_results(platform, application, names, *, seed, sampler, trace=Non
             seed=seed,
             max_slots=MAX_SLOTS,
             analysis=analysis,
-            sampler=sampler,
+            record_events=record_events,
             trace=trace,
         )
         results.append(engine.run())
     return results
 
 
-def one_pass_results(platform, application, names, *, seed, sampler, trace=None):
+def one_pass_results(platform, application, names, *, seed, trace=None):
     driver = MultiHeuristicDriver(
         platform,
         application,
@@ -71,7 +78,6 @@ def one_pass_results(platform, application, names, *, seed, sampler, trace=None)
         seed=seed,
         max_slots=MAX_SLOTS,
         trace=trace,
-        sampler=sampler,
     )
     results = driver.run()
     assert len(driver.wall_seconds) == len(names)
@@ -79,31 +85,17 @@ def one_pass_results(platform, application, names, *, seed, sampler, trace=None)
     return results
 
 
-@pytest.mark.parametrize("sampler", ["kernel", "block"])
+@pytest.mark.parametrize("reference", REFERENCES)
 @pytest.mark.parametrize("seed", [7, 1234])
-def test_one_pass_bit_identical_to_sequential(sampler, seed):
+def test_one_pass_bit_identical_to_sequential(reference, seed):
     platform, application = golden_setup()
     solo = sequential_results(
-        platform, application, CONTRACT_HEURISTICS, seed=seed, sampler=sampler
+        platform, application, CONTRACT_HEURISTICS, seed=seed,
+        record_events=REFERENCES[reference],
     )
-    shared = one_pass_results(
-        platform, application, CONTRACT_HEURISTICS, seed=seed, sampler=sampler
-    )
+    shared = one_pass_results(platform, application, CONTRACT_HEURISTICS, seed=seed)
     for name, expected, got in zip(CONTRACT_HEURISTICS, solo, shared):
         assert got == expected, name  # dataclass eq: every field + every record
-
-
-def test_one_pass_matches_block_sampler_sequential():
-    """The one-pass kernel realisation equals per-heuristic *block* runs."""
-    platform, application = golden_setup()
-    solo = sequential_results(
-        platform, application, CONTRACT_HEURISTICS, seed=7, sampler="block"
-    )
-    shared = one_pass_results(
-        platform, application, CONTRACT_HEURISTICS, seed=7, sampler="kernel"
-    )
-    for name, expected, got in zip(CONTRACT_HEURISTICS, solo, shared):
-        assert got == expected, name
 
 
 def random_trace(num_processors, horizon, seed):
@@ -119,17 +111,16 @@ def random_trace(num_processors, horizon, seed):
     return AvailabilityTrace(states)
 
 
-@pytest.mark.parametrize("sampler", ["kernel", "block"])
-def test_one_pass_trace_mode_bit_identical(sampler):
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_one_pass_trace_mode_bit_identical(reference):
     platform, application = golden_setup()
     trace = random_trace(20, MAX_SLOTS, seed=99)
     solo = sequential_results(
-        platform, application, CONTRACT_HEURISTICS, seed=5, sampler=sampler,
-        trace=trace,
+        platform, application, CONTRACT_HEURISTICS, seed=5,
+        record_events=REFERENCES[reference], trace=trace,
     )
     shared = one_pass_results(
-        platform, application, CONTRACT_HEURISTICS, seed=5, sampler=sampler,
-        trace=trace,
+        platform, application, CONTRACT_HEURISTICS, seed=5, trace=trace
     )
     for name, expected, got in zip(CONTRACT_HEURISTICS, solo, shared):
         assert got == expected, name
@@ -139,18 +130,7 @@ def test_short_trace_raises_like_solo_engine():
     platform, application = golden_setup()
     trace = random_trace(20, 64, seed=3)  # far too short for ten iterations
     with pytest.raises(SimulationError, match="provide a longer trace"):
-        one_pass_results(
-            platform, application, ["IE", "IP"], seed=5, sampler="kernel",
-            trace=trace,
-        )
-
-
-def test_perslot_sampler_rejected():
-    platform, application = golden_setup()
-    with pytest.raises(SimulationError, match="available samplers: block, kernel"):
-        MultiHeuristicDriver(
-            platform, application, [create_scheduler("IE")], sampler="perslot"
-        )
+        one_pass_results(platform, application, ["IE", "IP"], seed=5, trace=trace)
 
 
 def test_empty_scheduler_list_rejected():
@@ -173,7 +153,7 @@ class TestSharedBlockSource:
         platform, application = golden_setup()
         engine = SimulationEngine(
             platform, application, create_scheduler("IE"), seed=11,
-            max_slots=2048, block_size=512, sampler="block",
+            max_slots=2048, block_size=512,
         )
         engine._fetch_block(0)
         source = SharedBlockSource(platform, seed=11, block_size=512, max_slots=2048)
@@ -256,16 +236,31 @@ class TestCampaignOnePassRouting:
         )
         assert _campaign_map(serial) == _campaign_map(parallel)
 
-    def test_block_sampler_campaign_matches_kernel(self):
-        kernel = run_campaign(
+    def test_campaign_matches_per_slot_engine(self):
+        """Bank replay + one-pass routing equals model-sampled per-slot runs."""
+        campaign = run_campaign(
             4, heuristics=CAMPAIGN_HEURISTICS, scale=CAMPAIGN_SCALE, label="s",
         )
-        block = run_campaign(
-            4, heuristics=CAMPAIGN_HEURISTICS, scale=CAMPAIGN_SCALE, label="s",
-            sampler="block",
-        )
-        perslot = run_campaign(
-            4, heuristics=CAMPAIGN_HEURISTICS, scale=CAMPAIGN_SCALE, label="s",
-            sampler="perslot",
-        )
-        assert _campaign_map(kernel) == _campaign_map(block) == _campaign_map(perslot)
+        expected = {}
+        for scenario in generate_scenarios(CAMPAIGN_SCALE, 4, campaign="s"):
+            platform = scenario.build_platform()
+            application = scenario.build_application(iterations=CAMPAIGN_SCALE.iterations)
+            for trial in range(CAMPAIGN_SCALE.trials_per_scenario):
+                for name in CAMPAIGN_HEURISTICS:
+                    result = SimulationEngine(
+                        platform,
+                        application,
+                        create_scheduler(name),
+                        seed=scenario.trial_seed(trial),
+                        max_slots=CAMPAIGN_SCALE.makespan_cap,
+                        record_events=True,
+                    ).run()
+                    expected[(name, 4, scenario.params.ncom, scenario.params.wmin,
+                              scenario.scenario_index, trial)] = (
+                        result.makespan,
+                        result.success,
+                        result.completed_iterations,
+                        result.total_restarts,
+                        result.total_configuration_changes,
+                    )
+        assert _campaign_map(campaign) == expected

@@ -4,7 +4,8 @@ Covers the acceptance criteria of the trace subsystem: one recorded dataset
 reachable three ways through the component grammar (bootstrap replay,
 fitted-Markov, fitted-semi-Markov), golden-seed reproducibility of a
 bootstrap-resampled campaign through spec -> store -> tables, and the
-block-sampler fast path agreeing with the per-slot driver on trace replay.
+engine's fast paths agreeing with its slot-by-slot path on a bootstrap
+substrate.
 """
 
 import numpy as np
@@ -199,10 +200,10 @@ class TestGoldenCampaign:
         assert "IE" in report and "RANDOM" in report
 
 
-class TestSampleBlockDifferential:
-    """Trace replay through the block sampler equals the per-slot driver."""
+class TestEnginePathDifferential:
+    """On a bootstrap substrate the fast paths equal the slot-by-slot path."""
 
-    def test_engine_block_vs_perslot_on_bootstrap_substrate(self, example_traces_dir):
+    def test_engine_fast_vs_per_slot_on_bootstrap_substrate(self, example_traces_dir):
         from repro.platform.builders import PlatformSpec, availability_platform
         from repro.scheduling.registry import create_scheduler
 
@@ -212,7 +213,7 @@ class TestSampleBlockDifferential:
             slot=900, block=96,
         )
         results = {}
-        for sampler in ("block", "perslot"):
+        for record_events in (False, True):
             factory = model_factory_for(spec)
             platform = availability_platform(
                 PlatformSpec(num_processors=8, ncom=5, wmin=1),
@@ -224,8 +225,7 @@ class TestSampleBlockDifferential:
                 create_scheduler("IE"),
                 seed=17,
                 max_slots=30_000,
-                sampler=sampler,
+                record_events=record_events,
             )
-            result = engine.run()
-            results[sampler] = (result.makespan, result.completed_iterations, result.success)
-        assert results["block"] == results["perslot"]
+            results[record_events] = engine.run()
+        assert results[False] == results[True]
