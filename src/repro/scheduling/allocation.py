@@ -16,7 +16,7 @@ candidate configuration "from scratch ... as if no task were allocated to any
 worker" at every slot.
 
 Implementation note — this sits on the simulator's hottest path (a proactive
-heuristic performs ``m × |UP|`` candidate evaluations *per slot*), so the
+heuristic asks for ``m × |UP|`` candidate evaluations *per slot*), so the
 inner loop computes the criterion values directly from the cached
 :class:`~repro.analysis.group.GroupAnalysis` /
 :class:`~repro.analysis.single.WorkerAnalysis` quantities instead of
@@ -25,6 +25,14 @@ materialising a :class:`Configuration` and a
 formulas are exactly those of :mod:`repro.analysis.evaluation` and
 :mod:`repro.analysis.communication`; ``tests/scheduling/test_allocation.py``
 cross-checks the fast path against the reference evaluation.
+
+Consecutive calls mostly differ by one or two workers flipping UP/RECLAIMED,
+so the default (batched) path also keeps a tree of the greedy states earlier
+calls walked, with every candidate each state scored: a call re-scores only
+the candidates its states have never seen, which is exact because a
+candidate's score depends on the state and on the candidate alone
+(``tests/scheduling/test_greedy_path.py`` pins the tree against the scalar
+loop on correlated and generated call sequences).
 """
 
 from __future__ import annotations
@@ -39,6 +47,12 @@ from repro.application.configuration import Configuration
 from repro.platform.platform import Platform
 
 __all__ = ["IncrementalAllocator"]
+
+#: Greedy states an allocator keeps before it drops its tree and starts over.
+#: A state costs about 2 KB on a 20-worker platform, so a tree stays under a
+#: megabyte; four times as many states saves only about 5% of a proactive
+#: IE-based run.
+GREEDY_STATE_LIMIT = 256
 
 
 class IncrementalAllocator:
@@ -77,6 +91,10 @@ class IncrementalAllocator:
         self._capacities = {
             q: platform.processor(q).capacity for q in range(platform.num_processors)
         }
+        # The batched path's greedy-path tree (see ``_allocate_batched``).
+        self._root: Optional[_GreedyState] = None
+        self._root_mode = analysis.mode
+        self._num_states = 0
 
     # ------------------------------------------------------------------
     def allocate(
@@ -149,6 +167,7 @@ class IncrementalAllocator:
         stats = {
             "steps": 0,
             "candidates": 0,
+            "path_hits": 0,
             "single_time_misses": 0,
             "survival_misses": 0,
             "computation_misses": 0,
@@ -160,9 +179,12 @@ class IncrementalAllocator:
             elapsed=elapsed,
             stats=stats,
         )
-        # The computation memo is probed exactly once per candidate, so
-        # hits are the complement of the recorded misses.
-        stats["computation_hits"] = stats["candidates"] - stats["computation_misses"]
+        # The computation memo is probed exactly once per candidate the
+        # greedy-path tree could not answer, so hits are the complement of
+        # the recorded misses.
+        stats["computation_hits"] = (
+            stats["candidates"] - stats["path_hits"] - stats["computation_misses"]
+        )
         stats["up_workers"] = len(up_workers)
         tracer.accumulate(
             "allocate",
@@ -316,190 +338,322 @@ class IncrementalAllocator:
         elapsed: int = 0,
         stats: Optional[Dict[str, int]] = None,
     ) -> Optional[Configuration]:
-        """Frontier-at-a-time evaluation (bit-identical to the scalar path).
+        """Greedy-path-memoised allocation (bit-identical to the scalar path).
 
-        At every greedy step the whole candidate frontier (one candidate per
-        eligible worker) is prepared first: uncached group quantities are
-        computed in one :meth:`AnalysisContext.prefetch_groups` batch, the
-        "slowest other transfer" term of the communication estimate comes
-        from a per-step top-two precomputation instead of an inner loop (the
-        max of a set of floats does not depend on evaluation order), and the
-        per-candidate survival products / computation estimates go through
-        the :class:`AnalysisContext` memos keyed on (frozen set, duration) and
-        (frozen set, workload).  The memo dictionaries are probed directly
-        (``AnalysisContext.computation_cache`` and friends) so a cache hit —
-        the steady state of a long simulation — costs one dictionary lookup
-        instead of a method call; misses fall through to the owning
-        :class:`AnalysisContext` methods, which populate the same memos.
-        Every candidate value is produced by the same scalar float
-        expressions as ``_allocate_scalar``, so the selected worker — and
-        therefore the returned configuration — is identical.
+        Every call walks the allocator's tree of :class:`_GreedyState` nodes
+        from the empty state, one node per greedy step.  A worker enters a
+        call as a *token*: its id, bit-flipped (``~w``) when it holds the
+        program, paired with its reusable message count when it has one.  A
+        candidate's ``(probability, expected time)`` is a pure function of
+        the node (the tokens committed so far) and of the candidate's token,
+        so a node scores each token once, whatever slot asks: only tokens the
+        node has never seen — workers that just came UP, gained the program,
+        or hold new reusable data — are evaluated (:meth:`_score`).  The
+        winner is the argmax of the stored values over this call's tokens in
+        ascending worker order, with the scalar loop's strict comparisons
+        (:func:`_argmax`; Y's value ``P / (elapsed + E)`` is divided there,
+        since it changes with the elapsed time).
 
         *stats*, when given (only by the traced :meth:`allocate` wrapper),
-        accumulates greedy-step / candidate counts plus memo misses.  The
-        miss increments live inside the already-slow cache-miss branches and
-        the per-step increments are two dict adds per greedy step, so the
-        counters never touch the per-candidate hot path; with ``stats=None``
-        the loop is byte-for-byte the untraced one.
+        accumulates greedy-step / candidate counts, the candidates answered
+        by the tree (``path_hits``) and the analysis memo misses of the
+        evaluated ones; with ``stats=None`` no counter is touched.
+        """
+        program_set = frozenset(int(w) for w in has_program)
+        reusable = {int(k): int(v) for k, v in received_data.items()} if received_data else {}
+        # One token per UP worker, in ascending worker order (see above).
+        tokens: Dict[int, object] = {
+            worker: ~worker if worker in program_set else worker for worker in up_workers
+        }
+        for worker, reuse in reusable.items():
+            if reuse and worker in tokens:
+                tokens[worker] = (tokens[worker], reuse)
+        present = set(tokens.values())
+        criterion_name = self.criterion.name
+        higher_better = self.criterion.higher_is_better
+
+        state = self._greedy_root()
+        for _ in range(self.num_tasks):
+            scored = state.scored
+            unseen = present.difference(scored)
+            evaluated = 0
+            if unseen:
+                evaluated = self._score(
+                    state,
+                    [worker for worker, token in tokens.items() if token in unseen],
+                    tokens,
+                    program_set,
+                    reusable,
+                    stats,
+                )
+            if stats is not None:
+                eligible = sum(1 for token in present if scored[token] is not None)
+                stats["steps"] += 1
+                stats["candidates"] += eligible
+                stats["path_hits"] += eligible - evaluated
+
+            best_token = _argmax(tokens.values(), scored, criterion_name, higher_better, elapsed)
+            if best_token is None:
+                return None  # defensive: cannot happen after the capacity sum check
+
+            child = state.children.get(best_token)
+            if child is None:
+                child = state.children[best_token] = self._extend(
+                    state, _worker_of(best_token), program_set, reusable
+                )
+            state = child
+
+        if state.configuration is None:
+            state.configuration = Configuration(state.allocation)
+        return state.configuration
+
+    # ------------------------------------------------------------------
+    def _greedy_root(self) -> "_GreedyState":
+        """The empty greedy state, after dropping a full or stale tree.
+
+        Scores depend on the analysis mode, like the analysis memos, so a
+        mode change starts a new tree.
+        """
+        mode = self.analysis.mode
+        if (
+            self._root is None
+            or self._num_states >= GREEDY_STATE_LIMIT
+            or mode is not self._root_mode
+        ):
+            self._root = _GreedyState({}, frozenset(), 0, 0, {}, {})
+            self._root_mode = mode
+            self._num_states = 1
+        return self._root
+
+    def _extend(
+        self,
+        state: "_GreedyState",
+        worker: int,
+        program_set: FrozenSet[int],
+        reusable: Mapping[int, int],
+    ) -> "_GreedyState":
+        """The child of *state* that commits one more task to *worker*."""
+        self._num_states += 1
+        new_tasks = state.allocation.get(worker, 0) + 1
+        allocation = dict(state.allocation)
+        allocation[worker] = new_tasks
+        new_load = new_tasks * self._speeds[worker]
+        already = min(reusable.get(worker, 0), new_tasks)
+        new_comm_q = (0 if worker in program_set else self.platform.tprog) + (
+            new_tasks - already
+        ) * self.platform.tdata
+        comm_slots = dict(state.comm_slots)
+        comm_slots[worker] = new_comm_q
+        comm_times = dict(state.comm_times)
+        comm_times[worker] = self.analysis.single_expected_time(worker, new_comm_q)
+        return _GreedyState(
+            allocation,
+            state.worker_set | {worker},
+            new_load if new_load > state.max_load else state.max_load,
+            state.total_comm + new_comm_q - state.comm_slots.get(worker, 0),
+            comm_slots,
+            comm_times,
+        )
+
+    def _score(
+        self,
+        state: "_GreedyState",
+        workers: Sequence[int],
+        tokens: Mapping[int, object],
+        program_set: FrozenSet[int],
+        reusable: Mapping[int, int],
+        stats: Optional[Dict[str, int]],
+    ) -> int:
+        """Score *workers* (tokens unseen by *state*) and record them in it.
+
+        Returns how many were evaluated (the rest are at capacity).
+
+        The frontier is prepared in one batch: uncached group quantities
+        come from one :meth:`AnalysisContext.prefetch_groups` call, the
+        "slowest other transfer" term of the communication estimate from the
+        state's top-two, and the survival products / computation estimates
+        from the :class:`AnalysisContext` memos keyed on (frozen set,
+        duration) and (frozen set, workload), probed directly so a hit costs
+        one dictionary lookup.  Every value is produced by the same scalar
+        float expressions as ``_allocate_scalar``.
         """
         capacities = self._capacities
         speeds = self._speeds
-        program_set = frozenset(int(w) for w in has_program)
-        reusable = {int(k): int(v) for k, v in received_data.items()} if received_data else {}
         tprog = self.platform.tprog
         tdata = self.platform.tdata
         ncom = self.platform.ncom
-        criterion_name = self.criterion.name
-        higher_better = self.criterion.higher_is_better
         context = self.analysis
-        # Hot locals: bound methods and raw memo probes for the inner loop.
-        ceil = math.ceil
-        inf = math.inf
-        prefetch_groups = context.prefetch_groups
-        single_expected_time = context.single_expected_time
-        comm_survival = context.comm_survival
-        computation = context.computation
         single_time_get = context.single_time_cache.get
         survival_get = context.survival_cache.get
         computation_get = context.computation_cache.get
-        reusable_get = reusable.get
+        allocation_get = state.allocation.get
+        worker_set = state.worker_set
+        max_load = state.max_load
+        total_comm = state.total_comm
+        comm_slots_get = state.comm_slots.get
+        # Top-two of the committed per-worker communication times: the
+        # "slowest other transfer" for candidate w is the global max, or the
+        # runner-up when w itself holds the max.
+        slowest_worker = None
+        slowest_time = second_time = -math.inf
+        for other, other_time in state.comm_times.items():
+            if other_time > slowest_time:
+                slowest_worker, slowest_time, second_time = (
+                    other,
+                    other_time,
+                    slowest_time,
+                )
+            elif other_time > second_time:
+                second_time = other_time
+        scored = state.scored
+        criterion_name = self.criterion.name
 
-        allocation: Dict[int, int] = {}
-        allocation_get = allocation.get
-        worker_set: FrozenSet[int] = frozenset()
-        loads: Dict[int, int] = {}
-        comm_slots: Dict[int, int] = {}
-        comm_slots_get = comm_slots.get
-        max_load = 0
-        total_comm = 0
-        per_worker_comm_time: Dict[int, float] = {}
+        candidate_sets = {}
+        for worker in workers:
+            if allocation_get(worker, 0) >= capacities[worker]:
+                scored[tokens[worker]] = None
+            else:
+                candidate_sets[worker] = (
+                    worker_set if worker in worker_set else worker_set | {worker}
+                )
+        if not candidate_sets:
+            return 0
+        context.prefetch_groups(candidate_sets.values())
 
-        for _ in range(self.num_tasks):
-            eligible = [
-                worker
-                for worker in up_workers
-                if allocation_get(worker, 0) < capacities[worker]
-            ]
-            if not eligible:
-                return None  # defensive: cannot happen after the capacity sum check
-            if stats is not None:
-                stats["steps"] += 1
-                stats["candidates"] += len(eligible)
-
-            # --- frontier preparation (one batch, not one call per worker) --
-            candidate_sets = {
-                worker: (worker_set if worker in worker_set else worker_set | {worker})
-                for worker in eligible
-            }
-            prefetch_groups(candidate_sets.values())
-
-            # Top-two of the committed per-worker communication times: the
-            # "slowest other transfer" for candidate w is the global max, or
-            # the runner-up when w itself holds the max.
-            slowest_worker = None
-            slowest_time = second_time = -inf
-            for other, other_time in per_worker_comm_time.items():
-                if other_time > slowest_time:
-                    slowest_worker, slowest_time, second_time = (
-                        other,
-                        other_time,
-                        slowest_time,
-                    )
-                elif other_time > second_time:
-                    second_time = other_time
-
-            best_worker: Optional[int] = None
-            best_value = -inf if higher_better else inf
-            for worker in eligible:
-                new_tasks = allocation_get(worker, 0) + 1
-                # --- workload of the candidate configuration -------------
-                new_load = new_tasks * speeds[worker]
-                workload = new_load if new_load > max_load else max_load
-                # --- communication estimate -------------------------------
-                already = reusable_get(worker, 0)
-                if already > new_tasks:
-                    already = new_tasks
-                new_comm_q = (0 if worker in program_set else tprog) + (
-                    new_tasks - already
-                ) * tdata
-                candidate_total_comm = total_comm - comm_slots_get(worker, 0) + new_comm_q
-                candidate_set = candidate_sets[worker]
-                if new_comm_q <= 0:
-                    comm_time = 0.0
-                else:
-                    comm_time = single_time_get((worker, new_comm_q))
-                    if comm_time is None:
-                        if stats is not None:
-                            stats["single_time_misses"] += 1
-                        comm_time = single_expected_time(worker, new_comm_q)
-                others_max = second_time if worker == slowest_worker else slowest_time
-                if others_max > comm_time:
-                    comm_time = others_max
-                if len(candidate_set) > ncom:
-                    bandwidth_bound = candidate_total_comm / ncom
-                    if bandwidth_bound > comm_time:
-                        comm_time = bandwidth_bound
-                if candidate_total_comm > 0:
-                    duration = int(ceil(comm_time))
-                    comm_probability = survival_get((candidate_set, duration))
-                    if comm_probability is None:
-                        if stats is not None:
-                            stats["survival_misses"] += 1
-                        comm_probability = comm_survival(candidate_set, duration)
-                else:
-                    comm_time = 0.0
-                    comm_probability = 1.0
-                # --- computation estimate ---------------------------------
-                # ``workload >= speed >= 1`` and the set is non-empty, so the
-                # uncached-trivial branch of ``computation`` never applies.
-                comp = computation_get((candidate_set, workload))
-                if comp is None:
-                    if stats is not None:
-                        stats["computation_misses"] += 1
-                    comp = computation(candidate_set, workload)
-                comp_probability, comp_time = comp
-                # --- criterion value ---------------------------------------
-                probability = comm_probability * comp_probability
-                expected = comm_time + comp_time
-                if criterion_name == "P":
-                    value = probability
-                elif criterion_name == "E":
-                    value = expected
-                elif criterion_name == "Y":
-                    denominator = elapsed + expected
-                    value = probability / denominator if denominator > 0 else inf
-                else:  # "AY"
-                    value = probability / expected if expected > 0 else inf
-
-                if best_worker is None:
-                    best_worker = worker
-                    best_value = value
-                elif higher_better:
-                    if value > best_value:
-                        best_worker = worker
-                        best_value = value
-                else:
-                    if value < best_value:
-                        best_worker = worker
-                        best_value = value
-
-            # Commit the task to the winning worker and update the running state.
-            new_tasks = allocation_get(best_worker, 0) + 1
-            allocation[best_worker] = new_tasks
-            worker_set = worker_set | {best_worker}
-            loads[best_worker] = new_tasks * speeds[best_worker]
-            if loads[best_worker] > max_load:
-                max_load = loads[best_worker]
-            already = reusable_get(best_worker, 0)
+        for worker, candidate_set in candidate_sets.items():
+            new_tasks = allocation_get(worker, 0) + 1
+            # --- workload of the candidate configuration -----------------
+            new_load = new_tasks * speeds[worker]
+            workload = new_load if new_load > max_load else max_load
+            # --- communication estimate -----------------------------------
+            already = reusable.get(worker, 0)
             if already > new_tasks:
                 already = new_tasks
-            new_comm_q = (0 if best_worker in program_set else tprog) + (
+            new_comm_q = (0 if worker in program_set else tprog) + (
                 new_tasks - already
             ) * tdata
-            total_comm += new_comm_q - comm_slots_get(best_worker, 0)
-            comm_slots[best_worker] = new_comm_q
-            per_worker_comm_time[best_worker] = single_expected_time(
-                best_worker, new_comm_q
-            )
+            candidate_total_comm = total_comm - comm_slots_get(worker, 0) + new_comm_q
+            if new_comm_q <= 0:
+                comm_time = 0.0
+            else:
+                comm_time = single_time_get((worker, new_comm_q))
+                if comm_time is None:
+                    if stats is not None:
+                        stats["single_time_misses"] += 1
+                    comm_time = context.single_expected_time(worker, new_comm_q)
+            others_max = second_time if worker == slowest_worker else slowest_time
+            if others_max > comm_time:
+                comm_time = others_max
+            if len(candidate_set) > ncom:
+                bandwidth_bound = candidate_total_comm / ncom
+                if bandwidth_bound > comm_time:
+                    comm_time = bandwidth_bound
+            if candidate_total_comm > 0:
+                duration = int(math.ceil(comm_time))
+                comm_probability = survival_get((candidate_set, duration))
+                if comm_probability is None:
+                    if stats is not None:
+                        stats["survival_misses"] += 1
+                    comm_probability = context.comm_survival(candidate_set, duration)
+            else:
+                comm_time = 0.0
+                comm_probability = 1.0
+            # --- computation estimate -------------------------------------
+            # ``workload >= speed >= 1`` and the set is non-empty, so the
+            # uncached-trivial branch of ``computation`` never applies.
+            comp = computation_get((candidate_set, workload))
+            if comp is None:
+                if stats is not None:
+                    stats["computation_misses"] += 1
+                comp = context.computation(candidate_set, workload)
+            comp_probability, comp_time = comp
+            # --- criterion value (Y's depends on the elapsed time, so the
+            # pair is kept and ``_argmax`` divides per call) -----------------
+            probability = comm_probability * comp_probability
+            expected = comm_time + comp_time
+            if criterion_name == "P":
+                value = probability
+            elif criterion_name == "E":
+                value = expected
+            elif criterion_name == "AY":
+                value = probability / expected if expected > 0 else math.inf
+            else:  # "Y"
+                value = (probability, expected)
+            scored[tokens[worker]] = value
+        return len(candidate_sets)
 
-        return Configuration(allocation)
+
+def _argmax(tokens, scored, name: str, higher_better: bool, elapsed: int):
+    """The scalar loop's winner among the scored *tokens* (ascending workers):
+    the first token whose value no later one beats strictly, NaN included."""
+    best_token = None
+    best_value = None
+    for token in tokens:
+        entry = scored[token]
+        if entry is None:
+            continue  # at capacity in this state
+        if name == "Y":
+            probability, expected = entry
+            denominator = elapsed + expected
+            value = probability / denominator if denominator > 0 else math.inf
+        else:
+            value = entry
+        if best_token is None or (value > best_value if higher_better else value < best_value):
+            best_token = token
+            best_value = value
+    return best_token
+
+
+def _worker_of(token) -> int:
+    """The worker a token stands for (see ``_allocate_batched``)."""
+    if type(token) is tuple:
+        token = token[0]
+    return ~token if token < 0 else token
+
+
+class _GreedyState:
+    """One node of an allocator's greedy-path tree: the tasks committed so far.
+
+    A node is reached by exactly one sequence of winner tokens, so
+    everything it stores is a function of that sequence: the running totals
+    candidates are scored from, the scored candidates themselves and the
+    children already reached.
+    """
+
+    __slots__ = (
+        "allocation",
+        "worker_set",
+        "max_load",
+        "total_comm",
+        "comm_slots",
+        "comm_times",
+        "scored",
+        "children",
+        "configuration",
+    )
+
+    def __init__(
+        self,
+        allocation: Dict[int, int],
+        worker_set: FrozenSet[int],
+        max_load: int,
+        total_comm: int,
+        comm_slots: Dict[int, int],
+        comm_times: Dict[int, float],
+    ) -> None:
+        self.allocation = allocation
+        self.worker_set = worker_set
+        self.max_load = max_load
+        self.total_comm = total_comm
+        self.comm_slots = comm_slots
+        #: Committed per-worker single-worker communication times.
+        self.comm_times = comm_times
+        #: Candidate token -> its criterion value (for Y, whose value depends
+        #: on the elapsed time, the ``(probability, expected time)`` pair),
+        #: or ``None`` for a worker already at capacity in this state.  Plain
+        #: floats keep the garbage collector's tracked-object count down.
+        self.scored: Dict[object, object] = {}
+        #: Winner token -> the state that commits it.
+        self.children: Dict[object, "_GreedyState"] = {}
+        #: The full configuration, once this state is a finished allocation.
+        self.configuration: Optional[Configuration] = None

@@ -41,8 +41,9 @@ class PassiveHeuristic(Scheduler):
     """A passive heuristic defined by its incremental selection criterion.
 
     ``batched=True`` (the default) routes the incremental allocator through
-    the frontier-at-a-time batched analysis path; ``batched=False`` keeps the
-    original per-candidate loop.  Both paths select identical configurations
+    the frontier-at-a-time batched analysis path and its greedy-path tree;
+    ``batched=False`` keeps the original per-candidate loop.  Both paths
+    select identical configurations
     (see :class:`~repro.scheduling.allocation.IncrementalAllocator`).
     """
 

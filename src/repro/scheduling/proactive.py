@@ -53,20 +53,11 @@ class ProactiveHeuristic(Scheduler):
         self.criterion = criterion
         self.passive = passive
         self.name = name or f"{criterion.name}-{passive.name}"
-        # The candidate configuration computed by the underlying passive
-        # heuristic is a deterministic function of (UP workers, program
-        # holders) — and, for the yield-based selection criteria, of the
-        # elapsed iteration time.  When the selection criterion ignores the
-        # elapsed time (IP and IE) the candidate can be memoised exactly,
-        # which removes most of the per-slot cost of proactive heuristics.
-        self._candidate_cache: dict = {}
-        self._candidate_cacheable = passive.criterion.name in ("P", "E")
 
     # ------------------------------------------------------------------
     def bind(self, platform, application, analysis, rng) -> None:
         super().bind(platform, application, analysis, rng)
         self.passive.bind(platform, application, analysis, rng)
-        self._candidate_cache.clear()
 
     # ------------------------------------------------------------------
     def select(self, observation: Observation) -> Configuration:
@@ -79,8 +70,10 @@ class ProactiveHeuristic(Scheduler):
 
         current = observation.current_configuration
 
-        # 1. Candidate configuration computed from scratch by the passive heuristic.
-        candidate = self._candidate(observation)
+        # 1. Candidate configuration computed from scratch by the passive
+        #    heuristic (whose allocator replays the greedy steps earlier slots
+        #    already scored, see IncrementalAllocator._allocate_batched).
+        candidate = self.passive.build_candidate(observation)
 
         # 2. Current and candidate are scored together: one evaluate_batch
         #    call covers the whole per-slot frontier (the batched analysis
@@ -111,15 +104,3 @@ class ProactiveHeuristic(Scheduler):
         if self.criterion.better(candidate_value, current_value):
             return candidate
         return current
-
-    # ------------------------------------------------------------------
-    def _candidate(self, observation: Observation) -> Optional[Configuration]:
-        """Candidate configuration, memoised when it cannot depend on elapsed time."""
-        if not self._candidate_cacheable:
-            return self.passive.build_candidate(observation)
-        key = (frozenset(observation.up_workers()), observation.has_program)
-        if key in self._candidate_cache:
-            return self._candidate_cache[key]
-        candidate = self.passive.build_candidate(observation)
-        self._candidate_cache[key] = candidate
-        return candidate

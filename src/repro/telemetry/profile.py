@@ -190,6 +190,7 @@ def profile_trace(path: Union[str, Path]) -> ProfileReport:
 
 _MEMO_ROWS = (
     ("candidates", "allocator candidates scored"),
+    ("path_hits", "greedy-path tree hits"),
     ("steps", "allocator greedy steps"),
     ("computation_hits", "computation memo hits"),
     ("computation_misses", "computation memo misses"),

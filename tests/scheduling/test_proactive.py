@@ -132,35 +132,43 @@ class TestProactiveBehaviour:
         )
         assert scheduler.select(observation_same) == config
 
-    def test_candidate_cache_is_exact_for_ie_selection(self):
+    def test_repeated_candidate_replays_the_greedy_path(self):
         platform = make_platform()
         scheduler = bind(create_scheduler("Y-IE"), platform)
         observation = make_observation(
             [UP, UP, UP, UP], current=Configuration({2: 5}), new_iteration=False,
             comm_remaining={2: 7}, elapsed=3,
         )
-        first = scheduler._candidate(observation)
-        second = scheduler._candidate(observation)
-        assert first is second  # memoised
-        fresh = scheduler.passive.build_candidate(observation)
-        assert first == fresh  # and identical to an uncached build
+        first = scheduler.passive.build_candidate(observation)
+        second = scheduler.passive.build_candidate(observation)
+        assert first is second  # the finished greedy state keeps its configuration
+        fresh = bind(create_scheduler("Y-IE"), platform).passive.build_candidate(observation)
+        assert first == fresh  # and identical to a build from an empty tree
 
-    def test_candidate_not_cached_for_yield_selection(self):
+    def test_yield_selection_follows_the_elapsed_time(self):
         platform = make_platform()
         scheduler = bind(create_scheduler("E-IY"), platform)
-        assert not scheduler._candidate_cacheable
+        for elapsed in (0, 40, 3, 400):
+            observation = make_observation(
+                [UP, UP, DOWN, UP], current=Configuration({0: 5}), new_iteration=False,
+                comm_remaining={0: 3}, elapsed=elapsed, has_program=[1],
+            )
+            fresh = bind(create_scheduler("E-IY"), platform)
+            assert scheduler.passive.build_candidate(observation) == (
+                fresh.passive.build_candidate(observation)
+            )
 
-    def test_cache_cleared_on_rebind(self):
+    def test_greedy_tree_dropped_on_rebind(self):
         platform = make_platform()
         scheduler = bind(create_scheduler("Y-IE"), platform)
         observation = make_observation(
             [UP, UP, UP, UP], current=Configuration({2: 5}), new_iteration=False,
             comm_remaining={2: 7},
         )
-        scheduler._candidate(observation)
-        assert scheduler._candidate_cache
+        scheduler.select(observation)
+        assert scheduler.passive._allocator._root is not None
         bind(scheduler, platform)
-        assert not scheduler._candidate_cache
+        assert scheduler.passive._allocator._root is None
 
 
 class TestProactiveOutperformsPassiveOnEasyInstance:

@@ -95,9 +95,13 @@ class TestSpanContent:
             assert span["criterion"] == "E"
             for key, value in span.get("counters", {}).items():
                 totals[key] = totals.get(key, 0) + value
-        # Every candidate probes the computation memo exactly once.
+        # Every candidate the greedy-path tree cannot answer probes the
+        # computation memo exactly once.
         assert totals["candidates"] > 0
-        assert totals["computation_hits"] + totals["computation_misses"] == totals["candidates"]
+        assert (
+            totals["path_hits"] + totals["computation_hits"] + totals["computation_misses"]
+            == totals["candidates"]
+        )
         assert totals["steps"] > 0
 
     def test_context_stamps_cell_and_trial(self, tmp_path):
