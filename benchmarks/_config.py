@@ -9,9 +9,11 @@ environment variable:
 * ``smoke``   — minimal grid, seconds (CI smoke test of the harness);
 * ``bench``   — the default: same sweep structure as the paper, reduced
   repetitions; minutes;
-* ``reduced`` — the CLI's reduced scale (more wmin values and repetitions);
-  tens of minutes;
-* ``paper``   — the full paper grid; hours to days.
+* ``reduced`` — the ``reduced`` built-in spec (more wmin values and
+  repetitions); tens of minutes;
+* ``paper``   — the full paper grid (``paper-table1``); hours to days.
+
+``smoke`` likewise runs the ``smoke`` built-in spec's grid.
 
 Regenerated tables/figures are printed to stdout and also written to
 ``benchmarks/results/`` so they can be compared against the paper's numbers
@@ -21,17 +23,18 @@ Regenerated tables/figures are printed to stdout and also written to
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.scenarios import CampaignScale
+from repro.experiments.spec import CampaignSpec, builtin_spec
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Default benchmark scale: keeps the (m, ncom, wmin) sweep structure of the
+#: Default benchmark grid: keeps the (m, ncom, wmin) sweep structure of the
 #: paper but with one scenario/trial per cell and a tighter makespan cap.
-BENCH_SCALE = CampaignScale(
+BENCH_SPEC = CampaignSpec(
     ncom_values=(5, 20),
     wmin_values=(1, 4, 7),
     scenarios_per_cell=2,
@@ -41,32 +44,31 @@ BENCH_SCALE = CampaignScale(
 )
 
 #: An even smaller grid used by the heavier m = 10 benchmarks.
-BENCH_SCALE_M10 = CampaignScale(
-    ncom_values=(5, 20),
-    wmin_values=(1, 4, 7),
-    scenarios_per_cell=1,
-    trials_per_scenario=1,
-    iterations=10,
-    makespan_cap=40_000,
-)
+BENCH_SPEC_M10 = replace(BENCH_SPEC, scenarios_per_cell=1, makespan_cap=40_000)
 
-SMOKE_SCALE = CampaignScale.smoke()
+#: ``REPRO_BENCH_SCALE`` choices other than ``bench`` -> the built-in spec
+#: whose grid they run.
+_BUILTIN_GRIDS = {"smoke": "smoke", "reduced": "reduced", "paper": "paper-table1"}
 
 
-def campaign_scale(default: CampaignScale) -> CampaignScale:
-    """Resolve the campaign scale from ``REPRO_BENCH_SCALE``."""
+def campaign_spec(default: CampaignSpec, **fields) -> CampaignSpec:
+    """The benchmark's campaign: the grid ``REPRO_BENCH_SCALE`` selects
+    (*default* for ``bench``) with *fields* (name, m, heuristics, ...) applied."""
     choice = os.environ.get("REPRO_BENCH_SCALE", "bench").lower()
-    if choice == "smoke":
-        return SMOKE_SCALE
     if choice == "bench":
-        return default
-    if choice == "reduced":
-        return CampaignScale.reduced()
-    if choice == "paper":
-        return CampaignScale.paper()
-    raise ValueError(
-        f"unknown REPRO_BENCH_SCALE={choice!r}; expected smoke|bench|reduced|paper"
-    )
+        grid = default
+    elif choice in _BUILTIN_GRIDS:
+        grid = builtin_spec(_BUILTIN_GRIDS[choice])
+    else:
+        raise ValueError(
+            f"unknown REPRO_BENCH_SCALE={choice!r}; expected smoke|bench|reduced|paper"
+        )
+    return replace(grid, **fields)
+
+
+def instances(spec: CampaignSpec) -> int:
+    """Problem instances (scenario x trial pairs) each heuristic runs."""
+    return spec.num_cells() // len(spec.heuristics)
 
 
 def write_result(name: str, text: str) -> Path:

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import pytest
 
-from _config import campaign_scale, write_result
+from _config import campaign_spec, write_result
 from repro.analysis.group import ExpectationMode
 from repro.experiments.metrics import summarize_results
-from repro.experiments.runner import run_campaign
-from repro.experiments.scenarios import CampaignScale
+from repro.experiments.runner import run_campaign_spec
+from repro.experiments.spec import CampaignSpec
 from repro.experiments.tables import format_summaries
 
 ABLATION_HEURISTICS = ("IE", "Y-IE", "P-IE", "E-IAY", "IAY", "RANDOM")
 
-ABLATION_SCALE = CampaignScale(
+ABLATION_SPEC = CampaignSpec(
     ncom_values=(10,),
     wmin_values=(1, 4),
     scenarios_per_cell=2,
@@ -35,17 +35,16 @@ ABLATION_SCALE = CampaignScale(
 @pytest.mark.benchmark(group="ablation")
 @pytest.mark.parametrize("mode", [ExpectationMode.PAPER, ExpectationMode.RENEWAL])
 def test_estimator_ablation(benchmark, mode):
-    scale = campaign_scale(ABLATION_SCALE)
+    spec = campaign_spec(
+        ABLATION_SPEC,
+        name=f"ablation-{mode.value}",
+        m_values=(5,),
+        heuristics=ABLATION_HEURISTICS,
+        estimator=mode.value,
+    )
 
     def run():
-        campaign = run_campaign(
-            5,
-            heuristics=ABLATION_HEURISTICS,
-            scale=scale,
-            label=f"ablation-{mode.value}",
-            mode=mode,
-        )
-        return summarize_results(campaign.results)
+        return summarize_results(run_campaign_spec(spec))
 
     summaries = benchmark.pedantic(run, rounds=1, iterations=1)
     text = format_summaries(
@@ -61,7 +60,7 @@ def test_estimator_ablation(benchmark, mode):
     # grid has enough instances for it to hold (the smoke scale runs a
     # single scenario, where RANDOM can get lucky).
     enough_instances = (
-        scale.scenarios_per_cell * scale.trials_per_scenario * len(scale.wmin_values) >= 4
+        spec.scenarios_per_cell * spec.trials_per_scenario * len(spec.wmin_values) >= 4
     )
     if enough_instances and by_name["RANDOM"].pct_diff is not None:
         assert by_name["RANDOM"].pct_diff > 25.0

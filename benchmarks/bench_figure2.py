@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import pytest
 
-from _config import campaign_scale, write_result
+from _config import campaign_spec, write_result
 from repro.experiments.figures import figure2_series, format_figure2
-from repro.experiments.runner import run_campaign
-from repro.experiments.scenarios import CampaignScale
+from repro.experiments.runner import run_campaign_spec
+from repro.experiments.spec import CampaignSpec
 
 #: Heuristics plotted by the benchmark (subset of the paper's eight for speed).
 FIGURE2_HEURISTICS = ("IE", "Y-IE", "P-IE")
@@ -27,7 +27,7 @@ FIGURE2_HEURISTICS = ("IE", "Y-IE", "P-IE")
 #: A higher makespan cap than the table benchmarks: the hard (large wmin)
 #: cells are exactly the interesting part of Figure 2, and capping them too
 #: early would drop the right-hand side of the sweep.
-FIGURE2_SCALE = CampaignScale(
+FIGURE2_SPEC = CampaignSpec(
     ncom_values=(10,),
     wmin_values=(1, 3, 5, 7),
     scenarios_per_cell=1,
@@ -40,13 +40,12 @@ FIGURE2_SCALE = CampaignScale(
 @pytest.mark.benchmark(group="figure2")
 def test_figure2_series(benchmark):
     """Run the Figure 2 sweep and regenerate its data series."""
-    scale = campaign_scale(FIGURE2_SCALE)
+    spec = campaign_spec(
+        FIGURE2_SPEC, name="figure2", m_values=(10,), heuristics=FIGURE2_HEURISTICS
+    )
 
     def run():
-        campaign = run_campaign(
-            10, heuristics=FIGURE2_HEURISTICS, scale=scale, label="figure2"
-        )
-        return figure2_series(campaign.results)
+        return figure2_series(run_campaign_spec(spec))
 
     series = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -51,7 +51,7 @@ def build_platform(seed: int) -> Platform:
     return Platform(processors, ncom=4, tprog=5, tdata=1)
 
 
-def run_campaign():
+def run_nonmarkov_campaign():
     rows = []
     totals = {name: 0.0 for name in HEURISTICS}
     fails = {name: 0 for name in HEURISTICS}
@@ -80,7 +80,7 @@ def run_campaign():
 
 @pytest.mark.benchmark(group="nonmarkov")
 def test_markov_heuristics_on_semi_markov_availability(benchmark):
-    rows, totals, fails = benchmark.pedantic(run_campaign, rounds=1, iterations=1)
+    rows, totals, fails = benchmark.pedantic(run_nonmarkov_campaign, rounds=1, iterations=1)
 
     summary_rows = [
         [name, fails[name], round(totals[name] / NUM_INSTANCES, 1)] for name in HEURISTICS

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import pytest
 
-from _config import BENCH_SCALE, campaign_scale, write_result
+from _config import BENCH_SPEC, campaign_spec, instances, write_result
 from repro.experiments.metrics import summarize_results
 from repro.experiments.report import compare_with_paper, format_comparison
-from repro.experiments.runner import run_campaign
+from repro.experiments.runner import run_campaign_spec
 from repro.experiments.tables import PAPER_TABLE1, format_summaries
 from repro.scheduling.registry import ALL_HEURISTICS
 
@@ -28,19 +28,16 @@ from repro.scheduling.registry import ALL_HEURISTICS
 @pytest.mark.benchmark(group="table1")
 def test_table1_campaign(benchmark):
     """Run the Table I campaign and regenerate the table."""
-    scale = campaign_scale(BENCH_SCALE)
+    spec = campaign_spec(BENCH_SPEC, name="table1", m_values=(5,), heuristics=ALL_HEURISTICS)
 
     def run():
-        campaign = run_campaign(
-            5, heuristics=ALL_HEURISTICS, scale=scale, label="table1"
-        )
-        return summarize_results(campaign.results)
+        return summarize_results(run_campaign_spec(spec))
 
     summaries = benchmark.pedantic(run, rounds=1, iterations=1)
 
     text = format_summaries(
         summaries,
-        title=f"Table I reproduction (m = 5, {scale.num_instances()} instances per heuristic)",
+        title=f"Table I reproduction (m = 5, {instances(spec)} instances per heuristic)",
     )
     paper_rows = "\n".join(
         f"  {name:8s} fails={row[0]:>3d}  %diff={row[1]:>8.2f}  %wins={row[2]:>6.2f}  "

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from _config import BENCH_SCALE_M10, campaign_scale, write_result
+from _config import BENCH_SPEC_M10, campaign_spec, instances, write_result
 from repro.experiments.metrics import summarize_results
 from repro.experiments.report import compare_with_paper, format_comparison
-from repro.experiments.runner import run_campaign
+from repro.experiments.runner import run_campaign_spec
 from repro.experiments.tables import PAPER_TABLE2, format_summaries
 from repro.scheduling.registry import TABLE2_HEURISTICS
 
@@ -23,19 +23,18 @@ from repro.scheduling.registry import TABLE2_HEURISTICS
 @pytest.mark.benchmark(group="table2")
 def test_table2_campaign(benchmark):
     """Run the Table II campaign and regenerate the table."""
-    scale = campaign_scale(BENCH_SCALE_M10)
+    spec = campaign_spec(
+        BENCH_SPEC_M10, name="table2", m_values=(10,), heuristics=TABLE2_HEURISTICS
+    )
 
     def run():
-        campaign = run_campaign(
-            10, heuristics=TABLE2_HEURISTICS, scale=scale, label="table2"
-        )
-        return summarize_results(campaign.results)
+        return summarize_results(run_campaign_spec(spec))
 
     summaries = benchmark.pedantic(run, rounds=1, iterations=1)
 
     text = format_summaries(
         summaries,
-        title=f"Table II reproduction (m = 10, {scale.num_instances()} instances per heuristic)",
+        title=f"Table II reproduction (m = 10, {instances(spec)} instances per heuristic)",
     )
     paper_rows = "\n".join(
         f"  {name:8s} fails={row[0]:>3d}  %diff={row[1]:>8.2f}  %wins={row[2]:>6.2f}  "

@@ -1,6 +1,6 @@
 """Pytest configuration for the benchmark suite.
 
-The shared scale/result helpers live in ``_config.py`` (imported directly by
+The shared spec/result helpers live in ``_config.py`` (imported directly by
 the benchmark modules); this conftest only makes sure the results directory
 exists before any benchmark writes to it.
 """

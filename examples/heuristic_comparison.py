@@ -17,7 +17,8 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro import CampaignScale, run_campaign, summarize_results
+from repro import summarize_results
+from repro.experiments import CampaignSpec, run_campaign_spec
 from repro.experiments.tables import format_summaries
 from repro.scheduling import ALL_HEURISTICS
 
@@ -36,29 +37,29 @@ def main() -> None:
     args = parser.parse_args()
 
     heuristics = ALL_HEURISTICS if args.full else DEFAULT_HEURISTICS
-    scale = CampaignScale(
+    spec = CampaignSpec(
+        name="example-comparison",
+        m_values=(args.m,),
         ncom_values=(5, 20),
         wmin_values=(1, 3),
+        heuristics=heuristics,
         scenarios_per_cell=2,
         trials_per_scenario=args.trials,
         iterations=10,
         makespan_cap=60_000,
     )
 
-    print(f"Campaign: m = {args.m}, {scale.num_instances()} problem instances, "
-          f"{len(heuristics)} heuristics")
+    print(f"Campaign: m = {args.m}, {spec.num_cells() // len(heuristics)} problem "
+          f"instances, {len(heuristics)} heuristics")
     start = time.perf_counter()
-    campaign = run_campaign(
-        args.m,
-        heuristics=heuristics,
-        scale=scale,
-        label="example-comparison",
+    results = run_campaign_spec(
+        spec,
         n_jobs=args.jobs,
-        progress=lambda done, total: print(f"  scenario {done}/{total} done", flush=True),
+        cell_progress=lambda event: print(f"  cell {event.done}/{event.total} done", flush=True),
     )
     elapsed = time.perf_counter() - start
 
-    summaries = summarize_results(campaign.results)
+    summaries = summarize_results(results)
     print()
     print(format_summaries(
         summaries,

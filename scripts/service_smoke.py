@@ -4,9 +4,9 @@
 Starts ``repro serve`` as a real subprocess on a free port, submits the
 two-cell walkthrough spec (``examples/service_walkthrough.toml``), polls
 the campaign to completion over HTTP, fetches the HTML dashboard and
-writes it to ``--output``.  Uses httpx when installed (the CI service
-lane installs it), plain urllib otherwise, so the script also runs in a
-dependency-free checkout.
+writes it to ``--output``.  Uses httpx when installed, plain urllib
+otherwise, so the script also runs in a dependency-free checkout (as in
+the CI service lane).
 
 Usage::
 

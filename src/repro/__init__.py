@@ -75,14 +75,10 @@ from repro.exceptions import (
     SimulationError,
 )
 from repro.experiments import (
-    CampaignScale,
     ExperimentScenario,
     ScenarioParameters,
     figure2_series,
-    generate_scenarios,
-    run_campaign,
     run_instance,
-    run_scenario,
     summarize_results,
 )
 from repro.offline import (
@@ -174,13 +170,9 @@ __all__ = [
     "simulate",
     "render_gantt",
     # experiments
-    "CampaignScale",
     "ScenarioParameters",
     "ExperimentScenario",
-    "generate_scenarios",
     "run_instance",
-    "run_scenario",
-    "run_campaign",
     "summarize_results",
     "figure2_series",
     # types / errors

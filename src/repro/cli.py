@@ -26,10 +26,12 @@ Commands
               ``stats`` for interval statistics, ``fit`` calibrated models
               with goodness-of-fit, ``sample`` bootstrap/fitted substrates.
 
-Every table/figure command accepts ``--scale {smoke,reduced,paper}`` plus
+Every table/figure command is a thin wrapper over the campaign runner: it
+starts from the built-in spec named by ``--scale`` (``smoke``, ``reduced``
+or ``paper-table1`` for ``paper``), renames it after the command, applies the
 individual overrides (``--scenarios``, ``--trials``, ``--wmin``, ``--ncom``,
-``--cap``, ``--iterations``), ``--jobs`` for multi-process execution and
-``--output`` to persist the raw campaign results as JSON.
+``--cap``, ``--iterations``) and runs it; ``--jobs`` fans out over processes
+and ``--output`` persists the raw results as JSON.
 
 ``campaign`` is the resumable path: ``repro campaign --spec sweep.toml
 --store runs/sweep`` records every finished (scenario, trial, heuristic)
@@ -43,18 +45,17 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-from repro.analysis.group import ExpectationMode
 from repro.exceptions import ExperimentError, ReproError
 from repro.experiments.figures import figure2_series, format_figure2
-from repro.experiments.io import save_campaign, save_results
+from repro.experiments.io import save_results
 from repro.experiments.metrics import summarize_results
 from repro.experiments.report import format_store_status
-from repro.experiments.runner import CellProgress, run_campaign, run_campaign_spec
-from repro.experiments.scenarios import CampaignScale
-from repro.experiments.spec import BUILTIN_SPEC_NAMES, builtin_spec, load_spec
+from repro.experiments.runner import CellProgress, run_campaign_spec
+from repro.experiments.spec import BUILTIN_SPEC_NAMES, CampaignSpec, builtin_spec, load_spec
 from repro.experiments.store import ResultStore, merge_stores, store_status
 from repro.experiments.tables import format_spec_report, format_summaries
 from repro.availability.registry import AVAILABILITY_MODELS
@@ -70,14 +71,22 @@ from repro.utils.tables import format_table
 __all__ = ["main", "build_parser"]
 
 
-def _scale_from_args(args: argparse.Namespace) -> CampaignScale:
-    presets = {
-        "smoke": CampaignScale.smoke,
-        "reduced": CampaignScale.reduced,
-        "paper": CampaignScale.paper,
-    }
-    scale = presets[args.scale]()
-    overrides = {}
+#: ``--scale`` preset of the table/figure commands -> the built-in spec it runs.
+_SCALE_SPECS = {"smoke": "smoke", "reduced": "reduced", "paper": "paper-table1"}
+
+
+def _table_spec(args: argparse.Namespace) -> CampaignSpec:
+    """The campaign a ``table1``/``table2``/``figure2`` invocation runs.
+
+    Renaming the built-in after the command keeps every seed the command
+    has always derived: seeds fold in the campaign name, never the preset.
+    """
+    overrides = dict(
+        name=args.command,
+        m_values=(args.default_m,),
+        heuristics=tuple(args.heuristics or args.default_heuristics),
+        estimator=args.estimator,
+    )
     if args.scenarios is not None:
         overrides["scenarios_per_cell"] = args.scenarios
     if args.trials is not None:
@@ -90,15 +99,29 @@ def _scale_from_args(args: argparse.Namespace) -> CampaignScale:
         overrides["makespan_cap"] = args.cap
     if args.iterations is not None:
         overrides["iterations"] = args.iterations
-    if overrides:
-        scale = scale.with_overrides(**overrides)
-    return scale
+    return replace(builtin_spec(_SCALE_SPECS[args.scale]), **overrides)
+
+
+def _print_cell_progress(event: CellProgress) -> None:
+    """Per-cell progress line on stderr (shared by every campaign command)."""
+    if event.skipped:
+        print(
+            f"  resuming: {event.done}/{event.total} cells already in store",
+            file=sys.stderr, flush=True,
+        )
+    else:
+        print(
+            f"  [{event.done}/{event.total}] {event.scenario} "
+            f"trial {event.trial} {event.heuristic}",
+            file=sys.stderr, flush=True,
+        )
 
 
 def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--scale", choices=("smoke", "reduced", "paper"), default="reduced",
-        help="campaign size preset (default: reduced)",
+        "--scale", choices=tuple(_SCALE_SPECS), default="reduced",
+        help="campaign size: the smoke, reduced or paper-table1 built-in spec "
+        "(default: reduced)",
     )
     parser.add_argument("--scenarios", type=int, default=None, help="scenarios per grid cell")
     parser.add_argument("--trials", type=int, default=None, help="trials per scenario")
@@ -249,11 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--poll-interval", type=float, default=0.2,
         help="dispatcher poll interval in seconds (default 0.2)",
-    )
-    serve.add_argument(
-        "--framework", choices=("auto", "fastapi", "stdlib"), default="auto",
-        help="HTTP stack: FastAPI/uvicorn when the 'service' extra is "
-        "installed, stdlib WSGI otherwise (default auto)",
     )
     serve.add_argument(
         "--trace", action="store_true",
@@ -453,35 +471,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    scale = _scale_from_args(args)
-    heuristics = args.heuristics or args.default_heuristics
-    mode = ExpectationMode(args.estimator)
-    m = args.default_m
-
-    def progress(done: int, total: int) -> None:
-        print(f"  scenario {done}/{total} done", file=sys.stderr, flush=True)
-
-    campaign = run_campaign(
-        m,
-        heuristics=heuristics,
-        scale=scale,
-        label=args.command,
-        n_jobs=args.jobs,
-        mode=mode,
-        progress=progress,
-    )
+def _cmd_table(args: argparse.Namespace) -> int:
+    spec = _table_spec(args)
+    results = run_campaign_spec(spec, n_jobs=args.jobs, cell_progress=_print_cell_progress)
     if args.output:
-        path = save_campaign(campaign, args.output)
+        path = save_results(results, args.output, label=spec.name)
         print(f"raw results written to {path}", file=sys.stderr)
 
     if args.command == "figure2":
-        series = figure2_series(campaign.results)
-        print(format_figure2(series, heuristics=[h for h in heuristics if h in series]))
+        series = figure2_series(results)
+        print(format_figure2(series, heuristics=[h for h in spec.heuristics if h in series]))
     else:
-        summaries = summarize_results(campaign.results)
+        summaries = summarize_results(results)
         title = "Table I (m = 5)" if args.command == "table1" else "Table II (m = 10)"
-        print(format_summaries(summaries, title=f"{title} — {scale.num_instances()} instances"))
+        instances = spec.num_cells() // len(spec.heuristics)
+        print(format_summaries(summaries, title=f"{title} — {instances} instances"))
     return 0
 
 
@@ -538,19 +542,6 @@ def _cmd_campaign_spec(args: argparse.Namespace) -> int:
         if args.trace:
             trace_dir = str(Path(args.store) / "telemetry")
 
-    def cell_progress(event: CellProgress) -> None:
-        if event.skipped:
-            print(
-                f"  resuming: {event.done}/{event.total} cells already in store",
-                file=sys.stderr, flush=True,
-            )
-        else:
-            print(
-                f"  [{event.done}/{event.total}] {event.scenario} "
-                f"trial {event.trial} {event.heuristic}",
-                file=sys.stderr, flush=True,
-            )
-
     try:
         results = run_campaign_spec(
             spec,
@@ -558,7 +549,7 @@ def _cmd_campaign_spec(args: argparse.Namespace) -> int:
             shard=shard,
             n_jobs=args.jobs,
             max_cells=args.max_cells,
-            cell_progress=cell_progress,
+            cell_progress=_print_cell_progress,
             # None defers to the spec's own settings.
             collect_metrics=True if args.collect_metrics else None,
             metrics_stride=args.metrics_stride,
@@ -967,7 +958,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         max_attempts=args.max_attempts,
         poll_interval=args.poll_interval,
-        framework=args.framework,
         trace=args.trace,
     ))
 
@@ -1008,7 +998,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "demo": _cmd_demo,
             "serve": _cmd_serve,
             "profile": _cmd_profile,
-        }.get(args.command, _cmd_campaign)
+        }.get(args.command, _cmd_table)
         try:
             return handler(args)
         except ReproError as error:

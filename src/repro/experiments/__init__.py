@@ -4,7 +4,7 @@ The paper's campaign sweeps ``(m, ncom, wmin)`` over
 ``{5, 10} × {5, 10, 20} × {1..10}``, draws 10 random scenarios per cell and
 runs 10 Markov-realisation trials per scenario, for 6,000 problem instances,
 each executed under all 17 heuristics.  The harness reproduces that grid (or
-a configurable subset — see :class:`CampaignScale`), computes the paper's
+a configurable subset — see :class:`CampaignSpec`), computes the paper's
 metrics (#fails, %diff, %wins, %wins30, stdv against the IE reference) and
 rebuilds Table I, Table II and the Figure 2 series.
 
@@ -19,7 +19,7 @@ deterministic cell enumeration can be sharded across machines
 """
 
 from repro.experiments.figures import figure2_series, format_figure2
-from repro.experiments.io import load_campaign, load_results, save_campaign, save_results
+from repro.experiments.io import load_results, save_results
 from repro.experiments.metrics import (
     HeuristicSummary,
     filter_results,
@@ -32,20 +32,15 @@ from repro.experiments.report import (
     format_store_status,
 )
 from repro.experiments.runner import (
-    CampaignResult,
     CellProgress,
     InstanceResult,
-    run_campaign,
     run_campaign_spec,
     run_instance,
-    run_scenario,
 )
 from repro.experiments.scenarios import (
     AvailabilitySpec,
-    CampaignScale,
     ExperimentScenario,
     ScenarioParameters,
-    generate_scenarios,
 )
 from repro.experiments.spec import (
     BUILTIN_SPEC_NAMES,
@@ -55,20 +50,15 @@ from repro.experiments.spec import (
     load_spec,
 )
 from repro.experiments.store import ResultStore, StoreStatus, merge_stores, store_status
-from repro.experiments.tables import build_table, format_spec_report, format_table1, format_table2
+from repro.experiments.tables import format_spec_report
 
 __all__ = [
-    "CampaignScale",
     "ScenarioParameters",
     "ExperimentScenario",
     "AvailabilitySpec",
-    "generate_scenarios",
     "InstanceResult",
-    "CampaignResult",
     "CellProgress",
     "run_instance",
-    "run_scenario",
-    "run_campaign",
     "run_campaign_spec",
     "CampaignSpec",
     "CampaignCell",
@@ -86,14 +76,9 @@ __all__ = [
     "compare_with_paper",
     "format_comparison",
     "format_store_status",
-    "build_table",
     "format_spec_report",
-    "format_table1",
-    "format_table2",
     "figure2_series",
     "format_figure2",
-    "save_campaign",
-    "load_campaign",
     "save_results",
     "load_results",
 ]

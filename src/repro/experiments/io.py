@@ -13,82 +13,21 @@ from pathlib import Path
 from typing import List, Sequence, Union
 
 from repro.exceptions import ExperimentError
-from repro.experiments.runner import CampaignResult, InstanceResult
-from repro.experiments.scenarios import CampaignScale
+from repro.experiments.runner import InstanceResult
 
-__all__ = ["save_campaign", "load_campaign", "save_results", "load_results"]
+__all__ = ["save_results", "load_results"]
 
-FORMAT_VERSION = 1
-
-#: Raw result-list payloads (spec campaigns, where a single ``m`` /
-#: :class:`CampaignScale` header does not apply).
+#: Version of the raw result-list payload.
 RESULTS_FORMAT_VERSION = 1
-
-
-def save_campaign(campaign: CampaignResult, path: Union[str, Path]) -> Path:
-    """Write *campaign* to *path* as JSON and return the path."""
-    path = Path(path)
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "label": campaign.label,
-        "m": campaign.m,
-        "heuristics": list(campaign.heuristics),
-        "scale": {
-            "ncom_values": list(campaign.scale.ncom_values),
-            "wmin_values": list(campaign.scale.wmin_values),
-            "scenarios_per_cell": campaign.scale.scenarios_per_cell,
-            "trials_per_scenario": campaign.scale.trials_per_scenario,
-            "iterations": campaign.scale.iterations,
-            "makespan_cap": campaign.scale.makespan_cap,
-            "num_processors": campaign.scale.num_processors,
-        },
-        "results": [result.as_dict() for result in campaign.results],
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2))
-    return path
-
-
-def load_campaign(path: Union[str, Path]) -> CampaignResult:
-    """Load a campaign previously written by :func:`save_campaign`."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise ExperimentError(f"cannot load campaign from {path}: {error}") from error
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ExperimentError(
-            f"unsupported campaign format version {version!r} (expected {FORMAT_VERSION})"
-        )
-    scale_payload = payload["scale"]
-    scale = CampaignScale(
-        ncom_values=tuple(scale_payload["ncom_values"]),
-        wmin_values=tuple(scale_payload["wmin_values"]),
-        scenarios_per_cell=scale_payload["scenarios_per_cell"],
-        trials_per_scenario=scale_payload["trials_per_scenario"],
-        iterations=scale_payload["iterations"],
-        makespan_cap=scale_payload["makespan_cap"],
-        num_processors=scale_payload.get("num_processors", 20),
-    )
-    campaign = CampaignResult(
-        label=payload["label"],
-        m=payload["m"],
-        heuristics=tuple(payload["heuristics"]),
-        scale=scale,
-    )
-    campaign.extend(InstanceResult.from_dict(entry) for entry in payload["results"])
-    return campaign
 
 
 def save_results(
     results: Sequence[InstanceResult], path: Union[str, Path], *, label: str = "campaign"
 ) -> Path:
-    """Write a raw list of instance results (spec campaigns) as JSON.
+    """Write a raw list of instance results as JSON.
 
-    Unlike :func:`save_campaign` this makes no single-``m`` assumption: the
-    payload is just the labelled record list, suitable for multi-``m``
-    spec-driven campaigns and for feeding external tooling.
+    The payload is just the labelled record list, suitable for multi-``m``
+    campaigns and for feeding external tooling.
     """
     path = Path(path)
     payload = {

@@ -1,4 +1,4 @@
-"""Running instances, scenarios and whole campaigns.
+"""Running instances and whole campaigns.
 
 The unit of work is the *instance*: one (scenario, trial, heuristic) triple.
 Three properties of the runner are important for faithfulness and efficiency:
@@ -9,7 +9,7 @@ Three properties of the runner are important for faithfulness and efficiency:
   trial seed, independently of the scheduler's own stream.  This matches the
   paper's per-trial comparison of heuristics and sharply reduces the variance
   of %diff/%wins at small trial counts.
-* **Shared trace banks** — :func:`run_scenario` materialises the per-trial
+* **Shared trace banks** — the runner materialises each (scenario, trial)
   availability realisation *once* through the models' vectorised batch
   samplers (:class:`TraceBank`) and replays it for every heuristic, instead
   of re-sampling the identical chains per heuristic.  The bank derives its
@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,12 +45,11 @@ from repro.analysis.cache import AnalysisContext
 from repro.analysis.group import ExpectationMode
 from repro.availability.generators import sample_initial_states, sample_state_block
 from repro.exceptions import ExperimentError
-from repro.experiments.scenarios import CampaignScale, ExperimentScenario, generate_scenarios
+from repro.experiments.scenarios import ExperimentScenario
 from repro.experiments.spec import CampaignCell, CampaignSpec
 from repro.platform.platform import Platform
-from repro.components import ComponentError
 from repro.metrics.collector import DEFAULT_STRIDE, MetricsCollector
-from repro.scheduling.registry import ALL_HEURISTICS, canonical_heuristic, create_scheduler
+from repro.scheduling.registry import create_scheduler
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.multirun import MultiHeuristicDriver
 from repro.simulation.results import SimulationResult
@@ -59,12 +58,9 @@ from repro.utils.rng import derive_run_streams
 
 __all__ = [
     "InstanceResult",
-    "CampaignResult",
     "CellProgress",
     "TraceBank",
     "run_instance",
-    "run_scenario",
-    "run_campaign",
     "run_campaign_spec",
 ]
 
@@ -156,29 +152,6 @@ class InstanceResult:
             wall_time_seconds=wall_time,
             num_processors=scenario.params.num_processors,
         )
-
-
-@dataclass
-class CampaignResult:
-    """All instance results of one campaign plus its metadata."""
-
-    label: str
-    m: int
-    heuristics: Tuple[str, ...]
-    scale: CampaignScale
-    results: List[InstanceResult] = field(default_factory=list)
-
-    def by_heuristic(self) -> Dict[str, List[InstanceResult]]:
-        grouped: Dict[str, List[InstanceResult]] = {name: [] for name in self.heuristics}
-        for result in self.results:
-            grouped.setdefault(result.heuristic, []).append(result)
-        return grouped
-
-    def num_instances(self) -> int:
-        return len({result.instance_key() for result in self.results})
-
-    def extend(self, results: Iterable[InstanceResult]) -> None:
-        self.results.extend(results)
 
 
 @dataclass(frozen=True)
@@ -337,7 +310,8 @@ def run_instance(
     heuristic: str,
     trial: int,
     *,
-    scale: Optional[CampaignScale] = None,
+    iterations: int,
+    makespan_cap: int,
     analysis: Optional[AnalysisContext] = None,
     platform=None,
     trace=None,
@@ -348,9 +322,10 @@ def run_instance(
 ) -> InstanceResult:
     """Run one (scenario, trial, heuristic) instance.
 
-    *platform*, *analysis* and *trace* may be supplied to share work across
-    calls; when omitted they are rebuilt from the scenario
-    (deterministically).  *trace* is the trial's shared availability
+    The application runs *iterations* iterations and the engine stops at
+    *makespan_cap* slots.  *platform*, *analysis* and *trace* may be
+    supplied to share work across calls; when omitted they are rebuilt from
+    the scenario (deterministically).  *trace* is the trial's shared availability
     realisation (see :class:`TraceBank`); passing it skips re-sampling the
     availability chains without changing the result.  With
     *collect_metrics* the run carries a
@@ -361,7 +336,6 @@ def run_instance(
     analysis context (spans carry the cell/trial correlation attributes);
     ``None`` is the exact untraced path.
     """
-    scale = scale or CampaignScale.reduced()
     if platform is None:
         platform = scenario.build_platform()
     if analysis is None:
@@ -369,7 +343,7 @@ def run_instance(
     tracer = active_tracer(tracer)
     if tracer is not None:
         analysis.tracer = tracer
-    application = scenario.build_application(iterations=scale.iterations)
+    application = scenario.build_application(iterations=iterations)
     scheduler = create_scheduler(heuristic)
     collector = MetricsCollector(metrics_stride) if collect_metrics else None
     engine = SimulationEngine(
@@ -377,7 +351,7 @@ def run_instance(
         application,
         scheduler,
         seed=scenario.trial_seed(trial),
-        max_slots=scale.makespan_cap,
+        max_slots=makespan_cap,
         trace=trace,
         analysis=analysis,
         metrics=collector,
@@ -394,60 +368,24 @@ def run_instance(
     return InstanceResult.from_simulation(scenario, trial, result, elapsed, metrics=metrics)
 
 
-def run_scenario(
-    scenario: ExperimentScenario,
-    heuristics: Sequence[str],
-    *,
-    scale: Optional[CampaignScale] = None,
-    mode: ExpectationMode = ExpectationMode.PAPER,
-    share_availability: bool = True,
-    collect_metrics: bool = False,
-    metrics_stride: int = DEFAULT_STRIDE,
-    on_result: Optional[Callable[[InstanceResult], None]] = None,
-) -> List[InstanceResult]:
-    """Run all trials of all *heuristics* on one scenario.
-
-    Platform and analysis context are built once and shared.  With
-    *share_availability* (the default) each trial's availability realisation
-    is materialised once through the :class:`TraceBank` batch sampler and
-    replayed for every heuristic — the paired comparison the paper relies
-    on, without re-sampling identical chains per heuristic.  Trials with two
-    or more passive-contract heuristics additionally go through the one-pass
-    :class:`~repro.simulation.multirun.MultiHeuristicDriver`.  Results are
-    bit-identical either way.  *on_result* is invoked after every finished
-    instance (per-cell progress reporting).
-    """
-    scale = scale or CampaignScale.reduced()
-    work = [
-        (trial, heuristic)
-        for trial in range(scale.trials_per_scenario)
-        for heuristic in heuristics
-    ]
-    return _run_scenario_work(
-        scenario,
-        work,
-        scale=scale,
-        mode=mode,
-        share_availability=share_availability,
-        collect_metrics=collect_metrics,
-        metrics_stride=metrics_stride,
-        on_result=on_result,
-    )
-
-
-def _run_scenario_work(
+def _run_cells(
     scenario: ExperimentScenario,
     work: Sequence[Tuple[int, str]],
     *,
-    scale: CampaignScale,
+    iterations: int,
+    makespan_cap: int,
     mode: ExpectationMode = ExpectationMode.PAPER,
-    share_availability: bool = True,
     collect_metrics: bool = False,
     metrics_stride: int = DEFAULT_STRIDE,
     trace_dir: Optional[str] = None,
-    on_result: Optional[Callable[[InstanceResult], None]] = None,
 ) -> List[InstanceResult]:
     """Run an ordered subset of one scenario's (trial, heuristic) pairs.
+
+    Platform and analysis context are built once and shared.  Each trial's
+    availability realisation is materialised once through the
+    :class:`TraceBank` batch sampler and replayed for every heuristic — the
+    paired comparison the paper relies on, without re-sampling identical
+    chains per heuristic.
 
     The subset runner is what makes resume cheap: a partially-complete
     scenario re-runs only its missing cells, while the per-trial trace-bank
@@ -471,8 +409,8 @@ def _run_scenario_work(
     tracer = _tracer_for(trace_dir)
     if tracer is not None:
         analysis.tracer = tracer
-    application = scenario.build_application(iterations=scale.iterations)
-    bank = TraceBank(platform, horizon=scale.makespan_cap) if share_availability else None
+    application = scenario.build_application(iterations=iterations)
+    bank = TraceBank(platform, horizon=makespan_cap)
     results: List[InstanceResult] = []
     trial_order: List[int] = []
     by_trial: Dict[int, List[str]] = {}
@@ -482,7 +420,7 @@ def _run_scenario_work(
             by_trial[trial] = []
         by_trial[trial].append(heuristic)
     for trial in trial_order:
-        trace = bank.trace_for(scenario.trial_seed(trial)) if bank is not None else None
+        trace = bank.trace_for(scenario.trial_seed(trial))
         names = by_trial[trial]
         one_pass: Dict[str, InstanceResult] = {}
         if len(names) >= 2:
@@ -502,7 +440,7 @@ def _run_scenario_work(
                     application,
                     [scheduler for _, scheduler in contract],
                     seed=scenario.trial_seed(trial),
-                    max_slots=scale.makespan_cap,
+                    max_slots=makespan_cap,
                     trace=trace,
                     analysis=analysis,
                     metrics=collectors,
@@ -531,7 +469,8 @@ def _run_scenario_work(
                     scenario,
                     heuristic,
                     trial,
-                    scale=scale,
+                    iterations=iterations,
+                    makespan_cap=makespan_cap,
                     analysis=analysis,
                     platform=platform,
                     trace=trace,
@@ -541,8 +480,6 @@ def _run_scenario_work(
                     tracer=tracer,
                 )
             results.append(result)
-            if on_result is not None:
-                on_result(result)
     if tracer is not None:
         # Make child-process span files durable before the pool hands the
         # results back to the parent.
@@ -553,151 +490,10 @@ def _run_scenario_work(
 # ----------------------------------------------------------------------
 # Campaign execution (optionally multi-process)
 # ----------------------------------------------------------------------
-def _run_scenario_payload(payload: dict) -> List[dict]:
-    """Process-pool entry point: rebuild the scenario locally and run it."""
-    scenario = ExperimentScenario(
-        params=payload["params"],
-        scenario_index=payload["scenario_index"],
-        campaign=payload["campaign"],
-        availability=payload.get("availability"),
-    )
-    results = _run_scenario_work(
-        scenario,
-        payload["work"],
-        scale=payload["scale"],
-        mode=ExpectationMode(payload["mode"]),
-        collect_metrics=payload.get("collect_metrics", False),
-        metrics_stride=payload.get("metrics_stride", DEFAULT_STRIDE),
-        trace_dir=payload.get("trace_dir"),
-    )
-    return [result.as_dict() for result in results]
-
-
-def _scenario_payload(
-    scenario: ExperimentScenario,
-    work: Sequence[Tuple[int, str]],
-    scale: CampaignScale,
-    mode: ExpectationMode,
-    collect_metrics: bool = False,
-    metrics_stride: int = DEFAULT_STRIDE,
-    trace_dir: Optional[str] = None,
-) -> dict:
-    return {
-        "params": scenario.params,
-        "scenario_index": scenario.scenario_index,
-        "campaign": scenario.campaign,
-        "availability": scenario.availability,
-        "work": list(work),
-        "scale": scale,
-        "mode": mode.value,
-        "collect_metrics": collect_metrics,
-        "metrics_stride": metrics_stride,
-        "trace_dir": trace_dir,
-    }
-
-
-def run_campaign(
-    m: int,
-    *,
-    heuristics: Sequence[str] = ALL_HEURISTICS,
-    scale: Optional[CampaignScale] = None,
-    label: str = "campaign",
-    n_jobs: int = 1,
-    mode: ExpectationMode = ExpectationMode.PAPER,
-    progress: Optional[Callable[[int, int], None]] = None,
-    cell_progress: Optional[Callable[[CellProgress], None]] = None,
-) -> CampaignResult:
-    """Run a full campaign for one value of ``m`` (Table I: m=5, Table II: m=10).
-
-    Parameters
-    ----------
-    m:
-        Tasks per iteration.
-    heuristics:
-        Heuristic names to evaluate (default: all seventeen).
-    scale:
-        Grid dimensions and caps; defaults to :meth:`CampaignScale.reduced`.
-    label:
-        Campaign label, folded into every derived seed.
-    n_jobs:
-        Number of worker processes (1 = run in-process).
-    mode:
-        Estimator variant used by the heuristics (paper formula vs renewal).
-    progress:
-        Optional coarse callback ``(done_scenarios, total_scenarios)``.
-    cell_progress:
-        Optional fine-grained callback receiving one :class:`CellProgress`
-        per finished (scenario, trial, heuristic) cell.
-    """
-    scale = scale or CampaignScale.reduced()
-    # Validate and canonicalize through the component registry — the single
-    # source of truth shared with create_scheduler and CampaignSpec.
-    resolved: List[str] = []
-    unknown: List[str] = []
-    for name in heuristics:
-        try:
-            resolved.append(canonical_heuristic(name))
-        except ComponentError:
-            unknown.append(name)
-    if unknown:
-        raise ExperimentError(f"unknown heuristics requested: {unknown}")
-    heuristics = tuple(resolved)
-    scenarios = generate_scenarios(scale, m, campaign=label)
-    campaign = CampaignResult(label=label, m=m, heuristics=heuristics, scale=scale)
-
-    total = len(scenarios)
-    cells_per_scenario = scale.trials_per_scenario * len(heuristics)
-    total_cells = total * cells_per_scenario
-    done_cells = 0
-
-    def emit_cell(scenario: ExperimentScenario, result: InstanceResult) -> None:
-        nonlocal done_cells
-        done_cells += 1
-        if cell_progress is not None:
-            cell_progress(
-                CellProgress(
-                    done=done_cells,
-                    total=total_cells,
-                    scenario=scenario.label(),
-                    trial=result.trial_index,
-                    heuristic=result.heuristic,
-                )
-            )
-
-    if n_jobs <= 1:
-        for index, scenario in enumerate(scenarios):
-            campaign.extend(
-                run_scenario(
-                    scenario,
-                    heuristics,
-                    scale=scale,
-                    mode=mode,
-                    on_result=lambda result, scenario=scenario: emit_cell(scenario, result),
-                )
-            )
-            if progress is not None:
-                progress(index + 1, total)
-        return campaign
-
-    work = [
-        (trial, heuristic)
-        for trial in range(scale.trials_per_scenario)
-        for heuristic in heuristics
-    ]
-    payloads = [
-        _scenario_payload(scenario, work, scale, mode) for scenario in scenarios
-    ]
-    done = 0
-    with ProcessPoolExecutor(max_workers=n_jobs) as executor:
-        for scenario, chunk in zip(scenarios, executor.map(_run_scenario_payload, payloads)):
-            for entry in chunk:
-                result = InstanceResult.from_dict(entry)
-                campaign.results.append(result)
-                emit_cell(scenario, result)
-            done += 1
-            if progress is not None:
-                progress(done, total)
-    return campaign
+def _run_payload(payload: Tuple[ExperimentScenario, List[Tuple[int, str]], dict]) -> List[dict]:
+    """Process-pool entry point: run one scenario's cells, return plain records."""
+    scenario, work, options = payload
+    return [result.as_dict() for result in _run_cells(scenario, work, **options)]
 
 
 # ----------------------------------------------------------------------
@@ -808,49 +604,33 @@ def run_campaign_spec(
             )
 
     # Group contiguous cells by scenario so platform/analysis/trace-bank
-    # construction is shared exactly as in run_scenario.
+    # construction is shared by every cell of the scenario.
     groups: List[Tuple[ExperimentScenario, List[CampaignCell]]] = []
     for cell in todo:
         if groups and groups[-1][0] == cell.scenario:
             groups[-1][1].append(cell)
         else:
             groups.append((cell.scenario, [cell]))
+    options = dict(
+        iterations=spec.iterations,
+        makespan_cap=spec.makespan_cap,
+        mode=mode,
+        collect_metrics=collect_metrics,
+        metrics_stride=metrics_stride,
+        trace_dir=trace_dir,
+    )
+    works = [[(cell.trial, cell.heuristic) for cell in cells] for _, cells in groups]
 
     fresh: Dict[int, InstanceResult] = {}
     if n_jobs <= 1:
-        for scenario, cells in groups:
-            scale = spec.scale_for(scenario.params.num_processors)
-            work = [(cell.trial, cell.heuristic) for cell in cells]
-            results = _run_scenario_work(
-                scenario,
-                work,
-                scale=scale,
-                mode=mode,
-                collect_metrics=collect_metrics,
-                metrics_stride=metrics_stride,
-                trace_dir=trace_dir,
-                on_result=None,
-            )
-            for cell, result in zip(cells, results):
+        for (scenario, cells), work in zip(groups, works):
+            for cell, result in zip(cells, _run_cells(scenario, work, **options)):
                 fresh[cell.index] = result
                 emit(cell, result)
     else:
-        payloads = [
-            _scenario_payload(
-                scenario,
-                [(cell.trial, cell.heuristic) for cell in cells],
-                spec.scale_for(scenario.params.num_processors),
-                mode,
-                collect_metrics,
-                metrics_stride,
-                trace_dir,
-            )
-            for scenario, cells in groups
-        ]
+        payloads = [(scenario, work, options) for (scenario, _), work in zip(groups, works)]
         with ProcessPoolExecutor(max_workers=n_jobs) as executor:
-            for (scenario, cells), chunk in zip(
-                groups, executor.map(_run_scenario_payload, payloads)
-            ):
+            for (_, cells), chunk in zip(groups, executor.map(_run_payload, payloads)):
                 for cell, entry in zip(cells, chunk):
                     result = InstanceResult.from_dict(entry)
                     fresh[cell.index] = result

@@ -1,4 +1,4 @@
-"""Scenario grid generation following Section VII-A.
+"""Experimental scenarios following Section VII-A.
 
 An *experimental scenario* is one random instantiation of a platform for a
 given cell ``(m, ncom, wmin)`` of the campaign grid:
@@ -13,12 +13,14 @@ different realisation of the Markov chains (different seed) but the same
 platform.  Every seed is derived deterministically from the campaign label
 and the scenario coordinates, so any individual instance can be re-run in
 isolation and reproduce the in-campaign realisation exactly.
+:meth:`~repro.experiments.spec.CampaignSpec.scenarios` enumerates a
+campaign's grid of scenarios.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Optional, List, Tuple, Union
+from dataclasses import dataclass
+from typing import Mapping, Optional, Tuple, Union
 
 from repro.application.application import Application
 from repro.availability.registry import AVAILABILITY_MODELS, model_factory_for
@@ -31,8 +33,6 @@ __all__ = [
     "AvailabilitySpec",
     "ScenarioParameters",
     "ExperimentScenario",
-    "CampaignScale",
-    "generate_scenarios",
 ]
 
 #: Availability substrates a scenario can request (snapshot of the registry
@@ -210,81 +210,6 @@ class ExperimentScenario:
         return f"{self.params.label()}_s{self.scenario_index}"
 
 
-@dataclass(frozen=True)
-class CampaignScale:
-    """How much of the paper's campaign to run.
-
-    ``CampaignScale.paper()`` is the full grid (6,000 instances per the
-    paper); the default :meth:`reduced` grid keeps the sweep structure but
-    shrinks the number of scenarios, trials and wmin values so a full
-    17-heuristic campaign finishes on a laptop; :meth:`smoke` is for tests.
-    """
-
-    ncom_values: Tuple[int, ...] = (5, 10, 20)
-    wmin_values: Tuple[int, ...] = tuple(range(1, 11))
-    scenarios_per_cell: int = 10
-    trials_per_scenario: int = 10
-    iterations: int = 10
-    makespan_cap: int = 1_000_000
-    num_processors: int = 20
-
-    def __post_init__(self) -> None:
-        if not self.ncom_values or not self.wmin_values:
-            raise ExperimentError("ncom_values and wmin_values must be non-empty")
-        if self.scenarios_per_cell < 1 or self.trials_per_scenario < 1:
-            raise ExperimentError("scenarios_per_cell and trials_per_scenario must be >= 1")
-        if self.iterations < 1:
-            raise ExperimentError("iterations must be >= 1")
-        if self.makespan_cap < 1:
-            raise ExperimentError("makespan_cap must be >= 1")
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def paper(cls) -> "CampaignScale":
-        """The paper's full campaign parameters."""
-        return cls()
-
-    @classmethod
-    def reduced(cls) -> "CampaignScale":
-        """Laptop-scale default: same sweep structure, fewer repetitions."""
-        return cls(
-            ncom_values=(5, 20),
-            wmin_values=(1, 4, 7, 10),
-            scenarios_per_cell=2,
-            trials_per_scenario=2,
-            iterations=10,
-            makespan_cap=150_000,
-        )
-
-    @classmethod
-    def smoke(cls) -> "CampaignScale":
-        """Tiny grid for unit/integration tests and CI."""
-        return cls(
-            ncom_values=(5,),
-            wmin_values=(1,),
-            scenarios_per_cell=1,
-            trials_per_scenario=1,
-            iterations=3,
-            makespan_cap=30_000,
-            num_processors=10,
-        )
-
-    def with_overrides(self, **kwargs) -> "CampaignScale":
-        """A copy with selected fields replaced (convenience for the CLI)."""
-        return replace(self, **kwargs)
-
-    # ------------------------------------------------------------------
-    def num_instances(self, num_m_values: int = 1) -> int:
-        """Number of (scenario, trial) problem instances in the campaign."""
-        return (
-            num_m_values
-            * len(self.ncom_values)
-            * len(self.wmin_values)
-            * self.scenarios_per_cell
-            * self.trials_per_scenario
-        )
-
-
 # ----------------------------------------------------------------------
 # Availability substrates beyond the paper's Markov recipe
 # ----------------------------------------------------------------------
@@ -309,30 +234,3 @@ def _build_availability_platform(
         params.platform_spec(), num_tasks=num_tasks, seed=seed, model_factory=factory
     )
 
-
-def generate_scenarios(
-    scale: CampaignScale,
-    m: int,
-    *,
-    campaign: str = "campaign",
-    availability: Optional[AvailabilitySpec] = None,
-) -> List[ExperimentScenario]:
-    """All scenarios of the grid for a given ``m`` (Table I uses m=5, Table II m=10)."""
-    if m < 1:
-        raise ExperimentError(f"m must be >= 1, got {m}")
-    scenarios: List[ExperimentScenario] = []
-    for ncom in scale.ncom_values:
-        for wmin in scale.wmin_values:
-            params = ScenarioParameters(
-                m=m, ncom=ncom, wmin=wmin, num_processors=scale.num_processors
-            )
-            for index in range(scale.scenarios_per_cell):
-                scenarios.append(
-                    ExperimentScenario(
-                        params=params,
-                        scenario_index=index,
-                        campaign=campaign,
-                        availability=availability,
-                    )
-                )
-    return scenarios

@@ -48,9 +48,8 @@ from typing import List, Mapping, Optional, Tuple, Union
 from repro.exceptions import ExperimentError
 from repro.experiments.scenarios import (
     AvailabilitySpec,
-    CampaignScale,
     ExperimentScenario,
-    generate_scenarios,
+    ScenarioParameters,
 )
 from repro.components import ComponentError
 from repro.scheduling.registry import (
@@ -192,18 +191,6 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     # Enumeration
     # ------------------------------------------------------------------
-    def scale_for(self, num_processors: int) -> CampaignScale:
-        """The :class:`CampaignScale` equivalent for one processor-count slice."""
-        return CampaignScale(
-            ncom_values=self.ncom_values,
-            wmin_values=self.wmin_values,
-            scenarios_per_cell=self.scenarios_per_cell,
-            trials_per_scenario=self.trials_per_scenario,
-            iterations=self.iterations,
-            makespan_cap=self.makespan_cap,
-            num_processors=num_processors,
-        )
-
     def _runtime_availability(self) -> Optional[AvailabilitySpec]:
         """The availability spec as the runner needs it (trace paths resolved).
 
@@ -234,14 +221,20 @@ class CampaignSpec:
         scenarios: List[ExperimentScenario] = []
         for m in self.m_values:
             for num_processors in self.num_processors_values:
-                scenarios.extend(
-                    generate_scenarios(
-                        self.scale_for(num_processors),
-                        m,
-                        campaign=self.name,
-                        availability=availability,
-                    )
-                )
+                for ncom in self.ncom_values:
+                    for wmin in self.wmin_values:
+                        params = ScenarioParameters(
+                            m=m, ncom=ncom, wmin=wmin, num_processors=num_processors
+                        )
+                        scenarios.extend(
+                            ExperimentScenario(
+                                params=params,
+                                scenario_index=index,
+                                campaign=self.name,
+                                availability=availability,
+                            )
+                            for index in range(self.scenarios_per_cell)
+                        )
         return scenarios
 
     def cells(self) -> List[CampaignCell]:
@@ -418,7 +411,7 @@ def _builtins() -> dict:
         "paper-table2": CampaignSpec(
             name="paper-table2", m_values=(10,), heuristics=TABLE2_HEURISTICS, **paper_grid
         ),
-        # Laptop-scale counterpart of CampaignScale.reduced().
+        # Laptop-scale grid: the paper sweep with fewer repetitions.
         "reduced": CampaignSpec(
             name="reduced",
             m_values=(5,),

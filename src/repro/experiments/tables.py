@@ -2,33 +2,28 @@
 
 Table I reports #fails, %diff, %wins, %wins30 and stdv for all seventeen
 heuristics with ``m = 5``; Table II reports the best eight heuristics with
-``m = 10``.  The builders here wrap the campaign runner and the metrics
-module and render the same columns as the paper.
+``m = 10``.  The formatters here render campaign results (see
+:func:`~repro.experiments.runner.run_campaign_spec`) in the same columns
+as the paper.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.analysis.group import ExpectationMode
 from repro.experiments.metrics import (
     DEFAULT_REFERENCE,
     HeuristicSummary,
     filter_results,
     summarize_results,
 )
-from repro.experiments.runner import InstanceResult, run_campaign
-from repro.experiments.scenarios import CampaignScale
+from repro.experiments.runner import InstanceResult
 from repro.experiments.spec import CampaignSpec
-from repro.scheduling.registry import ALL_HEURISTICS, TABLE2_HEURISTICS
 from repro.utils.tables import format_table
 
 __all__ = [
-    "build_table",
     "format_summaries",
     "format_spec_report",
-    "format_table1",
-    "format_table2",
     "PAPER_TABLE1",
     "PAPER_TABLE2",
 ]
@@ -67,29 +62,6 @@ PAPER_TABLE2 = {
 }
 
 _HEADERS = ["Heuristic", "#fails", "%diff", "%wins", "%wins30", "stdv"]
-
-
-def build_table(
-    m: int,
-    *,
-    heuristics: Sequence[str] = ALL_HEURISTICS,
-    scale: Optional[CampaignScale] = None,
-    label: Optional[str] = None,
-    n_jobs: int = 1,
-    mode: ExpectationMode = ExpectationMode.PAPER,
-) -> tuple:
-    """Run the campaign for a table and return ``(campaign, summaries)``."""
-    label = label or f"table_m{m}"
-    campaign = run_campaign(
-        m,
-        heuristics=heuristics,
-        scale=scale,
-        label=label,
-        n_jobs=n_jobs,
-        mode=mode,
-    )
-    summaries = summarize_results(campaign.results)
-    return campaign, summaries
 
 
 def format_summaries(summaries: Sequence[HeuristicSummary], *, title: str = "") -> str:
@@ -137,32 +109,3 @@ def format_spec_report(results: Sequence[InstanceResult], spec: CampaignSpec) ->
         return f"Campaign {spec.name!r}: no completed cells to report"
     return "\n\n".join(sections)
 
-
-def format_table1(
-    *,
-    scale: Optional[CampaignScale] = None,
-    n_jobs: int = 1,
-    mode: ExpectationMode = ExpectationMode.PAPER,
-) -> tuple:
-    """Reproduce Table I (m = 5, all heuristics); returns ``(campaign, summaries, text)``."""
-    campaign, summaries = build_table(
-        5, heuristics=ALL_HEURISTICS, scale=scale, label="table1", n_jobs=n_jobs, mode=mode
-    )
-    text = format_summaries(summaries, title="Table I — results with m = 5 tasks")
-    return campaign, summaries, text
-
-
-def format_table2(
-    *,
-    scale: Optional[CampaignScale] = None,
-    n_jobs: int = 1,
-    mode: ExpectationMode = ExpectationMode.PAPER,
-) -> tuple:
-    """Reproduce Table II (m = 10, best heuristics); returns ``(campaign, summaries, text)``."""
-    campaign, summaries = build_table(
-        10, heuristics=TABLE2_HEURISTICS, scale=scale, label="table2", n_jobs=n_jobs, mode=mode
-    )
-    text = format_summaries(
-        summaries, title="Table II — results with m = 10 tasks (best heuristics)"
-    )
-    return campaign, summaries, text

@@ -12,15 +12,14 @@ store.  Durability is the campaign runner's resume contract: kill any worker
 (or the whole service) and the next dispatch resumes from the store to
 byte-identical results.
 
-Quick start (no extra dependencies; the stdlib stack is always available)::
+Quick start (no extra dependencies: the server is pure stdlib)::
 
     $ repro serve --root /tmp/repro-service --port 8000 &
     $ curl -s -X POST localhost:8000/campaigns \\
           -d '{"builtin": "smoke"}' | python -m json.tool
 
-With the ``service`` extra installed (``pip install 'repro[service]'``) the
-same command serves the identical routes through FastAPI/uvicorn.  See
-``docs/service.md`` for the deployment guide and a full curl walkthrough.
+See ``docs/service.md`` for the deployment guide and a full curl
+walkthrough.
 """
 
 from repro.service.app import ServiceConfig, ServiceState, create_wsgi_app, serve

@@ -1,16 +1,10 @@
 """The campaign service: shared endpoint handlers plus a stdlib WSGI app.
 
-The HTTP surface is implemented once, framework-neutrally, in
-:class:`ServiceState` — every handler takes plain data and returns
-``(status, payload, content_type)``.  Two adapters expose it:
-
-- :func:`create_wsgi_app` — a pure-stdlib WSGI application (served by
-  ``wsgiref`` via :func:`serve`).  This is what the in-repo tests exercise;
-  it has zero dependencies beyond the Python standard library.
-- :func:`repro.service.fastapi_app.create_app` — a thin FastAPI adapter over
-  the same handlers, for deployments that want uvicorn/ASGI (install the
-  ``service`` extra).  Both adapters serve the identical routes and the
-  identical ``/openapi.json`` bytes.
+The HTTP surface is implemented in :class:`ServiceState` — every handler
+takes plain data and returns ``(status, payload, content_type)``.
+:func:`create_wsgi_app` exposes it as a pure-stdlib WSGI application, served
+by a threading ``wsgiref`` server via :func:`serve`; it has zero
+dependencies beyond the Python standard library.
 
 Start a service from Python::
 
@@ -29,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 from urllib.parse import parse_qs
 
-from repro.exceptions import ExperimentError, ReproError
+from repro.exceptions import ReproError
 from repro.experiments.spec import (
     BUILTIN_SPEC_NAMES,
     CampaignSpec,
@@ -112,21 +106,16 @@ class ServiceConfig:
     max_attempts: int = 3
     #: Dispatcher poll interval in seconds.
     poll_interval: float = 0.2
-    #: HTTP stack: ``auto`` (FastAPI if importable, else stdlib),
-    #: ``fastapi`` or ``stdlib``.
-    framework: str = "auto"
     #: Attach a span tracer: the queue/pool emit ``job.*`` lifecycle events
     #: and every worker traces its runs into ``<root>/telemetry/``.
     trace: bool = False
 
 
 class ServiceState:
-    """The framework-neutral service core: a job queue, a worker pool, handlers.
+    """The service core: a job queue, a worker pool, handlers.
 
-    Handlers return ``(status, payload, content_type)`` tuples; adapters
-    (WSGI below, FastAPI in :mod:`repro.service.fastapi_app`) only translate
-    between their framework's request/response types and these tuples, so
-    behaviour cannot diverge between stacks.
+    Handlers return ``(status, payload, content_type)`` tuples; the WSGI
+    app below only translates between requests/responses and these tuples.
     """
 
     def __init__(self, config: ServiceConfig):
@@ -627,7 +616,7 @@ class _ObservedStream:
 
 
 def create_wsgi_app(state: ServiceState) -> Callable:
-    """A WSGI application over *state* (same routes as the FastAPI adapter)."""
+    """A WSGI application over *state*."""
 
     def dispatch(method: str, path: str, query: Dict[str, str], body: bytes) -> Response:
         """Route one request to the matching ServiceState handler."""
@@ -736,58 +725,22 @@ def create_wsgi_app(state: ServiceState) -> Callable:
 
 
 def serve(config: ServiceConfig) -> int:
-    """Run a service until interrupted; returns a process exit code.
-
-    With ``framework="auto"`` the FastAPI/uvicorn stack is used when the
-    ``service`` extra is installed, otherwise the stdlib WSGI server — the
-    routes and payloads are identical either way.
-    """
-    framework = config.framework
-    if framework not in ("auto", "fastapi", "stdlib"):
-        raise ExperimentError(
-            f"unknown framework {framework!r}: expected auto, fastapi or stdlib"
-        )
-    if framework in ("auto", "fastapi"):
-        try:
-            import fastapi  # noqa: F401
-            import uvicorn  # noqa: F401
-        except ImportError:
-            if framework == "fastapi":
-                raise ExperimentError(
-                    "the FastAPI stack is not installed; "
-                    "pip install 'repro[service]' or use --framework stdlib"
-                )
-            framework = "stdlib"
-        else:
-            framework = "fastapi"
-
+    """Serve the WSGI app on a threading server until Ctrl-C; returns an exit code."""
     state = ServiceState(config)
     state.start()
     try:
-        if framework == "fastapi":
-            import uvicorn
-
-            from repro.service.fastapi_app import create_app
-
-            uvicorn.run(create_app(state), host=config.host, port=config.port)
-            return 0
-        return _serve_stdlib(state, config)
+        server = make_server(state, config.host, config.port)
+        host, port = server.server_address[:2]
+        print(f"repro campaign service listening on http://{host}:{port}")
+        print(f"  root: {Path(config.root).resolve()}  workers: {config.workers}")
+        try:
+            server.serve_forever(poll_interval=0.2)
+        except KeyboardInterrupt:
+            print("shutting down")
+        finally:
+            server.server_close()
     finally:
         state.stop()
-
-
-def _serve_stdlib(state: ServiceState, config: ServiceConfig) -> int:
-    """Serve the WSGI app on wsgiref's threading server until Ctrl-C."""
-    server = make_server(state, config.host, config.port)
-    host, port = server.server_address[:2]
-    print(f"repro campaign service listening on http://{host}:{port}")
-    print(f"  root: {Path(config.root).resolve()}  workers: {config.workers}")
-    try:
-        server.serve_forever(poll_interval=0.2)
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        server.server_close()
     return 0
 
 

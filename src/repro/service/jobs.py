@@ -78,8 +78,15 @@ JOB_FIELDS = (
 )
 
 
-def _pid_alive(pid: Optional[int]) -> bool:
-    """Whether *pid* names a live process (best effort; 0 perms count as alive)."""
+def _worker_alive(pid: Optional[int], job_path: Path) -> bool:
+    """Whether *pid* is a live worker of the job file *job_path*.
+
+    Where ``/proc/<pid>/cmdline`` exists, the process must also carry the
+    job file's resolved path on its command line (as :func:`spawn_worker`
+    puts it there), so a pid recycled by an unrelated process after a
+    restart counts as dead.  Elsewhere ``os.kill(pid, 0)`` decides (denied
+    permission counts as alive).
+    """
     if not pid:
         return False
     try:
@@ -87,10 +94,14 @@ def _pid_alive(pid: Optional[int]) -> bool:
     except ProcessLookupError:
         return False
     except PermissionError:
-        return True
+        pass  # alive, but owned by another user
     except OSError:
         return False
-    return True
+    try:
+        arguments = Path(f"/proc/{int(pid)}/cmdline").read_bytes().split(b"\0")
+    except OSError:
+        return True
+    return os.fsencode(str(job_path.resolve())) in arguments
 
 
 class JobQueue:
@@ -243,7 +254,7 @@ class JobQueue:
         return [
             job["id"]
             for job in self.jobs()
-            if job.get("status") == "running" and not _pid_alive(job.get("pid"))
+            if self._orphaned(job)
         ]
 
     # ------------------------------------------------------------------
@@ -272,10 +283,16 @@ class JobQueue:
         """
         requeued = []
         for job in self.jobs():
-            if job.get("status") == "running" and not _pid_alive(job.get("pid")):
+            if self._orphaned(job):
                 self.update(job["id"], status="queued", pid=None)
                 requeued.append(job["id"])
         return requeued
+
+    def _orphaned(self, job: dict) -> bool:
+        """Whether *job* is ``running`` without a live worker process."""
+        return job.get("status") == "running" and not _worker_alive(
+            job.get("pid"), self.job_path(job["id"])
+        )
 
     def _temp_path(self, path: Path) -> Path:
         with self._lock:
@@ -309,6 +326,9 @@ def spawn_worker(
 ) -> subprocess.Popen:
     """Start one worker process over *job_path* (stdout+stderr appended to the log).
 
+    The worker gets the job file's resolved path, which is how a restarted
+    queue recognises its live workers (see :func:`_worker_alive`).
+
     *trace_dir* (if given) is exported as ``REPRO_TRACE_DIR``: the worker
     opens a span tracer there and wraps the whole run in a ``job.run`` span,
     so service-side traces line up with the engine spans the run emits.
@@ -319,7 +339,7 @@ def spawn_worker(
         environment["REPRO_TRACE_DIR"] = str(trace_dir)
     try:
         return subprocess.Popen(
-            [sys.executable, "-m", "repro.service.worker", str(job_path)],
+            [sys.executable, "-m", "repro.service.worker", str(Path(job_path).resolve())],
             stdout=log_handle,
             stderr=subprocess.STDOUT,
             env=environment,

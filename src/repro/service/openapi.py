@@ -3,11 +3,10 @@
 The document is built deterministically from the dataclasses in
 :mod:`repro.service.schemas` — component schemas are derived from the typed
 fields, so code and contract cannot drift apart — and the exact JSON text is
-committed as ``docs/openapi.json``.  Both the stdlib WSGI app and the
-FastAPI adapter serve these same bytes at ``GET /openapi.json``, and
-``tests/service/test_openapi.py`` asserts the committed copy matches the
-live app (regenerate with ``python -m repro.service.openapi --output
-docs/openapi.json`` after a schema change).
+committed as ``docs/openapi.json``.  The WSGI app serves these same bytes
+at ``GET /openapi.json``, and ``tests/service/test_openapi.py`` asserts the
+committed copy matches the live app (regenerate with ``python -m
+repro.service.openapi --output docs/openapi.json`` after a schema change).
 """
 
 from __future__ import annotations
@@ -107,7 +106,7 @@ def _json_response(description: str, schema_name: str) -> dict:
 
 
 def _paths() -> dict:
-    """The route map (kept in lockstep with the WSGI and FastAPI apps)."""
+    """The route map (kept in lockstep with the WSGI app)."""
     campaign_id = {
         "name": "campaign_id",
         "in": "path",

@@ -1,9 +1,9 @@
-"""Tests for the scenario grid generation."""
+"""Tests for experimental scenarios and the spec's scenario grid."""
 
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.experiments import CampaignScale, ExperimentScenario, ScenarioParameters, generate_scenarios
+from repro.experiments import CampaignSpec, ExperimentScenario, ScenarioParameters
 
 
 class TestScenarioParameters:
@@ -67,52 +67,18 @@ class TestExperimentScenario:
         assert platform.tprog == 10
 
 
-class TestCampaignScale:
-    def test_paper_scale(self):
-        scale = CampaignScale.paper()
-        assert scale.ncom_values == (5, 10, 20)
-        assert scale.wmin_values == tuple(range(1, 11))
-        assert scale.num_instances(num_m_values=2) == 6000
-
-    def test_reduced_and_smoke_are_smaller(self):
-        assert CampaignScale.reduced().num_instances() < CampaignScale.paper().num_instances()
-        assert CampaignScale.smoke().num_instances() <= 4
-
-    def test_with_overrides(self):
-        scale = CampaignScale.smoke().with_overrides(trials_per_scenario=3)
-        assert scale.trials_per_scenario == 3
-        assert scale.ncom_values == CampaignScale.smoke().ncom_values
-
-    @pytest.mark.parametrize("kwargs", [
-        {"ncom_values": ()},
-        {"wmin_values": ()},
-        {"scenarios_per_cell": 0},
-        {"trials_per_scenario": 0},
-        {"iterations": 0},
-        {"makespan_cap": 0},
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(ExperimentError):
-            CampaignScale(**kwargs)
-
-
-class TestGenerateScenarios:
+class TestSpecScenarios:
     def test_grid_size(self):
-        scale = CampaignScale(
+        spec = CampaignSpec(
             ncom_values=(5, 10), wmin_values=(1, 2, 3), scenarios_per_cell=4,
             trials_per_scenario=1,
         )
-        scenarios = generate_scenarios(scale, m=5)
-        assert len(scenarios) == 2 * 3 * 4
+        assert len(spec.scenarios()) == 2 * 3 * 4
 
     def test_all_cells_covered(self):
-        scale = CampaignScale(ncom_values=(5, 20), wmin_values=(1, 7), scenarios_per_cell=1,
-                              trials_per_scenario=1)
-        scenarios = generate_scenarios(scale, m=10)
+        spec = CampaignSpec(m_values=(10,), ncom_values=(5, 20), wmin_values=(1, 7),
+                            scenarios_per_cell=1, trials_per_scenario=1)
+        scenarios = spec.scenarios()
         cells = {(s.params.ncom, s.params.wmin) for s in scenarios}
         assert cells == {(5, 1), (5, 7), (20, 1), (20, 7)}
         assert all(s.params.m == 10 for s in scenarios)
-
-    def test_invalid_m(self):
-        with pytest.raises(ExperimentError):
-            generate_scenarios(CampaignScale.smoke(), m=0)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.experiments.scenarios import AvailabilitySpec
+from repro.experiments.scenarios import AvailabilitySpec, ExperimentScenario, ScenarioParameters
 from repro.experiments.spec import (
     BUILTIN_SPEC_NAMES,
     CampaignSpec,
@@ -128,15 +128,37 @@ class TestCampaignSpec:
     def test_hash_changes_with_grid(self):
         assert small_spec().spec_hash() != small_spec(wmin_values=(1,)).spec_hash()
 
-    def test_default_markov_scenarios_match_legacy(self):
-        """Spec-generated scenarios reuse the legacy seed derivation exactly."""
-        from repro.experiments.scenarios import generate_scenarios
-
-        spec = small_spec()
-        legacy = generate_scenarios(spec.scale_for(8), 4, campaign="unit")
-        assert [s.trial_seed(0) for s in spec.scenarios()] == [
-            s.trial_seed(0) for s in legacy
+    def test_scenarios_follow_the_canonical_grid_order(self):
+        """m, then platform size, ncom, wmin and scenario index; seeds fold in
+        the spec name exactly like directly built scenarios."""
+        spec = small_spec(num_processors_values=(8, 10))
+        expected = [
+            ExperimentScenario(
+                ScenarioParameters(m=4, ncom=5, wmin=wmin, num_processors=processors),
+                index,
+                campaign="unit",
+            )
+            for processors in (8, 10)
+            for wmin in (1, 2)
+            for index in range(2)
         ]
+        assert spec.scenarios() == expected
+        assert [s.trial_seed(0) for s in spec.scenarios()] == [
+            s.trial_seed(0) for s in expected
+        ]
+
+    @pytest.mark.parametrize("overrides", [
+        {"m_values": (0,)},
+        {"ncom_values": ()},
+        {"wmin_values": ()},
+        {"scenarios_per_cell": 0},
+        {"trials_per_scenario": 0},
+        {"iterations": 0},
+        {"makespan_cap": 0},
+    ])
+    def test_invalid_grid_rejected(self, overrides):
+        with pytest.raises(ExperimentError):
+            small_spec(**overrides)
 
 
 class TestBuiltins:

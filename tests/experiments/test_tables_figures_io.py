@@ -1,13 +1,14 @@
-"""Tests for table/figure builders and campaign persistence."""
+"""Tests for table/figure formatters and result persistence."""
+
+import json
 
 import pytest
 
 from repro.exceptions import ExperimentError
 from repro.experiments.figures import figure2_series, format_figure2
-from repro.experiments.io import load_campaign, save_campaign
+from repro.experiments.io import load_results, save_results
 from repro.experiments.metrics import summarize_results
-from repro.experiments.runner import CampaignResult, InstanceResult
-from repro.experiments.scenarios import CampaignScale
+from repro.experiments.runner import InstanceResult
 from repro.experiments.tables import PAPER_TABLE1, PAPER_TABLE2, format_summaries
 
 
@@ -92,36 +93,25 @@ class TestFigure2:
         assert [wmin for wmin, _ in series["Y-IE"]] == [1, 5, 10]
 
 
-class TestCampaignIO:
+class TestResultsIO:
     def test_round_trip(self, tmp_path):
-        campaign = CampaignResult(
-            label="io-test",
-            m=10,
-            heuristics=("IE", "Y-IE"),
-            scale=CampaignScale.smoke(),
-            results=synthetic_results(),
-        )
-        path = save_campaign(campaign, tmp_path / "campaign.json")
-        loaded = load_campaign(path)
-        assert loaded.label == "io-test"
-        assert loaded.m == 10
-        assert loaded.heuristics == ("IE", "Y-IE")
-        assert loaded.scale.makespan_cap == CampaignScale.smoke().makespan_cap
-        assert len(loaded.results) == len(campaign.results)
-        assert loaded.results[0] == campaign.results[0]
+        results = synthetic_results()
+        path = save_results(results, tmp_path / "results.json", label="io-test")
+        assert json.loads(path.read_text())["label"] == "io-test"
+        assert load_results(path) == results
 
     def test_load_rejects_bad_payload(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ExperimentError):
-            load_campaign(path)
+            load_results(path)
 
     def test_load_rejects_wrong_version(self, tmp_path):
         path = tmp_path / "wrong.json"
-        path.write_text('{"format_version": 99}')
+        path.write_text('{"kind": "results", "format_version": 99}')
         with pytest.raises(ExperimentError):
-            load_campaign(path)
+            load_results(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ExperimentError):
-            load_campaign(tmp_path / "absent.json")
+            load_results(tmp_path / "absent.json")

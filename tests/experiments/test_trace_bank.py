@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.experiments.runner import TraceBank, run_instance, run_scenario
-from repro.experiments.scenarios import CampaignScale, ExperimentScenario, ScenarioParameters
+from repro.experiments.runner import TraceBank, run_instance
+from repro.experiments.scenarios import ExperimentScenario, ScenarioParameters
 from repro.utils.rng import derive_run_streams
 
 
@@ -57,12 +57,12 @@ def test_bank_trace_rejects_out_of_range_blocks():
 def test_run_instance_with_bank_trace_is_bit_identical():
     scenario = make_scenario()
     platform = scenario.build_platform()
-    scale = CampaignScale.smoke()
-    bank = TraceBank(platform, horizon=scale.makespan_cap)
+    run = dict(iterations=3, makespan_cap=30_000)
+    bank = TraceBank(platform, horizon=run["makespan_cap"])
     for heuristic in ("RANDOM", "IE", "Y-IE"):
-        direct = run_instance(scenario, heuristic, 0, scale=scale, platform=platform)
+        direct = run_instance(scenario, heuristic, 0, **run, platform=platform)
         replayed = run_instance(
-            scenario, heuristic, 0, scale=scale, platform=platform,
+            scenario, heuristic, 0, **run, platform=platform,
             trace=bank.trace_for(scenario.trial_seed(0)),
         )
         direct_dict, replay_dict = direct.as_dict(), replayed.as_dict()
@@ -70,16 +70,3 @@ def test_run_instance_with_bank_trace_is_bit_identical():
         replay_dict.pop("wall_time_seconds")
         assert direct_dict == replay_dict, heuristic
 
-
-def test_run_scenario_shared_availability_is_bit_identical():
-    scenario = make_scenario()
-    scale = CampaignScale.smoke().with_overrides(trials_per_scenario=2, num_processors=10)
-    heuristics = ("RANDOM", "IE")
-    shared = run_scenario(scenario, heuristics, scale=scale, share_availability=True)
-    unshared = run_scenario(scenario, heuristics, scale=scale, share_availability=False)
-    assert len(shared) == len(unshared) == 4
-    for a, b in zip(shared, unshared):
-        a_dict, b_dict = a.as_dict(), b.as_dict()
-        a_dict.pop("wall_time_seconds")
-        b_dict.pop("wall_time_seconds")
-        assert a_dict == b_dict

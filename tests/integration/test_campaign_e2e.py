@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.experiments.runner import run_campaign, run_campaign_spec
+from repro.experiments.runner import run_campaign_spec
 from repro.experiments.spec import CampaignSpec, builtin_spec
 from repro.experiments.store import ResultStore, merge_stores
 
@@ -108,48 +108,71 @@ class TestSharding:
         assert [r.makespan for r in serial] == [r.makespan for r in parallel]
 
 
+#: Per-cell ``(heuristic, ncom, wmin, scenario, trial, makespan)`` of a
+#: campaign named "legacy", recorded from the retired per-``m`` campaign loop
+#: for both estimators.  The spec path must keep reproducing them.
+LEGACY_MAKESPANS = {
+    "paper": [
+        ("IE", 5, 1, 0, 0, 21),
+        ("RANDOM", 5, 1, 0, 0, 45),
+        ("Y-IE", 5, 1, 0, 0, 21),
+        ("E-IAY", 5, 1, 0, 0, 21),
+        ("IE", 5, 1, 0, 1, 65),
+        ("RANDOM", 5, 1, 0, 1, 65),
+        ("Y-IE", 5, 1, 0, 1, 33),
+        ("E-IAY", 5, 1, 0, 1, 37),
+        ("IE", 5, 2, 0, 0, 110),
+        ("RANDOM", 5, 2, 0, 0, 376),
+        ("Y-IE", 5, 2, 0, 0, 104),
+        ("E-IAY", 5, 2, 0, 0, 122),
+        ("IE", 5, 2, 0, 1, 309),
+        ("RANDOM", 5, 2, 0, 1, 716),
+        ("Y-IE", 5, 2, 0, 1, 184),
+        ("E-IAY", 5, 2, 0, 1, 321),
+    ],
+    "renewal": [
+        ("IE", 5, 1, 0, 0, 21),
+        ("RANDOM", 5, 1, 0, 0, 45),
+        ("Y-IE", 5, 1, 0, 0, 21),
+        ("E-IAY", 5, 1, 0, 0, 21),
+        ("IE", 5, 1, 0, 1, 65),
+        ("RANDOM", 5, 1, 0, 1, 65),
+        ("Y-IE", 5, 1, 0, 1, 35),
+        ("E-IAY", 5, 1, 0, 1, 37),
+        ("IE", 5, 2, 0, 0, 96),
+        ("RANDOM", 5, 2, 0, 0, 376),
+        ("Y-IE", 5, 2, 0, 0, 43),
+        ("E-IAY", 5, 2, 0, 0, 122),
+        ("IE", 5, 2, 0, 1, 194),
+        ("RANDOM", 5, 2, 0, 1, 716),
+        ("Y-IE", 5, 2, 0, 1, 193),
+        ("E-IAY", 5, 2, 0, 1, 321),
+    ],
+}
+
+
 class TestSpecMatchesLegacyCampaign:
-    def test_default_markov_spec_reproduces_run_campaign(self):
-        """The spec path must be bit-identical to the legacy runner."""
+    @pytest.mark.parametrize("estimator", sorted(LEGACY_MAKESPANS))
+    def test_spec_reproduces_recorded_legacy_makespans(self, estimator):
         spec = CampaignSpec(
             name="legacy",
             m_values=(4,),
             ncom_values=(5,),
-            wmin_values=(1,),
+            wmin_values=(1, 2),
             num_processors_values=(8,),
-            heuristics=("IE", "RANDOM"),
+            heuristics=("IE", "RANDOM", "Y-IE", "E-IAY"),
             scenarios_per_cell=1,
             trials_per_scenario=2,
             iterations=2,
             makespan_cap=20_000,
+            estimator=estimator,
         )
-        legacy = run_campaign(
-            4,
-            heuristics=("IE", "RANDOM"),
-            scale=spec.scale_for(8),
-            label="legacy",
-        )
-        via_spec = run_campaign_spec(spec)
-        legacy_map = {(r.instance_key(), r.heuristic): r.makespan for r in legacy.results}
-        spec_map = {(r.instance_key(), r.heuristic): r.makespan for r in via_spec}
-        assert legacy_map == spec_map
-
-
-class TestLegacyCellProgress:
-    def test_run_campaign_emits_per_cell_events(self):
-        spec = smoke_spec()
-        events = []
-        run_campaign(
-            4,
-            heuristics=("IE", "RANDOM"),
-            scale=spec.scale_for(8),
-            label="cells",
-            cell_progress=events.append,
-        )
-        assert len(events) == 4
-        assert [event.done for event in events] == [1, 2, 3, 4]
-        assert {event.heuristic for event in events} == {"IE", "RANDOM"}
-        assert all(event.total == 4 and event.scenario for event in events)
+        results = run_campaign_spec(spec)
+        assert all(result.success for result in results)
+        assert [
+            (r.heuristic, r.ncom, r.wmin, r.scenario_index, r.trial_index, r.makespan)
+            for r in results
+        ] == LEGACY_MAKESPANS[estimator]
 
 
 class TestCliEndToEnd:

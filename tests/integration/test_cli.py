@@ -1,13 +1,41 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _table_spec, build_parser, main
+from repro.experiments.io import load_results
+from repro.experiments.spec import builtin_spec
+from repro.scheduling.registry import ALL_HEURISTICS, TABLE2_HEURISTICS
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
+
+#: (command, --scale) -> (cell count, sha256 of the cell enumeration), as
+#: recorded from the table commands before they became spec wrappers.
+TABLE_ENUMERATIONS = {
+    ("table1", "reduced"): (
+        544, "79a89e54ff316d2879a38915fe82103ba0e83e156c02ab87c0a24bbb476bad5d"
+    ),
+    ("table1", "paper"): (
+        51000, "e5db9d4fbda1e738eae6fd272f22bec872a23d2ca6ea507e63ee688b851bc92d"
+    ),
+    ("table2", "reduced"): (
+        256, "56c9f1fc5704fdc35adff3a8358a7d8852da1d9892e44f1b5e13666e0e50d9fe"
+    ),
+    ("table2", "paper"): (
+        24000, "096fa8d0f41b3bcd13cb7f239a3219255420df036a129510e9bbada834519dec"
+    ),
+    ("figure2", "reduced"): (
+        256, "fcb6848440c360bd18026a78638b2a083b1db95392f7dde54281eb544953702f"
+    ),
+    ("figure2", "paper"): (
+        24000, "9e816b5500c52d270e6f9848afe7df17f08dd7326e6dc1a2a57f760413990661"
+    ),
+}
 
 
 class TestParser:
@@ -39,6 +67,62 @@ class TestParser:
         assert args.shard == "2/4"
         assert args.backend == "sqlite"
         assert args.max_cells == 7
+
+    @pytest.mark.parametrize(
+        "scale, builtin", [("smoke", "smoke"), ("reduced", "reduced"), ("paper", "paper-table1")]
+    )
+    @pytest.mark.parametrize(
+        "command, m, heuristics",
+        [("table1", 5, ALL_HEURISTICS), ("table2", 10, TABLE2_HEURISTICS),
+         ("figure2", 10, TABLE2_HEURISTICS)],
+    )
+    def test_table_commands_build_the_builtin_spec(self, command, m, heuristics, scale, builtin):
+        args = build_parser().parse_args([command, "--scale", scale])
+        expected = replace(
+            builtin_spec(builtin), name=command, m_values=(m,), heuristics=heuristics
+        )
+        assert _table_spec(args) == expected
+
+    def test_table_command_overrides_reach_the_spec(self):
+        args = build_parser().parse_args([
+            "table2", "--scale", "smoke", "--scenarios", "3", "--trials", "4",
+            "--wmin", "2", "3", "--ncom", "10", "--cap", "999", "--iterations", "5",
+            "--estimator", "renewal", "--heuristics", "ie", "Y-IE",
+        ])
+        assert _table_spec(args) == replace(
+            builtin_spec("smoke"),
+            name="table2",
+            m_values=(10,),
+            heuristics=("IE", "Y-IE"),
+            estimator="renewal",
+            scenarios_per_cell=3,
+            trials_per_scenario=4,
+            wmin_values=(2, 3),
+            ncom_values=(10,),
+            makespan_cap=999,
+            iterations=5,
+        )
+
+    @pytest.mark.parametrize("command, scale", sorted(TABLE_ENUMERATIONS))
+    def test_table_commands_keep_their_cells_and_seeds(self, command, scale):
+        """Pinned digests of every cell's heuristic, scenario, platform and
+        trial seed, plus the run length and cap, as the commands enumerated
+        them before they became spec wrappers."""
+        spec = _table_spec(build_parser().parse_args([command, "--scale", scale]))
+        rows = [
+            [
+                cell.heuristic,
+                cell.scenario.label(),
+                cell.scenario.params.num_processors,
+                cell.scenario.platform_seed(),
+                cell.scenario.trial_seed(cell.trial),
+            ]
+            for cell in spec.cells()
+        ]
+        payload = json.dumps([rows, spec.iterations, spec.makespan_cap])
+        assert (len(rows), hashlib.sha256(payload.encode()).hexdigest()) == (
+            TABLE_ENUMERATIONS[command, scale]
+        )
 
     def test_merge_options(self):
         parser = build_parser()
@@ -230,6 +314,11 @@ class TestCommands:
         assert "RANDOM" in out
         payload = json.loads(output.read_text())
         assert payload["label"] == "table1"
+        results = load_results(output)
+        # The builtin smoke grid: one scenario, two trials, two heuristics.
+        assert len(results) == 4
+        assert {result.heuristic for result in results} == {"IE", "RANDOM"}
+        assert {result.num_processors for result in results} == {8}
 
     @pytest.mark.slow
     def test_figure2_smoke(self, capsys):

@@ -6,12 +6,11 @@ from repro import (
     ALL_HEURISTICS,
     AnalysisContext,
     Application,
-    CampaignScale,
     ExpectationMode,
     PlatformSpec,
+    api,
     create_scheduler,
     paper_platform,
-    run_campaign,
     simulate,
     summarize_results,
 )
@@ -52,22 +51,35 @@ class TestSingleRunsThroughPublicAPI:
         assert result.success
 
 
+def mini_campaign(name, heuristics):
+    """A one-scenario, one-trial campaign with m = 3 on 10 processors."""
+    return api.CampaignSpec(
+        name=name,
+        m_values=(3,),
+        ncom_values=(5,),
+        wmin_values=(1,),
+        num_processors_values=(10,),
+        heuristics=heuristics,
+        scenarios_per_cell=1,
+        trials_per_scenario=1,
+        iterations=3,
+        makespan_cap=30_000,
+    )
+
+
 class TestMiniCampaign:
     def test_smoke_campaign_and_metrics(self):
-        scale = CampaignScale.smoke()
-        campaign = run_campaign(
-            3, heuristics=("IE", "Y-IE", "RANDOM"), scale=scale, label="integration"
-        )
-        summaries = summarize_results(campaign.results)
+        results = api.sweep(mini_campaign("integration", ("IE", "Y-IE", "RANDOM"))).results
+        summaries = summarize_results(results)
         names = [summary.heuristic for summary in summaries]
         assert set(names) == {"IE", "Y-IE", "RANDOM"}
         reference = [s for s in summaries if s.heuristic == "IE"][0]
         assert reference.pct_diff == pytest.approx(0.0)
-        series = figure2_series(campaign.results)
+        series = figure2_series(results)
         assert "Y-IE" in series
 
     def test_campaign_is_reproducible(self):
-        scale = CampaignScale.smoke()
-        a = run_campaign(3, heuristics=("IE",), scale=scale, label="repro-check")
-        b = run_campaign(3, heuristics=("IE",), scale=scale, label="repro-check")
-        assert [r.makespan for r in a.results] == [r.makespan for r in b.results]
+        spec = mini_campaign("repro-check", ("IE",))
+        a = api.sweep(spec).results
+        b = api.sweep(spec).results
+        assert [r.makespan for r in a] == [r.makespan for r in b]

@@ -141,13 +141,19 @@ class TestSticky:
 class TestExtensionInCampaign:
     @pytest.mark.slow
     def test_extensions_can_join_a_campaign(self):
-        from repro.experiments import CampaignScale, run_campaign, summarize_results
+        from repro.experiments import CampaignSpec, run_campaign_spec, summarize_results
 
-        campaign = run_campaign(
-            3,
+        spec = CampaignSpec(
+            name="extension-campaign",
+            m_values=(3,),
+            ncom_values=(5,),
+            wmin_values=(1,),
+            num_processors_values=(10,),
             heuristics=("IE", "FAST", "STICKY"),
-            scale=CampaignScale.smoke(),
-            label="extension-campaign",
+            scenarios_per_cell=1,
+            trials_per_scenario=1,
+            iterations=3,
+            makespan_cap=30_000,
         )
-        summaries = summarize_results(campaign.results)
+        summaries = summarize_results(run_campaign_spec(spec))
         assert {s.heuristic for s in summaries} == {"IE", "FAST", "STICKY"}

@@ -1,9 +1,12 @@
-"""JobQueue and WorkerPool unit tests (no HTTP, no subprocesses except noted)."""
+"""JobQueue and WorkerPool unit tests (no HTTP; subprocesses only where noted)."""
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -91,14 +94,39 @@ def test_recover_requeues_jobs_with_dead_pids(tmp_path):
     queue = JobQueue(tmp_path)
     dead, _ = queue.submit(make_spec("dead"))
     alive, _ = queue.submit(make_spec("alive"))
-    import os
-
-    queue.update(dead["id"], status="running", pid=2 ** 30)  # no such pid
-    queue.update(alive["id"], status="running", pid=os.getpid())
-    requeued = queue.recover()
+    # A live stand-in worker: like spawn_worker's children it carries its
+    # job file on the command line.
+    worker = subprocess.Popen(
+        [
+            sys.executable, "-c", "import time; time.sleep(60)",
+            str(queue.job_path(alive["id"]).resolve()),
+        ]
+    )
+    try:
+        queue.update(dead["id"], status="running", pid=2 ** 30)  # no such pid
+        queue.update(alive["id"], status="running", pid=worker.pid)
+        assert queue.stale_jobs() == [dead["id"]]
+        requeued = queue.recover()
+    finally:
+        worker.kill()
+        worker.wait()
     assert requeued == [dead["id"]]
     assert queue.job(dead["id"])["status"] == "queued"
     assert queue.job(alive["id"])["status"] == "running"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/cmdline"), reason="needs procfs")
+def test_recover_requeues_job_whose_pid_was_recycled(tmp_path):
+    # After a restart the recorded worker pid may belong to an unrelated live
+    # process (here: the test process itself, whose command line does not
+    # name the job file).  The job is orphaned all the same.
+    queue = JobQueue(tmp_path)
+    job, _ = queue.submit(make_spec("recycled"))
+    queue.update(job["id"], status="running", pid=os.getpid())
+    assert queue.stale_jobs() == [job["id"]]
+    assert queue.recover() == [job["id"]]
+    assert queue.job(job["id"])["status"] == "queued"
+    assert queue.job(job["id"])["pid"] is None
 
 
 def test_pool_requeues_abnormal_death_then_fails_at_max_attempts(tmp_path):

@@ -263,40 +263,3 @@ class TestEvents:
         )
         result.close()  # idempotent
 
-
-# ----------------------------------------------------------------------
-# FastAPI parity (skipped when the service extra is not installed)
-# ----------------------------------------------------------------------
-class TestFastAPIParity:
-    @pytest.fixture
-    def fastapi_client(self, service_state):
-        pytest.importorskip("fastapi")
-        from fastapi.testclient import TestClient
-
-        from repro.service.fastapi_app import create_app
-
-        with TestClient(create_app(service_state)) as test_client:
-            yield test_client
-
-    def test_metrics_endpoint(self, fastapi_client):
-        response = fastapi_client.get("/metrics")
-        assert response.status_code == 200
-        assert "repro_job_queue_depth" in response.text
-
-    def test_health_enrichment(self, fastapi_client):
-        payload = fastapi_client.get("/healthz").json()
-        assert {"status", "workers", "jobs", "queue_depth", "stale_jobs"} <= set(payload)
-
-    def test_events_stream(self, service_state, fastapi_client):
-        status, payload = (
-            lambda response: (response.status_code, response.json())
-        )(fastapi_client.post("/campaigns", json={"spec": tiny_spec_dict("fa-sse")}))
-        assert status in (200, 201)
-        with fastapi_client.stream(
-            "GET", f"/campaigns/{payload['id']}/events", params={"limit": 1, "poll": 0.05}
-        ) as response:
-            assert response.status_code == 200
-            assert response.headers["content-type"].startswith("text/event-stream")
-            text = "".join(response.iter_text())
-        events, _ = parse_sse(text)
-        assert events[0][0] == "snapshot"

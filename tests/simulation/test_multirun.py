@@ -13,6 +13,8 @@ replay-trace mode, on the golden-seed platform, and through the campaign
 layer's ``ProcessPoolExecutor`` fan-out.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,8 @@ from repro.analysis.cache import AnalysisContext
 from repro.application import Application
 from repro.availability.trace import AvailabilityTrace
 from repro.exceptions import SimulationError
-from repro.experiments import CampaignScale
-from repro.experiments.runner import run_campaign
-from repro.experiments.scenarios import generate_scenarios
+from repro.experiments.runner import run_campaign_spec
+from repro.experiments.spec import CampaignSpec
 from repro.platform import PlatformSpec, paper_platform
 from repro.scheduling import PASSIVE_HEURISTICS, create_scheduler
 from repro.simulation import MultiHeuristicDriver, SharedBlockSource, SimulationEngine
@@ -186,20 +187,23 @@ class TestSharedBlockSource:
             SharedBlockSource(platform, trace=random_trace(3, 100, seed=0))
 
 
-CAMPAIGN_SCALE = CampaignScale(
+CAMPAIGN_HEURISTICS = ("IE", "IY", "RANDOM")
+
+CAMPAIGN_SPEC = CampaignSpec(
+    name="campaign",
+    m_values=(4,),
     ncom_values=(5,),
     wmin_values=(1,),
+    num_processors_values=(8,),
+    heuristics=CAMPAIGN_HEURISTICS,
     scenarios_per_cell=1,
     trials_per_scenario=2,
     iterations=2,
     makespan_cap=20_000,
-    num_processors=8,
 )
 
-CAMPAIGN_HEURISTICS = ("IE", "IY", "RANDOM")
 
-
-def _campaign_map(campaign):
+def _campaign_map(results):
     return {
         (r.heuristic,) + r.instance_key(): (
             r.makespan,
@@ -208,51 +212,42 @@ def _campaign_map(campaign):
             r.total_restarts,
             r.total_configuration_changes,
         )
-        for r in campaign.results
+        for r in results
     }
 
 
 class TestCampaignOnePassRouting:
     def test_cell_matches_per_heuristic_campaigns(self):
         """A multi-heuristic cell (one-pass routed) equals solo campaigns."""
-        together = run_campaign(
-            4, heuristics=CAMPAIGN_HEURISTICS, scale=CAMPAIGN_SCALE, label="multi"
-        )
+        spec = replace(CAMPAIGN_SPEC, name="multi")
+        together = run_campaign_spec(spec)
         solo = {}
         for name in CAMPAIGN_HEURISTICS:
-            campaign = run_campaign(
-                4, heuristics=(name,), scale=CAMPAIGN_SCALE, label="multi"
-            )
-            solo.update(_campaign_map(campaign))
+            solo.update(_campaign_map(run_campaign_spec(replace(spec, heuristics=(name,)))))
         assert _campaign_map(together) == solo
 
     def test_process_pool_fanout_matches_serial(self):
-        serial = run_campaign(
-            4, heuristics=CAMPAIGN_HEURISTICS, scale=CAMPAIGN_SCALE, label="pool"
-        )
-        parallel = run_campaign(
-            4, heuristics=CAMPAIGN_HEURISTICS, scale=CAMPAIGN_SCALE, label="pool",
-            n_jobs=2,
-        )
+        spec = replace(CAMPAIGN_SPEC, name="pool")
+        serial = run_campaign_spec(spec)
+        parallel = run_campaign_spec(spec, n_jobs=2)
         assert _campaign_map(serial) == _campaign_map(parallel)
 
     def test_campaign_matches_per_slot_engine(self):
         """Bank replay + one-pass routing equals model-sampled per-slot runs."""
-        campaign = run_campaign(
-            4, heuristics=CAMPAIGN_HEURISTICS, scale=CAMPAIGN_SCALE, label="s",
-        )
+        spec = replace(CAMPAIGN_SPEC, name="s")
+        results = run_campaign_spec(spec)
         expected = {}
-        for scenario in generate_scenarios(CAMPAIGN_SCALE, 4, campaign="s"):
+        for scenario in spec.scenarios():
             platform = scenario.build_platform()
-            application = scenario.build_application(iterations=CAMPAIGN_SCALE.iterations)
-            for trial in range(CAMPAIGN_SCALE.trials_per_scenario):
+            application = scenario.build_application(iterations=spec.iterations)
+            for trial in range(spec.trials_per_scenario):
                 for name in CAMPAIGN_HEURISTICS:
                     result = SimulationEngine(
                         platform,
                         application,
                         create_scheduler(name),
                         seed=scenario.trial_seed(trial),
-                        max_slots=CAMPAIGN_SCALE.makespan_cap,
+                        max_slots=spec.makespan_cap,
                         record_events=True,
                     ).run()
                     expected[(name, 4, scenario.params.ncom, scenario.params.wmin,
@@ -263,4 +258,5 @@ class TestCampaignOnePassRouting:
                         result.total_restarts,
                         result.total_configuration_changes,
                     )
-        assert _campaign_map(campaign) == expected
+        assert len(results) == len(expected)
+        assert _campaign_map(results) == expected

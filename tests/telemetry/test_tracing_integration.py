@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.experiments import CampaignScale, ExperimentScenario, ScenarioParameters
+from repro.experiments import ExperimentScenario, ScenarioParameters
 from repro.experiments.runner import run_campaign_spec, run_instance
 from repro.experiments.spec import CampaignSpec
 from repro.telemetry import Tracer, profile_trace
@@ -20,15 +20,8 @@ from repro.telemetry.tracer import TRACE_FILE_PREFIX
 
 pytestmark = pytest.mark.slow
 
-SCALE = CampaignScale(
-    ncom_values=(5,),
-    wmin_values=(1,),
-    scenarios_per_cell=1,
-    trials_per_scenario=2,
-    iterations=2,
-    makespan_cap=20_000,
-    num_processors=8,
-)
+#: Run length and cap of every instance below.
+RUN = dict(iterations=2, makespan_cap=20_000)
 
 
 def scenario():
@@ -54,10 +47,10 @@ def normalized(result):
 class TestBitIdentity:
     @pytest.mark.parametrize("heuristic", ["IE", "RANDOM"])
     def test_traced_run_matches_untraced(self, tmp_path, heuristic):
-        plain = run_instance(scenario(), heuristic, trial=0, scale=SCALE)
+        plain = run_instance(scenario(), heuristic, trial=0, **RUN)
         tracer = Tracer(tmp_path)
         traced = run_instance(
-            scenario(), heuristic, trial=0, scale=SCALE, tracer=tracer
+            scenario(), heuristic, trial=0, **RUN, tracer=tracer
         )
         tracer.close()
         assert normalized(plain) == normalized(traced)
@@ -67,7 +60,7 @@ class TestBitIdentity:
 class TestSpanContent:
     def test_engine_spans_carry_heuristic_and_run_summary(self, tmp_path):
         tracer = Tracer(tmp_path)
-        result = run_instance(scenario(), "IE", trial=0, scale=SCALE, tracer=tracer)
+        result = run_instance(scenario(), "IE", trial=0, **RUN, tracer=tracer)
         tracer.close()
         spans = read_spans(tmp_path)
         names = {span["name"] for span in spans}
@@ -77,14 +70,14 @@ class TestSpanContent:
         (run_span,) = [span for span in spans if span["name"] == "engine.run"]
         assert run_span["heuristic"] == "IE"
         assert run_span["success"] == result.success
-        assert run_span["slots"] == (result.makespan if result.success else SCALE.makespan_cap)
+        assert run_span["slots"] == (result.makespan if result.success else RUN["makespan_cap"])
         for span in spans:
             if span["name"].startswith("engine."):
                 assert span["heuristic"] == "IE"
 
     def test_allocate_spans_count_memo_traffic(self, tmp_path):
         tracer = Tracer(tmp_path)
-        run_instance(scenario(), "IE", trial=0, scale=SCALE, tracer=tracer)
+        run_instance(scenario(), "IE", trial=0, **RUN, tracer=tracer)
         tracer.close()
         allocates = [
             span for span in read_spans(tmp_path) if span["name"] == "allocate"
@@ -109,7 +102,7 @@ class TestSpanContent:
         # run_instance pushes its own cell/trial/heuristic context; an outer
         # key it does not set flows through to every span.
         with tracer.context(shard="2/4"):
-            run_instance(scenario(), "IE", trial=3, scale=SCALE, tracer=tracer)
+            run_instance(scenario(), "IE", trial=3, **RUN, tracer=tracer)
         tracer.close()
         spans = read_spans(tmp_path)
         assert spans and all(span["shard"] == "2/4" for span in spans)

@@ -34,7 +34,6 @@ PACKAGE_SURFACE = [
     "Application",
     "AvailabilityModel",
     "AvailabilityTrace",
-    "CampaignScale",
     "ChurnProcess",
     "Configuration",
     "ConfigurationEstimate",
@@ -81,16 +80,13 @@ PACKAGE_SURFACE = [
     "encd_to_offline_mu_inf",
     "evaluate_configuration",
     "figure2_series",
-    "generate_scenarios",
     "get_criterion",
     "paper_platform",
     "random_markov_model",
     "random_markov_models",
     "register_heuristic",
     "render_gantt",
-    "run_campaign",
     "run_instance",
-    "run_scenario",
     "simulate",
     "solve_offline_mu1",
     "solve_offline_mu_inf",
