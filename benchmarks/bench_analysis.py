@@ -5,8 +5,8 @@ these primitives hundreds of times per simulated slot, so regressions here
 translate directly into campaign wall-clock time.
 
 Besides the pytest-benchmark cases, this module measures the throughput of
-the group-quantity primitives under the scalar (`GroupAnalysis`) and batched
-(`BatchGroupAnalysis`) paths and writes the numbers to
+the group-quantity primitives (`GroupAnalysis`) and of the incremental
+allocator and writes the numbers to
 ``benchmarks/results/BENCH_analysis.json`` so the analysis-layer performance
 trajectory is tracked across PRs (and gated by ``check_regression.py``):
 
@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.batch import BatchGroupAnalysis
 from repro.analysis.cache import AnalysisContext
 from repro.analysis.criteria import get_criterion
 from repro.analysis.group import GroupAnalysis
@@ -85,20 +84,6 @@ def test_group_quantities_cached(benchmark):
 
     result = benchmark(analysis.quantities, range(8))
     assert result.horizon > 0
-
-
-@pytest.mark.benchmark(group="analysis")
-def test_batch_group_quantities_cold(benchmark):
-    """Cost of one batched frontier computation (256 8-worker sets)."""
-    workers = [WorkerAnalysis(model) for model in random_markov_models(POOL_WORKERS, seed=3)]
-    sets = _frontier_sets()
-    GroupAnalysis(workers).quantities(range(POOL_WORKERS))  # warm worker series
-
-    def run():
-        return BatchGroupAnalysis(workers, epsilon=1e-6).quantities(sets)
-
-    batch = benchmark(run)
-    assert len(batch) == NUM_SETS
 
 
 @pytest.mark.benchmark(group="analysis")
@@ -171,12 +156,12 @@ def _measure_case(case: str, variant: str, runner, ops: int, repeats: int) -> di
 
 
 def measure_throughput(num_sets: int = NUM_SETS, repeats: int = 5) -> dict:
-    """Measure scalar vs batched analysis throughput; return the JSON report."""
+    """Measure analysis-layer throughput; return the JSON report."""
     workers = [WorkerAnalysis(model) for model in random_markov_models(POOL_WORKERS, seed=3)]
     sets = _frontier_sets(num_sets)
-    # Warm every per-worker series cache first so both variants measure the
-    # group-level assembly (the part the batched path restructures), not the
-    # one-off closed-form evaluation of the per-worker series.
+    # Warm every per-worker series cache first so the cold case measures the
+    # group-level assembly, not the one-off closed-form evaluation of the
+    # per-worker series.
     GroupAnalysis(workers, epsilon=1e-6).quantities(range(POOL_WORKERS))
 
     runs = []
@@ -186,14 +171,8 @@ def measure_throughput(num_sets: int = NUM_SETS, repeats: int = 5) -> dict:
         for workers_set in sets:
             analysis.quantities(workers_set)
 
-    def cold_batch():
-        BatchGroupAnalysis(workers, epsilon=1e-6).quantities(sets)
-
     runs.append(
         _measure_case("group_quantities_cold_8of20", "scalar", cold_scalar, num_sets, repeats)
-    )
-    runs.append(
-        _measure_case("group_quantities_cold_8of20", "batch", cold_batch, num_sets, repeats)
     )
 
     warm_scalar_analysis = GroupAnalysis(workers, epsilon=1e-6)
@@ -204,50 +183,25 @@ def measure_throughput(num_sets: int = NUM_SETS, repeats: int = 5) -> dict:
         for workers_set in sets:
             warm_scalar_analysis.quantities(workers_set)
 
-    def warm_batch():
-        warm_scalar_analysis.quantities_batch(sets)
-
     runs.append(
         _measure_case("group_quantities_warm_8of20", "scalar", warm_scalar, num_sets, repeats)
-    )
-    runs.append(
-        _measure_case("group_quantities_warm_8of20", "batch", warm_batch, num_sets, repeats)
     )
 
     platform = make_platform()
     up_workers = list(range(platform.num_processors))
     allocations = 50
 
-    def allocation_runner(batched: bool):
-        context = AnalysisContext(platform)
-        allocator = IncrementalAllocator(
-            get_criterion("E"), context, platform, num_tasks=10, batched=batched
-        )
-
-        def run():
-            for _ in range(allocations):
-                allocator.allocate(up_workers)
-
-        return run
-
-    runs.append(
-        _measure_case(
-            "incremental_allocation_m10", "scalar", allocation_runner(False),
-            allocations, repeats,
-        )
-    )
-    runs.append(
-        _measure_case(
-            "incremental_allocation_m10", "batch", allocation_runner(True),
-            allocations, repeats,
-        )
+    allocator = IncrementalAllocator(
+        get_criterion("E"), AnalysisContext(platform), platform, num_tasks=10
     )
 
-    by_key = {(run["case"], run["variant"]): run["ops_per_second"] for run in runs}
-    speedups = {
-        case: round(by_key[(case, "batch")] / by_key[(case, "scalar")], 2)
-        for case in sorted({run["case"] for run in runs})
-    }
+    def allocate():
+        for _ in range(allocations):
+            allocator.allocate(up_workers)
+
+    runs.append(
+        _measure_case("incremental_allocation_m10", "default", allocate, allocations, repeats)
+    )
     return {
         "benchmark": "analysis_throughput",
         "python": platform_module.python_version(),
@@ -255,7 +209,6 @@ def measure_throughput(num_sets: int = NUM_SETS, repeats: int = 5) -> dict:
         "set_size": SET_SIZE,
         "num_sets": num_sets,
         "runs": runs,
-        "speedup_batch_over_scalar": speedups,
     }
 
 
@@ -282,11 +235,11 @@ def test_throughput_report(benchmark, tmp_path):
     path = write_report(report, tmp_path / "BENCH_analysis.json")
     assert path.exists()
     assert all(run["ops_per_second"] > 0 for run in report["runs"])
-    assert set(report["speedup_batch_over_scalar"]) == {
-        "group_quantities_cold_8of20",
-        "group_quantities_warm_8of20",
-        "incremental_allocation_m10",
-    }
+    assert [(run["case"], run["variant"]) for run in report["runs"]] == [
+        ("group_quantities_cold_8of20", "scalar"),
+        ("group_quantities_warm_8of20", "scalar"),
+        ("incremental_allocation_m10", "default"),
+    ]
 
 
 if __name__ == "__main__":
@@ -310,5 +263,5 @@ if __name__ == "__main__":
     destination = write_report(
         measured, Path(arguments.output) if arguments.output else None
     )
-    print(json.dumps(measured["speedup_batch_over_scalar"], indent=2))
+    print(json.dumps(measured["runs"], indent=2))
     print(f"report written to {destination}")

@@ -18,13 +18,8 @@ caches per-worker spectra and per-set group quantities, plus
 :class:`ConfigurationEstimate` (probability / expected time / yield).
 """
 
-from repro.analysis.batch import BatchGroupAnalysis, BatchGroupQuantities
 from repro.analysis.cache import AnalysisContext, EvaluationRequest
-from repro.analysis.communication import (
-    CommunicationEstimate,
-    estimate_communication,
-    estimate_communication_batch,
-)
+from repro.analysis.communication import CommunicationEstimate, estimate_communication
 from repro.analysis.criteria import (
     ApparentYieldCriterion,
     Criterion,
@@ -48,15 +43,12 @@ __all__ = [
     "WorkerAnalysis",
     "GroupAnalysis",
     "GroupQuantities",
-    "BatchGroupAnalysis",
-    "BatchGroupQuantities",
     "ExpectationMode",
     "ExactGroupQuantities",
     "exact_group_quantities",
     "exact_expected_time",
     "CommunicationEstimate",
     "estimate_communication",
-    "estimate_communication_batch",
     "ConfigurationEstimate",
     "evaluate_configuration",
     "Criterion",

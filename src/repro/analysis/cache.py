@@ -86,7 +86,7 @@ class AnalysisContext:
         self._comm_cache: Dict[Tuple[Tuple[int, int], ...], CommunicationEstimate] = {}
         self._single_time_cache: Dict[Tuple[int, int], float] = {}
         # (frozen worker set, remaining workload) -> (P_comp, E_comp); the
-        # memoisation key of the batched evaluation path.
+        # memoisation key of ``evaluate_batch`` and the allocator.
         self._comp_cache: Dict[Tuple[FrozenSet[int], int], Tuple[float, float]] = {}
         # (frozen worker set, phase duration) -> Π_q P_ND(duration).
         self._survival_cache: Dict[Tuple[FrozenSet[int], int], float] = {}
@@ -127,16 +127,11 @@ class AnalysisContext:
         """Group quantities (``Eu``, ``P₊``, ``E_c``) for a worker set."""
         return self.group.quantities(workers)
 
-    def quantities_batch(self, sets: Sequence[Iterable[int]]) -> List[GroupQuantities]:
-        """Group quantities for many worker sets in one batched computation."""
-        return self.group.quantities_batch(sets)
-
     def prefetch_groups(self, sets: Sequence[Iterable[int]]) -> None:
-        """Compute (batched) and cache the group quantities of *sets*.
+        """Compute and cache the group quantities of *sets*.
 
-        A no-op for sets already cached; the heuristics call this with a whole
-        candidate frontier before scoring it so that every uncached set is
-        computed in one vectorised pass instead of one at a time.
+        A no-op for sets already cached; the allocator calls this with the
+        candidate sets of a greedy step before scoring them.
         """
         self.group.prefetch(sets)
 
@@ -258,10 +253,9 @@ class AnalysisContext:
 
         Semantically identical to calling :meth:`evaluate` per request (the
         estimates are bit-identical); the uncached group quantities of the
-        batch are computed together through
-        :meth:`GroupAnalysis.quantities_batch`, and the per-request
-        computation estimates are memoised on (frozen worker set, remaining
-        workload) keys shared with the scalar entry point.
+        batch are filled first through :meth:`GroupAnalysis.prefetch`, and
+        the per-request computation estimates are memoised on (frozen worker
+        set, remaining workload) keys shared with :meth:`evaluate`.
 
         When :attr:`tracer` is set, each call accumulates into one
         aggregated ``analysis.evaluate_batch`` span (flushed at the end of

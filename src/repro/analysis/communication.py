@@ -28,15 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, Mapping
 
 from repro.analysis.group import ExpectationMode, GroupAnalysis
 
-__all__ = [
-    "CommunicationEstimate",
-    "estimate_communication",
-    "estimate_communication_batch",
-]
+__all__ = ["CommunicationEstimate", "estimate_communication"]
 
 
 @dataclass(frozen=True)
@@ -140,37 +136,3 @@ def estimate_communication(
         bottleneck_master=bottleneck_master,
         total_slots=total_slots,
     )
-
-
-def estimate_communication_batch(
-    analysis: GroupAnalysis,
-    comm_slots_batch: Sequence[Mapping[int, int]],
-    *,
-    ncom: int,
-    mode: ExpectationMode = ExpectationMode.PAPER,
-) -> List[CommunicationEstimate]:
-    """Estimate many communication phases at once.
-
-    The dominant cost of a cold communication estimate is the single-worker
-    ``E^{(P_q)}(n_q)`` expectations, which go through the group-quantity
-    machinery one worker set at a time.  This batched entry point prefetches
-    every single-worker set appearing in the batch through
-    :meth:`GroupAnalysis.quantities_batch` (one vectorised computation, shared
-    cache) and then forms each estimate with the exact per-phase arithmetic of
-    :func:`estimate_communication` — the returned estimates are bit-identical
-    to calling the scalar function in a loop.
-    """
-    needed = sorted(
-        {
-            int(worker)
-            for slots in comm_slots_batch
-            for worker, value in slots.items()
-            if int(value) > 0
-        }
-    )
-    if needed:
-        analysis.quantities_batch([(worker,) for worker in needed])
-    return [
-        estimate_communication(analysis, slots, ncom=ncom, mode=mode)
-        for slots in comm_slots_batch
-    ]

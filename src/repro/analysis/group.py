@@ -39,14 +39,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, Sequence
 
 import numpy as np
 
 from repro.analysis.single import WorkerAnalysis
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.batch import BatchGroupAnalysis
 
 __all__ = ["ExpectationMode", "GroupQuantities", "GroupAnalysis", "truncation_horizon"]
 
@@ -56,10 +53,6 @@ DEFAULT_MAX_HORIZON = 200_000
 
 #: Smallest failure "leak" below which a worker set is treated as unable to fail.
 _NO_FAILURE_TOLERANCE = 1e-15
-
-#: Below this many cache misses, `prefetch` uses the per-set kernel: the
-#: batched kernel's fixed grouping overhead only pays off for real frontiers.
-_BATCH_KERNEL_THRESHOLD = 3
 
 
 class ExpectationMode(enum.Enum):
@@ -196,7 +189,6 @@ class GroupAnalysis:
         self.epsilon = float(epsilon)
         self.max_horizon = int(max_horizon)
         self._cache: Dict[FrozenSet[int], GroupQuantities] = {}
-        self._batch_engine: Optional["BatchGroupAnalysis"] = None
 
     # ------------------------------------------------------------------
     @property
@@ -216,62 +208,24 @@ class GroupAnalysis:
             self._cache[key] = cached
         return cached
 
-    def quantities_batch(self, sets: Sequence[Iterable[int]]) -> List[GroupQuantities]:
-        """Quantities for many worker sets at once (shared cache, batched kernels).
-
-        Uncached sets are computed together by
-        :class:`~repro.analysis.batch.BatchGroupAnalysis` (bit-identical to
-        :meth:`quantities`, see that module's docstring) and stored in the
-        same per-set cache, so the scalar and batched entry points are fully
-        interchangeable.
-        """
-        keys = [
-            workers if type(workers) is frozenset else frozenset(int(w) for w in workers)
-            for workers in sets
-        ]
-        self.prefetch(keys)
-        return [self._cache[key] for key in keys]
-
     def prefetch(self, sets: Sequence[Iterable[int]]) -> None:
-        """Ensure every set of *sets* is cached, computing the misses batched.
+        """Ensure every set of *sets* is cached.
 
-        The cheap entry point of the per-slot hot paths: when every candidate
-        of a frontier is already cached (the steady state of a long
-        simulation) this is a dictionary sweep with no allocation.
+        The entry point of the per-slot hot paths: when every candidate of a
+        frontier is already cached (the steady state of a long simulation)
+        this is a dictionary sweep with no allocation, and the few misses a
+        slot brings are computed one set at a time by the same kernel as
+        :meth:`quantities`.
         """
         cache = self._cache
-        missing: List[FrozenSet[int]] = []
-        seen = set()
         for workers in sets:
             key = (
                 workers
                 if type(workers) is frozenset
                 else frozenset(int(w) for w in workers)
             )
-            if key not in cache and key not in seen:
-                seen.add(key)
-                missing.append(key)
-        if not missing:
-            return
-        if len(missing) <= _BATCH_KERNEL_THRESHOLD:
-            # A cold *trickle* (typical of long simulations, where one or two
-            # new sets appear per slot): the per-set kernel is cheaper than
-            # the batch kernel's fixed grouping overhead.
-            for key in missing:
+            if key not in cache:
                 cache[key] = self._compute(key)
-            return
-        results = self._batch().quantities([sorted(key) for key in missing])
-        for index, key in enumerate(missing):
-            cache[key] = results[index]
-
-    def _batch(self) -> "BatchGroupAnalysis":
-        if self._batch_engine is None:
-            from repro.analysis.batch import BatchGroupAnalysis
-
-            self._batch_engine = BatchGroupAnalysis(
-                self._workers, epsilon=self.epsilon, max_horizon=self.max_horizon
-            )
-        return self._batch_engine
 
     # ------------------------------------------------------------------
     def _compute(self, workers: FrozenSet[int]) -> GroupQuantities:

@@ -92,8 +92,8 @@ class WorkerAnalysis:
     def up_return_array(self, horizon: int) -> np.ndarray:
         """Array ``[P_{u->u}(1), ..., P_{u->u}(horizon)]`` (cached, grows).
 
-        The cache over-allocates geometrically: batched group evaluations ask
-        for many nearby horizons (one per candidate Λ), and the per-``t``
+        The cache over-allocates geometrically: group evaluations ask for
+        many nearby horizons (one per candidate set's Λ), and the per-``t``
         closed form makes any longer array's prefix identical, so growing in
         1.5x steps avoids recomputing the series once per new horizon.
         """

@@ -62,6 +62,11 @@ def _stable_part(record: dict) -> dict:
     return {key: value for key, value in record.items() if key not in VOLATILE_FIELDS}
 
 
+def _is_record(record: object) -> bool:
+    """Whether a decoded line or payload has the shape of a cell record."""
+    return isinstance(record, dict) and type(record.get("cell")) is int
+
+
 class ResultStore:
     """One campaign's persistent cell records (see module docstring)."""
 
@@ -187,15 +192,25 @@ class ResultStore:
                         # gluing onto it (which would corrupt the store).
                         self._jsonl_path.write_text(text[: len(text) - len(line)])
                         continue
+                    record = None
+                if not _is_record(record):
                     raise ExperimentError(
                         f"corrupt record at {self._jsonl_path}:{line_number}"
                     )
-                self._records[int(record["cell"])] = record
+                self._records[record["cell"]] = record
         else:
             for cell, payload in self._connection().execute(
                 "SELECT cell, payload FROM results"
             ):
-                self._records[int(cell)] = json.loads(payload)
+                try:
+                    record = json.loads(payload)
+                except ValueError:  # undecodable JSON or text
+                    record = None
+                if not _is_record(record):
+                    raise ExperimentError(
+                        f"corrupt record at {self._sqlite_path}:cell {cell}"
+                    )
+                self._records[int(cell)] = record
 
     # ------------------------------------------------------------------
     # Reads

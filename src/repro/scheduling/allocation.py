@@ -27,12 +27,14 @@ formulas are exactly those of :mod:`repro.analysis.evaluation` and
 cross-checks the fast path against the reference evaluation.
 
 Consecutive calls mostly differ by one or two workers flipping UP/RECLAIMED,
-so the default (batched) path also keeps a tree of the greedy states earlier
-calls walked, with every candidate each state scored: a call re-scores only
-the candidates its states have never seen, which is exact because a
-candidate's score depends on the state and on the candidate alone
-(``tests/scheduling/test_greedy_path.py`` pins the tree against the scalar
-loop on correlated and generated call sequences).
+so the allocator also keeps a tree of the greedy states earlier calls
+walked, with every candidate each state scored: a call re-scores only the
+candidates its states have never seen, which is exact because a candidate's
+score depends on the state and on the candidate alone.  The plain
+per-candidate loop the tree replaced is kept as a test oracle
+(``tests/scheduling/scalar_allocator.py``); ``test_greedy_path.py`` and
+``test_batch_equivalence.py`` pin the tree against it on correlated,
+generated and whole-simulation call sequences.
 """
 
 from __future__ import annotations
@@ -77,8 +79,6 @@ class IncrementalAllocator:
         analysis: AnalysisContext,
         platform: Platform,
         num_tasks: int,
-        *,
-        batched: bool = True,
     ) -> None:
         if num_tasks < 1:
             raise ValueError(f"num_tasks must be >= 1, got {num_tasks}")
@@ -86,12 +86,11 @@ class IncrementalAllocator:
         self.analysis = analysis
         self.platform = platform
         self.num_tasks = int(num_tasks)
-        self.batched = bool(batched)
         self._speeds = {q: platform.processor(q).speed for q in range(platform.num_processors)}
         self._capacities = {
             q: platform.processor(q).capacity for q in range(platform.num_processors)
         }
-        # The batched path's greedy-path tree (see ``_allocate_batched``).
+        # The greedy-path tree (see ``_allocate``).
         self._root: Optional[_GreedyState] = None
         self._root_mode = analysis.mode
         self._num_states = 0
@@ -135,35 +134,13 @@ class IncrementalAllocator:
             return None
         tracer = getattr(self.analysis, "tracer", None)
         if tracer is None:
-            if self.batched:
-                return self._allocate_batched(
-                    up_workers,
-                    has_program=has_program,
-                    received_data=received_data,
-                    elapsed=elapsed,
-                )
-            return self._allocate_scalar(
+            return self._allocate(
                 up_workers,
                 has_program=has_program,
                 received_data=received_data,
                 elapsed=elapsed,
             )
         begin = time.perf_counter_ns()
-        if not self.batched:
-            result = self._allocate_scalar(
-                up_workers,
-                has_program=has_program,
-                received_data=received_data,
-                elapsed=elapsed,
-            )
-            tracer.accumulate(
-                "allocate",
-                begin,
-                counters={"up_workers": len(up_workers)},
-                criterion=self.criterion.name,
-                batched=False,
-            )
-            return result
         stats = {
             "steps": 0,
             "candidates": 0,
@@ -172,7 +149,7 @@ class IncrementalAllocator:
             "survival_misses": 0,
             "computation_misses": 0,
         }
-        result = self._allocate_batched(
+        result = self._allocate(
             up_workers,
             has_program=has_program,
             received_data=received_data,
@@ -191,145 +168,11 @@ class IncrementalAllocator:
             begin,
             counters=stats,
             criterion=self.criterion.name,
-            batched=True,
         )
         return result
 
     # ------------------------------------------------------------------
-    def _allocate_scalar(
-        self,
-        up_workers: Sequence[int],
-        *,
-        has_program: Iterable[int] = (),
-        received_data: Optional[Mapping[int, int]] = None,
-        elapsed: int = 0,
-    ) -> Optional[Configuration]:
-        """Reference per-candidate evaluation loop (the pre-batching path).
-
-        Kept verbatim as the ground truth the batched path is differentially
-        tested against (``tests/scheduling/test_batch_equivalence.py``).
-        """
-        capacities = self._capacities
-        program_set = frozenset(int(w) for w in has_program)
-        reusable = {int(k): int(v) for k, v in received_data.items()} if received_data else {}
-        tprog = self.platform.tprog
-        tdata = self.platform.tdata
-        ncom = self.platform.ncom
-        criterion_name = self.criterion.name
-        higher_better = self.criterion.higher_is_better
-        group = self.analysis.group
-        mode = self.analysis.mode
-        context = self.analysis
-
-        # Mutable running state of the greedy allocation.
-        allocation: Dict[int, int] = {}
-        worker_set: FrozenSet[int] = frozenset()
-        loads: Dict[int, int] = {}
-        comm_slots: Dict[int, int] = {}
-        max_load = 0
-        total_comm = 0
-        # Per-worker single-worker expected communication times (for the max term).
-        per_worker_comm_time: Dict[int, float] = {}
-
-        def candidate_comm_slots(worker: int, tasks: int) -> int:
-            already = min(reusable.get(worker, 0), tasks)
-            program_cost = 0 if worker in program_set else tprog
-            return program_cost + (tasks - already) * tdata
-
-        for _ in range(self.num_tasks):
-            best_worker: Optional[int] = None
-            best_value = -math.inf if higher_better else math.inf
-            for worker in up_workers:
-                current_tasks = allocation.get(worker, 0)
-                if current_tasks >= capacities[worker]:
-                    continue
-                new_tasks = current_tasks + 1
-                # --- workload of the candidate configuration -------------
-                new_load = new_tasks * self._speeds[worker]
-                workload = new_load if new_load > max_load else max_load
-                # --- communication estimate -------------------------------
-                new_comm_q = candidate_comm_slots(worker, new_tasks)
-                old_comm_q = comm_slots.get(worker, 0)
-                candidate_total_comm = total_comm - old_comm_q + new_comm_q
-                if worker in worker_set:
-                    candidate_set = worker_set
-                    num_workers = len(worker_set)
-                else:
-                    candidate_set = worker_set | {worker}
-                    num_workers = len(worker_set) + 1
-                comm_time = context.single_expected_time(worker, new_comm_q)
-                for other, slots in comm_slots.items():
-                    if other == worker:
-                        continue
-                    other_time = per_worker_comm_time.get(other, 0.0)
-                    if other_time > comm_time:
-                        comm_time = other_time
-                if num_workers > ncom:
-                    bandwidth_bound = candidate_total_comm / ncom
-                    if bandwidth_bound > comm_time:
-                        comm_time = bandwidth_bound
-                if candidate_total_comm > 0:
-                    duration = int(math.ceil(comm_time))
-                    comm_probability = 1.0
-                    # Ascending worker order: the canonical product order of the
-                    # analysis layer (frozenset iteration order depends on the
-                    # set's construction history, which would make the value an
-                    # accident of the greedy path rather than a function of the
-                    # candidate set).
-                    for other in sorted(candidate_set):
-                        comm_probability *= context.no_down_probability(other, duration)
-                else:
-                    comm_time = 0.0
-                    comm_probability = 1.0
-                # --- computation estimate ---------------------------------
-                quantities = group.quantities(candidate_set)
-                comp_probability = quantities.success_probability(workload)
-                comp_time = quantities.expected_time(workload, mode)
-                # --- criterion value ---------------------------------------
-                probability = comm_probability * comp_probability
-                expected = comm_time + comp_time
-                if criterion_name == "P":
-                    value = probability
-                elif criterion_name == "E":
-                    value = expected
-                elif criterion_name == "Y":
-                    denominator = elapsed + expected
-                    value = probability / denominator if denominator > 0 else math.inf
-                else:  # "AY"
-                    value = probability / expected if expected > 0 else math.inf
-
-                if best_worker is None:
-                    best_worker = worker
-                    best_value = value
-                elif higher_better:
-                    if value > best_value:
-                        best_worker = worker
-                        best_value = value
-                else:
-                    if value < best_value:
-                        best_worker = worker
-                        best_value = value
-
-            if best_worker is None:
-                return None  # defensive: cannot happen after the capacity sum check
-            # Commit the task to the winning worker and update the running state.
-            new_tasks = allocation.get(best_worker, 0) + 1
-            allocation[best_worker] = new_tasks
-            worker_set = worker_set | {best_worker}
-            loads[best_worker] = new_tasks * self._speeds[best_worker]
-            if loads[best_worker] > max_load:
-                max_load = loads[best_worker]
-            new_comm_q = candidate_comm_slots(best_worker, new_tasks)
-            total_comm += new_comm_q - comm_slots.get(best_worker, 0)
-            comm_slots[best_worker] = new_comm_q
-            per_worker_comm_time[best_worker] = context.single_expected_time(
-                best_worker, new_comm_q
-            )
-
-        return Configuration(allocation)
-
-    # ------------------------------------------------------------------
-    def _allocate_batched(
+    def _allocate(
         self,
         up_workers: Sequence[int],
         *,
@@ -338,7 +181,7 @@ class IncrementalAllocator:
         elapsed: int = 0,
         stats: Optional[Dict[str, int]] = None,
     ) -> Optional[Configuration]:
-        """Greedy-path-memoised allocation (bit-identical to the scalar path).
+        """Greedy-path-memoised allocation.
 
         Every call walks the allocator's tree of :class:`_GreedyState` nodes
         from the empty state, one node per greedy step.  A worker enters a
@@ -350,7 +193,7 @@ class IncrementalAllocator:
         node has never seen — workers that just came UP, gained the program,
         or hold new reusable data — are evaluated (:meth:`_score`).  The
         winner is the argmax of the stored values over this call's tokens in
-        ascending worker order, with the scalar loop's strict comparisons
+        ascending worker order, with the per-candidate loop's strict comparisons
         (:func:`_argmax`; Y's value ``P / (elapsed + E)`` is divided there,
         since it changes with the elapsed time).
 
@@ -468,14 +311,14 @@ class IncrementalAllocator:
 
         Returns how many were evaluated (the rest are at capacity).
 
-        The frontier is prepared in one batch: uncached group quantities
-        come from one :meth:`AnalysisContext.prefetch_groups` call, the
-        "slowest other transfer" term of the communication estimate from the
-        state's top-two, and the survival products / computation estimates
-        from the :class:`AnalysisContext` memos keyed on (frozen set,
-        duration) and (frozen set, workload), probed directly so a hit costs
-        one dictionary lookup.  Every value is produced by the same scalar
-        float expressions as ``_allocate_scalar``.
+        Uncached group quantities come from one
+        :meth:`AnalysisContext.prefetch_groups` call, the "slowest other
+        transfer" term of the communication estimate from the state's
+        top-two, and the survival products / computation estimates from the
+        :class:`AnalysisContext` memos keyed on (frozen set, duration) and
+        (frozen set, workload), probed directly so a hit costs one dictionary
+        lookup.  Every value is produced by the same float expressions as
+        the per-candidate reference loop.
         """
         capacities = self._capacities
         speeds = self._speeds
@@ -584,7 +427,7 @@ class IncrementalAllocator:
 
 
 def _argmax(tokens, scored, name: str, higher_better: bool, elapsed: int):
-    """The scalar loop's winner among the scored *tokens* (ascending workers):
+    """The per-candidate loop's winner among the scored *tokens* (ascending workers):
     the first token whose value no later one beats strictly, NaN included."""
     best_token = None
     best_value = None
@@ -605,7 +448,7 @@ def _argmax(tokens, scored, name: str, higher_better: bool, elapsed: int):
 
 
 def _worker_of(token) -> int:
-    """The worker a token stands for (see ``_allocate_batched``)."""
+    """The worker a token stands for (see ``_allocate``)."""
     if type(token) is tuple:
         token = token[0]
     return ~token if token < 0 else token

@@ -40,26 +40,18 @@ PASSIVE_CRITERION_BY_NAME = {
 class PassiveHeuristic(Scheduler):
     """A passive heuristic defined by its incremental selection criterion.
 
-    ``batched=True`` (the default) routes the incremental allocator through
-    the frontier-at-a-time batched analysis path and its greedy-path tree;
-    ``batched=False`` keeps the original per-candidate loop.  Both paths
-    select identical configurations
-    (see :class:`~repro.scheduling.allocation.IncrementalAllocator`).
+    Rebuilds go through an
+    :class:`~repro.scheduling.allocation.IncrementalAllocator`, whose
+    greedy-path tree is shared by every rebuild and proactive candidate of
+    the run.
     """
 
     passive_between_rebuilds = True
 
-    def __init__(
-        self,
-        criterion: Criterion,
-        name: Optional[str] = None,
-        *,
-        batched: bool = True,
-    ) -> None:
+    def __init__(self, criterion: Criterion, name: Optional[str] = None) -> None:
         super().__init__()
         self.criterion = criterion
         self.name = name or f"I{criterion.name}"
-        self.batched = bool(batched)
         self._allocator: Optional[IncrementalAllocator] = None
 
     # ------------------------------------------------------------------
@@ -70,7 +62,6 @@ class PassiveHeuristic(Scheduler):
             analysis,
             platform,
             application.tasks_per_iteration,
-            batched=self.batched,
         )
 
     def reset(self) -> None:
@@ -120,7 +111,7 @@ class PassiveHeuristic(Scheduler):
         )
 
 
-def make_passive_heuristic(name: str, *, batched: bool = True) -> PassiveHeuristic:
+def make_passive_heuristic(name: str) -> PassiveHeuristic:
     """Instantiate one of IP / IE / IY / IAY by name (case-insensitive)."""
     key = str(name).strip().upper()
     try:
@@ -130,4 +121,4 @@ def make_passive_heuristic(name: str, *, batched: bool = True) -> PassiveHeurist
             f"unknown passive heuristic {name!r}; expected one of "
             f"{sorted(PASSIVE_CRITERION_BY_NAME)}"
         ) from None
-    return PassiveHeuristic(get_criterion(criterion_name), name=key, batched=batched)
+    return PassiveHeuristic(get_criterion(criterion_name), name=key)

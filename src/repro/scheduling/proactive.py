@@ -72,12 +72,11 @@ class ProactiveHeuristic(Scheduler):
 
         # 1. Candidate configuration computed from scratch by the passive
         #    heuristic (whose allocator replays the greedy steps earlier slots
-        #    already scored, see IncrementalAllocator._allocate_batched).
+        #    already scored, see IncrementalAllocator._allocate).
         candidate = self.passive.build_candidate(observation)
 
         # 2. Current and candidate are scored together: one evaluate_batch
-        #    call covers the whole per-slot frontier (the batched analysis
-        #    path prefetches any uncached group quantities in one shot).
+        #    call fills any uncached group quantities, then estimates both.
         requests = [
             EvaluationRequest(
                 configuration=current,

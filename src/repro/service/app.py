@@ -17,6 +17,7 @@ or from the CLI: ``repro serve --root /var/lib/repro --workers 4``.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -162,6 +163,13 @@ class ServiceState:
             "repro_jobs_stale",
             "Jobs marked running whose recorded worker pid is dead.",
         )
+        self._dispatcher_errors = self.metrics.counter(
+            "repro_dispatcher_errors_total",
+            "Worker-pool dispatcher ticks that raised.",
+        )
+        self._dispatcher_errors.inc(0)
+        # Serialises the counter catch-up of concurrent scrapes.
+        self._scrape_lock = threading.Lock()
         self._rss_gauge = self.metrics.gauge(
             "process_resident_memory_bytes",
             "Resident-set size of the service process in bytes.",
@@ -201,7 +209,7 @@ class ServiceState:
         counts = self.queue.counts()
         stale = self.queue.stale_jobs()
         payload = HealthResponse(
-            status="degraded" if stale else "ok",
+            status="degraded" if stale or self.pool.last_tick_failed else "ok",
             workers=self.pool.active_workers,
             jobs=counts,
             queue_depth=counts.get("queued", 0),
@@ -222,6 +230,10 @@ class ServiceState:
         self._queue_depth.set(counts.get("queued", 0))
         self._workers_gauge.set(self.pool.active_workers)
         self._stale_gauge.set(len(self.queue.stale_jobs()))
+        with self._scrape_lock:
+            self._dispatcher_errors.inc(
+                self.pool.tick_errors - self._dispatcher_errors.value()
+            )
         rss = process_rss_bytes()
         if rss is not None:
             self._rss_gauge.set(rss)

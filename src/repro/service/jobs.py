@@ -382,6 +382,10 @@ class WorkerPool:
         self._procs: Dict[str, subprocess.Popen] = {}
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
+        #: Dispatcher ticks that raised since the pool was created.
+        self.tick_errors = 0
+        #: Whether the most recent dispatcher tick raised.
+        self.last_tick_failed = False
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -422,7 +426,11 @@ class WorkerPool:
             try:
                 self.tick()
             except Exception:  # keep the dispatcher alive, but say why
+                self.tick_errors += 1
+                self.last_tick_failed = True
                 _LOG.exception("service dispatcher tick failed")
+            else:
+                self.last_tick_failed = False
             self._stop.wait(self.poll_interval)
 
     def tick(self) -> None:

@@ -258,6 +258,8 @@ class HealthResponse(_Schema):
     counts jobs marked ``running`` whose recorded worker pid is no longer
     alive — when any exist the overall *status* degrades from ``"ok"`` to
     ``"degraded"`` (the pool's reaper will requeue them on its next tick).
+    *status* is also ``"degraded"`` while the worker pool's most recent
+    dispatcher tick failed.
     """
 
     status: str

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.exact import (
     ExactGroupQuantities,
@@ -128,3 +130,22 @@ class TestApproximationAgainstExact:
         quantities = approx.quantities(range(3))
         assert quantities.p_plus == pytest.approx(exact.p_plus, rel=1e-8)
         assert quantities.expected_gap() == pytest.approx(exact.expected_gap, rel=1e-6)
+
+    @given(model_seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_random_models_match_exact_chain(self, model_seed):
+        """P₊, the expected gap and both E(W) estimators on random ≤ 6-worker sets."""
+        models = random_markov_models(6, seed=model_seed)
+        analysis = GroupAnalysis([WorkerAnalysis(model) for model in models], epsilon=1e-10)
+        for workers in [(0,), (0, 1), (0, 1, 2), (1, 3, 4, 5), tuple(range(6))]:
+            exact = exact_group_quantities([models[w] for w in workers])
+            quantities = analysis.quantities(workers)
+            assert quantities.p_plus == pytest.approx(exact.p_plus, rel=1e-6)
+            assert quantities.expected_gap() == pytest.approx(exact.expected_gap, rel=1e-5)
+            for workload in (2, 7):
+                exact_time = exact.expected_time(workload)
+                renewal = quantities.expected_time(workload, ExpectationMode.RENEWAL)
+                assert renewal == pytest.approx(exact_time, rel=1e-5)
+                # The paper's closed form stays an upper bound.
+                paper = quantities.expected_time(workload, ExpectationMode.PAPER)
+                assert paper >= exact_time - 1e-9

@@ -12,7 +12,7 @@ from repro.analysis.group import (
     truncation_horizon,
 )
 from repro.analysis.single import WorkerAnalysis
-from repro.availability.generators import paper_transition_matrix
+from repro.availability.generators import paper_transition_matrix, random_markov_models
 from repro.availability.markov import MarkovAvailabilityModel
 
 
@@ -89,6 +89,19 @@ class TestGroupAnalysisBasics:
         analysis.clear_cache()
         assert analysis.cache_size() == 0
 
+    def test_prefetch_fills_the_cache(self):
+        workers = [WorkerAnalysis(model) for model in random_markov_models(6, seed=5)]
+        analysis = GroupAnalysis(workers)
+        analysis.prefetch([(0, 1), frozenset({2, 3}), (1, 0)])
+        assert analysis.cache_size() == 2
+        prefetched = analysis.quantities((0, 1))
+        # A later call returns the cached object, and re-prefetching it is a no-op.
+        analysis.prefetch([(1, 0)])
+        assert analysis.quantities([1, 0]) is prefetched
+        assert prefetched == GroupAnalysis(workers).quantities((0, 1))
+        with pytest.raises(IndexError):
+            analysis.prefetch([(0, 7)])
+
     def test_empty_set(self):
         analysis = GroupAnalysis(make_workers([(0.95, 0.9, 0.9)]))
         quantities = analysis.quantities([])
@@ -139,6 +152,19 @@ class TestGroupQuantitiesValues:
         assert not quantities.can_fail
         pi_u = 0.4 / 0.6
         assert quantities.e_c == pytest.approx(1.0 / pi_u**2)
+
+    def test_mixed_always_up_and_failing_workers(self):
+        models = random_markov_models(4, seed=9) + [MarkovAvailabilityModel.always_up()]
+        analysis = GroupAnalysis([WorkerAnalysis(model) for model in models])
+        reliable = analysis.quantities([4])
+        assert not reliable.can_fail
+        assert reliable.p_plus == 1.0
+        for workers in [(0, 4), (1, 2, 4), (0, 1, 2, 3, 4)]:
+            mixed = analysis.quantities(workers)
+            # An always-UP member leaves every series factor at 1: the set
+            # behaves exactly like its failing members alone.
+            assert mixed.can_fail
+            assert mixed == analysis.quantities(set(workers) - {4})
 
     def test_always_up_workers(self):
         analysis = GroupAnalysis([WorkerAnalysis(MarkovAvailabilityModel.always_up())] * 2)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sqlite3
 
 import pytest
 
@@ -166,6 +167,36 @@ class TestJsonlRecovery:
         lines[0] = lines[0][:10]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ExperimentError):
+            ResultStore.open(tmp_path / "c")
+
+    @pytest.mark.parametrize(
+        "line", ['{"foo": 1}', '{"cell": "3"}', '{"cell": true}', "[1, 2]", "7"]
+    )
+    def test_line_without_integer_cell_raises(self, tmp_path, line):
+        spec = unit_spec()
+        cell = spec.cells()[0]
+        store = ResultStore.create(tmp_path / "c", spec)
+        store.append(cell, fake_result(cell))
+        store.close()
+        path = tmp_path / "c" / "results.jsonl"
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ExperimentError, match=r"corrupt record at .*results\.jsonl:2"):
+            ResultStore.open(tmp_path / "c")
+
+
+class TestSqliteRecovery:
+    @pytest.mark.parametrize("payload", ["{not json", '{"foo": 1}', "[1, 2]"])
+    def test_undecodable_payload_raises(self, tmp_path, payload):
+        spec = unit_spec()
+        cell = spec.cells()[0]
+        store = ResultStore.create(tmp_path / "c", spec, backend="sqlite")
+        store.append(cell, fake_result(cell))
+        store.close()
+        connection = sqlite3.connect(tmp_path / "c" / "results.sqlite")
+        with connection:
+            connection.execute("UPDATE results SET payload = ? WHERE cell = ?", (payload, 0))
+        connection.close()
+        with pytest.raises(ExperimentError, match=r"corrupt record at .*results\.sqlite:cell 0"):
             ResultStore.open(tmp_path / "c")
 
 

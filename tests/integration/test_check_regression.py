@@ -188,15 +188,6 @@ class TestMultiBenchmarkGate:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_committed_analysis_baseline_records_2x_speedup(self):
-        """Acceptance pin: the committed baseline documents >= 2x batch speedup
-        on the 8-worker group-quantities frontier bench."""
-        baseline = json.loads(
-            (REPO_ROOT / "benchmarks" / "results" / "BENCH_analysis.json").read_text()
-        )
-        speedups = baseline["speedup_batch_over_scalar"]
-        assert speedups["group_quantities_cold_8of20"] >= 2.0
-
 
 def make_fingerprint(**overrides):
     fingerprint = {

@@ -1,25 +1,29 @@
-"""Differential tests: the batched analysis path vs the scalar path.
+"""Differential tests: the memoised hot paths vs the per-candidate oracle.
 
-The heuristics route their hot loops through the batched evaluation layer
-(`IncrementalAllocator(batched=True)`, `AnalysisContext.evaluate_batch`);
-the pre-batching per-candidate code is kept as `batched=False`.  Fixed seed
-⇒ the two paths must select *identical* configurations and produce
-*identical* simulation results — not approximately equal ones.  These tests
-pin that guarantee at three levels: single allocations, per-slot proactive
+The heuristics route their hot loops through `IncrementalAllocator` (with
+its greedy-path tree) and `AnalysisContext.evaluate_batch`; the plain
+per-candidate loop is kept in the tests as `ScalarAllocator`.  Fixed seed
+⇒ the two must select *identical* configurations and produce *identical*
+simulation results — not approximately equal ones.  These tests pin that
+guarantee at three levels: single allocations, per-slot proactive
 decisions, and whole simulated runs.
 """
 
 import numpy as np
 import pytest
 
+import repro.scheduling.passive
 from repro.analysis.cache import AnalysisContext, EvaluationRequest
 from repro.analysis.criteria import PROACTIVE_CRITERIA, get_criterion
+from repro.analysis.group import ExpectationMode
 from repro.application import Application, Configuration
 from repro.platform import PlatformSpec, paper_platform
 from repro.scheduling.allocation import IncrementalAllocator
 from repro.scheduling.passive import PASSIVE_CRITERION_BY_NAME, make_passive_heuristic
 from repro.scheduling.proactive import ProactiveHeuristic
 from repro.simulation import SimulationEngine
+
+from tests.scheduling.scalar_allocator import ScalarAllocator
 
 
 def make_platform(num_processors=12, ncom=4, wmin=2, seed=29, num_tasks=6):
@@ -31,18 +35,15 @@ def make_platform(num_processors=12, ncom=4, wmin=2, seed=29, num_tasks=6):
 
 
 class TestAllocatorEquivalence:
+    @pytest.mark.parametrize("mode", list(ExpectationMode))
     @pytest.mark.parametrize("criterion_name", ["P", "E", "Y", "AY"])
-    def test_identical_allocations_under_random_observations(self, criterion_name):
+    def test_identical_allocations_under_random_observations(self, criterion_name, mode):
         platform = make_platform()
-        scalar_context = AnalysisContext(platform)
-        batched_context = AnalysisContext(platform)
         criterion = get_criterion(criterion_name)
-        scalar = IncrementalAllocator(
-            criterion, scalar_context, platform, num_tasks=6, batched=False
-        )
-        batched = IncrementalAllocator(
-            criterion, batched_context, platform, num_tasks=6, batched=True
-        )
+        scalar_context = AnalysisContext(platform, mode=mode)
+        scalar = ScalarAllocator(criterion, scalar_context, platform, num_tasks=6)
+        tree_context = AnalysisContext(platform, mode=mode)
+        tree = IncrementalAllocator(criterion, tree_context, platform, num_tasks=6)
         rng = np.random.default_rng(123)
         for trial in range(40):
             up = sorted(
@@ -60,28 +61,24 @@ class TestAllocatorEquivalence:
             reference = scalar.allocate(
                 up, has_program=program, received_data=received, elapsed=elapsed
             )
-            candidate = batched.allocate(
+            candidate = tree.allocate(
                 up, has_program=program, received_data=received, elapsed=elapsed
             )
             assert reference == candidate, (
-                f"trial {trial}: scalar {reference} != batched {candidate} "
+                f"trial {trial}: scalar {reference} != tree {candidate} "
                 f"(criterion {criterion_name}, up={up})"
             )
 
     def test_infeasible_allocations_agree(self):
         platform = make_platform()
         context = AnalysisContext(platform)
-        scalar = IncrementalAllocator(
-            get_criterion("E"), context, platform, num_tasks=6, batched=False
-        )
-        batched = IncrementalAllocator(
-            get_criterion("E"), context, platform, num_tasks=6, batched=True
-        )
-        assert scalar.allocate([]) is None is batched.allocate([])
+        scalar = ScalarAllocator(get_criterion("E"), context, platform, num_tasks=6)
+        tree = IncrementalAllocator(get_criterion("E"), context, platform, num_tasks=6)
+        assert scalar.allocate([]) is None is tree.allocate([])
         # One worker cannot hold six tasks on a capacity-1 platform cell.
         capacities = sum(platform.processor(q).capacity for q in range(1))
         if capacities < 6:
-            assert scalar.allocate([0]) is None is batched.allocate([0])
+            assert scalar.allocate([0]) is None is tree.allocate([0])
 
 
 class TestEvaluateBatchEquivalence:
@@ -138,11 +135,10 @@ class TestEvaluateBatchEquivalence:
         assert context.cache_stats()["computation_keys"] == 2
 
 
-def run_simulation(heuristic_factory, *, batched, seed, max_slots=4000):
+def run_simulation(scheduler, *, seed, max_slots=4000):
     platform = make_platform(num_processors=10, ncom=3, wmin=1, seed=31, num_tasks=4)
     application = Application(tasks_per_iteration=4, iterations=12)
     analysis = AnalysisContext(platform)
-    scheduler = heuristic_factory(batched)
     engine = SimulationEngine(
         platform,
         application,
@@ -154,15 +150,19 @@ def run_simulation(heuristic_factory, *, batched, seed, max_slots=4000):
     return engine.run()
 
 
-def passive_factory(name):
-    return lambda batched: make_passive_heuristic(name, batched=batched)
+def run_with_both_allocators(build_scheduler, *, seed, monkeypatch):
+    """The run with the default allocator, then with the scalar oracle."""
+    candidate = run_simulation(build_scheduler(), seed=seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.scheduling.passive, "IncrementalAllocator", ScalarAllocator)
+        reference = run_simulation(build_scheduler(), seed=seed)
+    return reference, candidate
 
 
 def proactive_factory(criterion_name, passive_name):
-    def build(batched):
+    def build():
         return ProactiveHeuristic(
-            get_criterion(criterion_name),
-            make_passive_heuristic(passive_name, batched=batched),
+            get_criterion(criterion_name), make_passive_heuristic(passive_name)
         )
 
     return build
@@ -170,28 +170,30 @@ def proactive_factory(criterion_name, passive_name):
 
 class TestSimulationEquivalence:
     @pytest.mark.parametrize("name", sorted(PASSIVE_CRITERION_BY_NAME))
-    def test_passive_runs_identical(self, name):
+    def test_passive_runs_identical(self, name, monkeypatch):
         for seed in (1, 7):
-            reference = run_simulation(passive_factory(name), batched=False, seed=seed)
-            candidate = run_simulation(passive_factory(name), batched=True, seed=seed)
+            reference, candidate = run_with_both_allocators(
+                lambda: make_passive_heuristic(name), seed=seed, monkeypatch=monkeypatch
+            )
             assert reference == candidate
 
     @pytest.mark.parametrize("criterion_name", PROACTIVE_CRITERIA)
-    def test_proactive_runs_identical(self, criterion_name):
+    def test_proactive_runs_identical(self, criterion_name, monkeypatch):
         for passive_name in ("IE", "IY"):
-            reference = run_simulation(
-                proactive_factory(criterion_name, passive_name), batched=False, seed=5
-            )
-            candidate = run_simulation(
-                proactive_factory(criterion_name, passive_name), batched=True, seed=5
+            reference, candidate = run_with_both_allocators(
+                proactive_factory(criterion_name, passive_name), seed=5, monkeypatch=monkeypatch
             )
             assert reference == candidate
 
-    def test_batched_is_the_default(self):
-        scheduler = make_passive_heuristic("IE")
-        assert scheduler.batched is True
+    def test_oracle_is_swapped_in(self, monkeypatch):
+        """The whole-run comparison really runs the scalar loop."""
+        monkeypatch.setattr(repro.scheduling.passive, "IncrementalAllocator", ScalarAllocator)
         platform = make_platform()
-        analysis = AnalysisContext(platform)
-        scheduler.bind(platform, Application(tasks_per_iteration=4, iterations=1),
-                       analysis, np.random.default_rng(0))
-        assert scheduler._allocator.batched is True
+        scheduler = make_passive_heuristic("IE")
+        scheduler.bind(
+            platform,
+            Application(tasks_per_iteration=4, iterations=1),
+            AnalysisContext(platform),
+            np.random.default_rng(0),
+        )
+        assert type(scheduler._allocator) is ScalarAllocator

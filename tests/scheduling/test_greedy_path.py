@@ -1,11 +1,11 @@
-"""The greedy-path tree of the batched allocator is exact.
+"""The greedy-path tree of the allocator is exact.
 
-``IncrementalAllocator`` (batched) replays greedy states that earlier calls
-already scored and only evaluates candidates a state has never seen.  These
-tests drive it with the call sequences a simulation produces — consecutive
-calls differing by one or two workers flipping UP, program holders coming
-and going, reusable data, a moving elapsed time — and compare every result
-with the scalar per-candidate loop (``batched=False``) on a fresh analysis
+``IncrementalAllocator`` replays greedy states that earlier calls already
+scored and only evaluates candidates a state has never seen.  These tests
+drive it with the call sequences a simulation produces — consecutive calls
+differing by one or two workers flipping UP, program holders coming and
+going, reusable data, a moving elapsed time — and compare every result with
+the scalar per-candidate loop (``ScalarAllocator``) on a fresh analysis
 context.  Ties, tree resets, mode changes and a stored NaN are covered
 explicitly.
 """
@@ -25,6 +25,8 @@ from repro.availability.markov import MarkovAvailabilityModel
 from repro.platform import Platform, PlatformSpec, Processor, paper_platform
 from repro.scheduling import allocation
 from repro.scheduling.allocation import IncrementalAllocator
+
+from tests.scheduling.scalar_allocator import ScalarAllocator
 
 CRITERIA = ("P", "E", "Y", "AY")
 NUM_TASKS = 5
@@ -50,9 +52,7 @@ def twin_platform(num_processors=6):
 def allocator_pair(platform, criterion_name):
     criterion = get_criterion(criterion_name)
     tree = IncrementalAllocator(criterion, AnalysisContext(platform), platform, NUM_TASKS)
-    scalar = IncrementalAllocator(
-        criterion, AnalysisContext(platform), platform, NUM_TASKS, batched=False
-    )
+    scalar = ScalarAllocator(criterion, AnalysisContext(platform), platform, NUM_TASKS)
     return tree, scalar
 
 
@@ -135,7 +135,7 @@ def test_mode_change_starts_a_new_tree():
     tree.allocate(up, has_program=[1, 4])
     context.mode = ExpectationMode.RENEWAL
     renewal = AnalysisContext(platform, mode=ExpectationMode.RENEWAL)
-    scalar = IncrementalAllocator(get_criterion("E"), renewal, platform, NUM_TASKS, batched=False)
+    scalar = ScalarAllocator(get_criterion("E"), renewal, platform, NUM_TASKS)
     assert tree.allocate(up, has_program=[1, 4]) == scalar.allocate(up, has_program=[1, 4])
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.exceptions import ExperimentError
 from repro.experiments.spec import CampaignSpec
+from repro.service.app import ServiceConfig, ServiceState
 from repro.service.jobs import JOB_FIELDS, JobQueue, WorkerPool
 
 from tests.service.conftest import tiny_spec_dict
@@ -184,24 +185,47 @@ def test_pool_validates_configuration(tmp_path):
 
 
 def test_dispatcher_logs_tick_errors_and_keeps_polling(tmp_path, monkeypatch, caplog):
-    queue = JobQueue(tmp_path)
-    pool = WorkerPool(queue, workers=1, poll_interval=0.01)
+    state = ServiceState(ServiceConfig(root=tmp_path, workers=1, poll_interval=0.01))
+    pool = state.pool
     calls = []
+    jobs = state.queue.jobs
 
     def broken_jobs():
+        # Only the dispatcher's reads fail, so the probes below still answer.
+        if threading.current_thread().name != "repro-service-pool":
+            return jobs()
         calls.append(None)
         raise ExperimentError("corrupt job file")
 
+    def health_status():
+        return state.handle_health()[1]["status"]
+
     caplog.set_level(logging.ERROR, logger="repro.service.jobs")
-    pool.start()
+    state.start()
     try:
-        monkeypatch.setattr(queue, "jobs", broken_jobs)
+        assert health_status() == "ok"
+        monkeypatch.setattr(state.queue, "jobs", broken_jobs)
         deadline = time.monotonic() + 10.0
         while len(calls) < 3 and time.monotonic() < deadline:
             time.sleep(0.01)
+        assert len(calls) >= 3, "the dispatcher must keep polling after a failed tick"
+        # Failed ticks are counted and exported, and degrade the probe.
+        assert health_status() == "degraded"
+        metrics = state.handle_metrics()[1]
+        (line,) = [
+            line for line in metrics.splitlines()
+            if line.startswith("repro_dispatcher_errors_total ")
+        ]
+        assert int(line.split()[1]) >= 3
+        # The probe recovers with the first tick that succeeds again.
+        monkeypatch.undo()
+        deadline = time.monotonic() + 10.0
+        while health_status() != "ok" and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert health_status() == "ok"
     finally:
-        pool.stop()
-    assert len(calls) >= 3, "the dispatcher must keep polling after a failed tick"
+        state.stop()
+    assert pool.tick_errors >= 3
     records = [r for r in caplog.records if r.name == "repro.service.jobs"]
     assert records, "a failed tick must be logged"
     assert records[0].levelno == logging.ERROR

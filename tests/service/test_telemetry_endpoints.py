@@ -90,6 +90,12 @@ class TestHealth:
         assert payload["stale_jobs"] == 1
         assert service_state.queue.stale_jobs() == [job_id]
 
+    def test_degraded_while_last_dispatcher_tick_failed(self, service_state, client):
+        service_state.pool.last_tick_failed = True
+        assert client.get_json("/healthz")[1]["status"] == "degraded"
+        service_state.pool.last_tick_failed = False
+        assert client.get_json("/healthz")[1]["status"] == "ok"
+
 
 # ----------------------------------------------------------------------
 # /metrics
@@ -115,6 +121,16 @@ class TestMetrics:
         assert "repro_http_request_duration_seconds_count" in text
         # The gauge block renders even before any stream opened.
         assert "repro_sse_streams_active 0" in text
+
+    def test_dispatcher_errors_counter_starts_at_zero(self, service_state):
+        _, _, result = wsgi_raw(service_state, "GET", "/metrics")
+        text = drain(result)
+        assert "# TYPE repro_dispatcher_errors_total counter" in text
+        assert "repro_dispatcher_errors_total 0" in text.splitlines()
+        # Failures counted by the pool are caught up at the next scrape.
+        service_state.pool.tick_errors = 2
+        _, _, result = wsgi_raw(service_state, "GET", "/metrics")
+        assert "repro_dispatcher_errors_total 2" in drain(result).splitlines()
 
     def test_rss_gauge_present_on_linux(self, service_state):
         _, _, result = wsgi_raw(service_state, "GET", "/metrics")
