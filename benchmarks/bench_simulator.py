@@ -12,7 +12,9 @@ performance trajectory is tracked across PRs:
 
 * ``kernel``  — one solo :class:`SimulationEngine` run (its span primitives
   are numba-compiled when available, NumPy otherwise — see
-  ``machine.kernel_backend`` in the report);
+  ``machine.kernel_backend`` in the report).  RANDOM and IE run the full
+  100,000 slots; the proactive Y-IE, P-IE and E-IAY, which consult the
+  allocator and the analysis on every slot, run 20,000;
 * ``multiheuristic`` — the one-pass :class:`MultiHeuristicDriver` over a
   full cell of contract heuristics sharing one availability realisation.
   Its ``slots_per_second`` is the *effective aggregate* throughput
@@ -64,6 +66,11 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: so every slot is simulated and slots/sec is exactly max_slots / wall).
 THROUGHPUT_WORKERS = 20
 THROUGHPUT_SLOTS = 100_000
+
+#: The ``kernel`` rows of proactive heuristics (one per passive criterion
+#: family the campaign leans on), on the same platform but 20k slots.
+PROACTIVE_HEURISTICS = ("Y-IE", "P-IE", "E-IAY")
+PROACTIVE_SLOTS = 20_000
 
 #: The one-pass cell: every registered passive heuristic plus the
 #: contract-flagged extensions — what a campaign cell routes through the
@@ -348,6 +355,12 @@ def _measure_multiheuristic(max_slots: int, repeats: int = 3) -> dict:
 def measure_throughput(max_slots: int = THROUGHPUT_SLOTS, repeats: int = 3) -> dict:
     """Measure all modes and return the JSON-ready report."""
     runs = [_measure_engine(heuristic, max_slots, repeats) for heuristic in ("RANDOM", "IE")]
+    # Proactive heuristics call the allocator and the analysis on every
+    # slot, so a shorter run already takes longer than the passive rows.
+    proactive_slots = min(max_slots, PROACTIVE_SLOTS)
+    runs.extend(
+        _measure_engine(heuristic, proactive_slots, repeats) for heuristic in PROACTIVE_HEURISTICS
+    )
     runs.append(_measure_multiheuristic(max_slots, repeats))
     by_key = {(r["heuristic"], r["mode"]): r["slots_per_second"] for r in runs}
     # Overhead rows are a *difference* of two close throughputs, so they are

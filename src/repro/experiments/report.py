@@ -86,12 +86,10 @@ def compare_with_paper(
 
     rank_correlation: Optional[float] = None
     if len(common) >= 3:
-        from scipy import stats  # heavy; only this comparison needs it
-
-        measured_values = [measured[name] for name in common]
-        paper_values = [paper_table[name][1] for name in common]
-        correlation = stats.spearmanr(measured_values, paper_values).correlation
-        rank_correlation = None if np.isnan(correlation) else float(correlation)
+        rank_correlation = _spearman(
+            [measured[name] for name in common],
+            [paper_table[name][1] for name in common],
+        )
 
     if common:
         agreements = sum(
@@ -134,6 +132,32 @@ def format_store_status(status: StoreStatus) -> str:
     ]
     lines.append(format_table(rows, headers=["heuristic", "done", "total", "%"]))
     return "\n".join(lines)
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their positions (scipy's "average")."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts_group = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(starts_group)
+    ends = np.append(starts[1:], len(values))
+    ranks = np.empty(len(values))
+    ranks[order] = (0.5 * (starts + ends + 1))[np.cumsum(starts_group) - 1]
+    return ranks
+
+
+def _spearman(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
+    """Spearman's rank correlation: the Pearson correlation of average ranks.
+
+    ``None`` when it is undefined (a constant input or a NaN).  Computed the
+    way ``scipy.stats.spearmanr`` computes it, so the values are the same.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.isnan(x).any() or np.isnan(y).any() or (x == x[0]).all() or (y == y[0]).all():
+        return None
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def format_comparison(comparison: PaperComparison) -> str:

@@ -35,6 +35,16 @@ per-candidate loop the tree replaced is kept as a test oracle
 (``tests/scheduling/scalar_allocator.py``); ``test_greedy_path.py`` and
 ``test_batch_equivalence.py`` pin the tree against it on correlated,
 generated and whole-simulation call sequences.
+
+A proactive heuristic asks for a candidate at every slot, and a slot where
+no worker changed state asks the same question as the slot before.  So
+:meth:`IncrementalAllocator.allocate` also keeps the key and the answer of
+its last call, and answers an equal key with the same object before it
+normalises its inputs or walks the tree.  The key holds the UP workers as
+passed, the program holders, the reusable data, the analysis mode and, for
+Y alone (the only criterion whose winner reads it), the elapsed time.  One
+remembered call is enough: on the paper-mix benchmark it answers 39% of the
+calls, and a memo of every key seen would answer under 2% more.
 """
 
 from __future__ import annotations
@@ -55,6 +65,18 @@ __all__ = ["IncrementalAllocator"]
 #: megabyte; four times as many states saves only about 5% of a proactive
 #: IE-based run.
 GREEDY_STATE_LIMIT = 256
+
+#: The ``allocate`` span counters of a call the last-call memo answered.
+_REPEAT_COUNTERS = {
+    "steps": 0,
+    "candidates": 0,
+    "path_hits": 0,
+    "single_time_misses": 0,
+    "survival_misses": 0,
+    "computation_misses": 0,
+    "computation_hits": 0,
+    "repeats": 1,
+}
 
 
 class IncrementalAllocator:
@@ -94,6 +116,10 @@ class IncrementalAllocator:
         self._root: Optional[_GreedyState] = None
         self._root_mode = analysis.mode
         self._num_states = 0
+        # The last-call memo (see ``allocate``); only Y's winner reads elapsed.
+        self._answer_reads_elapsed = criterion.name == "Y"
+        self._last_key: Optional[tuple] = None
+        self._last_answer: Optional[Configuration] = None
 
     # ------------------------------------------------------------------
     def allocate(
@@ -120,26 +146,61 @@ class IncrementalAllocator:
             Slots already spent in the current iteration (enters the yield
             criteria).
 
+        A call whose inputs equal the previous call's returns the previous
+        answer, the same object (``None`` included), without touching the
+        tree.
+
         When the shared :class:`AnalysisContext` carries a tracer
-        (``analysis.tracer``), every call accumulates into one aggregated
-        ``allocate`` span (duration, ``calls``, memo hit/miss counters,
-        flushed at the end of the engine run); with no tracer this method
-        takes the exact pre-telemetry code path.
+        (``analysis.tracer``), every call that reaches the tree or the
+        last-call memo accumulates into one aggregated ``allocate`` span
+        (duration, ``calls``, memo hit/miss counters, ``repeats`` for the
+        memo's answers; flushed at the end of the engine run); with no
+        tracer this method takes the exact pre-telemetry code path.
         """
-        up_workers = sorted(set(int(w) for w in up_workers))
+        tracer = getattr(self.analysis, "tracer", None)
+        begin = 0 if tracer is None else time.perf_counter_ns()
+        # The last-call memo (see the module docstring): the key holds every
+        # input the answer depends on, so an equal key is answered as is.
+        up_key = tuple(up_workers)
+        program_set = frozenset(map(int, has_program))
+        key = (
+            up_key,
+            program_set,
+            tuple(received_data.items()) if received_data else (),
+            self.analysis.mode,
+            elapsed if self._answer_reads_elapsed else None,
+        )
+        if key == self._last_key:
+            if tracer is not None:
+                tracer.accumulate(
+                    "allocate",
+                    begin,
+                    counters=_REPEAT_COUNTERS,
+                    criterion=self.criterion.name,
+                )
+            return self._last_answer
+        answer = self._answer(up_key, program_set, received_data, elapsed, tracer)
+        self._last_key = key
+        self._last_answer = answer
+        return answer
+
+    def _answer(
+        self,
+        up_workers: Sequence[int],
+        program_set: FrozenSet[int],
+        received_data: Optional[Mapping[int, int]],
+        elapsed: int,
+        tracer,
+    ) -> Optional[Configuration]:
+        """:meth:`allocate` without the last-call memo."""
+        up_workers = sorted(set(map(int, up_workers)))
         if not up_workers:
             return None
         capacities = self._capacities
         if sum(capacities[w] for w in up_workers) < self.num_tasks:
             return None
-        tracer = getattr(self.analysis, "tracer", None)
         if tracer is None:
-            return self._allocate(
-                up_workers,
-                has_program=has_program,
-                received_data=received_data,
-                elapsed=elapsed,
-            )
+            return self._allocate(up_workers, program_set, received_data, elapsed)
         begin = time.perf_counter_ns()
         stats = {
             "steps": 0,
@@ -149,13 +210,7 @@ class IncrementalAllocator:
             "survival_misses": 0,
             "computation_misses": 0,
         }
-        result = self._allocate(
-            up_workers,
-            has_program=has_program,
-            received_data=received_data,
-            elapsed=elapsed,
-            stats=stats,
-        )
+        result = self._allocate(up_workers, program_set, received_data, elapsed, stats)
         # The computation memo is probed exactly once per candidate the
         # greedy-path tree could not answer, so hits are the complement of
         # the recorded misses.
@@ -163,6 +218,7 @@ class IncrementalAllocator:
             stats["candidates"] - stats["path_hits"] - stats["computation_misses"]
         )
         stats["up_workers"] = len(up_workers)
+        stats["repeats"] = 0
         tracer.accumulate(
             "allocate",
             begin,
@@ -175,10 +231,9 @@ class IncrementalAllocator:
     def _allocate(
         self,
         up_workers: Sequence[int],
-        *,
-        has_program: Iterable[int] = (),
-        received_data: Optional[Mapping[int, int]] = None,
-        elapsed: int = 0,
+        program_set: FrozenSet[int],
+        received_data: Optional[Mapping[int, int]],
+        elapsed: int,
         stats: Optional[Dict[str, int]] = None,
     ) -> Optional[Configuration]:
         """Greedy-path-memoised allocation.
@@ -202,7 +257,6 @@ class IncrementalAllocator:
         by the tree (``path_hits``) and the analysis memo misses of the
         evaluated ones; with ``stats=None`` no counter is touched.
         """
-        program_set = frozenset(int(w) for w in has_program)
         reusable = {int(k): int(v) for k, v in received_data.items()} if received_data else {}
         # One token per UP worker, in ascending worker order (see above).
         tokens: Dict[int, object] = {

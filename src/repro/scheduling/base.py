@@ -26,6 +26,8 @@ from repro.types import UP, ProcessorState
 
 __all__ = ["Observation", "Scheduler"]
 
+_UP_CODE = int(UP)
+
 
 @dataclass(frozen=True)
 class Observation:
@@ -65,7 +67,8 @@ class Observation:
 
     def up_workers(self) -> List[int]:
         """Ids of the workers that are UP at this slot."""
-        return [int(q) for q in np.flatnonzero(self.states == int(UP))]
+        # ``tolist`` yields Python ints: no NumPy scalar is built per worker.
+        return [w for w, s in enumerate(self.states.tolist()) if s == _UP_CODE]
 
     def is_up(self, worker: int) -> bool:
         return int(self.states[worker]) == int(UP)

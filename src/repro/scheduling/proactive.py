@@ -3,12 +3,14 @@
 A proactive heuristic is a pair (criterion ``C``, passive heuristic ``H``).
 At every slot:
 
-1. the measure of the *current* configuration under ``C`` is updated to
-   account for the progress made so far (remaining communication, remaining
-   workload, elapsed iteration time);
-2. a *candidate* configuration is computed from scratch with ``H`` (as if no
+1. a *candidate* configuration is computed from scratch with ``H`` (as if no
    task were allocated to any worker — program possession, being persistent
    worker state, is still accounted for);
+2. only when the candidate exists and differs from the *current*
+   configuration are both measured under ``C``, the current one accounting
+   for the progress made so far (remaining communication, remaining
+   workload, elapsed iteration time) — a missing or identical candidate
+   cannot win, so no estimate is built for it;
 3. if the candidate scores strictly better than the current configuration
    under ``C``, the execution switches to the candidate (losing any partial
    computation); otherwise the current configuration runs for one more slot.
@@ -75,27 +77,27 @@ class ProactiveHeuristic(Scheduler):
         #    already scored, see IncrementalAllocator._allocate).
         candidate = self.passive.build_candidate(observation)
 
-        # 2. Current and candidate are scored together: one evaluate_batch
-        #    call fills any uncached group quantities, then estimates both.
-        requests = [
-            EvaluationRequest(
-                configuration=current,
-                comm_slots=observation.comm_remaining,
-                completed_work=observation.progress,
-                elapsed=observation.iteration_elapsed,
-            )
-        ]
-        if candidate is not None and candidate != current:
-            requests.append(
+        # 2. A candidate that is missing or equal to the current configuration
+        #    cannot win, so only a differing one is estimated: one
+        #    evaluate_batch call fills any uncached group quantities, then
+        #    scores current and candidate together.
+        if candidate is None or candidate == current:
+            return current
+        estimates = self.analysis.evaluate_batch(
+            [
+                EvaluationRequest(
+                    configuration=current,
+                    comm_slots=observation.comm_remaining,
+                    completed_work=observation.progress,
+                    elapsed=observation.iteration_elapsed,
+                ),
                 EvaluationRequest(
                     configuration=candidate,
                     has_program=observation.has_program,
                     elapsed=observation.iteration_elapsed,
-                )
-            )
-        estimates = self.analysis.evaluate_batch(requests)
-        if len(estimates) == 1:
-            return current
+                ),
+            ]
+        )
         current_value = self.criterion.value(estimates[0])
         candidate_value = self.criterion.value(estimates[1])
 

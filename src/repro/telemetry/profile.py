@@ -192,6 +192,7 @@ _MEMO_ROWS = (
     ("candidates", "allocator candidates scored"),
     ("path_hits", "greedy-path tree hits"),
     ("steps", "allocator greedy steps"),
+    ("repeats", "allocator repeated-input answers"),
     ("computation_hits", "computation memo hits"),
     ("computation_misses", "computation memo misses"),
     ("single_time_misses", "single-time memo misses"),

@@ -1,5 +1,8 @@
 """Tests for the paper-comparison report."""
 
+import sys
+
+import numpy as np
 import pytest
 
 from repro.experiments.metrics import HeuristicSummary
@@ -43,6 +46,33 @@ class TestCompareWithPaper:
         comparison = compare_with_paper(summaries, PAPER_TABLE1)
         assert "Y-IE" not in comparison.common_heuristics
         assert "RANDOM" in comparison.common_heuristics
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rank_correlation_matches_scipy_on_ties(self, seed):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(seed)
+        names = list(PAPER_TABLE1)
+        # Few distinct values: the measured %diffs tie often.
+        measured = rng.integers(-3, 4, size=len(names)).astype(float)
+        summaries = [make_summary(name, value) for name, value in zip(names, measured)]
+        comparison = compare_with_paper(summaries, PAPER_TABLE1)
+        common = comparison.common_heuristics
+        expected = stats.spearmanr(
+            [comparison.diffs[name][0] for name in common],
+            [PAPER_TABLE1[name][1] for name in common],
+        ).correlation
+        assert comparison.rank_correlation == expected
+
+    def test_rank_correlation_of_constant_input_is_none(self):
+        summaries = [make_summary(name, 1.0) for name in PAPER_TABLE1]
+        assert compare_with_paper(summaries, PAPER_TABLE1).rank_correlation is None
+
+    def test_rank_correlation_needs_no_scipy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        summaries = [make_summary(name, -row[1]) for name, row in PAPER_TABLE1.items()]
+        comparison = compare_with_paper(summaries, PAPER_TABLE1)
+        assert comparison.rank_correlation == pytest.approx(-1.0)
 
     def test_format_comparison(self):
         summaries = [make_summary(name, row[1] * 0.8) for name, row in PAPER_TABLE1.items()]

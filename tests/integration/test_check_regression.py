@@ -268,6 +268,25 @@ class TestCommittedSimulatorBaseline:
             assert speedup > 1.0
 
 
+    def test_proactive_rows_are_tracked(self):
+        """The Y-IE, P-IE and E-IAY kernel rows are committed, so the gate
+        (keyed on heuristic and mode) covers proactive throughput."""
+        sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+        try:
+            from bench_simulator import PROACTIVE_HEURISTICS, PROACTIVE_SLOTS
+        finally:
+            sys.path.pop(0)
+        baseline = json.loads(
+            (REPO_ROOT / "benchmarks" / "results" / "BENCH_simulator.json").read_text()
+        )
+        rows = {
+            run["heuristic"]: run for run in baseline["runs"] if run["mode"] == "kernel"
+        }
+        for heuristic in PROACTIVE_HEURISTICS:
+            assert rows[heuristic]["slots"] == PROACTIVE_SLOTS
+            assert rows[heuristic]["slots_per_second"] > 0
+
+
 class TestCompareReports:
     def test_compare_function_importable(self):
         sys.path.insert(0, str(REPO_ROOT / "benchmarks"))

@@ -6,8 +6,8 @@ drive it with the call sequences a simulation produces — consecutive calls
 differing by one or two workers flipping UP, program holders coming and
 going, reusable data, a moving elapsed time — and compare every result with
 the scalar per-candidate loop (``ScalarAllocator``) on a fresh analysis
-context.  Ties, tree resets, mode changes and a stored NaN are covered
-explicitly.
+context.  Ties, tree resets, mode changes, a stored NaN and the last-call
+memo's repeats are covered explicitly.
 """
 
 import math
@@ -144,6 +144,9 @@ def test_stored_nan_keeps_the_scalar_winner_rule():
     tree = IncrementalAllocator(get_criterion("P"), AnalysisContext(platform), platform, NUM_TASKS)
     up = [0, 3, 5, 7, 9]
     tree.allocate(up)
+    # A different call in between, so the repeat below is not answered by
+    # the last-call memo and reaches ``_argmax``.
+    tree.allocate(up[:-1])
     # Poison the first worker's score at the root: the scalar loop keeps a
     # NaN that comes first (no later value compares greater), so worker 0
     # must take the first task.
@@ -151,7 +154,7 @@ def test_stored_nan_keeps_the_scalar_winner_rule():
     assert tree.allocate(up).tasks_on(0) >= 1
 
 
-def test_repeat_call_is_answered_by_the_tree():
+def test_immediate_repeat_is_answered_by_the_last_call_memo():
     platform = make_platform()
     context = AnalysisContext(platform)
     tree = IncrementalAllocator(get_criterion("E"), context, platform, NUM_TASKS)
@@ -160,10 +163,81 @@ def test_repeat_call_is_answered_by_the_tree():
     context.tracer = recorder = CounterRecorder()
     assert tree.allocate(up, has_program=[2]) is first
     (counters,) = recorder.counters
+    assert counters["repeats"] == 1
+    assert counters["steps"] == counters["candidates"] == 0
+
+
+def test_repeat_call_is_answered_by_the_tree():
+    platform = make_platform()
+    context = AnalysisContext(platform)
+    tree = IncrementalAllocator(get_criterion("E"), context, platform, NUM_TASKS)
+    up = list(range(12))
+    first = tree.allocate(up, has_program=[2])
+    tree.allocate(up[:-1], has_program=[2])
+    # A, B, A: the last-call memo holds B, so the tree answers the third call.
+    context.tracer = recorder = CounterRecorder()
+    assert tree.allocate(up, has_program=[2]) is first
+    (counters,) = recorder.counters
+    assert counters["repeats"] == 0
     assert counters["steps"] == NUM_TASKS
     assert counters["candidates"] > 0
     assert counters["path_hits"] == counters["candidates"]
     assert counters["computation_hits"] == counters["computation_misses"] == 0
+
+
+def repeating_walk(num_workers, steps, seed, context):
+    """``walk`` with each call repeated with probability 1/2.
+
+    Between a call and its repeat the analysis mode may flip, the reusable
+    data may go, and the elapsed time may move (which only Y's answer
+    reads): the memo must tell each of these apart from a true repeat.
+    """
+    rng = np.random.default_rng(seed)
+    for up, program, received, elapsed in walk(num_workers, steps, seed):
+        yield up, program, received, elapsed
+        while rng.random() < 0.5:
+            if rng.random() < 0.2:
+                context.mode = (
+                    ExpectationMode.RENEWAL
+                    if context.mode is ExpectationMode.PAPER
+                    else ExpectationMode.PAPER
+                )
+            if received and rng.random() < 0.2:
+                received = None
+            if rng.random() < 0.2:
+                elapsed += 1
+            yield up, program, received, elapsed
+
+
+@pytest.mark.parametrize("criterion_name", CRITERIA)
+def test_repeating_sequences_match_the_scalar_loop(criterion_name):
+    platform = make_platform()
+    context = AnalysisContext(platform)
+    tree = IncrementalAllocator(get_criterion(criterion_name), context, platform, NUM_TASKS)
+    tree.analysis.tracer = recorder = CounterRecorder()
+    scalars = {
+        mode: ScalarAllocator(
+            get_criterion(criterion_name),
+            AnalysisContext(platform, mode=mode),
+            platform,
+            NUM_TASKS,
+        )
+        for mode in ExpectationMode
+    }
+    for index, (up, program, received, elapsed) in enumerate(
+        repeating_walk(12, 200, seed=7, context=context)
+    ):
+        expected = scalars[context.mode].allocate(
+            up, has_program=program, received_data=received, elapsed=elapsed
+        )
+        actual = tree.allocate(
+            up,
+            has_program=(worker for worker in program),
+            received_data=received,
+            elapsed=elapsed,
+        )
+        assert actual == expected, f"call {index} (criterion {criterion_name})"
+    assert sum(counters["repeats"] for counters in recorder.counters) > 0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -54,6 +54,19 @@ def bind(scheduler, platform, m=5):
     return scheduler
 
 
+class TestObservation:
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_up_workers_match_flatnonzero(self, dtype):
+        rng = np.random.default_rng(5)
+        vectors = [np.full(7, int(DOWN), dtype=dtype)]
+        vectors += [rng.integers(0, 3, size=size).astype(dtype) for size in (1, 4, 20, 50)]
+        for states in vectors:
+            up = make_observation(states).up_workers()
+            assert up == list(np.flatnonzero(states == UP))
+            assert all(type(worker) is int for worker in up)
+        assert make_observation(vectors[0]).up_workers() == []
+
+
 class TestMakePassiveHeuristic:
     @pytest.mark.parametrize("name,criterion", [("IP", "P"), ("IE", "E"), ("IY", "Y"), ("IAY", "AY")])
     def test_names_and_criteria(self, name, criterion):

@@ -14,7 +14,7 @@ from repro.scheduling import create_scheduler
 from repro.scheduling.base import Observation
 from repro.scheduling.passive import make_passive_heuristic
 from repro.scheduling.proactive import ProactiveHeuristic
-from repro.types import DOWN, UP
+from repro.types import DOWN, RECLAIMED, UP
 
 
 def make_platform(stays=None, speeds=None, tprog=2, tdata=1, ncom=2):
@@ -131,6 +131,56 @@ class TestProactiveBehaviour:
             comm_remaining=config.communication_slots(platform),
         )
         assert scheduler.select(observation_same) == config
+
+    @staticmethod
+    def spied(monkeypatch, platform, m=5):
+        """An E-IE scheduler whose ``evaluate_batch`` calls are recorded."""
+        scheduler = bind(create_scheduler("E-IE"), platform, m=m)
+        batches = []
+        evaluate_batch = scheduler.analysis.evaluate_batch
+
+        def spy(requests):
+            batches.append(list(requests))
+            return evaluate_batch(requests)
+
+        monkeypatch.setattr(scheduler.analysis, "evaluate_batch", spy)
+        return scheduler, batches
+
+    def test_equal_candidate_is_not_estimated(self, monkeypatch):
+        platform = make_platform()
+        scheduler, batches = self.spied(monkeypatch, platform)
+        states = [UP, UP, UP, UP]
+        candidate = scheduler.passive.build_candidate(make_observation(states, elapsed=2))
+        observation = make_observation(
+            states, current=candidate, elapsed=2,
+            comm_remaining=candidate.communication_slots(platform),
+        )
+        assert scheduler.select(observation) is candidate
+        assert batches == []
+
+    def test_missing_candidate_is_not_estimated(self, monkeypatch):
+        # One UP worker of capacity 5 cannot hold m=6 tasks: no candidate.
+        scheduler, batches = self.spied(monkeypatch, make_platform(), m=6)
+        current = Configuration({0: 3, 1: 3})
+        observation = make_observation(
+            [UP, RECLAIMED, RECLAIMED, RECLAIMED], current=current, elapsed=2,
+            comm_remaining={0: 0, 1: 0}, has_program=[0, 1],
+        )
+        assert scheduler.passive.build_candidate(observation) is None
+        assert scheduler.select(observation) is current
+        assert batches == []
+
+    def test_differing_candidate_is_estimated_with_current_in_one_call(self, monkeypatch):
+        scheduler, batches = self.spied(monkeypatch, make_platform())
+        current = Configuration({2: 5})
+        observation = make_observation(
+            [UP, UP, UP, UP], current=current, elapsed=2, comm_remaining={2: 7},
+        )
+        candidate = scheduler.passive.build_candidate(observation)
+        assert candidate != current
+        scheduler.select(observation)
+        (requests,) = batches
+        assert [request.configuration for request in requests] == [current, candidate]
 
     def test_repeated_candidate_replays_the_greedy_path(self):
         platform = make_platform()
