@@ -162,7 +162,11 @@ class IncrementalAllocator:
         # The last-call memo (see the module docstring): the key holds every
         # input the answer depends on, so an equal key is answered as is.
         up_key = tuple(up_workers)
-        program_set = frozenset(map(int, has_program))
+        program_set = (
+            has_program
+            if isinstance(has_program, frozenset)
+            else frozenset(map(int, has_program))
+        )
         key = (
             up_key,
             program_set,

@@ -83,6 +83,84 @@ class Observation:
         return self.new_iteration or self.failure or self.current_configuration.is_empty()
 
 
+class _EngineObservation(Observation):
+    """The :class:`Observation` the simulation engine hands to ``select``.
+
+    Equal to the public class in every attribute, value and type, but built
+    by :meth:`build` without the dataclass ``__init__``, out of state the
+    engine keeps between slots: the holder set and the UP list are shared
+    until an event changes them.  ``states``, ``data_received`` and
+    ``comm_remaining`` are computed on first read from the slot's column and
+    the enrolled runtimes.  The engine advances those runtimes only after
+    ``select`` returns, so a scheduler that keeps an observation and reads
+    them later must read them inside ``select``.
+    """
+
+    @classmethod
+    def build(
+        cls,
+        slot: int,
+        column: np.ndarray,
+        current_configuration: Configuration,
+        iteration_index: int,
+        iteration_elapsed: int,
+        progress: int,
+        failure: bool,
+        new_iteration: bool,
+        has_program: FrozenSet[int],
+        up: List[int],
+        enrolled: list,
+        tprog: int,
+        tdata: int,
+    ) -> "_EngineObservation":
+        """The observation of *slot*, built without the dataclass ``__init__``.
+
+        *column* is the engine's state column of the slot (copied on the
+        first read of ``states``), *up* its UP workers and *enrolled* the
+        runtimes of the current configuration's workers, ascending.
+        """
+        observation = object.__new__(cls)
+        observation.__dict__.update(
+            slot=slot,
+            current_configuration=current_configuration,
+            iteration_index=iteration_index,
+            iteration_elapsed=iteration_elapsed,
+            progress=progress,
+            failure=failure,
+            new_iteration=new_iteration,
+            has_program=has_program,
+            _column=column,
+            _up=up,
+            _enrolled=enrolled,
+            _tprog=tprog,
+            _tdata=tdata,
+        )
+        return observation
+
+    def __getattr__(self, name: str):
+        # Called only for attributes not yet in the instance dict.
+        compute = _LAZY_FIELDS.get(name)
+        if compute is None:
+            raise AttributeError(name)
+        value = self.__dict__[name] = compute(self)
+        return value
+
+    def up_workers(self) -> List[int]:
+        return list(self._up)
+
+
+#: The lazily computed attributes of an engine observation.  ``_up`` is only
+#: missing on a copy made through the dataclass ``__init__`` (``replace``).
+_LAZY_FIELDS = {
+    "states": lambda o: o._column.copy(),
+    "data_received": lambda o: {r.worker_id: r.data_received for r in o._enrolled},
+    "comm_remaining": lambda o: {
+        r.worker_id: r.comm_slots_remaining(o._tprog, o._tdata) for r in o._enrolled
+    },
+    "_up": lambda o: Observation.up_workers(o),
+}
+
+
 class Scheduler(abc.ABC):
     """Abstract on-line scheduler.
 

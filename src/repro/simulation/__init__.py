@@ -18,11 +18,7 @@ The engine advances slot by slot:
    over and the makespan is reported.
 """
 
-from repro.simulation.engine import (
-    BLOCK_BOUNDARY,
-    SimulationEngine,
-    simulate,
-)
+from repro.simulation.engine import SimulationEngine, simulate
 from repro.simulation.events import EventKind, SimulationEvent
 from repro.simulation.gantt import render_gantt
 from repro.simulation.kernels import HAVE_NUMBA, kernel_backend
@@ -33,7 +29,6 @@ from repro.simulation.state import WorkerRuntime
 __all__ = [
     "SimulationEngine",
     "simulate",
-    "BLOCK_BOUNDARY",
     "MultiHeuristicDriver",
     "SharedBlockSource",
     "HAVE_NUMBA",

@@ -36,8 +36,8 @@ flag is set (they return the carried-over configuration whenever
 ``Observation.needs_new_configuration()`` is false) unlock the fast paths,
 built on the span primitives of :mod:`repro.simulation.kernels`:
 
-* the per-slot :class:`Observation`/``select`` round-trip is skipped on
-  slots where the contract pins the decision;
+* the observation and the ``select`` call are skipped on slots where the
+  contract pins the decision;
 * a per-worker next-change table turns the uneventful-span search of the
   communication phase into an O(#enrolled) lookup, and with a channel for
   every enrolled worker the whole phase collapses into one jump;
@@ -52,18 +52,22 @@ a per-slot record (``record_events`` or ``record_activity``) disables the
 jumps, so that slot-by-slot path is the in-engine reference the fast paths
 are tested against.
 
-Decision points are exposed as an explicit step iterator: :meth:`run` is a
-thin driver over :meth:`SimulationEngine.steps`, which yields an
-:class:`~repro.scheduling.base.Observation` at every slot where the
-scheduler is consulted and receives the chosen configuration back.  External
-callers (an RL agent, the multi-heuristic driver) can therefore drive a run
-decision by decision without subclassing the engine.
+The engine owns the decision loop: it calls ``scheduler.select`` inline at
+every slot where the scheduler is consulted.  A consulted slot pays only for
+what changed since the previous one: the observation shares the program
+holder set and the UP list until an event changes them and computes its
+remaining fields on first read; a configuration is validated once, when
+``select`` first returns it; and the DOWN scan is skipped on a column
+identical to the one just processed.  The run suspends only at availability
+window boundaries, which lets
+:class:`~repro.simulation.multirun.MultiHeuristicDriver` advance several
+engines in lockstep, window by window.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Generator, List, Optional, Sequence
+from typing import FrozenSet, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -73,7 +77,7 @@ from repro.application.configuration import Configuration
 from repro.availability.trace import AvailabilityTrace
 from repro.exceptions import SchedulingError, SimulationError
 from repro.platform.platform import Platform
-from repro.scheduling.base import Observation, Scheduler
+from repro.scheduling.base import Scheduler, _EngineObservation
 from repro.simulation.blocks import DEFAULT_BLOCK_SIZE, DEFAULT_MAX_SLOTS, SharedBlockSource
 from repro.simulation.comm import CommunicationManager
 from repro.simulation.events import EventKind, EventLog
@@ -89,13 +93,7 @@ from repro.telemetry.tracer import active_tracer
 from repro.types import DOWN, RECLAIMED, UP
 from repro.utils.rng import SeedLike, derive_run_streams
 
-__all__ = ["SimulationEngine", "simulate", "BLOCK_BOUNDARY"]
-
-#: Sentinel yielded by cooperative :meth:`SimulationEngine.steps` iterations
-#: right before a new availability block is fetched, so a multi-engine
-#: driver can interleave engines block by block (see
-#: :mod:`repro.simulation.multirun`).  Never yielded by :meth:`run`.
-BLOCK_BOUNDARY = object()
+__all__ = ["SimulationEngine", "simulate"]
 
 #: Activity codes recorded per worker per slot when ``record_activity`` is on.
 ACTIVITY_NONE = " "
@@ -107,6 +105,7 @@ ACTIVITY_COMPUTE = "C"
 #: Cheap int -> singleton lookup for the three processor states.
 _STATE_OF_CODE = (UP, RECLAIMED, DOWN)
 _DOWN_CODE = int(DOWN)
+_UP_CODE = int(UP)
 
 
 class SimulationEngine:
@@ -208,8 +207,7 @@ class SimulationEngine:
         self.metrics = metrics
         self.tracer = active_tracer(tracer)
         self._shared_blocks = shared_blocks
-        #: Result of the most recently completed run (also the
-        #: ``StopIteration`` value of an exhausted :meth:`steps` iterator).
+        #: Result of the most recently completed run.
         self.last_result: Optional[SimulationResult] = None
 
         # Independent streams: one per worker for availability, one for the
@@ -287,45 +285,18 @@ class SimulationEngine:
     # Main loop
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        """Execute the run and return its :class:`SimulationResult`.
+        """Execute the run and return its :class:`SimulationResult`."""
+        for _ in self._windows():
+            pass
+        return self.last_result
 
-        Equivalent to driving :meth:`steps` with the engine's scheduler:
-        every yielded observation is answered with ``scheduler.select``.
+    def _windows(self) -> Iterator[bool]:
+        """The run, suspended (yielding ``True``) before each window fetch.
+
+        :meth:`run` exhausts it; the multi-heuristic driver interleaves
+        several of them window by window.  The result is stored in
+        :attr:`last_result`.
         """
-        stepper = self._drive()
-        select = self.scheduler.select
-        configuration: Optional[Configuration] = None
-        try:
-            while True:
-                configuration = select(stepper.send(configuration))
-        except StopIteration as stop:
-            return stop.value
-
-    def steps(
-        self,
-    ) -> Generator[Observation, Optional[Configuration], SimulationResult]:
-        """The run as an explicit decision-point iterator.
-
-        Yields an :class:`~repro.scheduling.base.Observation` at every slot
-        on which the scheduler would be consulted (for schedulers declaring
-        the passive contract that means rebuild points only; for the rest,
-        every slot) and expects a :class:`Configuration` — or ``None`` to
-        keep the current one — to be sent back.  The sent configuration
-        goes through the same validation as a scheduler's.  When the run
-        finishes, the generator returns its :class:`SimulationResult` (the
-        ``value`` of the final ``StopIteration``, also stored in
-        :attr:`last_result`).
-
-        The engine's scheduler still participates: it is bound and drives
-        the carried-over configuration between decision points.  External
-        steppers (an RL agent, a search procedure) simply override what
-        happens at the decision points themselves.
-        """
-        return self._drive()
-
-    def _drive(
-        self, cooperative: bool = False
-    ) -> Generator[Observation, Optional[Configuration], SimulationResult]:
         platform = self.platform
         application = self.application
         tprog, tdata = platform.tprog, platform.tdata
@@ -333,6 +304,9 @@ class SimulationEngine:
         num_tasks = application.tasks_per_iteration
 
         self.scheduler.bind(platform, application, self.analysis, self._scheduler_rng)
+        # Looked up per run, so a class-level wrapper installed before the
+        # run sees every call.
+        select = self.scheduler.select
         self._comm.reset()
         self._runtimes = [WorkerRuntime(worker_id=q) for q in range(platform.num_processors)]
         runtimes = self._runtimes
@@ -373,6 +347,21 @@ class SimulationEngine:
         # change that enrols them.
 
         current_config = Configuration.empty()
+        # The current configuration object once the engine has validated it
+        # as a return of ``select``; returning it again needs no new check.
+        validated: Optional[Configuration] = None
+        # Cached per adopted configuration.
+        feasible = False
+        workload = 0
+        # Observation state kept across slots: the program holders (None
+        # once an event may have changed them) and the UP workers of the
+        # column (None once the column changes).  Programs completed by the
+        # fast paths need no reset: only contract schedulers take them, and
+        # after a contract scheduler's rebuild slot a worker can only lack
+        # the program if the configuration change of that slot enrolled it,
+        # which already reset the holders.
+        holders: Optional[FrozenSet[int]] = frozenset()
+        up_workers: Optional[List[int]] = None
         enrolled_runtimes: List[WorkerRuntime] = []
         enrolled_ids = np.empty(0, dtype=np.intp)
         iteration_index = 0
@@ -398,14 +387,16 @@ class SimulationEngine:
         while slot < self.max_slots:
             rel = slot - self._block_start
             if self._block is None or rel >= self._block_len:
-                if cooperative:
-                    yield BLOCK_BOUNDARY  # type: ignore[misc]
+                yield True
                 self._fetch_block(slot)
                 rel = slot - self._block_start
             states = self._block[:, rel]
-            if states_dirty or not self._block_same[rel]:
+            # The previous processed slot saw this very column.
+            repeated = not states_dirty and self._block_same[rel]
+            if not repeated:
                 for runtime in enrolled_runtimes:
                     runtime.state = _STATE_OF_CODE[states[runtime.worker_id]]
+                up_workers = None
                 states_dirty = False
             if self.record_activity:
                 self.state_matrix[:, slot] = states
@@ -413,8 +404,10 @@ class SimulationEngine:
             record = records[-1]
 
             # ---- 1. failures among enrolled workers --------------------
+            # On a repeated column the previous slot's scan already cleared
+            # every DOWN worker, and validation keeps them un-enrolled.
             failure = False
-            if self._block_down[rel]:
+            if self._block_down[rel] and not repeated:
                 for worker_id in (states == _DOWN_CODE).nonzero()[0]:
                     runtime = runtimes[worker_id]
                     if (runtime.has_program or runtime.enrolled
@@ -425,6 +418,8 @@ class SimulationEngine:
                             self.events.record(
                                 slot, EventKind.WORKER_FAILED, worker=runtime.worker_id
                             )
+                        if runtime.has_program:
+                            holders = None
                         runtime.on_down()
             if failure:
                 if progress > 0 or not current_config.is_empty():
@@ -441,6 +436,8 @@ class SimulationEngine:
                     if not runtime_by_id[worker].is_down()
                 }
                 current_config = Configuration(pruned)
+                feasible = current_config.total_tasks() == num_tasks
+                workload = current_config.workload(platform)
                 enrolled_runtimes = [runtime_by_id[w] for w in current_config.workers]
                 enrolled_ids = np.fromiter(
                     current_config.workers, dtype=np.intp, count=len(enrolled_runtimes)
@@ -449,37 +446,30 @@ class SimulationEngine:
             # ---- 2. scheduler decision ---------------------------------
             # Contract schedulers return the carried-over configuration on
             # every slot where needs_new_configuration() is false; skip the
-            # observation round-trip there.
+            # observation there.
             if contract and not (new_iteration or failure or current_config.is_empty()):
                 new_config = current_config
             else:
-                observation = Observation(
-                    slot=slot,
-                    states=states.copy(),
-                    current_configuration=current_config,
-                    iteration_index=iteration_index,
-                    iteration_elapsed=slot - iteration_start,
-                    progress=progress,
-                    failure=failure,
-                    new_iteration=new_iteration,
-                    has_program=frozenset(
-                        runtime.worker_id for runtime in runtimes if runtime.has_program
-                    ),
-                    data_received={
-                        runtime.worker_id: runtime.data_received
-                        for runtime in runtimes
-                        if runtime.enrolled
-                    },
-                    comm_remaining={
-                        runtime.worker_id: runtime.comm_slots_remaining(tprog, tdata)
-                        for runtime in runtimes
-                        if runtime.enrolled
-                    },
-                )
-                new_config = yield observation
-                if new_config is None:
-                    new_config = current_config
-                self._validate_selection(new_config, current_config, states, num_tasks)
+                if holders is None:
+                    holders = frozenset(
+                        [runtime.worker_id for runtime in runtimes if runtime.has_program]
+                    )
+                if up_workers is None:
+                    up_workers = [
+                        worker for worker, code in enumerate(states.tolist()) if code == _UP_CODE
+                    ]
+                new_config = select(_EngineObservation.build(
+                    slot, states, current_config, iteration_index, slot - iteration_start,
+                    progress, failure, new_iteration, holders, up_workers,
+                    enrolled_runtimes, tprog, tdata,
+                ))
+                if new_config is not current_config or new_config is not validated:
+                    self._validate_selection(new_config, current_config, states, num_tasks)
+                    validated = new_config
+                    if new_config == current_config:
+                        # Carry the validated twin, so returning it again
+                        # needs no check.
+                        current_config = new_config
             new_iteration = False
 
             # ---- 3. apply configuration change -------------------------
@@ -506,6 +496,10 @@ class SimulationEngine:
                         runtime.on_enroll(tasks)
                     runtime.absorb_free_transfers(tprog, tdata)
                 current_config = new_config
+                feasible = current_config.total_tasks() == num_tasks
+                workload = current_config.workload(platform)
+                # absorb_free_transfers hands out the program when tprog == 0.
+                holders = None
                 enrolled_runtimes = [runtime_by_id[w] for w in current_config.workers]
                 enrolled_ids = np.fromiter(
                     current_config.workers, dtype=np.intp, count=len(enrolled_runtimes)
@@ -516,10 +510,6 @@ class SimulationEngine:
                     runtime.state = _STATE_OF_CODE[states[runtime.worker_id]]
 
             # ---- 4. run the slot ---------------------------------------
-            feasible = (
-                not current_config.is_empty()
-                and current_config.total_tasks() == num_tasks
-            )
             if not feasible:
                 total_idle_slots += 1
                 record.idle_slots += 1
@@ -538,7 +528,7 @@ class SimulationEngine:
                     # pruned DOWN workers from the configuration, so the
                     # current column is DOWN-free for the enrolled set.
                     begin = time.perf_counter_ns() if tracer is not None else 0
-                    advance, units, holders = comm_phase_span(
+                    advance, units, granted = comm_phase_span(
                         self._block,
                         enrolled_ids,
                         np.fromiter(
@@ -556,11 +546,13 @@ class SimulationEngine:
                         used = int(units[index])
                         if used:
                             runtime.advance_communication(used, tprog, tdata)
-                    self._comm.set_holders(enrolled_ids[holders])
-                    if advance > 1:
-                        # Column ``rel`` itself was covered by this slot's
-                        # failure scan; batch the rest of the window.
-                        self._apply_offline_failures(rel, advance - 1, runtimes)
+                    self._comm.set_holders(enrolled_ids[granted])
+                    # Column ``rel`` itself was covered by this slot's
+                    # failure scan; batch the rest of the window.
+                    if advance > 1 and self._apply_offline_failures(
+                        rel, advance - 1, runtimes
+                    ):
+                        holders = None
                     total_comm_slots += advance
                     record.communication_slots += advance
                     slot += advance - 1
@@ -579,6 +571,8 @@ class SimulationEngine:
                     )
                     total_comm_slots += 1
                     record.communication_slots += 1
+                    if "program" in served.values():
+                        holders = None
                     if served:
                         self.events.record(slot, EventKind.COMMUNICATION, served=served)
                     if self.record_activity:
@@ -610,7 +604,8 @@ class SimulationEngine:
                             enrolled_runtimes, span, tprog=tprog, tdata=tdata
                         )
                         if consumed:
-                            self._apply_offline_failures(rel, consumed, runtimes)
+                            if self._apply_offline_failures(rel, consumed, runtimes):
+                                holders = None
                             total_comm_slots += consumed
                             record.communication_slots += consumed
                             slot += consumed
@@ -623,7 +618,6 @@ class SimulationEngine:
                                     heuristic=heuristic_name,
                                 )
                 else:
-                    workload = current_config.workload(platform)
                     all_up = all(runtime.is_up() for runtime in enrolled_runtimes)
                     if all_up:
                         progress += 1
@@ -665,6 +659,8 @@ class SimulationEngine:
                         records.append(
                             IterationRecord(index=iteration_index, start_slot=slot + 1)
                         )
+                        # Every enrolled worker already holds the program
+                        # when tprog == 0, so the holders stay as they are.
                         for runtime in enrolled_runtimes:
                             runtime.on_new_iteration()
                             runtime.absorb_free_transfers(tprog, tdata)
@@ -684,7 +680,8 @@ class SimulationEngine:
                             workload - progress,
                         )
                         if advance > 0:
-                            self._apply_offline_failures(rel, advance, runtimes)
+                            if self._apply_offline_failures(rel, advance, runtimes):
+                                holders = None
                             idled = advance - progressed
                             if progressed:
                                 progress += progressed
@@ -753,12 +750,11 @@ class SimulationEngine:
             computation_slots=total_compute_slots,
             idle_slots=total_idle_slots,
         )
-        return self.last_result
 
     # ------------------------------------------------------------------
     def _apply_offline_failures(
         self, rel: int, advance: int, runtimes: Sequence[WorkerRuntime]
-    ) -> None:
+    ) -> bool:
         """Apply DOWN transitions of non-enrolled program holders in a batch.
 
         Fast-forwarded windows only pin the states of *enrolled* workers.  A
@@ -767,7 +763,8 @@ class SimulationEngine:
         and received data) — and losing it to a DOWN transition inside the
         window must be reflected.  Since such a worker takes no part in the
         window's slots, applying its ``on_down`` after the jump is
-        equivalent to applying it at the precise slot.
+        equivalent to applying it at the precise slot.  Returns whether a
+        holder lost the program.
         """
         holders = [
             runtime
@@ -775,13 +772,15 @@ class SimulationEngine:
             if runtime.has_program and not runtime.enrolled
         ]
         if not holders:
-            return
+            return False
         window = self._block[:, rel + 1: rel + 1 + advance]
         rows = window[[runtime.worker_id for runtime in holders]]
-        went_down = (rows == _DOWN_CODE).any(axis=1)
-        for runtime, down in zip(holders, went_down):
+        lost = False
+        for runtime, down in zip(holders, (rows == _DOWN_CODE).any(axis=1).tolist()):
             if down:
                 runtime.on_down()
+                lost = True
+        return lost
 
     # ------------------------------------------------------------------
     def _validate_selection(

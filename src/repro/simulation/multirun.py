@@ -17,11 +17,10 @@ This module removes that duplication without changing a single result:
   a private source of the same kind, so each engine of the pass sees the
   realisation it would see running alone with the same seed.
 * :class:`MultiHeuristicDriver` builds one engine per scheduler, all backed
-  by the same source, and advances them in lockstep through the cooperative
-  step iterator (:data:`~repro.simulation.engine.BLOCK_BOUNDARY`): each
-  engine runs up to its next window boundary before the next engine is
-  resumed, so the window working set stays small and already-consumed
-  windows can be released.
+  by the same source, and advances them in lockstep, window by window: each
+  engine calls its scheduler inline and runs up to its next window boundary
+  before the next engine is resumed, so the window working set stays small
+  and already-consumed windows can be released.
 
 Each engine still takes its own decisions (rebuilds, communication,
 fast-forward spans diverge per heuristic), so the returned
@@ -33,7 +32,7 @@ bit-identical to a sequential ``SimulationEngine.run()`` with the same seed
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.cache import AnalysisContext
 from repro.application.application import Application
@@ -42,7 +41,7 @@ from repro.exceptions import SimulationError
 from repro.platform.platform import Platform
 from repro.scheduling.base import Scheduler
 from repro.simulation.blocks import DEFAULT_BLOCK_SIZE, DEFAULT_MAX_SLOTS, SharedBlockSource
-from repro.simulation.engine import BLOCK_BOUNDARY, SimulationEngine
+from repro.simulation.engine import SimulationEngine
 from repro.simulation.results import SimulationResult
 from repro.utils.rng import SeedLike
 
@@ -139,33 +138,23 @@ class MultiHeuristicDriver:
         perf_counter = time.perf_counter
         results: List[Optional[SimulationResult]] = [None] * len(self.engines)
         walls = [0.0] * len(self.engines)
-        # (engine index, cooperative stepper, scheduler.select) per live run.
-        live: List[Tuple[int, object, object]] = [
-            (index, engine._drive(cooperative=True), engine.scheduler.select)
-            for index, engine in enumerate(self.engines)
+        live: List[Tuple[int, Iterator[bool]]] = [
+            (index, engine._windows()) for index, engine in enumerate(self.engines)
         ]
         while live:
-            next_round: List[Tuple[int, object, object]] = []
-            for index, stepper, select in live:
-                # Advance this engine up to its next window boundary: the
-                # stepper yields observations (answered by its scheduler)
-                # until it emits BLOCK_BOUNDARY or finishes.
+            next_round: List[Tuple[int, Iterator[bool]]] = []
+            for index, windows in live:
+                # Advance this engine up to its next window boundary.
                 started = perf_counter()
-                answer = None
-                try:
-                    while True:
-                        emitted = stepper.send(answer)
-                        if emitted is BLOCK_BOUNDARY:
-                            next_round.append((index, stepper, select))
-                            break
-                        answer = select(emitted)
-                except StopIteration as stop:
-                    results[index] = stop.value
+                if next(windows, False):
+                    next_round.append((index, windows))
+                else:
+                    results[index] = self.engines[index].last_result
                 walls[index] += perf_counter() - started
             live = next_round
             if live:
                 # Everyone still running has fetched past the watermark.
-                watermark = min(self.engines[index]._block_start for index, _, _ in live)
+                watermark = min(self.engines[index]._block_start for index, _ in live)
                 self.source.release_below(watermark)
         self.wall_seconds = walls
         return results  # type: ignore[return-value]

@@ -24,6 +24,29 @@ def make_spec(name: str = "jobs-test") -> CampaignSpec:
     return CampaignSpec.from_dict(tiny_spec_dict(name))
 
 
+def _wait_for_exec(pid: int, job_path, timeout: float = 5.0) -> None:
+    """Wait until process *pid* has ``exec``ed a command line naming *job_path*.
+
+    Right after ``Popen`` returns, the child may still run the parent's
+    image, so its ``/proc/<pid>/cmdline`` does not name the job file yet and
+    the live job would look recycled.  Without procfs there is nothing to
+    wait for.
+    """
+    cmdline = f"/proc/{pid}/cmdline"
+    if not os.path.exists(cmdline):
+        return
+    wanted = os.fsencode(str(job_path))
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(cmdline, "rb") as handle:
+                if wanted in handle.read().split(b"\0"):
+                    return
+        except OSError:
+            pass
+        time.sleep(0.01)
+
+
 def test_submit_creates_job_with_pinned_fields(tmp_path):
     queue = JobQueue(tmp_path)
     spec = make_spec()
@@ -106,6 +129,7 @@ def test_recover_requeues_jobs_with_dead_pids(tmp_path):
     try:
         queue.update(dead["id"], status="running", pid=2 ** 30)  # no such pid
         queue.update(alive["id"], status="running", pid=worker.pid)
+        _wait_for_exec(worker.pid, queue.job_path(alive["id"]).resolve())
         assert queue.stale_jobs() == [dead["id"]]
         requeued = queue.recover()
     finally:

@@ -258,6 +258,90 @@ class TestEngineValidation:
         with pytest.raises(SchedulingError):
             simulate(platform, application, EnrollDown(), trace=trace, max_slots=5)
 
+    def test_pre_prune_configuration_is_checked_again(self):
+        # Worker 1 goes DOWN at slot 2; the engine prunes it from the
+        # configuration, but this scheduler hands back the very object it
+        # returned (and the engine validated) before the failure.
+        class KeepsPrePrune(Scheduler):
+            name = "PREPRUNE"
+
+            def reset(self):
+                self.target = Configuration({0: 1, 1: 1})
+
+            def select(self, observation):
+                return self.target
+
+        trace = AvailabilityTrace(["uuuuuu", "uudddd"])
+        platform = uniform_platform(2, speed=10, capacity=1, tprog=0, tdata=0)
+        application = Application(tasks_per_iteration=2, iterations=1)
+        with pytest.raises(SchedulingError, match="enrolled DOWN worker 1"):
+            simulate(platform, application, KeepsPrePrune(), trace=trace, max_slots=6)
+
+    def test_pruned_current_configuration_is_checked_again(self):
+        # After the failure the current configuration is the pruned one,
+        # which carries 1 of the 2 tasks; returning it must be refused.
+        class KeepsCurrent(Scheduler):
+            name = "KEEPER"
+
+            def select(self, observation):
+                if observation.current_configuration.is_empty():
+                    return Configuration({0: 1, 1: 1})
+                return observation.current_configuration
+
+        trace = AvailabilityTrace(["uuuuuu", "uudddd"])
+        platform = uniform_platform(2, speed=10, capacity=1, tprog=0, tdata=0)
+        application = Application(tasks_per_iteration=2, iterations=1)
+        with pytest.raises(SchedulingError, match="1 tasks instead of 2"):
+            simulate(platform, application, KeepsCurrent(), trace=trace, max_slots=6)
+
+    def test_each_adopted_configuration_is_validated_once(self, monkeypatch):
+        from repro.platform import PlatformSpec, paper_platform
+        from repro.scheduling import create_scheduler
+
+        validated = []
+        check = SimulationEngine._validate_selection
+
+        def spy(engine, new_config, *args):
+            validated.append(new_config)
+            return check(engine, new_config, *args)
+
+        monkeypatch.setattr(SimulationEngine, "_validate_selection", spy)
+
+        class Recorder(Scheduler):
+            """Y-IE, logging what it returns against the current configuration."""
+
+            name = "Y-IE"
+
+            def __init__(self):
+                super().__init__()
+                self.inner = create_scheduler("Y-IE")
+                self.returned = []
+
+            def bind(self, platform, application, analysis, rng):
+                super().bind(platform, application, analysis, rng)
+                self.inner.bind(platform, application, analysis, rng)
+
+            def select(self, observation):
+                configuration = self.inner.select(observation)
+                self.returned.append((configuration, observation.current_configuration))
+                return configuration
+
+        platform = paper_platform(
+            PlatformSpec(num_processors=20, ncom=10, wmin=2), num_tasks=5, seed=123
+        )
+        scheduler = Recorder()
+        result = simulate(
+            platform, Application(tasks_per_iteration=5, iterations=10), scheduler,
+            seed=7, max_slots=20_000,
+        )
+        assert result.success
+        # Every slot consults a proactive scheduler ...
+        assert len(scheduler.returned) == result.makespan
+        # ... but only a configuration other than the current one is checked.
+        adopted = [new for new, current in scheduler.returned if new is not current]
+        assert [id(config) for config in validated] == [id(config) for config in adopted]
+        assert result.total_configuration_changes <= len(validated) < result.makespan // 10
+
 
 class TestDeterminismAndPairing:
     def _markov_platform(self):
