@@ -10,11 +10,9 @@ throughput (slots/second on a 20-worker, 100,000-slot capped run) and writes
 the numbers to ``benchmarks/results/BENCH_simulator.json`` so the
 performance trajectory is tracked across PRs:
 
-* ``kernel``  — one solo :class:`SimulationEngine` run (its span primitives
-  are numba-compiled when available, NumPy otherwise — see
-  ``machine.kernel_backend`` in the report).  RANDOM and IE run the full
-  100,000 slots; the proactive Y-IE, P-IE and E-IAY, which consult the
-  allocator and the analysis on every slot, run 20,000;
+* ``kernel``  — one solo :class:`SimulationEngine` run.  RANDOM and IE run
+  the full 100,000 slots; the proactive Y-IE, P-IE and E-IAY, which consult
+  the allocator and the analysis on every slot, run 20,000;
 * ``multiheuristic`` — the one-pass :class:`MultiHeuristicDriver` over a
   full cell of contract heuristics sharing one availability realisation.
   Its ``slots_per_second`` is the *effective aggregate* throughput
@@ -34,8 +32,8 @@ performance trajectory is tracked across PRs:
   two-sided gated with the same < 5% budget.
 
 Each report also embeds a ``machine`` fingerprint (CPU model, core count,
-numpy/numba versions, active kernel backend) so the regression gate can
-tell hardware changes from code regressions.
+Python and numpy versions) so the regression gate can tell hardware changes
+from code regressions.
 
 Run directly for the JSON report::
 
@@ -58,7 +56,7 @@ from repro.application import Application
 from repro.metrics.collector import MetricsCollector
 from repro.platform import PlatformSpec, paper_platform
 from repro.scheduling import create_scheduler
-from repro.simulation import MultiHeuristicDriver, SimulationEngine, kernel_backend
+from repro.simulation import MultiHeuristicDriver, SimulationEngine
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -92,7 +90,7 @@ def machine_fingerprint() -> dict:
 
     ``check_regression.py`` warns (without failing) when a fresh report's
     fingerprint differs from the committed baseline's: a throughput delta on
-    different hardware or a different numba/numpy stack is not evidence of a
+    different hardware or a different Python/numpy stack is not evidence of a
     code regression.
     """
     cpu_model = platform_module.processor() or platform_module.machine()
@@ -104,20 +102,12 @@ def machine_fingerprint() -> dict:
                     break
     except OSError:
         pass
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     return {
         "cpu_model": cpu_model,
         "cpu_count": os.cpu_count(),
         "platform": platform_module.machine(),
         "python": platform_module.python_version(),
         "numpy": np.__version__,
-        "numba": numba_version,
-        "kernel_backend": kernel_backend(),
     }
 
 

@@ -179,7 +179,7 @@ def compare_reports(
 
 
 #: Fingerprint fields whose change makes throughput deltas hard to interpret.
-FINGERPRINT_FIELDS = ("cpu_model", "cpu_count", "python", "numpy", "numba", "kernel_backend")
+FINGERPRINT_FIELDS = ("cpu_model", "cpu_count", "python", "numpy")
 
 
 def fingerprint_warnings(baseline: dict, current: dict) -> List[str]:

@@ -29,11 +29,6 @@ from repro.analysis.criteria import (
     get_criterion,
 )
 from repro.analysis.evaluation import ConfigurationEstimate, evaluate_configuration
-from repro.analysis.exact import (
-    ExactGroupQuantities,
-    exact_expected_time,
-    exact_group_quantities,
-)
 from repro.analysis.group import ExpectationMode, GroupAnalysis, GroupQuantities
 from repro.analysis.single import WorkerAnalysis
 
@@ -44,9 +39,6 @@ __all__ = [
     "GroupAnalysis",
     "GroupQuantities",
     "ExpectationMode",
-    "ExactGroupQuantities",
-    "exact_group_quantities",
-    "exact_expected_time",
     "CommunicationEstimate",
     "estimate_communication",
     "ConfigurationEstimate",

@@ -23,7 +23,7 @@ chain-level quantities consumed by the analytical machinery of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -115,7 +115,6 @@ class MarkovAvailabilityModel(AvailabilityModel):
             self._initial = None  # computed lazily from the stationary distribution
         self._spectrum: Optional[_UpReturnSpectrum] = None
         self._stationary: Optional[np.ndarray] = None
-        self._power_cache: Dict[int, np.ndarray] = {}
         # Cumulative rows for fast inverse-transform sampling (next_state is on
         # the simulator's per-slot hot path; numpy's Generator.choice is far
         # slower than a single uniform draw compared against these thresholds).
@@ -376,16 +375,6 @@ class MarkovAvailabilityModel(AvailabilityModel):
             return 1.0
         sub_power = np.linalg.matrix_power(self.up_reclaimed_submatrix(), int(t))
         return float(np.clip(sub_power[0, :].sum(), 0.0, 1.0))
-
-    def transition_power(self, t: int) -> np.ndarray:
-        """``matrix ** t`` with caching (used by exact trace statistics)."""
-        if t < 0:
-            raise ValueError(f"t must be >= 0, got {t}")
-        cached = self._power_cache.get(t)
-        if cached is None:
-            cached = np.linalg.matrix_power(self._matrix, int(t))
-            self._power_cache[t] = cached
-        return cached.copy()
 
     # ------------------------------------------------------------------
     # Misc

@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.analysis.criteria import PROACTIVE_CRITERIA, get_criterion
-from repro.components import ComponentError, ComponentExpression, ComponentInfo
+from repro.components import ComponentError, ComponentInfo
 from repro.scheduling.base import Scheduler
 from repro.scheduling.catalog import (
     FAMILY_BASELINE,
@@ -221,11 +221,6 @@ def heuristic_info(name: str) -> ComponentInfo:
 def canonical_heuristic(expression) -> str:
     """Canonical string form of a heuristic expression (see module docstring)."""
     return HEURISTICS.canonical(expression)
-
-
-def resolve_heuristic(expression) -> ComponentExpression:
-    """Validated, canonicalized :class:`ComponentExpression` for *expression*."""
-    return HEURISTICS.resolve(expression)
 
 
 # Re-exported so callers can catch registry errors without importing

@@ -21,7 +21,6 @@ The engine advances slot by slot:
 from repro.simulation.engine import SimulationEngine, simulate
 from repro.simulation.events import EventKind, SimulationEvent
 from repro.simulation.gantt import render_gantt
-from repro.simulation.kernels import HAVE_NUMBA, kernel_backend
 from repro.simulation.multirun import MultiHeuristicDriver, SharedBlockSource
 from repro.simulation.results import IterationRecord, SimulationResult
 from repro.simulation.state import WorkerRuntime
@@ -31,8 +30,6 @@ __all__ = [
     "simulate",
     "MultiHeuristicDriver",
     "SharedBlockSource",
-    "HAVE_NUMBA",
-    "kernel_backend",
     "SimulationResult",
     "IterationRecord",
     "SimulationEvent",

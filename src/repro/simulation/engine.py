@@ -45,12 +45,10 @@ built on the span primitives of :mod:`repro.simulation.kernels`:
   first enrolled DOWN transition or the iteration's completing slot;
 * only the enrolled workers' runtime states are synchronised per event.
 
-The primitives are numba-compiled when numba is importable
-(``REPRO_NO_NUMBA=1`` forces the pure-NumPy fallback).  Every short-cut is
-exact: it changes neither the trajectory nor any counter of the run.  Keeping
-a per-slot record (``record_events`` or ``record_activity``) disables the
-jumps, so that slot-by-slot path is the in-engine reference the fast paths
-are tested against.
+Every short-cut is exact: it changes neither the trajectory nor any counter
+of the run.  Keeping a per-slot record (``record_events`` or
+``record_activity``) disables the jumps, so that slot-by-slot path is the
+in-engine reference the fast paths are tested against.
 
 The engine owns the decision loop: it calls ``scheduler.select`` inline at
 every slot where the scheduler is consulted.  A consulted slot pays only for

@@ -1,4 +1,4 @@
-"""Accelerated scan primitives for the block simulation core.
+"""Vectorised scan primitives for the block simulation core.
 
 The simulation engine consumes availability in ``(m, block_size)`` ``int8``
 blocks (see :mod:`repro.simulation.engine`).  This module hosts the numeric
@@ -30,18 +30,10 @@ fast paths:
     policy degenerates to "every needing UP worker is served every slot",
     so worker ``q``'s transfer completes on its ``N_q``-th UP slot and the
     phase collapses to per-worker cumulative-UP searches.
-
-Every primitive has a pure-NumPy implementation; the hot loop variants are
-additionally compiled with :mod:`numba` when it is importable.  Compilation
-is eager (explicit signatures) inside a ``try``/``except`` so that *any*
-numba problem — missing package, unsupported version, typing error — falls
-back to the NumPy implementations silently.  Set ``REPRO_NO_NUMBA=1`` to
-force the fallback even when numba is installed.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
@@ -49,9 +41,6 @@ import numpy as np
 from repro.types import DOWN, UP
 
 __all__ = [
-    "HAVE_NUMBA",
-    "NUMBA_DISABLED_BY_ENV",
-    "kernel_backend",
     "BlockData",
     "block_companions",
     "next_change_table",
@@ -63,31 +52,14 @@ __all__ = [
 _UP_CODE = int(UP)
 _DOWN_CODE = int(DOWN)
 
-#: Chunk width of the NumPy ``compute_span`` scan: bounds the temporaries
+#: Chunk width of the ``compute_span`` scan: bounds the temporaries
 #: (and the overshoot past an in-window iteration completion) without giving
 #: up the vectorised inner comparisons.
 _SPAN_CHUNK = 512
 
 
-def _detect_numba():
-    if os.environ.get("REPRO_NO_NUMBA"):
-        return None
-    try:
-        import numba  # noqa: F401  (optional accelerator)
-    except Exception:
-        return None
-    return numba
-
-
-_numba = _detect_numba()
-
-#: Whether ``REPRO_NO_NUMBA`` suppressed an otherwise usable numba install
-#: (kept distinct from "numba is simply not installed" for diagnostics).
-NUMBA_DISABLED_BY_ENV = bool(os.environ.get("REPRO_NO_NUMBA"))
-
-
 # ----------------------------------------------------------------------
-# Pure-NumPy reference implementations
+# Block scans
 # ----------------------------------------------------------------------
 def block_companions(
     block: np.ndarray, last_column: Optional[np.ndarray]
@@ -127,14 +99,14 @@ def next_change_table(block: np.ndarray) -> np.ndarray:
     return table
 
 
-def _frozen_span_numpy(table: np.ndarray, enrolled_ids: np.ndarray, rel: int) -> int:
+def frozen_span(table: np.ndarray, enrolled_ids: np.ndarray, rel: int) -> int:
     """Slots after *rel* during which no enrolled worker changes state."""
     if enrolled_ids.size == 0:
         return int(table.shape[1]) - rel - 1
     return int(table[enrolled_ids, rel].min()) - rel - 1
 
 
-def _compute_span_numpy(
+def compute_span(
     block: np.ndarray,
     enrolled_ids: np.ndarray,
     rel: int,
@@ -190,7 +162,7 @@ def _compute_span_numpy(
 _PHASE_CHUNK = 64
 
 
-def _comm_phase_span_numpy(
+def comm_phase_span(
     block: np.ndarray,
     enrolled_ids: np.ndarray,
     needs: np.ndarray,
@@ -247,109 +219,6 @@ def _comm_phase_span_numpy(
         start = stop
     holders = last_up & (carry <= needs) & (needs > 0)
     return advance, np.minimum(needs, carry), holders
-
-
-# ----------------------------------------------------------------------
-# numba-compilable loop variants (plain Python when numba is absent)
-# ----------------------------------------------------------------------
-def _frozen_span_loop(table, enrolled_ids, rel):  # pragma: no cover - numba twin
-    length = table.shape[1]
-    best = length
-    for index in range(enrolled_ids.shape[0]):
-        value = table[enrolled_ids[index], rel]
-        if value < best:
-            best = value
-    return best - rel - 1
-
-
-def _compute_span_loop(block, enrolled_ids, rel, length, needed):  # pragma: no cover
-    needed_eff = needed if needed > 1 else 1
-    advance = 0
-    progressed = 0
-    for column in range(rel + 1, length):
-        all_up = True
-        for index in range(enrolled_ids.shape[0]):
-            state = block[enrolled_ids[index], column]
-            if state == 2:  # DOWN stops the window at this column
-                return advance, progressed
-            if state != 0:
-                all_up = False
-        if all_up:
-            if progressed + 1 >= needed_eff:
-                return advance, progressed  # completing slot: leave it per-slot
-            progressed += 1
-        advance += 1
-    return advance, progressed
-
-
-def _comm_phase_span_loop(block, enrolled_ids, needs, rel, length):  # pragma: no cover
-    count = enrolled_ids.shape[0]
-    units = np.zeros(count, dtype=np.int64)
-    holders = np.zeros(count, dtype=np.bool_)
-    met = 0
-    for index in range(count):
-        if needs[index] <= 0:
-            met += 1
-    advance = 0
-    for column in range(rel, length):
-        down = False
-        for index in range(count):
-            if block[enrolled_ids[index], column] == 2:
-                down = True
-                break
-        if down:
-            break
-        for index in range(count):
-            holders[index] = False
-            if block[enrolled_ids[index], column] == 0 and units[index] < needs[index]:
-                units[index] += 1
-                holders[index] = True
-                if units[index] == needs[index]:
-                    met += 1
-        advance += 1
-        if met == count:
-            break
-    return advance, units, holders
-
-
-def _compile_kernels(numba):
-    """Eagerly compile the loop variants; any failure falls back to NumPy."""
-    frozen = numba.njit(
-        "int64(int32[:, ::1], int64[::1], int64)", cache=False, nogil=True
-    )(_frozen_span_loop)
-    span = numba.njit(
-        "UniTuple(int64, 2)(int8[:, ::1], int64[::1], int64, int64, int64)",
-        cache=False,
-        nogil=True,
-    )(_compute_span_loop)
-    phase = numba.njit(
-        "Tuple((int64, int64[::1], b1[::1]))"
-        "(int8[:, ::1], int64[::1], int64[::1], int64, int64)",
-        cache=False,
-        nogil=True,
-    )(_comm_phase_span_loop)
-    return frozen, span, phase
-
-
-if _numba is not None:
-    try:
-        frozen_span, compute_span, comm_phase_span = _compile_kernels(_numba)
-        HAVE_NUMBA = True
-    except Exception:  # pragma: no cover - depends on the numba install
-        frozen_span = _frozen_span_numpy
-        compute_span = _compute_span_numpy
-        comm_phase_span = _comm_phase_span_numpy
-        HAVE_NUMBA = False
-else:
-    frozen_span = _frozen_span_numpy
-    compute_span = _compute_span_numpy
-    comm_phase_span = _comm_phase_span_numpy
-    HAVE_NUMBA = False
-
-
-def kernel_backend() -> str:
-    """``"numba"`` when the compiled kernels are active, else ``"numpy"``."""
-    return "numba" if HAVE_NUMBA else "numpy"
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact joint-chain computation of the Theorem 5.1 quantities (small sets).
+"""Exact joint-chain Theorem 5.1 quantities, kept as the analysis test oracle.
 
 The approximations of :mod:`repro.analysis.group` rest on two ingredients:
 (i) the truncation of the series ``Eu(S)`` / ``A(S)`` at a finite horizon and
@@ -14,9 +14,8 @@ against an *exact* computation on the joint Markov chain of the worker set:
 * the conditional expectation of a ``W``-slot workload follows by the renewal
   argument, which is exact because the all-UP state is a regeneration point.
 
-This module is used by the test-suite as a ground truth and is exposed
-publicly because it is also handy for users who want exact numbers on small
-worker sets (up to ~12 workers).
+``test_exact.py`` validates it against Monte-Carlo simulation and then uses
+it as the ground truth for :mod:`repro.analysis.group` on small worker sets.
 """
 
 from __future__ import annotations

@@ -12,16 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.exact import (
-    ExactGroupQuantities,
-    exact_expected_time,
-    exact_group_quantities,
-)
 from repro.analysis.group import ExpectationMode, GroupAnalysis
 from repro.analysis.single import WorkerAnalysis
 from repro.availability.generators import paper_transition_matrix, random_markov_models
 from repro.availability.markov import MarkovAvailabilityModel
 from repro.types import DOWN, UP
+
+from tests.analysis.exact_chain import (
+    ExactGroupQuantities,
+    exact_expected_time,
+    exact_group_quantities,
+)
 
 
 def make_models(stays):

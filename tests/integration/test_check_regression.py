@@ -196,8 +196,6 @@ def make_fingerprint(**overrides):
         "platform": "x86_64",
         "python": "3.11.0",
         "numpy": "2.0.0",
-        "numba": None,
-        "kernel_backend": "numpy",
     }
     fingerprint.update(overrides)
     return fingerprint
@@ -208,15 +206,13 @@ class TestFingerprintWarnings:
         baseline = make_report()
         baseline["machine"] = make_fingerprint()
         current = make_report()
-        current["machine"] = make_fingerprint(
-            cpu_model="Other CPU", numba="0.60.0", kernel_backend="numba"
-        )
+        current["machine"] = make_fingerprint(cpu_model="Other CPU", numpy="2.1.0")
         proc = run_gate(tmp_path, baseline, current)
         assert proc.returncode == 0, proc.stderr
         assert "WARNING" in proc.stdout
         assert "fingerprint mismatch" in proc.stdout
         assert "cpu_model" in proc.stdout
-        assert "kernel_backend" in proc.stdout
+        assert "'numpy'" in proc.stdout
 
     def test_matching_fingerprints_stay_silent(self, tmp_path):
         baseline = make_report()
@@ -255,8 +251,7 @@ class TestCommittedSimulatorBaseline:
         assert {"kernel", "multiheuristic"} <= modes
         assert not {"perslot", "block", "legacy"} & modes
         machine = baseline["machine"]
-        for field in ("cpu_model", "cpu_count", "python", "numpy", "numba",
-                      "kernel_backend"):
+        for field in ("cpu_model", "cpu_count", "python", "numpy"):
             assert field in machine, field
         cell = next(run for run in baseline["runs"] if run["mode"] == "multiheuristic")
         assert cell["throughput_formula"] == "len(heuristics) * slots / wall_seconds"

@@ -1,6 +1,6 @@
 """``import repro`` stays light: heavy optional libraries load on first use.
 
-scipy (one rank correlation in the paper comparison) and networkx (the
+scipy (the distribution fits of ``repro.traces.fit``) and networkx (the
 ENCD graph import/export helpers) are imported inside the functions that
 need them, so every CLI call and service worker skips their start-up cost.
 """
