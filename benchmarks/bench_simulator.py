@@ -123,6 +123,8 @@ def make_setup(wmin=1, m=5, num_processors=20, ncom=10, seed=11):
 
 
 def run_once(platform, application, analysis, heuristic, seed=5, max_slots=60_000):
+    # Each round starts with the allocators' tree and answer table empty.
+    analysis.allocator_state.clear()
     engine = SimulationEngine(
         platform,
         application,
@@ -160,7 +162,11 @@ def test_single_instance_m10_moderate(benchmark, heuristic):
 # Raw throughput report (BENCH_simulator.json)
 # ----------------------------------------------------------------------
 def _measure_engine(heuristic: str, max_slots: int, repeats: int = 3) -> dict:
-    """Best-of-*repeats* slots/sec of one solo engine run."""
+    """Best-of-*repeats* slots/sec of one solo engine run.
+
+    The repeats share the analysis memos but not the allocators' tree and
+    answer table, which would otherwise replay the first repeat's answers.
+    """
     platform = paper_platform(
         PlatformSpec(num_processors=THROUGHPUT_WORKERS, ncom=10, wmin=2),
         num_tasks=5,
@@ -171,6 +177,7 @@ def _measure_engine(heuristic: str, max_slots: int, repeats: int = 3) -> dict:
     application = Application(tasks_per_iteration=5, iterations=max_slots)
     best = float("inf")
     for _ in range(repeats):
+        analysis.allocator_state.clear()
         engine = SimulationEngine(
             platform,
             application,
@@ -216,7 +223,9 @@ def _overhead_walls(heuristic: str, max_slots: int, repeats: int, instrument) ->
     *instrument(analysis)* returns the engine keyword arguments of an
     instrumented run.  Off/on runs are interleaved as A/B/A triples and
     reduced by :func:`_median_triple`, after one untimed warmup so
-    cache effects never land asymmetrically in the first timed run.
+    cache effects never land asymmetrically in the first timed run.  Every
+    run starts with the allocators' tree and answer table empty, as in
+    :func:`_measure_engine`.
     """
     platform = paper_platform(
         PlatformSpec(num_processors=THROUGHPUT_WORKERS, ncom=10, wmin=2),
@@ -228,6 +237,7 @@ def _overhead_walls(heuristic: str, max_slots: int, repeats: int, instrument) ->
 
     def run_once(on: bool) -> float:
         analysis.tracer = None
+        analysis.allocator_state.clear()
         engine = SimulationEngine(
             platform,
             application,
@@ -305,7 +315,8 @@ def _measure_telemetry_overhead(heuristic: str, max_slots: int, repeats: int = 3
 
 
 def _measure_multiheuristic(max_slots: int, repeats: int = 3) -> dict:
-    """Best-of-*repeats* one-pass run of the full contract cell."""
+    """Best-of-*repeats* one-pass run of the full contract cell (allocator
+    state dropped before each repeat, as in :func:`_measure_engine`)."""
     platform = paper_platform(
         PlatformSpec(num_processors=THROUGHPUT_WORKERS, ncom=10, wmin=2),
         num_tasks=5,
@@ -315,6 +326,7 @@ def _measure_multiheuristic(max_slots: int, repeats: int = 3) -> dict:
     application = Application(tasks_per_iteration=5, iterations=max_slots)
     best = float("inf")
     for _ in range(repeats):
+        analysis.allocator_state.clear()
         driver = MultiHeuristicDriver(
             platform,
             application,

@@ -90,6 +90,10 @@ class AnalysisContext:
         self._comp_cache: Dict[Tuple[FrozenSet[int], int], Tuple[float, float]] = {}
         # (frozen worker set, phase duration) -> Π_q P_ND(duration).
         self._survival_cache: Dict[Tuple[FrozenSet[int], int], float] = {}
+        #: State the allocators bound to this context share (their
+        #: greedy-path trees and answer tables, see
+        #: :mod:`repro.scheduling.allocation`); dropped with the memos.
+        self.allocator_state: Dict[object, object] = {}
         #: Optional :class:`~repro.telemetry.tracer.Tracer` shared with the
         #: allocator: when set, ``evaluate_batch`` and
         #: ``IncrementalAllocator.allocate`` emit spans with memo hit/miss
@@ -102,8 +106,9 @@ class AnalysisContext:
         """The ``E^(S)(W)`` estimator in use.
 
         Several memos (single-worker expectations, communication estimates,
-        computation estimates) cache mode-dependent values, so assigning a
-        new mode drops them — stale entries would otherwise be replayed.
+        computation estimates, the allocators' shared state) cache
+        mode-dependent values, so assigning a new mode drops them — stale
+        entries would otherwise be replayed.
         """
         return self._mode
 
@@ -114,6 +119,7 @@ class AnalysisContext:
             self._comm_cache.clear()
             self._single_time_cache.clear()
             self._comp_cache.clear()
+            self.allocator_state.clear()
 
     @property
     def num_workers(self) -> int:
@@ -337,12 +343,13 @@ class AnalysisContext:
 
     # ------------------------------------------------------------------
     def clear_caches(self) -> None:
-        """Drop all memoised values (group quantities and communication estimates)."""
+        """Drop all memoised values (group quantities, estimates, allocator state)."""
         self.group.clear_cache()
         self._comm_cache.clear()
         self._single_time_cache.clear()
         self._comp_cache.clear()
         self._survival_cache.clear()
+        self.allocator_state.clear()
 
     def cache_stats(self) -> Dict[str, int]:
         """Sizes of the internal caches (for diagnostics and tests)."""

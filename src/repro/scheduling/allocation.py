@@ -27,24 +27,27 @@ formulas are exactly those of :mod:`repro.analysis.evaluation` and
 cross-checks the fast path against the reference evaluation.
 
 Consecutive calls mostly differ by one or two workers flipping UP/RECLAIMED,
-so the allocator also keeps a tree of the greedy states earlier calls
-walked, with every candidate each state scored: a call re-scores only the
-candidates its states have never seen, which is exact because a candidate's
-score depends on the state and on the candidate alone.  The plain
+and the heuristics of one scenario ask about the same slots, so the
+allocators bound to one :class:`AnalysisContext` share a tree of the greedy
+states earlier calls walked, with every candidate each state scored: a call
+re-scores only the candidates its states have never seen, which is exact
+because a candidate's ``(probability, expected time)`` depends on the state
+and on the candidate alone, whatever the criterion.  The plain
 per-candidate loop the tree replaced is kept as a test oracle
 (``tests/scheduling/scalar_allocator.py``); ``test_greedy_path.py`` and
 ``test_batch_equivalence.py`` pin the tree against it on correlated,
 generated and whole-simulation call sequences.
 
-A proactive heuristic asks for a candidate at every slot, and a slot where
-no worker changed state asks the same question as the slot before.  So
-:meth:`IncrementalAllocator.allocate` also keeps the key and the answer of
-its last call, and answers an equal key with the same object before it
-normalises its inputs or walks the tree.  The key holds the UP workers as
-passed, the program holders, the reusable data, the analysis mode and, for
-Y alone (the only criterion whose winner reads it), the elapsed time.  One
-remembered call is enough: on the paper-mix benchmark it answers 39% of the
-calls, and a memo of every key seen would answer under 2% more.
+A call's answer is a pure function of its criterion and inputs, and a
+proactive heuristic asks the question of the slot before whenever no worker
+changed state, or the question another heuristic of the scenario already
+asked.  So the shared state also holds a table of answers, keyed on the
+criterion name, the UP workers as passed, the program holders, the reusable
+data and, for Y alone (the only criterion whose winner reads it), the
+elapsed time; an equal key is answered with the same object before the
+inputs are normalised or the tree walked.  Only allocators with the same
+platform and task count share a tree and a table, and the context drops
+both whenever it drops its memos (a mode change, ``clear_caches``).
 """
 
 from __future__ import annotations
@@ -60,14 +63,20 @@ from repro.platform.platform import Platform
 
 __all__ = ["IncrementalAllocator"]
 
-#: Greedy states an allocator keeps before it drops its tree and starts over.
-#: A state costs about 2 KB on a 20-worker platform, so a tree stays under a
-#: megabyte; four times as many states saves only about 5% of a proactive
-#: IE-based run.
-GREEDY_STATE_LIMIT = 256
+#: Greedy states a shared tree keeps before it is dropped and started over.  A
+#: paper-mix scenario reaches at most about 1,400 states, and a state costs
+#: about 2 KB on a 20-worker platform, so a tree stays under 4 MB.
+GREEDY_STATE_LIMIT = 2048
 
-#: The ``allocate`` span counters of a call the last-call memo answered.
-_REPEAT_COUNTERS = {
+#: Answers a shared table keeps before it is emptied and started over (a
+#: scenario of the paper mix asks at most about 3,300 distinct questions).
+ANSWER_LIMIT = 4096
+
+#: An answer-table lookup that found nothing (``None`` is a valid answer).
+_MISSING = object()
+
+#: The ``allocate`` span counters of a call the answer table answered.
+_TABLE_HIT_COUNTERS = {
     "steps": 0,
     "candidates": 0,
     "path_hits": 0,
@@ -112,14 +121,9 @@ class IncrementalAllocator:
         self._capacities = {
             q: platform.processor(q).capacity for q in range(platform.num_processors)
         }
-        # The greedy-path tree (see ``_allocate``).
-        self._root: Optional[_GreedyState] = None
-        self._root_mode = analysis.mode
-        self._num_states = 0
-        # The last-call memo (see ``allocate``); only Y's winner reads elapsed.
+        # Which tree and table of the context to share (see the module docstring).
+        self._shared_key = (platform, self.num_tasks)
         self._answer_reads_elapsed = criterion.name == "Y"
-        self._last_key: Optional[tuple] = None
-        self._last_answer: Optional[Configuration] = None
 
     # ------------------------------------------------------------------
     def allocate(
@@ -146,21 +150,24 @@ class IncrementalAllocator:
             Slots already spent in the current iteration (enters the yield
             criteria).
 
-        A call whose inputs equal the previous call's returns the previous
-        answer, the same object (``None`` included), without touching the
-        tree.
+        A call whose criterion and inputs equal those of an earlier call of
+        any allocator sharing this one's table returns the earlier answer,
+        the same object (``None`` included), without touching the tree.
 
         When the shared :class:`AnalysisContext` carries a tracer
-        (``analysis.tracer``), every call that reaches the tree or the
-        last-call memo accumulates into one aggregated ``allocate`` span
-        (duration, ``calls``, memo hit/miss counters, ``repeats`` for the
-        memo's answers; flushed at the end of the engine run); with no
-        tracer this method takes the exact pre-telemetry code path.
+        (``analysis.tracer``), every call accumulates into one aggregated
+        ``allocate`` span (duration, ``calls``, memo hit/miss counters,
+        ``repeats`` for the table's answers; flushed at the end of the
+        engine run); with no tracer this method takes the exact
+        pre-telemetry code path.
         """
         tracer = getattr(self.analysis, "tracer", None)
         begin = 0 if tracer is None else time.perf_counter_ns()
-        # The last-call memo (see the module docstring): the key holds every
-        # input the answer depends on, so an equal key is answered as is.
+        # Looked up on every call, so a tree the context dropped is never used.
+        store = self.analysis.allocator_state
+        shared = store.get(self._shared_key)
+        if shared is None:
+            shared = store[self._shared_key] = _SharedState()
         up_key = tuple(up_workers)
         program_set = (
             has_program
@@ -168,24 +175,27 @@ class IncrementalAllocator:
             else frozenset(map(int, has_program))
         )
         key = (
+            self.criterion.name,
             up_key,
             program_set,
             tuple(received_data.items()) if received_data else (),
-            self.analysis.mode,
             elapsed if self._answer_reads_elapsed else None,
         )
-        if key == self._last_key:
+        answers = shared.answers
+        answer = answers.get(key, _MISSING)
+        if answer is not _MISSING:
             if tracer is not None:
                 tracer.accumulate(
                     "allocate",
                     begin,
-                    counters=_REPEAT_COUNTERS,
+                    counters=_TABLE_HIT_COUNTERS,
                     criterion=self.criterion.name,
                 )
-            return self._last_answer
-        answer = self._answer(up_key, program_set, received_data, elapsed, tracer)
-        self._last_key = key
-        self._last_answer = answer
+            return answer
+        answer = self._answer(up_key, program_set, received_data, elapsed, tracer, shared)
+        if len(answers) >= ANSWER_LIMIT:
+            answers.clear()
+        answers[key] = answer
         return answer
 
     def _answer(
@@ -195,8 +205,9 @@ class IncrementalAllocator:
         received_data: Optional[Mapping[int, int]],
         elapsed: int,
         tracer,
+        shared: "_SharedState",
     ) -> Optional[Configuration]:
-        """:meth:`allocate` without the last-call memo."""
+        """:meth:`allocate` without the answer table."""
         up_workers = sorted(set(map(int, up_workers)))
         if not up_workers:
             return None
@@ -204,7 +215,7 @@ class IncrementalAllocator:
         if sum(capacities[w] for w in up_workers) < self.num_tasks:
             return None
         if tracer is None:
-            return self._allocate(up_workers, program_set, received_data, elapsed)
+            return self._allocate(shared, up_workers, program_set, received_data, elapsed)
         begin = time.perf_counter_ns()
         stats = {
             "steps": 0,
@@ -214,7 +225,7 @@ class IncrementalAllocator:
             "survival_misses": 0,
             "computation_misses": 0,
         }
-        result = self._allocate(up_workers, program_set, received_data, elapsed, stats)
+        result = self._allocate(shared, up_workers, program_set, received_data, elapsed, stats)
         # The computation memo is probed exactly once per candidate the
         # greedy-path tree could not answer, so hits are the complement of
         # the recorded misses.
@@ -234,6 +245,7 @@ class IncrementalAllocator:
     # ------------------------------------------------------------------
     def _allocate(
         self,
+        shared: "_SharedState",
         up_workers: Sequence[int],
         program_set: FrozenSet[int],
         received_data: Optional[Mapping[int, int]],
@@ -242,19 +254,19 @@ class IncrementalAllocator:
     ) -> Optional[Configuration]:
         """Greedy-path-memoised allocation.
 
-        Every call walks the allocator's tree of :class:`_GreedyState` nodes
-        from the empty state, one node per greedy step.  A worker enters a
-        call as a *token*: its id, bit-flipped (``~w``) when it holds the
+        Every call walks the shared tree of :class:`_GreedyState` nodes from
+        the empty state, one node per greedy step.  A worker enters a call
+        as a *token*: its id, bit-flipped (``~w``) when it holds the
         program, paired with its reusable message count when it has one.  A
         candidate's ``(probability, expected time)`` is a pure function of
         the node (the tokens committed so far) and of the candidate's token,
-        so a node scores each token once, whatever slot asks: only tokens the
-        node has never seen — workers that just came UP, gained the program,
-        or hold new reusable data — are evaluated (:meth:`_score`).  The
-        winner is the argmax of the stored values over this call's tokens in
-        ascending worker order, with the per-candidate loop's strict comparisons
-        (:func:`_argmax`; Y's value ``P / (elapsed + E)`` is divided there,
-        since it changes with the elapsed time).
+        so a node scores each token once, whatever slot or criterion asks:
+        only tokens the node has never seen — workers that just came UP,
+        gained the program, or hold new reusable data — are evaluated
+        (:meth:`_score`).  The winner is the argmax of the criterion over
+        this call's tokens in ascending worker order, with the per-candidate
+        loop's strict comparisons (:func:`_argmax`).  Children are keyed by
+        winner token, so every criterion walks the same tree.
 
         *stats*, when given (only by the traced :meth:`allocate` wrapper),
         accumulates greedy-step / candidate counts, the candidates answered
@@ -273,7 +285,10 @@ class IncrementalAllocator:
         criterion_name = self.criterion.name
         higher_better = self.criterion.higher_is_better
 
-        state = self._greedy_root()
+        if shared.num_states >= GREEDY_STATE_LIMIT:
+            shared.root = _GreedyState({}, frozenset(), 0, 0, {}, {})
+            shared.num_states = 1
+        state = shared.root
         for _ in range(self.num_tasks):
             scored = state.scored
             unseen = present.difference(scored)
@@ -299,6 +314,7 @@ class IncrementalAllocator:
 
             child = state.children.get(best_token)
             if child is None:
+                shared.num_states += 1
                 child = state.children[best_token] = self._extend(
                     state, _worker_of(best_token), program_set, reusable
                 )
@@ -309,23 +325,6 @@ class IncrementalAllocator:
         return state.configuration
 
     # ------------------------------------------------------------------
-    def _greedy_root(self) -> "_GreedyState":
-        """The empty greedy state, after dropping a full or stale tree.
-
-        Scores depend on the analysis mode, like the analysis memos, so a
-        mode change starts a new tree.
-        """
-        mode = self.analysis.mode
-        if (
-            self._root is None
-            or self._num_states >= GREEDY_STATE_LIMIT
-            or mode is not self._root_mode
-        ):
-            self._root = _GreedyState({}, frozenset(), 0, 0, {}, {})
-            self._root_mode = mode
-            self._num_states = 1
-        return self._root
-
     def _extend(
         self,
         state: "_GreedyState",
@@ -334,7 +333,6 @@ class IncrementalAllocator:
         reusable: Mapping[int, int],
     ) -> "_GreedyState":
         """The child of *state* that commits one more task to *worker*."""
-        self._num_states += 1
         new_tasks = state.allocation.get(worker, 0) + 1
         allocation = dict(state.allocation)
         allocation[worker] = new_tasks
@@ -407,7 +405,6 @@ class IncrementalAllocator:
             elif other_time > second_time:
                 second_time = other_time
         scored = state.scored
-        criterion_name = self.criterion.name
 
         candidate_sets = {}
         for worker in workers:
@@ -468,37 +465,29 @@ class IncrementalAllocator:
                     stats["computation_misses"] += 1
                 comp = context.computation(candidate_set, workload)
             comp_probability, comp_time = comp
-            # --- criterion value (Y's depends on the elapsed time, so the
-            # pair is kept and ``_argmax`` divides per call) -----------------
-            probability = comm_probability * comp_probability
-            expected = comm_time + comp_time
-            if criterion_name == "P":
-                value = probability
-            elif criterion_name == "E":
-                value = expected
-            elif criterion_name == "AY":
-                value = probability / expected if expected > 0 else math.inf
-            else:  # "Y"
-                value = (probability, expected)
-            scored[tokens[worker]] = value
+            # --- the pair every criterion is computed from (``_argmax``) --
+            scored[tokens[worker]] = (comm_probability * comp_probability, comm_time + comp_time)
         return len(candidate_sets)
 
 
 def _argmax(tokens, scored, name: str, higher_better: bool, elapsed: int):
     """The per-candidate loop's winner among the scored *tokens* (ascending workers):
-    the first token whose value no later one beats strictly, NaN included."""
+    the first token whose criterion value (the loop's float expression of the
+    stored pair) no later one beats strictly, NaN included."""
     best_token = None
     best_value = None
     for token in tokens:
         entry = scored[token]
         if entry is None:
             continue  # at capacity in this state
-        if name == "Y":
-            probability, expected = entry
-            denominator = elapsed + expected
-            value = probability / denominator if denominator > 0 else math.inf
+        probability, expected = entry
+        if name == "P":
+            value = probability
+        elif name == "E":
+            value = expected
         else:
-            value = entry
+            denominator = elapsed + expected if name == "Y" else expected
+            value = probability / denominator if denominator > 0 else math.inf
         if best_token is None or (value > best_value if higher_better else value < best_value):
             best_token = token
             best_value = value
@@ -512,8 +501,20 @@ def _worker_of(token) -> int:
     return ~token if token < 0 else token
 
 
+class _SharedState:
+    """The greedy-path tree and answer table shared by the allocators of a context."""
+
+    __slots__ = ("root", "num_states", "answers")
+
+    def __init__(self) -> None:
+        self.root = _GreedyState({}, frozenset(), 0, 0, {}, {})
+        self.num_states = 1
+        #: (criterion name, inputs) -> the configuration (or ``None``).
+        self.answers: Dict[tuple, Optional[Configuration]] = {}
+
+
 class _GreedyState:
-    """One node of an allocator's greedy-path tree: the tasks committed so far.
+    """One node of a shared greedy-path tree: the tasks committed so far.
 
     A node is reached by exactly one sequence of winner tokens, so
     everything it stores is a function of that sequence: the running totals
@@ -549,10 +550,9 @@ class _GreedyState:
         self.comm_slots = comm_slots
         #: Committed per-worker single-worker communication times.
         self.comm_times = comm_times
-        #: Candidate token -> its criterion value (for Y, whose value depends
-        #: on the elapsed time, the ``(probability, expected time)`` pair),
-        #: or ``None`` for a worker already at capacity in this state.  Plain
-        #: floats keep the garbage collector's tracked-object count down.
+        #: Candidate token -> the ``(probability, expected time)`` of the
+        #: configuration that gives it one more task, or ``None`` for a
+        #: worker already at capacity in this state.
         self.scored: Dict[object, object] = {}
         #: Winner token -> the state that commits it.
         self.children: Dict[object, "_GreedyState"] = {}

@@ -42,8 +42,8 @@ class PassiveHeuristic(Scheduler):
 
     Rebuilds go through an
     :class:`~repro.scheduling.allocation.IncrementalAllocator`, whose
-    greedy-path tree is shared by every rebuild and proactive candidate of
-    the run.
+    greedy-path tree and answer table live in the analysis context and are
+    shared by every heuristic of the scenario bound to it.
     """
 
     passive_between_rebuilds = True
@@ -63,9 +63,6 @@ class PassiveHeuristic(Scheduler):
             platform,
             application.tasks_per_iteration,
         )
-
-    def reset(self) -> None:
-        self._allocator = None if self.platform is None else self._allocator
 
     # ------------------------------------------------------------------
     def select(self, observation: Observation) -> Configuration:

@@ -1,13 +1,15 @@
-"""The greedy-path tree of the allocator is exact.
+"""The greedy-path tree and answer table of the allocator are exact.
 
 ``IncrementalAllocator`` replays greedy states that earlier calls already
-scored and only evaluates candidates a state has never seen.  These tests
-drive it with the call sequences a simulation produces — consecutive calls
-differing by one or two workers flipping UP, program holders coming and
-going, reusable data, a moving elapsed time — and compare every result with
-the scalar per-candidate loop (``ScalarAllocator``) on a fresh analysis
-context.  Ties, tree resets, mode changes, a stored NaN and the last-call
-memo's repeats are covered explicitly.
+scored and only evaluates candidates a state has never seen; the allocators
+bound to one analysis context share that tree and a table of answers,
+whatever their criterion.  These tests drive them with the call sequences a
+simulation produces — consecutive calls differing by one or two workers
+flipping UP, program holders coming and going, reusable data, a moving
+elapsed time — and compare every result with the scalar per-candidate loop
+(``ScalarAllocator``) on a private analysis context.  Ties, tree and table
+resets, mode changes, a stored NaN, the table's answers and the sharing of
+one context by every criterion are covered explicitly.
 """
 
 import math
@@ -116,6 +118,12 @@ def test_ties_resolve_by_ascending_worker(criterion_name):
     assert_sequence_matches(tree, scalar, walk(6, 200, seed=11))
 
 
+def shared_state(context):
+    """The tree and table the allocators bound to *context* share."""
+    (shared,) = context.allocator_state.values()
+    return shared
+
+
 @pytest.mark.parametrize("criterion_name", ["E", "Y"])
 def test_tree_resets_keep_results(monkeypatch, criterion_name):
     monkeypatch.setattr(allocation, "GREEDY_STATE_LIMIT", 8)
@@ -124,7 +132,7 @@ def test_tree_resets_keep_results(monkeypatch, criterion_name):
     for call in walk(12, 120, seed=5):
         assert_sequence_matches(tree, scalar, [call])
         # A call starts a new tree at the limit and adds at most m states.
-        assert tree._num_states <= 8 + NUM_TASKS
+        assert shared_state(tree.analysis).num_states <= 8 + NUM_TASKS
 
 
 def test_mode_change_starts_a_new_tree():
@@ -133,50 +141,82 @@ def test_mode_change_starts_a_new_tree():
     tree = IncrementalAllocator(get_criterion("E"), context, platform, NUM_TASKS)
     up = list(range(10))
     tree.allocate(up, has_program=[1, 4])
+    paper_state = shared_state(context)
     context.mode = ExpectationMode.RENEWAL
+    assert not context.allocator_state
     renewal = AnalysisContext(platform, mode=ExpectationMode.RENEWAL)
     scalar = ScalarAllocator(get_criterion("E"), renewal, platform, NUM_TASKS)
     assert tree.allocate(up, has_program=[1, 4]) == scalar.allocate(up, has_program=[1, 4])
+    assert shared_state(context) is not paper_state
+
+
+def test_task_counts_keep_separate_tables():
+    platform = make_platform()
+    context = AnalysisContext(platform)
+    up = list(range(12))
+    for num_tasks in (NUM_TASKS, 3):
+        tree = IncrementalAllocator(get_criterion("E"), context, platform, num_tasks)
+        scalar = ScalarAllocator(get_criterion("E"), AnalysisContext(platform), platform, num_tasks)
+        assert tree.allocate(up, has_program=[2]) == scalar.allocate(up, has_program=[2])
+    assert len(context.allocator_state) == 2
+
+
+def test_cleared_context_starts_a_new_tree():
+    platform = make_platform()
+    context = AnalysisContext(platform)
+    tree = IncrementalAllocator(get_criterion("P"), context, platform, NUM_TASKS)
+    first = tree.allocate(list(range(10)))
+    dropped = shared_state(context)
+    context.clear_caches()
+    assert tree.allocate(list(range(10))) == first
+    assert shared_state(context) is not dropped
 
 
 def test_stored_nan_keeps_the_scalar_winner_rule():
     platform = make_platform()
-    tree = IncrementalAllocator(get_criterion("P"), AnalysisContext(platform), platform, NUM_TASKS)
+    context = AnalysisContext(platform)
+    tree = IncrementalAllocator(get_criterion("P"), context, platform, NUM_TASKS)
     up = [0, 3, 5, 7, 9]
     tree.allocate(up)
-    # A different call in between, so the repeat below is not answered by
-    # the last-call memo and reaches ``_argmax``.
-    tree.allocate(up[:-1])
-    # Poison the first worker's score at the root: the scalar loop keeps a
+    # Poison the first worker's pair at the root: the scalar loop keeps a
     # NaN that comes first (no later value compares greater), so worker 0
-    # must take the first task.
-    tree._root.scored[0] = math.nan
-    assert tree.allocate(up).tasks_on(0) >= 1
+    # must take the first task.  The UP list passed in another order is a
+    # question the table has not seen, so the call reaches ``_argmax``.
+    shared_state(context).root.scored[0] = (math.nan, 1.0)
+    assert tree.allocate(up[::-1]).tasks_on(0) >= 1
 
 
-def test_immediate_repeat_is_answered_by_the_last_call_memo():
-    platform = make_platform()
-    context = AnalysisContext(platform)
-    tree = IncrementalAllocator(get_criterion("E"), context, platform, NUM_TASKS)
-    up = list(range(12))
-    first = tree.allocate(up, has_program=[2])
-    context.tracer = recorder = CounterRecorder()
-    assert tree.allocate(up, has_program=[2]) is first
-    (counters,) = recorder.counters
-    assert counters["repeats"] == 1
-    assert counters["steps"] == counters["candidates"] == 0
-
-
-def test_repeat_call_is_answered_by_the_tree():
+def test_repeated_question_is_answered_by_the_table():
     platform = make_platform()
     context = AnalysisContext(platform)
     tree = IncrementalAllocator(get_criterion("E"), context, platform, NUM_TASKS)
     up = list(range(12))
     first = tree.allocate(up, has_program=[2])
     tree.allocate(up[:-1], has_program=[2])
-    # A, B, A: the last-call memo holds B, so the tree answers the third call.
+    # A, B, A, and A again from another heuristic's E allocator on the same
+    # context: the table answers both with the first answer.
+    twin = IncrementalAllocator(get_criterion("E"), context, platform, NUM_TASKS)
     context.tracer = recorder = CounterRecorder()
     assert tree.allocate(up, has_program=[2]) is first
+    assert twin.allocate(up, has_program=[2]) is first
+    assert len(recorder.counters) == 2
+    for counters in recorder.counters:
+        assert counters["repeats"] == 1
+        assert counters["steps"] == counters["candidates"] == 0
+
+
+def test_other_criterion_is_answered_by_the_tree():
+    platform = make_platform()
+    context = AnalysisContext(platform)
+    tree = IncrementalAllocator(get_criterion("E"), context, platform, NUM_TASKS)
+    up = list(range(12))
+    tree.allocate(up, has_program=[2])
+    # On this platform AY takes E's greedy path, so the tree holds every
+    # candidate AY's call needs: it walks the tree and scores nothing.
+    apparent = IncrementalAllocator(get_criterion("AY"), context, platform, NUM_TASKS)
+    scalar = ScalarAllocator(get_criterion("AY"), AnalysisContext(platform), platform, NUM_TASKS)
+    context.tracer = recorder = CounterRecorder()
+    assert apparent.allocate(up, has_program=[2]) == scalar.allocate(up, has_program=[2])
     (counters,) = recorder.counters
     assert counters["repeats"] == 0
     assert counters["steps"] == NUM_TASKS
@@ -190,7 +230,7 @@ def repeating_walk(num_workers, steps, seed, context):
 
     Between a call and its repeat the analysis mode may flip, the reusable
     data may go, and the elapsed time may move (which only Y's answer
-    reads): the memo must tell each of these apart from a true repeat.
+    reads): the table must tell each of these apart from a true repeat.
     """
     rng = np.random.default_rng(seed)
     for up, program, received, elapsed in walk(num_workers, steps, seed):
@@ -263,3 +303,108 @@ def test_drawn_sequences_match_the_scalar_loop(criterion_name, seed, calls):
         for up, program, received, elapsed in calls
     ]
     assert_sequence_matches(tree, scalar, drawn)
+
+
+def assert_shared_context_matches(platform, context, calls):
+    """Allocators for every criterion, bound to *context*, answer like private scalars.
+
+    Each call is asked by every criterion as a proactive candidate (no
+    reusable data), then once more as a rebuild with the call's reusable
+    data by one criterion, in turn.  Every answer must equal that of the
+    criterion's own ``ScalarAllocator`` on a private context in the same
+    analysis mode.
+    """
+    trees = {
+        name: IncrementalAllocator(get_criterion(name), context, platform, NUM_TASKS)
+        for name in CRITERIA
+    }
+    scalars = {}
+    for index, (up, program, received, elapsed) in enumerate(calls):
+        rebuild = CRITERIA[index % len(CRITERIA)]
+        for name, reusable in [(name, None) for name in CRITERIA] + [(rebuild, received)]:
+            mode = context.mode
+            if (name, mode) not in scalars:
+                scalars[name, mode] = ScalarAllocator(
+                    get_criterion(name), AnalysisContext(platform, mode=mode), platform, NUM_TASKS
+                )
+            expected = scalars[name, mode].allocate(
+                up, has_program=program, received_data=reusable, elapsed=elapsed
+            )
+            actual = trees[name].allocate(
+                up, has_program=program, received_data=reusable, elapsed=elapsed
+            )
+            assert actual == expected, (
+                f"call {index}: criterion {name} on the shared context gave {actual}, "
+                f"its scalar loop {expected} (up={up}, program={program}, "
+                f"received={reusable}, elapsed={elapsed}, mode={mode})"
+            )
+
+
+@pytest.mark.parametrize("seed", [3, 13])
+def test_criteria_sharing_a_context_match_their_scalar_loops(seed):
+    platform = make_platform()
+    context = AnalysisContext(platform)
+    context.tracer = recorder = CounterRecorder()
+    assert_shared_context_matches(platform, context, walk(12, 150, seed=seed))
+    # The criteria walk one tree: most candidates came from it, and the
+    # table answered the rebuilds that carried no reusable data.
+    path_hits = sum(counters["path_hits"] for counters in recorder.counters)
+    candidates = sum(counters["candidates"] for counters in recorder.counters)
+    assert path_hits > candidates / 2
+    assert sum(counters["repeats"] for counters in recorder.counters) > 0
+
+
+def test_mode_switch_in_a_shared_walk_keeps_results():
+    platform = make_platform()
+    context = AnalysisContext(platform)
+    calls = list(walk(12, 120, seed=17))
+
+    def switching():
+        for index, call in enumerate(calls):
+            if index in (40, 80):
+                context.mode = (
+                    ExpectationMode.RENEWAL
+                    if context.mode is ExpectationMode.PAPER
+                    else ExpectationMode.PAPER
+                )
+            yield call
+
+    assert_shared_context_matches(platform, context, switching())
+    assert context.mode is ExpectationMode.PAPER
+
+
+def test_tiny_shared_bounds_keep_results(monkeypatch):
+    monkeypatch.setattr(allocation, "GREEDY_STATE_LIMIT", 8)
+    monkeypatch.setattr(allocation, "ANSWER_LIMIT", 4)
+    platform = make_platform()
+    context = AnalysisContext(platform)
+    for call in walk(12, 80, seed=23):
+        assert_shared_context_matches(platform, context, [call])
+        shared = shared_state(context)
+        # A call starts a new tree at the limit and adds at most m states;
+        # the table is emptied when full before it takes a new answer.
+        assert shared.num_states <= 8 + NUM_TASKS
+        assert len(shared.answers) <= 4
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    calls=st.lists(
+        st.tuples(
+            st.sets(st.integers(0, 7), min_size=1),
+            st.sets(st.integers(0, 7)),
+            st.dictionaries(st.integers(0, 7), st.integers(1, 2), max_size=2),
+            st.integers(0, 60),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_drawn_sequences_on_a_shared_context_match_the_scalar_loops(seed, calls):
+    platform = make_platform(num_processors=8, seed=seed)
+    drawn = [
+        (sorted(up), sorted(program), received, elapsed)
+        for up, program, received, elapsed in calls
+    ]
+    assert_shared_context_matches(platform, AnalysisContext(platform), drawn)

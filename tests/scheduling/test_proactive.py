@@ -208,17 +208,33 @@ class TestProactiveBehaviour:
                 fresh.passive.build_candidate(observation)
             )
 
-    def test_greedy_tree_dropped_on_rebind(self):
+    def test_rebind_uses_the_contexts_shared_tree(self):
         platform = make_platform()
-        scheduler = bind(create_scheduler("Y-IE"), platform)
+        application = Application(tasks_per_iteration=5, iterations=3)
+        context = AnalysisContext(platform)
+        scheduler = create_scheduler("Y-IE")
+        scheduler.bind(platform, application, context, np.random.default_rng(0))
         observation = make_observation(
             [UP, UP, UP, UP], current=Configuration({2: 5}), new_iteration=False,
             comm_remaining={2: 7},
         )
-        scheduler.select(observation)
-        assert scheduler.passive._allocator._root is not None
+        first = scheduler.select(observation)
+        (shared,) = context.allocator_state.values()
+        grown = (shared.num_states, dict(shared.answers))
+        # A rebind on the same context keeps the tree and table the first
+        # run grew: the same question is answered from them, adding nothing.
+        scheduler.bind(platform, application, context, np.random.default_rng(0))
+        assert scheduler.select(observation) == first
+        assert list(context.allocator_state.values()) == [shared]
+        assert (shared.num_states, shared.answers) == grown
+        # A rebind on a new context uses that context's state, which starts
+        # empty, and leaves the old context's tree alone.
         bind(scheduler, platform)
-        assert scheduler.passive._allocator._root is None
+        assert scheduler.passive._allocator.analysis is scheduler.analysis
+        assert not scheduler.analysis.allocator_state
+        scheduler.select(observation)
+        (fresh,) = scheduler.analysis.allocator_state.values()
+        assert fresh is not shared
 
 
 class TestProactiveOutperformsPassiveOnEasyInstance:
