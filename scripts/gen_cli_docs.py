@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Generate docs/cli.md from the live ``repro`` --help output.
 
-The page is committed; the nightly CI lane re-runs this script with
-``--check`` and fails on drift, so the documented CLI can never fall out
+The page is committed; CI re-runs this script with ``--check`` on every
+change and fails on drift, so the documented CLI can never fall out
 of sync with the real one.
 
 Usage::

@@ -337,7 +337,6 @@ def sweep(
     spec: SpecLike,
     *,
     store: Union[None, str, Path, ResultStore] = None,
-    backend: Optional[str] = None,
     shard: Tuple[int, int] = (1, 1),
     jobs: int = 1,
     max_cells: Optional[int] = None,
@@ -372,7 +371,7 @@ def sweep(
     if isinstance(store, ResultStore):
         result_store = store
     elif store is not None:
-        owned_store = ResultStore.create(store, campaign_spec, backend=backend)
+        owned_store = ResultStore.create(store, campaign_spec)
         result_store = owned_store
     try:
         results = run_campaign_spec(

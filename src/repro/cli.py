@@ -174,11 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="campaign directory for the persistent result store (enables resume)",
     )
     campaign.add_argument(
-        "--backend", choices=("jsonl", "sqlite"), default=None,
-        help="result store backend (default: jsonl for new stores, "
-        "existing backend on resume)",
-    )
-    campaign.add_argument(
         "--shard", default="1/1", metavar="I/N",
         help="run only shard I of N (deterministic cell partition, default 1/1)",
     )
@@ -219,10 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument("stores", nargs="+", help="shard store directories to merge")
     merge.add_argument("--output", required=True, help="destination store directory")
     merge.add_argument(
-        "--backend", choices=("jsonl", "sqlite"), default=None,
-        help="destination backend (default: backend of the first source)",
-    )
-    merge.add_argument(
         "--report", choices=("tables", "none"), default="tables",
         help="print Table-I-style summaries of the merged store (default: tables)",
     )
@@ -260,10 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=2,
         help="concurrent campaign worker processes (default 2)",
-    )
-    serve.add_argument(
-        "--backend", choices=("jsonl", "sqlite"), default="jsonl",
-        help="result-store backend for submitted jobs (default jsonl)",
     )
     serve.add_argument(
         "--max-attempts", type=int, default=3,
@@ -538,7 +525,7 @@ def _cmd_campaign_spec(args: argparse.Namespace) -> int:
     store = None
     trace_dir = None
     if args.store:
-        store = ResultStore.create(args.store, spec, backend=args.backend)
+        store = ResultStore.create(args.store, spec)
         if args.trace:
             trace_dir = str(Path(args.store) / "telemetry")
 
@@ -604,7 +591,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    store = merge_stores(args.stores, args.output, backend=args.backend)
+    store = merge_stores(args.stores, args.output)
     status = store_status(store)
     print(format_store_status(status))
     if args.report == "tables":
@@ -955,7 +942,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        backend=args.backend,
         max_attempts=args.max_attempts,
         poll_interval=args.poll_interval,
         trace=args.trace,

@@ -12,8 +12,8 @@ Beyond the paper's grid, campaigns can be *declarative*: a
 :class:`CampaignSpec` (TOML/JSON file or named built-in) describes grid
 ranges over ``m``/``ncom``/``wmin``/``num_processors``, the availability
 substrate (Markov, semi-Markov, diurnal, trace) and the heuristic subset.
-Spec campaigns run against a persistent :class:`ResultStore` (JSONL or
-sqlite), so interrupted runs resume exactly where they stopped, and the
+Spec campaigns run against a persistent JSONL :class:`ResultStore`, so
+interrupted runs resume exactly where they stopped, and the
 deterministic cell enumeration can be sharded across machines
 (``--shard i/N``) and recombined with :func:`merge_stores`.
 """

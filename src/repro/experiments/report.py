@@ -122,7 +122,7 @@ def format_store_status(status: StoreStatus) -> str:
     percent = 100.0 * status.completed / status.total_cells if status.total_cells else 0.0
     lines = [
         f"Campaign {status.spec_name!r} (spec {status.spec_hash[:12]}, "
-        f"{status.backend} store at {status.directory})",
+        f"store at {status.directory})",
         f"  cells: {status.completed}/{status.total_cells} complete "
         f"({percent:.1f}%), {status.remaining} remaining",
     ]

@@ -10,13 +10,9 @@ are appended durably as cells finish, so
 * independent shards can be merged (:func:`merge_stores`) into one store
   that feeds the existing metrics/tables/figures pipeline.
 
-Two backends share the same record format:
-
-* ``jsonl`` (default) — ``results.jsonl``, one canonical JSON object per
-  line.  Appends are flushed per cell; a trailing half-written line (the
-  signature of a kill mid-write) is ignored on open.
-* ``sqlite`` — ``results.sqlite`` with one row per cell, committed per
-  append.
+Records live in ``results.jsonl``, one canonical JSON object per line.
+Appends are flushed per cell; a trailing half-written line (the signature
+of a kill mid-write) is dropped on open.
 
 Every store carries a ``manifest.json`` with the full spec snapshot and its
 content hash; resuming or merging with a different spec is refused, which is
@@ -26,21 +22,22 @@ what makes "same campaign" checkable across machines.
 from __future__ import annotations
 
 import json
-import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import InstanceResult
 from repro.experiments.spec import CampaignCell, CampaignSpec
-from repro.utils.serialization import canonical_json, jsonl_line
+from repro.utils.serialization import jsonl_line
 
 __all__ = ["ResultStore", "StoreStatus", "merge_stores", "store_status"]
 
 STORE_FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
-BACKENDS = ("jsonl", "sqlite")
+#: The one record format; the manifest still names it so that stores stay
+#: readable by releases that also knew a second one.
+STORE_BACKEND = "jsonl"
 
 #: Record fields that are measurements of the run, not of the result; they
 #: are ignored when checking records for equivalence (resume / merge).
@@ -70,33 +67,18 @@ def _is_record(record: object) -> bool:
 class ResultStore:
     """One campaign's persistent cell records (see module docstring)."""
 
-    def __init__(self, directory: Union[str, Path], spec: CampaignSpec, backend: str):
-        if backend not in BACKENDS:
-            raise ExperimentError(f"unknown store backend {backend!r}; expected {BACKENDS}")
+    def __init__(self, directory: Union[str, Path], spec: CampaignSpec):
         self.directory = Path(directory)
         self.spec = spec
-        self.backend = backend
         self._records: Dict[int, dict] = {}
         self._jsonl_handle = None
-        self._sqlite_conn: Optional[sqlite3.Connection] = None
 
     # ------------------------------------------------------------------
     # Creation / opening
     # ------------------------------------------------------------------
     @classmethod
-    def create(
-        cls,
-        directory: Union[str, Path],
-        spec: CampaignSpec,
-        *,
-        backend: Optional[str] = None,
-    ) -> "ResultStore":
-        """Create a store for *spec* (or re-open a matching existing one).
-
-        ``backend`` of ``None`` means "jsonl for a new store, whatever the
-        existing store uses on re-open"; naming a backend that conflicts
-        with an existing store is an error rather than a silent re-open.
-        """
+    def create(cls, directory: Union[str, Path], spec: CampaignSpec) -> "ResultStore":
+        """Create a store for *spec* (or re-open a matching existing one)."""
         directory = Path(directory)
         manifest_path = directory / MANIFEST_NAME
         if manifest_path.exists():
@@ -106,26 +88,20 @@ class ResultStore:
                     f"store {directory} belongs to a different campaign "
                     f"(spec hash {store.spec.spec_hash()[:12]} != {spec.spec_hash()[:12]})"
                 )
-            if backend is not None and backend != store.backend:
-                raise ExperimentError(
-                    f"store {directory} uses backend {store.backend!r}; "
-                    f"cannot re-open it as {backend!r}"
-                )
             # Prefer the caller's spec object: it may carry runtime-only
             # context (e.g. the spec file's base_dir for trace resolution)
             # that the manifest snapshot cannot.
             store.spec = spec
             return store
-        backend = backend or "jsonl"
         directory.mkdir(parents=True, exist_ok=True)
         manifest = {
             "format_version": STORE_FORMAT_VERSION,
-            "backend": backend,
+            "backend": STORE_BACKEND,
             "spec": spec.as_dict(),
             "spec_hash": spec.spec_hash(),
         }
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        store = cls(directory, spec, backend)
+        store = cls(directory, spec)
         store._load()
         return store
 
@@ -143,74 +119,56 @@ class ResultStore:
             raise ExperimentError(
                 f"unsupported store format version {version!r} (expected {STORE_FORMAT_VERSION})"
             )
+        backend = manifest.get("backend", STORE_BACKEND)
+        if backend != STORE_BACKEND:
+            # Refuse rather than resume: a resume would start an empty
+            # results.jsonl beside the old records and re-run every cell.
+            raise ExperimentError(
+                f"store {directory} uses the {backend!r} backend, which is no longer "
+                "supported; convert it to jsonl first ('Migrating sqlite stores' in "
+                "docs/campaigns.md)"
+            )
         spec = CampaignSpec.from_dict(manifest["spec"])
         if spec.spec_hash() != manifest.get("spec_hash"):
             raise ExperimentError(f"store {directory}: manifest spec hash mismatch (corrupt?)")
-        store = cls(directory, spec, manifest.get("backend", "jsonl"))
+        store = cls(directory, spec)
         store._load()
         return store
 
-    # ------------------------------------------------------------------
-    # Backend plumbing
-    # ------------------------------------------------------------------
     @property
     def _jsonl_path(self) -> Path:
         return self.directory / "results.jsonl"
 
-    @property
-    def _sqlite_path(self) -> Path:
-        return self.directory / "results.sqlite"
-
-    def _connection(self) -> sqlite3.Connection:
-        if self._sqlite_conn is None:
-            self._sqlite_conn = sqlite3.connect(self._sqlite_path)
-            self._sqlite_conn.execute(
-                "CREATE TABLE IF NOT EXISTS results"
-                " (cell INTEGER PRIMARY KEY, payload TEXT NOT NULL)"
-            )
-            self._sqlite_conn.commit()
-        return self._sqlite_conn
-
     def _load(self) -> None:
         self._records = {}
-        if self.backend == "jsonl":
-            if not self._jsonl_path.exists():
-                return
-            text = self._jsonl_path.read_text()
-            lines = text.splitlines(keepends=True)
-            for line_number, line in enumerate(lines, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    if line_number == len(lines) and not line.endswith("\n"):
-                        # Half-written trailing record from a killed run: the
-                        # cell never completed, so dropping it is the correct
-                        # resume semantics.  Truncate the fragment away so a
-                        # subsequent append starts on a fresh line instead of
-                        # gluing onto it (which would corrupt the store).
-                        self._jsonl_path.write_text(text[: len(text) - len(line)])
-                        continue
-                    record = None
-                if not _is_record(record):
-                    raise ExperimentError(
-                        f"corrupt record at {self._jsonl_path}:{line_number}"
-                    )
-                self._records[record["cell"]] = record
-        else:
-            for cell, payload in self._connection().execute(
-                "SELECT cell, payload FROM results"
-            ):
-                try:
-                    record = json.loads(payload)
-                except ValueError:  # undecodable JSON or text
-                    record = None
-                if not _is_record(record):
-                    raise ExperimentError(
-                        f"corrupt record at {self._sqlite_path}:cell {cell}"
-                    )
-                self._records[int(cell)] = record
+        if not self._jsonl_path.exists():
+            return
+        text = self._jsonl_path.read_text()
+        lines = text.splitlines(keepends=True)
+        for line_number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                if line_number == len(lines) and not line.endswith("\n"):
+                    # Half-written trailing record from a killed run: the
+                    # cell never completed, so dropping it is the correct
+                    # resume semantics.  Truncate the fragment away so a
+                    # subsequent append starts on a fresh line instead of
+                    # gluing onto it (which would corrupt the store).
+                    self._jsonl_path.write_text(text[: len(text) - len(line)])
+                    return
+                record = None
+            if not _is_record(record):
+                raise ExperimentError(f"corrupt record at {self._jsonl_path}:{line_number}")
+            self._records[record["cell"]] = record
+        if text and not text.endswith("\n"):
+            # The last record decoded, so its JSON object closed and the
+            # record is whole; only its newline is missing.  Restore it so
+            # the next append starts on a fresh line.
+            with self._jsonl_path.open("a") as handle:
+                handle.write("\n")
 
     # ------------------------------------------------------------------
     # Reads
@@ -251,45 +209,23 @@ class ResultStore:
                     f"({cell.label()}); refusing to overwrite"
                 )
             return
-        if self.backend == "jsonl":
-            if self._jsonl_handle is None:
-                self._jsonl_handle = self._jsonl_path.open("a")
-            self._jsonl_handle.write(jsonl_line(record))
-            self._jsonl_handle.flush()
-        else:
-            connection = self._connection()
-            connection.execute(
-                "INSERT INTO results (cell, payload) VALUES (?, ?)",
-                (cell.index, canonical_json(record)),
-            )
-            connection.commit()
+        if self._jsonl_handle is None:
+            self._jsonl_handle = self._jsonl_path.open("a")
+        self._jsonl_handle.write(jsonl_line(record))
+        self._jsonl_handle.flush()
         self._records[cell.index] = record
 
     def _rewrite(self, records: Sequence[dict]) -> None:
         """Replace the store contents with *records* (canonical order enforced)."""
         ordered = sorted(records, key=lambda record: int(record["cell"]))
-        if self.backend == "jsonl":
-            if self._jsonl_handle is not None:
-                self._jsonl_handle.close()
-                self._jsonl_handle = None
-            self._jsonl_path.write_text("".join(jsonl_line(record) for record in ordered))
-        else:
-            connection = self._connection()
-            connection.execute("DELETE FROM results")
-            connection.executemany(
-                "INSERT INTO results (cell, payload) VALUES (?, ?)",
-                [(int(record["cell"]), canonical_json(record)) for record in ordered],
-            )
-            connection.commit()
+        self.close()
+        self._jsonl_path.write_text("".join(jsonl_line(record) for record in ordered))
         self._records = {int(record["cell"]): record for record in ordered}
 
     def close(self) -> None:
         if self._jsonl_handle is not None:
             self._jsonl_handle.close()
             self._jsonl_handle = None
-        if self._sqlite_conn is not None:
-            self._sqlite_conn.close()
-            self._sqlite_conn = None
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -302,10 +238,7 @@ class ResultStore:
 # Merging shard stores
 # ----------------------------------------------------------------------
 def merge_stores(
-    sources: Sequence[Union[str, Path]],
-    destination: Union[str, Path],
-    *,
-    backend: Optional[str] = None,
+    sources: Sequence[Union[str, Path]], destination: Union[str, Path]
 ) -> ResultStore:
     """Merge shard stores into *destination* (``repro merge``).
 
@@ -336,14 +269,7 @@ def merge_stores(
                 )
             merged.setdefault(index, record)
         store.close()
-    if (Path(destination) / MANIFEST_NAME).exists():
-        # Merging into an existing store: its backend governs unless the
-        # caller explicitly named a conflicting one (create() errors then).
-        destination_store = ResultStore.create(destination, spec, backend=backend)
-    else:
-        destination_store = ResultStore.create(
-            destination, spec, backend=backend or opened[0].backend
-        )
+    destination_store = ResultStore.create(destination, spec)
     for record in destination_store.records():
         index = int(record["cell"])
         existing = merged.get(index)
@@ -362,7 +288,6 @@ class StoreStatus:
     """Completion summary of a store against its spec."""
 
     directory: str
-    backend: str
     spec_name: str
     spec_hash: str
     total_cells: int
@@ -387,7 +312,6 @@ def store_status(store: ResultStore) -> StoreStatus:
         done_by_heuristic[spec.heuristics[index % len(spec.heuristics)]] += 1
     return StoreStatus(
         directory=str(store.directory),
-        backend=store.backend,
         spec_name=spec.name,
         spec_hash=spec.spec_hash(),
         total_cells=spec.num_cells(),

@@ -164,11 +164,6 @@ from repro.scheduling import extensions as _extensions  # noqa: E402,F401
 #: :func:`create_scheduler`; see :mod:`repro.scheduling.extensions`.
 EXTENSION_HEURISTIC_NAMES: Tuple[str, ...] = tuple(HEURISTICS.names(FAMILY_EXTENSION))
 
-#: Backward-compatible mapping of extension name -> factory.
-EXTENSION_FACTORIES = {
-    name: HEURISTICS.get(name).factory for name in EXTENSION_HEURISTIC_NAMES
-}
-
 
 # ----------------------------------------------------------------------
 # Public API

@@ -101,8 +101,6 @@ class ServiceConfig:
     port: int = 8000
     #: Concurrent worker processes (one campaign job each).
     workers: int = 2
-    #: Default result-store backend for submitted jobs.
-    backend: str = "jsonl"
     #: Abnormal worker deaths per job before it is marked failed.
     max_attempts: int = 3
     #: Dispatcher poll interval in seconds.
@@ -121,7 +119,7 @@ class ServiceState:
 
     def __init__(self, config: ServiceConfig):
         self.config = config
-        self.queue = JobQueue(config.root, backend=config.backend)
+        self.queue = JobQueue(config.root)
         trace_dir = Path(config.root) / "telemetry" if config.trace else None
         if trace_dir is not None:
             self.queue.tracer = shared_tracer(trace_dir)
@@ -318,7 +316,6 @@ class ServiceState:
             submitted_at=job.get("submitted_at"),
             started_at=job.get("started_at"),
             finished_at=job.get("finished_at"),
-            backend=job.get("backend", self.config.backend),
             options=job.get("options", {}),
         )
         return 200, payload.as_dict(), "application/json"

@@ -65,7 +65,6 @@ JOB_FIELDS = (
     "spec",
     "spec_hash",
     "base_dir",
-    "backend",
     "status",
     "attempts",
     "pid",
@@ -121,9 +120,8 @@ class JobQueue:
         assert deduplicated and again["id"] == job["id"]
     """
 
-    def __init__(self, root: Union[str, Path], *, backend: str = "jsonl"):
+    def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        self.backend = backend
         #: Optional :class:`repro.telemetry.Tracer` — when set, the queue and
         #: pool emit ``job.*`` lifecycle events (enqueue/claim/finish/requeue).
         self.tracer = None
@@ -157,11 +155,7 @@ class JobQueue:
     # Submission (idempotent on the spec content hash)
     # ------------------------------------------------------------------
     def submit(
-        self,
-        spec: CampaignSpec,
-        *,
-        options: Optional[dict] = None,
-        backend: Optional[str] = None,
+        self, spec: CampaignSpec, *, options: Optional[dict] = None
     ) -> Tuple[dict, bool]:
         """Submit *spec*; returns ``(job, deduplicated)``.
 
@@ -184,7 +178,6 @@ class JobQueue:
             "spec": spec.as_dict(),
             "spec_hash": job_id,
             "base_dir": spec.base_dir,
-            "backend": backend or self.backend,
             "status": "queued",
             "attempts": 0,
             "pid": None,

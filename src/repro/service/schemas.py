@@ -180,7 +180,6 @@ class CampaignStatus(_Schema):
     submitted_at: Optional[float]
     started_at: Optional[float]
     finished_at: Optional[float]
-    backend: str
     options: dict
 
 

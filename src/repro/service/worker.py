@@ -45,7 +45,7 @@ def run_job(job_path: Path) -> int:
 
     job = json.loads(job_path.read_text())
     root = job_path.parent.parent
-    queue = JobQueue(root, backend=job.get("backend", "jsonl"))
+    queue = JobQueue(root)
     job_id = job["id"]
     queue.update(job_id, status="running", pid=os.getpid(), started_at=time.time())
     options = job.get("options", {})
@@ -56,9 +56,7 @@ def run_job(job_path: Path) -> int:
         spec = CampaignSpec.from_dict(
             job["spec"], base_dir=Path(base_dir) if base_dir else None
         )
-        store = ResultStore.create(
-            queue.store_dir(job_id), spec, backend=job.get("backend")
-        )
+        store = ResultStore.create(queue.store_dir(job_id), spec)
         try:
             start_ns = time.perf_counter_ns()
             run_campaign_spec(

@@ -1,8 +1,8 @@
-"""Tests for the persistent campaign result store (JSONL and sqlite)."""
+"""Tests for the persistent campaign result store."""
 
 import dataclasses
 import json
-import sqlite3
+import re
 
 import pytest
 
@@ -48,16 +48,11 @@ def fake_result(cell, makespan=100):
     )
 
 
-@pytest.fixture(params=["jsonl", "sqlite"])
-def backend(request):
-    return request.param
-
-
 class TestRoundTrip:
-    def test_result_round_trip_through_store(self, tmp_path, backend):
+    def test_result_round_trip_through_store(self, tmp_path):
         spec = unit_spec()
         cells = spec.cells()
-        store = ResultStore.create(tmp_path / "c", spec, backend=backend)
+        store = ResultStore.create(tmp_path / "c", spec)
         originals = []
         for cell in cells:
             result = fake_result(cell, makespan=100 + cell.index)
@@ -66,7 +61,6 @@ class TestRoundTrip:
         store.close()
 
         reopened = ResultStore.open(tmp_path / "c")
-        assert reopened.backend == backend
         assert reopened.spec.spec_hash() == spec.spec_hash()
         assert reopened.results() == originals
         assert reopened.completed_cells() == {cell.index for cell in cells}
@@ -76,46 +70,37 @@ class TestRoundTrip:
         result = fake_result(cell)
         assert InstanceResult.from_dict(result.as_dict()) == result
 
-    def test_append_is_idempotent(self, tmp_path, backend):
+    def test_append_is_idempotent(self, tmp_path):
         spec = unit_spec()
         cell = spec.cells()[0]
-        store = ResultStore.create(tmp_path / "c", spec, backend=backend)
+        store = ResultStore.create(tmp_path / "c", spec)
         result = fake_result(cell)
         store.append(cell, result)
         # Same result, different wall time: accepted silently (volatile field).
         store.append(cell, fake_result(cell))
         assert len(store) == 1
 
-    def test_conflicting_append_rejected(self, tmp_path, backend):
+    def test_conflicting_append_rejected(self, tmp_path):
         spec = unit_spec()
         cell = spec.cells()[0]
-        store = ResultStore.create(tmp_path / "c", spec, backend=backend)
+        store = ResultStore.create(tmp_path / "c", spec)
         store.append(cell, fake_result(cell, makespan=100))
         with pytest.raises(ExperimentError):
             store.append(cell, fake_result(cell, makespan=999))
 
-    def test_create_rejects_mismatched_spec(self, tmp_path, backend):
-        store = ResultStore.create(tmp_path / "c", unit_spec(), backend=backend)
+    def test_create_rejects_mismatched_spec(self, tmp_path):
+        store = ResultStore.create(tmp_path / "c", unit_spec())
         store.close()
         with pytest.raises(ExperimentError):
             ResultStore.create(tmp_path / "c", unit_spec(trials_per_scenario=9))
 
-    def test_create_rejects_backend_mismatch(self, tmp_path):
-        spec = unit_spec()
-        ResultStore.create(tmp_path / "c", spec, backend="sqlite").close()
-        with pytest.raises(ExperimentError):
-            ResultStore.create(tmp_path / "c", spec, backend="jsonl")
-        # Unspecified backend re-opens with whatever the store uses.
-        store = ResultStore.create(tmp_path / "c", spec)
-        assert store.backend == "sqlite"
-        store.close()
 
-    def test_create_reopens_matching_store(self, tmp_path, backend):
+    def test_create_reopens_matching_store(self, tmp_path):
         spec = unit_spec()
-        first = ResultStore.create(tmp_path / "c", spec, backend=backend)
+        first = ResultStore.create(tmp_path / "c", spec)
         first.append(spec.cells()[0], fake_result(spec.cells()[0]))
         first.close()
-        again = ResultStore.create(tmp_path / "c", spec, backend=backend)
+        again = ResultStore.create(tmp_path / "c", spec)
         assert len(again) == 1
 
 
@@ -155,6 +140,29 @@ class TestJsonlRecovery:
         final = ResultStore.open(tmp_path / "c")
         assert final.completed_cells() == {cells[0].index, cells[1].index}
 
+    def test_append_after_record_missing_its_newline(self, tmp_path):
+        """A whole last record that lost its newline gets it back on open, so
+        the next append starts a fresh line instead of gluing onto it."""
+        spec = unit_spec()
+        cells = spec.cells()
+        store = ResultStore.create(tmp_path / "c", spec)
+        store.append(cells[0], fake_result(cells[0]))
+        store.append(cells[1], fake_result(cells[1]))
+        store.close()
+        path = tmp_path / "c" / "results.jsonl"
+        written = path.read_bytes()
+        path.write_bytes(written[:-1])
+
+        resumed = ResultStore.open(tmp_path / "c")
+        assert resumed.completed_cells() == {cells[0].index, cells[1].index}
+        resumed.append(cells[2], fake_result(cells[2]))
+        resumed.close()
+
+        final = ResultStore.open(tmp_path / "c")
+        assert final.completed_cells() == {cell.index for cell in cells[:3]}
+        assert path.read_bytes().startswith(written)
+        final.close()
+
     def test_corrupt_middle_line_raises(self, tmp_path):
         spec = unit_spec()
         cells = spec.cells()
@@ -184,36 +192,73 @@ class TestJsonlRecovery:
             ResultStore.open(tmp_path / "c")
 
 
-class TestSqliteRecovery:
-    @pytest.mark.parametrize("payload", ["{not json", '{"foo": 1}', "[1, 2]"])
-    def test_undecodable_payload_raises(self, tmp_path, payload):
+def sqlite_manifest_store(directory, spec):
+    """A store whose manifest names the removed sqlite backend."""
+    ResultStore.create(directory, spec).close()
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["backend"] = "sqlite"
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return directory
+
+
+def removed_backend_error(directory):
+    """The refusal names the store and points at the migration recipe."""
+    return pytest.raises(
+        ExperimentError,
+        match=rf"store {re.escape(str(directory))} uses the 'sqlite' backend.*"
+        r"Migrating sqlite stores.*docs/campaigns\.md",
+    )
+
+
+class TestRemovedSqliteBackend:
+    """A store written by the removed sqlite backend is refused, never resumed
+    (a resume would start an empty results.jsonl and re-run every cell)."""
+
+    def test_open_rejects_sqlite_manifest(self, tmp_path):
+        directory = sqlite_manifest_store(tmp_path / "old", unit_spec())
+        with removed_backend_error(directory):
+            ResultStore.open(directory)
+        assert not (directory / "results.jsonl").exists()
+
+    def test_create_rejects_sqlite_manifest(self, tmp_path):
         spec = unit_spec()
-        cell = spec.cells()[0]
-        store = ResultStore.create(tmp_path / "c", spec, backend="sqlite")
-        store.append(cell, fake_result(cell))
-        store.close()
-        connection = sqlite3.connect(tmp_path / "c" / "results.sqlite")
-        with connection:
-            connection.execute("UPDATE results SET payload = ? WHERE cell = ?", (payload, 0))
-        connection.close()
-        with pytest.raises(ExperimentError, match=r"corrupt record at .*results\.sqlite:cell 0"):
-            ResultStore.open(tmp_path / "c")
+        directory = sqlite_manifest_store(tmp_path / "old", spec)
+        with removed_backend_error(directory):
+            ResultStore.create(directory, spec)
+        assert not (directory / "results.jsonl").exists()
+
+    @pytest.mark.parametrize("role", ["source", "destination"])
+    def test_merge_rejects_sqlite_store(self, tmp_path, role):
+        spec = unit_spec()
+        old = sqlite_manifest_store(tmp_path / "old", spec)
+        shard = ResultStore.create(tmp_path / "shard", spec)
+        shard.append(spec.cells()[0], fake_result(spec.cells()[0]))
+        shard.close()
+        if role == "source":
+            sources, destination = [tmp_path / "shard", old], tmp_path / "merged"
+        else:
+            sources, destination = [tmp_path / "shard"], old
+        with removed_backend_error(old):
+            merge_stores(sources, destination)
+        assert not (old / "results.jsonl").exists()
+        assert not (tmp_path / "merged").exists()
 
 
 class TestMerge:
-    def _sharded_stores(self, tmp_path, backend, spec):
+    def _sharded_stores(self, tmp_path, spec):
         stores = []
         for shard_index in (1, 2):
-            store = ResultStore.create(tmp_path / f"s{shard_index}", spec, backend=backend)
+            store = ResultStore.create(tmp_path / f"s{shard_index}", spec)
             for cell in spec.shard_cells(shard_index, 2):
                 store.append(cell, fake_result(cell, makespan=100 + cell.index))
             store.close()
             stores.append(tmp_path / f"s{shard_index}")
         return stores
 
-    def test_merge_reconstructs_full_campaign(self, tmp_path, backend):
+    def test_merge_reconstructs_full_campaign(self, tmp_path):
         spec = unit_spec()
-        sources = self._sharded_stores(tmp_path, backend, spec)
+        sources = self._sharded_stores(tmp_path, spec)
         merged = merge_stores(sources, tmp_path / "merged")
         assert merged.completed_cells() == {cell.index for cell in spec.cells()}
         makespans = [result.makespan for result in merged.results()]
@@ -262,7 +307,7 @@ class TestMerge:
         for cell in spec.cells():
             full.append(cell, fake_result(cell, makespan=100 + cell.index))
         full.close()
-        sources = self._sharded_stores(tmp_path, "jsonl", spec)
+        sources = self._sharded_stores(tmp_path, spec)
         merge_stores(sources, tmp_path / "merged").close()
         assert (tmp_path / "full" / "results.jsonl").read_bytes() == (
             tmp_path / "merged" / "results.jsonl"
@@ -306,10 +351,10 @@ def fake_metrics(stride=32, end_slot=100, scheduler="IE"):
 
 
 class TestMetricsPersistence:
-    def test_series_round_trip(self, tmp_path, backend):
+    def test_series_round_trip(self, tmp_path):
         spec = unit_spec()
         cells = spec.cells()
-        store = ResultStore.create(tmp_path / "c", spec, backend=backend)
+        store = ResultStore.create(tmp_path / "c", spec)
         originals = []
         for cell in cells:
             result = dataclasses.replace(
@@ -320,7 +365,6 @@ class TestMetricsPersistence:
             store.append(cell, result)
         store.close()
         reopened = ResultStore.open(tmp_path / "c")
-        assert reopened.backend == backend
         assert reopened.results() == originals
         for stored, original in zip(reopened.results(), originals):
             assert stored.metrics == original.metrics
@@ -335,12 +379,12 @@ class TestMetricsPersistence:
         assert result.as_dict()["metrics"] == fake_metrics()
         assert InstanceResult.from_dict(result.as_dict()) == result
 
-    def test_metrics_are_volatile_for_idempotent_appends(self, tmp_path, backend):
+    def test_metrics_are_volatile_for_idempotent_appends(self, tmp_path):
         """Re-running a cell with the collector toggled differently must not
         conflict: series (like wall time) are not part of a cell's identity."""
         spec = unit_spec()
         cell = spec.cells()[0]
-        store = ResultStore.create(tmp_path / "c", spec, backend=backend)
+        store = ResultStore.create(tmp_path / "c", spec)
         bare = fake_result(cell)
         store.append(cell, bare)
         with_series = dataclasses.replace(fake_result(cell), metrics=fake_metrics())

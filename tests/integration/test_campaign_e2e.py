@@ -217,18 +217,6 @@ class TestCliEndToEnd:
             tmp_path / "merged"
         )
 
-    def test_builtin_sqlite_backend(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main([
-            "campaign", "--builtin", "smoke", "--store", str(tmp_path / "sq"),
-            "--backend", "sqlite", "--report", "none",
-        ]) == 0
-        store = ResultStore.open(tmp_path / "sq")
-        assert store.backend == "sqlite"
-        assert len(store) == 4
-        store.close()
-
 
 class TestAvailabilitySubstrates:
     @pytest.mark.parametrize("kind", ["semi-markov", "diurnal"])

@@ -61,11 +61,10 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(
             ["campaign", "--builtin", "smoke", "--store", "runs/x", "--shard", "2/4",
-             "--backend", "sqlite", "--max-cells", "7", "--report", "none"]
+             "--max-cells", "7", "--report", "none"]
         )
         assert args.builtin == "smoke"
         assert args.shard == "2/4"
-        assert args.backend == "sqlite"
         assert args.max_cells == 7
 
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from repro.service.jobs import JOB_FIELDS
 from repro.service.worker import run_job
 
 from tests.service.conftest import tiny_spec_dict
@@ -125,6 +126,22 @@ def test_job_document_with_legacy_sampler_option_still_runs(service_state, clien
     service_state.queue.update(
         accepted["id"], options={**job["options"], "sampler": "perslot"}
     )
+    assert run_job(service_state.queue.job_path(accepted["id"])) == 0
+    _, payload = client.get_json(accepted["location"])
+    assert payload["status"] == "completed"
+    assert payload["completed_cells"] == payload["total_cells"]
+
+
+def test_job_document_with_legacy_backend_field_is_served_and_runs(service_state, client):
+    # Job files written while the store backend was selectable carry
+    # "backend": "jsonl"; the status handler and the worker ignore the key.
+    _, accepted = client.post_json("/campaigns", {"spec": tiny_spec_dict("legacy-backend")})
+    job = service_state.queue.update(accepted["id"], backend="jsonl")
+    assert sorted(job) == sorted(JOB_FIELDS + ("backend",))
+    status, payload = client.get_json(accepted["location"])
+    assert status == 200
+    assert payload["status"] == "queued"
+    assert "backend" not in payload
     assert run_job(service_state.queue.job_path(accepted["id"])) == 0
     _, payload = client.get_json(accepted["location"])
     assert payload["status"] == "completed"

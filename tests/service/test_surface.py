@@ -46,7 +46,7 @@ SCHEMA_FIELDS = {
     "CampaignStatus": [
         "id", "name", "status", "attempts", "total_cells", "completed_cells",
         "remaining_cells", "by_heuristic", "error", "submitted_at",
-        "started_at", "finished_at", "backend", "options",
+        "started_at", "finished_at", "options",
     ],
     "HeuristicProgress": ["heuristic", "done", "total"],
     "CampaignSummary": [
@@ -98,7 +98,7 @@ def test_schemas_are_frozen_with_docstrings():
 def test_job_document_fields_pinned():
     assert JOB_FIELDS == (
         "id", "format_version", "name", "spec", "spec_hash", "base_dir",
-        "backend", "status", "attempts", "pid", "submitted_at", "started_at",
+        "status", "attempts", "pid", "submitted_at", "started_at",
         "finished_at", "error", "options", "total_cells",
     )
     assert JOB_STATUSES == ("queued", "running", "completed", "failed")
