@@ -3,13 +3,19 @@
 import dataclasses
 import json
 import re
+import sqlite3
+from pathlib import Path
 
 import pytest
 
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import InstanceResult
 from repro.experiments.spec import CampaignSpec
+from repro.experiments.report import format_store_status
 from repro.experiments.store import ResultStore, merge_stores, store_status
+from repro.utils.serialization import canonical_json
+
+CAMPAIGNS_DOC = Path(__file__).resolve().parents[2] / "docs" / "campaigns.md"
 
 
 def unit_spec(**overrides):
@@ -163,6 +169,23 @@ class TestJsonlRecovery:
         assert path.read_bytes().startswith(written)
         final.close()
 
+    def test_open_leaves_a_whole_file_untouched(self, tmp_path):
+        spec = unit_spec()
+        cells = spec.cells()
+        store = ResultStore.create(tmp_path / "c", spec)
+        store.append(cells[0], fake_result(cells[0]))
+        store.append(cells[1], fake_result(cells[1]))
+        store.close()
+        path = tmp_path / "c" / "results.jsonl"
+        written = path.read_bytes()
+        before = path.stat().st_mtime_ns
+
+        reopened = ResultStore.open(tmp_path / "c")
+        assert reopened.completed_cells() == {cells[0].index, cells[1].index}
+        reopened.close()
+        assert path.read_bytes() == written
+        assert path.stat().st_mtime_ns == before
+
     def test_corrupt_middle_line_raises(self, tmp_path):
         spec = unit_spec()
         cells = spec.cells()
@@ -243,6 +266,97 @@ class TestRemovedSqliteBackend:
             merge_stores(sources, destination)
         assert not (old / "results.jsonl").exists()
         assert not (tmp_path / "merged").exists()
+
+    def test_manifest_without_backend_key_opens_as_jsonl(self, tmp_path):
+        spec = unit_spec()
+        cell = spec.cells()[0]
+        store = ResultStore.create(tmp_path / "c", spec)
+        store.append(cell, fake_result(cell))
+        store.close()
+        manifest_path = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["backend"]
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        reopened = ResultStore.open(tmp_path / "c")
+        assert reopened.results() == [fake_result(cell)]
+        reopened.close()
+
+
+def old_sqlite_store(directory, spec, cells):
+    """A store as the removed sqlite backend wrote it: the manifest names
+    sqlite and ``results.sqlite`` holds one canonical JSON payload per cell."""
+    sqlite_manifest_store(directory, spec)
+    connection = sqlite3.connect(directory / "results.sqlite")
+    with connection:
+        connection.execute(
+            "CREATE TABLE IF NOT EXISTS results"
+            " (cell INTEGER PRIMARY KEY, payload TEXT NOT NULL)"
+        )
+        # Rows go in as cells finished, which need not be cell order.
+        for cell in reversed(cells):
+            record = dict(fake_result(cell, makespan=100 + cell.index).as_dict(), cell=cell.index)
+            connection.execute(
+                "INSERT INTO results (cell, payload) VALUES (?, ?)",
+                (cell.index, canonical_json(record)),
+            )
+    connection.close()
+    return directory
+
+
+def run_migration_recipe(directory):
+    """Execute the recipe of docs/campaigns.md as printed, on *directory*."""
+    section = CAMPAIGNS_DOC.read_text().split("## Migrating sqlite stores", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    placeholder = 'Path("runs/old")'
+    assert placeholder in code, "the recipe no longer names its store directory"
+    exec(code.replace(placeholder, f"Path({str(directory)!r})"), {})
+
+
+class TestSqliteMigration:
+    """The migration recipe in docs/campaigns.md turns an old sqlite store
+    into one this release opens and resumes."""
+
+    def test_recipe_gives_a_byte_identical_jsonl_store(self, tmp_path):
+        spec = unit_spec()
+        cells = spec.cells()
+        native = ResultStore.create(tmp_path / "native", spec)
+        for cell in cells:
+            native.append(cell, fake_result(cell, makespan=100 + cell.index))
+        native.close()
+        old = old_sqlite_store(tmp_path / "old", spec, cells)
+
+        run_migration_recipe(old)
+
+        for name in ("results.jsonl", "manifest.json"):
+            assert (old / name).read_bytes() == (tmp_path / "native" / name).read_bytes()
+
+    def test_migrated_store_resumes(self, tmp_path):
+        spec = unit_spec()
+        cells = spec.cells()
+        old = old_sqlite_store(tmp_path / "old", spec, cells[:3])
+
+        run_migration_recipe(old)
+
+        resumed = ResultStore.create(old, spec)
+        assert resumed.completed_cells() == {cell.index for cell in cells[:3]}
+        resumed.append(cells[3], fake_result(cells[3], makespan=100 + cells[3].index))
+        resumed.close()
+        final = ResultStore.open(old)
+        assert [result.makespan for result in final.results()] == [
+            100 + cell.index for cell in cells
+        ]
+        assert store_status(final).remaining == 0
+        final.close()
+
+    def test_migrated_empty_store_opens(self, tmp_path):
+        old = old_sqlite_store(tmp_path / "old", unit_spec(), [])
+
+        run_migration_recipe(old)
+
+        assert (old / "results.jsonl").read_bytes() == b""
+        reopened = ResultStore.open(old)
+        assert len(reopened) == 0
+        reopened.close()
 
 
 class TestMerge:
@@ -335,6 +449,30 @@ class TestStatus:
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert manifest["backend"] == "jsonl"
         assert manifest["spec"]["name"] == "store-unit"
+
+    def test_manifest_keeps_the_format_earlier_releases_read(self, tmp_path):
+        spec = unit_spec()
+        ResultStore.create(tmp_path / "c", spec).close()
+        manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+        assert manifest == {
+            "format_version": 1,
+            "backend": "jsonl",
+            "spec": spec.as_dict(),
+            "spec_hash": spec.spec_hash(),
+        }
+
+    def test_format_store_status_names_the_store(self, tmp_path):
+        spec = unit_spec()
+        store = ResultStore.create(tmp_path / "c", spec)
+        store.append(spec.cells()[0], fake_result(spec.cells()[0]))
+        text = format_store_status(store_status(store))
+        store.close()
+        first = text.splitlines()[0]
+        assert first == (
+            f"Campaign 'store-unit' (spec {spec.spec_hash()[:12]}, "
+            f"store at {tmp_path / 'c'})"
+        )
+        assert "1/4 complete (25.0%), 3 remaining" in text
 
 
 def fake_metrics(stride=32, end_slot=100, scheduler="IE"):

@@ -129,6 +129,24 @@ class TestParser:
         assert args.stores == ["a", "b"]
         assert args.output == "m"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--builtin", "smoke", "--store", "runs/x"],
+            ["merge", "a", "b", "--output", "m"],
+            ["serve"],
+        ],
+        ids=["campaign", "merge", "serve"],
+    )
+    def test_backend_option_is_gone(self, argv, capsys):
+        # Stores have one format; no command selects a backend any more.
+        parser = build_parser()
+        parser.parse_args(argv)
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(argv + ["--backend", "jsonl"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend jsonl" in capsys.readouterr().err
+
     def test_spec_and_builtin_mutually_exclusive(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
@@ -158,6 +176,20 @@ class TestCampaignCommandErrors:
                      "--status"]) == 2
         assert "campaign:" in capsys.readouterr().err
         assert not missing.exists()
+
+    def test_status_on_sqlite_store_points_to_the_migration(self, tmp_path, capsys):
+        from repro.experiments.store import ResultStore
+
+        store = tmp_path / "old"
+        ResultStore.create(store, builtin_spec("smoke")).close()
+        manifest_path = store / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["backend"] = "sqlite"
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["campaign", "--builtin", "smoke", "--store", str(store),
+                     "--status"]) == 2
+        assert "Migrating sqlite stores" in capsys.readouterr().err
+        assert sorted(path.name for path in store.iterdir()) == ["manifest.json"]
 
     def test_list_builtins(self, capsys):
         assert main(["campaign", "--list-builtins"]) == 0
