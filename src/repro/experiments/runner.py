@@ -9,13 +9,13 @@ Three properties of the runner are important for faithfulness and efficiency:
   trial seed, independently of the scheduler's own stream.  This matches the
   paper's per-trial comparison of heuristics and sharply reduces the variance
   of %diff/%wins at small trial counts.
-* **Shared trace banks** — the runner materialises each (scenario, trial)
-  availability realisation *once* through the models' vectorised batch
-  samplers (:class:`TraceBank`) and replays it for every heuristic, instead
-  of re-sampling the identical chains per heuristic.  The bank derives its
-  streams through the same :func:`~repro.utils.rng.derive_run_streams`
-  recipe as the engine, so replayed runs are bit-identical to directly
-  sampled ones.
+* **One sampled realisation per trial** — the runner samples each
+  (scenario, trial) availability realisation *once*, as a
+  :class:`~repro.simulation.blocks.SampledTrace`, and replays it for every
+  heuristic instead of re-sampling the identical chains per heuristic.  A
+  solo engine run samples through the same class with the same
+  :func:`~repro.utils.rng.derive_run_streams` recipe, so replayed runs are
+  bit-identical to directly sampled ones.
 * **Shared analysis** — all heuristics and trials of a scenario share one
   :class:`AnalysisContext` (the Theorem 5.1 quantities depend only on the
   platform), which is what makes the proactive heuristics affordable.
@@ -28,8 +28,8 @@ Three properties of the runner are important for faithfulness and efficiency:
   once.
 
 Campaigns can fan out over processes (``n_jobs > 1``); each process receives
-self-contained scenario descriptions and rebuilds platforms (and their trace
-banks) locally, so no large objects cross process boundaries.
+self-contained scenario descriptions and rebuilds platforms (and their
+realisations) locally, so no large objects cross process boundaries.
 """
 
 from __future__ import annotations
@@ -39,17 +39,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.cache import AnalysisContext
 from repro.analysis.group import ExpectationMode
-from repro.availability.generators import sample_initial_states, sample_state_block
 from repro.exceptions import ExperimentError
 from repro.experiments.scenarios import ExperimentScenario
 from repro.experiments.spec import CampaignCell, CampaignSpec
-from repro.platform.platform import Platform
 from repro.metrics.collector import DEFAULT_STRIDE, MetricsCollector
 from repro.scheduling.registry import create_scheduler
+from repro.simulation.blocks import SampledTrace
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.multirun import MultiHeuristicDriver
 from repro.simulation.results import SimulationResult
@@ -59,7 +56,6 @@ from repro.utils.rng import derive_run_streams
 __all__ = [
     "InstanceResult",
     "CellProgress",
-    "TraceBank",
     "run_instance",
     "run_campaign_spec",
 ]
@@ -173,124 +169,6 @@ class CellProgress:
 
 
 # ----------------------------------------------------------------------
-# Shared availability realisations
-# ----------------------------------------------------------------------
-class _BankTrace:
-    """One lazily grown availability realisation, replayable by the engine.
-
-    Implements the engine's trace protocol (``num_processors``, ``horizon``,
-    ``block``).  States are materialised on demand in vectorised chunks from
-    the platform's models, using exactly the stream-derivation and sampling
-    order of a directly seeded :class:`SimulationEngine` run — so replaying
-    this trace is bit-identical to sampling on the fly, while costing the
-    sampling only once per (scenario, trial) instead of once per heuristic.
-
-    The trajectory continues from the models' internal memory (semi-Markov
-    sojourns, diurnal clocks) as it grows, so a bank trace must be fully
-    consumed before the same model objects are used to sample anything else.
-    """
-
-    def __init__(self, platform: Platform, seed: int, horizon: int, chunk: int = 4096):
-        if horizon < 1:
-            raise ExperimentError(f"trace bank horizon must be >= 1, got {horizon}")
-        self._models = [processor.availability for processor in platform.processors]
-        # A platform-level hazard overlay is baked into the bank's states
-        # during materialisation (its master stream is the extra hazard
-        # child of the run's streams), so replaying this trace through an
-        # engine reproduces a hazard-aware solo run bit-for-bit.
-        self._hazard = platform.hazard
-        if self._hazard is not None:
-            self._rngs, _, self._hazard_rng = derive_run_streams(
-                seed, platform.num_processors, hazard=True
-            )
-        else:
-            self._rngs, _ = derive_run_streams(seed, platform.num_processors)
-            self._hazard_rng = None
-        self._base_last: Optional[np.ndarray] = None
-        self._horizon = int(horizon)
-        self._chunk = int(chunk)
-        self._buffer = np.empty((platform.num_processors, 0), dtype=np.int8)
-        self._filled = 0
-
-    @property
-    def num_processors(self) -> int:
-        return len(self._models)
-
-    @property
-    def horizon(self) -> int:
-        return self._horizon
-
-    def block(self, start: int, stop: int) -> np.ndarray:
-        """States for slots ``[start, stop)`` (sampling more chunks as needed)."""
-        if not (0 <= start <= stop <= self._horizon):
-            raise ExperimentError(
-                f"requested block [{start}, {stop}) outside bank horizon {self._horizon}"
-            )
-        self._ensure(stop)
-        return self._buffer[:, start:stop].copy()
-
-    def _ensure(self, upto: int) -> None:
-        if upto <= self._filled:
-            return
-        if self._buffer.shape[1] < upto:
-            capacity = max(self._chunk, self._buffer.shape[1])
-            while capacity < upto:
-                capacity *= 2
-            capacity = min(capacity, self._horizon)
-            grown = np.empty((self.num_processors, capacity), dtype=np.int8)
-            grown[:, : self._filled] = self._buffer[:, : self._filled]
-            self._buffer = grown
-        if self._filled == 0:
-            self._buffer[:, 0] = sample_initial_states(self._models, self._rngs)
-            if self._hazard is not None:
-                self._hazard.reset(self._hazard_rng)
-                self._base_last = self._buffer[:, 0].copy()
-                self._hazard.overlay(0, self._buffer[:, 0:1])
-            self._filled = 1
-        capacity = self._buffer.shape[1]
-        while self._filled < upto:
-            length = min(self._chunk, self._horizon - self._filled, capacity - self._filled)
-            # Base chains continue from the raw pre-overlay column (the
-            # hazard realisation is chunk-boundary independent, so the bank's
-            # chunking may differ from the engine's windows).
-            current = (
-                self._base_last
-                if self._hazard is not None
-                else self._buffer[:, self._filled - 1]
-            )
-            chunk = self._buffer[:, self._filled: self._filled + length]
-            chunk[:] = sample_state_block(
-                self._models,
-                self._filled,
-                length,
-                self._rngs,
-                current,
-            )
-            if self._hazard is not None:
-                self._base_last = chunk[:, -1].copy()
-                self._hazard.overlay(self._filled, chunk)
-            self._filled += length
-
-
-class TraceBank:
-    """Factory for the shared per-(scenario, trial) availability realisations.
-
-    One bank serves one platform; :meth:`trace_for` hands out the lazily
-    materialised realisation of a trial seed.  Traces are not cached here —
-    the scenario runner keeps each trial's trace alive exactly as long as
-    its heuristics are being replayed, bounding memory at one realisation.
-    """
-
-    def __init__(self, platform: Platform, horizon: int, chunk: int = 4096):
-        self.platform = platform
-        self.horizon = int(horizon)
-        self.chunk = int(chunk)
-
-    def trace_for(self, seed: int) -> _BankTrace:
-        return _BankTrace(self.platform, seed, self.horizon, self.chunk)
-
-
-# ----------------------------------------------------------------------
 # Single instance / scenario execution
 # ----------------------------------------------------------------------
 def _tracer_for(trace_dir: Optional[str]) -> Optional[Tracer]:
@@ -326,8 +204,9 @@ def run_instance(
     *makespan_cap* slots.  *platform*, *analysis* and *trace* may be
     supplied to share work across calls; when omitted they are rebuilt from
     the scenario (deterministically).  *trace* is the trial's shared availability
-    realisation (see :class:`TraceBank`); passing it skips re-sampling the
-    availability chains without changing the result.  With
+    realisation (a :class:`~repro.simulation.blocks.SampledTrace` of the
+    trial seed); passing it skips re-sampling the availability chains
+    without changing the result.  With
     *collect_metrics* the run carries a
     :class:`~repro.metrics.collector.MetricsCollector` sampling per-slot
     series every *metrics_stride* slots into ``InstanceResult.metrics``;
@@ -382,14 +261,14 @@ def _run_cells(
     """Run an ordered subset of one scenario's (trial, heuristic) pairs.
 
     Platform and analysis context are built once and shared.  Each trial's
-    availability realisation is materialised once through the
-    :class:`TraceBank` batch sampler and replayed for every heuristic — the
-    paired comparison the paper relies on, without re-sampling identical
-    chains per heuristic.
+    availability realisation is sampled once, as a
+    :class:`~repro.simulation.blocks.SampledTrace`, and replayed for every
+    heuristic — the paired comparison the paper relies on, without
+    re-sampling identical chains per heuristic.
 
     The subset runner is what makes resume cheap: a partially-complete
-    scenario re-runs only its missing cells, while the per-trial trace-bank
-    replay keeps every result bit-identical to a full run (the realisation
+    scenario re-runs only its missing cells, while the per-trial replay
+    keeps every result bit-identical to a full run (the realisation
     depends only on the trial seed, never on which heuristics consume it).
 
     When a trial's subset contains two or more passive-contract heuristics,
@@ -410,7 +289,7 @@ def _run_cells(
     if tracer is not None:
         analysis.tracer = tracer
     application = scenario.build_application(iterations=iterations)
-    bank = TraceBank(platform, horizon=makespan_cap)
+    hazard = platform.hazard is not None
     results: List[InstanceResult] = []
     trial_order: List[int] = []
     by_trial: Dict[int, List[str]] = {}
@@ -420,7 +299,10 @@ def _run_cells(
             by_trial[trial] = []
         by_trial[trial].append(heuristic)
     for trial in trial_order:
-        trace = bank.trace_for(scenario.trial_seed(trial))
+        streams = derive_run_streams(
+            scenario.trial_seed(trial), platform.num_processors, hazard=hazard
+        )
+        trace = SampledTrace(platform, streams, makespan_cap)
         names = by_trial[trial]
         one_pass: Dict[str, InstanceResult] = {}
         if len(names) >= 2:
@@ -603,7 +485,7 @@ def run_campaign_spec(
                 )
             )
 
-    # Group contiguous cells by scenario so platform/analysis/trace-bank
+    # Group contiguous cells by scenario so platform/analysis
     # construction is shared by every cell of the scenario.
     groups: List[Tuple[ExperimentScenario, List[CampaignCell]]] = []
     for cell in todo:

@@ -12,7 +12,9 @@ are appended durably as cells finish, so
 
 Records live in ``results.jsonl``, one canonical JSON object per line.
 Appends are flushed per cell; a trailing half-written line (the signature
-of a kill mid-write) is dropped on open.
+of a kill mid-write) is ignored on open and truncated away by the next
+append.  Opening a store never writes to it, so a reader may watch a store
+that a campaign is still appending to.
 
 Every store carries a ``manifest.json`` with the full spec snapshot and its
 content hash; resuming or merging with a different spec is refused, which is
@@ -72,6 +74,10 @@ class ResultStore:
         self.spec = spec
         self._records: Dict[int, dict] = {}
         self._jsonl_handle = None
+        # Repair of a torn or unterminated last line, noted by _load and
+        # applied by the first append: readers never write.
+        self._torn_bytes = 0
+        self._needs_newline = False
 
     # ------------------------------------------------------------------
     # Creation / opening
@@ -152,23 +158,33 @@ class ResultStore:
                 record = json.loads(line)
             except json.JSONDecodeError:
                 if line_number == len(lines) and not line.endswith("\n"):
-                    # Half-written trailing record from a killed run: the
-                    # cell never completed, so dropping it is the correct
-                    # resume semantics.  Truncate the fragment away so a
-                    # subsequent append starts on a fresh line instead of
-                    # gluing onto it (which would corrupt the store).
-                    self._jsonl_path.write_text(text[: len(text) - len(line)])
+                    # Half-written trailing record from a killed run (or
+                    # one a live writer is still appending): the cell never
+                    # completed, so dropping it is the correct resume
+                    # semantics.  The first append truncates the fragment
+                    # away so it starts on a fresh line instead of gluing
+                    # onto it (which would corrupt the store).
+                    self._torn_bytes = len(line.encode())
                     return
                 record = None
             if not _is_record(record):
                 raise ExperimentError(f"corrupt record at {self._jsonl_path}:{line_number}")
             self._records[record["cell"]] = record
-        if text and not text.endswith("\n"):
-            # The last record decoded, so its JSON object closed and the
-            # record is whole; only its newline is missing.  Restore it so
-            # the next append starts on a fresh line.
+        # The last record decoded, so its JSON object closed and the record
+        # is whole; only its newline is missing.  The first append restores
+        # it so the new record starts on a fresh line.
+        self._needs_newline = bool(text) and not text.endswith("\n")
+
+    def _repair_tail(self) -> None:
+        """Apply the tail repair :meth:`_load` noted (writers only)."""
+        if self._torn_bytes:
+            with self._jsonl_path.open("r+b") as handle:
+                handle.truncate(handle.seek(0, 2) - self._torn_bytes)
+        elif self._needs_newline:
             with self._jsonl_path.open("a") as handle:
                 handle.write("\n")
+        self._torn_bytes = 0
+        self._needs_newline = False
 
     # ------------------------------------------------------------------
     # Reads
@@ -210,6 +226,7 @@ class ResultStore:
                 )
             return
         if self._jsonl_handle is None:
+            self._repair_tail()
             self._jsonl_handle = self._jsonl_path.open("a")
         self._jsonl_handle.write(jsonl_line(record))
         self._jsonl_handle.flush()
@@ -220,6 +237,8 @@ class ResultStore:
         ordered = sorted(records, key=lambda record: int(record["cell"]))
         self.close()
         self._jsonl_path.write_text("".join(jsonl_line(record) for record in ordered))
+        self._torn_bytes = 0
+        self._needs_newline = False
         self._records = {int(record["cell"]): record for record in ordered}
 
     def close(self) -> None:

@@ -13,11 +13,11 @@ independence in two important ways:
 Both are modelled here as :class:`GroupHazardProcess` overlays.  A hazard
 process does not replace the per-worker models; it *post-processes* each
 materialised availability window, forcing ``DOWN`` onto the rows of affected
-workers for the duration of each event.  The two block producers — the
-:class:`~repro.simulation.blocks.SharedBlockSource` that solo engines and
-the multi-heuristic driver read, and the experiment layer's trace bank —
-both apply the overlay exactly once per window, immediately after sampling
-it, so every path sees the same realisation bit-for-bit.
+workers for the duration of each event.  The one sampler of
+availability realisations, :class:`~repro.simulation.blocks.SampledTrace`,
+which solo engines, the multi-heuristic driver and the campaign runner all
+read, applies the overlay exactly once per sampled window, immediately
+after sampling it, so every path sees the same realisation bit-for-bit.
 
 Determinism contract
 --------------------

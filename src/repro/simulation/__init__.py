@@ -18,10 +18,11 @@ The engine advances slot by slot:
    over and the makespan is reported.
 """
 
+from repro.simulation.blocks import SampledTrace, SharedBlockSource
 from repro.simulation.engine import SimulationEngine, simulate
 from repro.simulation.events import EventKind, SimulationEvent
 from repro.simulation.gantt import render_gantt
-from repro.simulation.multirun import MultiHeuristicDriver, SharedBlockSource
+from repro.simulation.multirun import MultiHeuristicDriver
 from repro.simulation.results import IterationRecord, SimulationResult
 from repro.simulation.state import WorkerRuntime
 
@@ -29,6 +30,7 @@ __all__ = [
     "SimulationEngine",
     "simulate",
     "MultiHeuristicDriver",
+    "SampledTrace",
     "SharedBlockSource",
     "SimulationResult",
     "IterationRecord",

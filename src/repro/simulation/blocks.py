@@ -1,9 +1,15 @@
-"""Availability blocks: aligned windows of worker states, materialised once.
+"""Availability: one sampled realisation, served in aligned windows.
+
+:class:`SampledTrace` is the one sampler of availability realisations: it
+draws a run's worker states lazily from the platform's models with the run's
+stream recipe (:func:`~repro.utils.rng.derive_run_streams`) and bakes in the
+platform's hazard overlay.  Solo engines, the one-pass driver and the
+campaign runner all read their realisation through one, so every path sees
+the same states bit for bit.
 
 The simulation engine consumes availability in ``(m, block_size)`` ``int8``
-blocks.  :class:`SharedBlockSource` produces them — from a replay trace or
-by sampling the platform's models with the run's stream recipe — in aligned
-windows ``[k·B, (k+1)·B)``, each wrapped in one
+blocks.  :class:`SharedBlockSource` serves any trace — a sampled one or a
+replay trace — in aligned windows ``[k·B, (k+1)·B)``, each wrapped in one
 :class:`~repro.simulation.kernels.BlockData` with its derived masks and
 tables.  A solo engine reads a private source; the engines of a
 :class:`~repro.simulation.multirun.MultiHeuristicDriver` pass share one, so
@@ -16,14 +22,13 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.availability.generators import sample_initial_states, sample_state_block
 from repro.availability.trace import AvailabilityTrace
 from repro.exceptions import SimulationError
 from repro.platform.platform import Platform
 from repro.simulation.kernels import BlockData
-from repro.types import ProcessorState
-from repro.utils.rng import SeedLike, derive_run_streams
 
-__all__ = ["SharedBlockSource", "DEFAULT_MAX_SLOTS", "DEFAULT_BLOCK_SIZE"]
+__all__ = ["SampledTrace", "SharedBlockSource", "DEFAULT_MAX_SLOTS", "DEFAULT_BLOCK_SIZE"]
 
 #: Default makespan cap, matching the paper's 1,000,000-slot limit.
 DEFAULT_MAX_SLOTS = 1_000_000
@@ -32,47 +37,110 @@ DEFAULT_MAX_SLOTS = 1_000_000
 DEFAULT_BLOCK_SIZE = 4096
 
 
+class SampledTrace:
+    """One availability realisation of *platform*, sampled as it is read.
+
+    Implements the trace protocol (``num_processors``, ``horizon``,
+    ``block``).  *streams* is the run's
+    :func:`~repro.utils.rng.derive_run_streams` tuple: one generator per
+    worker, then the scheduler's, then — on a platform with a hazard — the
+    hazard master stream.  Each request samples exactly the slots not yet
+    sampled; every worker consumes only its own stream and the hazard
+    overlay is split-independent, so the realisation does not depend on how
+    the horizon is split into requests.
+
+    The states are kept in one ``(m, horizon)`` buffer allocated up front;
+    the operating system commits its pages only as slots are sampled.  The
+    trajectory continues from the models' internal memory (semi-Markov
+    sojourns, diurnal clocks), so a trace must be fully consumed before the
+    same model objects sample anything else.
+    """
+
+    def __init__(self, platform: Platform, streams, horizon: int) -> None:
+        if horizon < 1:
+            raise SimulationError(f"sampled trace horizon must be >= 1, got {horizon}")
+        self._models = [processor.availability for processor in platform.processors]
+        self._rngs = streams[0]
+        self._hazard = platform.hazard
+        self._hazard_rng = streams[2] if self._hazard is not None else None
+        self._horizon = int(horizon)
+        try:
+            self._buffer = np.empty((platform.num_processors, self._horizon), dtype=np.int8)
+        except MemoryError:
+            # The whole horizon is reserved up front, so a cap far beyond
+            # what any run reaches can exceed the address space on offer.
+            raise SimulationError(
+                f"cannot reserve {platform.num_processors} x {self._horizon} slots "
+                "of availability states; lower max_slots"
+            ) from None
+        self._filled = 0
+        # The base chains continue from the raw pre-overlay states.
+        self._base_last: Optional[np.ndarray] = None
+
+    @property
+    def num_processors(self) -> int:
+        return len(self._models)
+
+    @property
+    def horizon(self) -> int:
+        return self._horizon
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """States for slots ``[start, stop)``, sampling the missing ones first."""
+        if not (0 <= start <= stop <= self._horizon):
+            raise SimulationError(
+                f"requested block [{start}, {stop}) outside sampled trace "
+                f"horizon {self._horizon}"
+            )
+        filled = self._filled
+        if filled == 0:
+            self._base_last = sample_initial_states(self._models, self._rngs)
+            self._buffer[:, 0] = self._base_last
+            if self._hazard is not None:
+                self._hazard.reset(self._hazard_rng)
+                self._hazard.overlay(0, self._buffer[:, 0:1])
+            filled = self._filled = 1
+        if stop > filled:
+            fresh = self._buffer[:, filled:stop]
+            fresh[:] = sample_state_block(
+                self._models, filled, stop - filled, self._rngs, self._base_last
+            )
+            self._base_last = fresh[:, -1].copy()
+            if self._hazard is not None:
+                self._hazard.overlay(filled, fresh)
+            self._filled = stop
+        return self._buffer[:, start:stop].copy()
+
+
 class SharedBlockSource:
-    """Aligned availability windows, materialised once and shared by engines.
+    """Aligned windows of one trace, materialised once and shared by engines.
 
     Parameters
     ----------
     platform:
         The platform whose workers' states are served.
     trace:
-        Optional replay trace (an :class:`AvailabilityTrace` or any object
-        with ``num_processors``, ``horizon`` and ``block(start, stop)``).
-        When absent, windows are sampled from the platform's availability
-        models using the engine's per-worker stream recipe
-        (:func:`~repro.utils.rng.derive_run_streams`), which makes the
-        realisation bit-identical to a solo engine run with the same *seed*.
-    seed:
-        Seed of the sampled realisation (ignored when *trace* is given).
-    streams:
-        The run's :func:`~repro.utils.rng.derive_run_streams` tuple, used
-        instead of *seed*: a solo engine derives its availability and
-        scheduler streams together and hands them over here.
+        The realisation to serve: a :class:`SampledTrace`, an
+        :class:`AvailabilityTrace` or any object with ``num_processors``,
+        ``horizon`` and ``block(start, stop)``.
     block_size, max_slots:
-        Must match the engines' parameters: window boundaries — and
-        therefore the models' ``sample_block`` call sequence — depend on
+        Must match the engines' parameters: window boundaries depend on
         both.
     """
 
     def __init__(
         self,
         platform: Platform,
+        trace: AvailabilityTrace,
         *,
-        trace: Optional[AvailabilityTrace] = None,
-        seed: SeedLike = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         max_slots: int = DEFAULT_MAX_SLOTS,
-        streams=None,
     ) -> None:
         if block_size < 1:
             raise SimulationError(f"block_size must be >= 1, got {block_size}")
         if max_slots < 1:
             raise SimulationError(f"max_slots must be >= 1, got {max_slots}")
-        if trace is not None and trace.num_processors != platform.num_processors:
+        if trace.num_processors != platform.num_processors:
             raise SimulationError(
                 f"trace has {trace.num_processors} processors but the platform "
                 f"has {platform.num_processors}"
@@ -84,21 +152,6 @@ class SharedBlockSource:
         self._windows: Dict[int, BlockData] = {}
         self._next_index = 0
         self._last_column: Optional[np.ndarray] = None
-        self._base_last_column: Optional[np.ndarray] = None
-        # Platform-level hazard overlay: materialised once per window and
-        # shared by every engine of the pass (replay traces carry it baked
-        # in).  Deriving the extra hazard stream leaves the worker streams
-        # bit-identical, so hazard-free sources are unchanged.
-        self._hazard = platform.hazard if trace is None else None
-        if trace is None:
-            if streams is None:
-                streams = derive_run_streams(
-                    seed, platform.num_processors, hazard=self._hazard is not None
-                )
-            self._rngs = streams[0]
-            self._hazard_rng = streams[2] if self._hazard is not None else None
-        else:
-            self._rngs = self._hazard_rng = None
 
     # ------------------------------------------------------------------
     def window(self, slot: int) -> Tuple[int, BlockData]:
@@ -141,59 +194,21 @@ class SharedBlockSource:
     # ------------------------------------------------------------------
     def _generate_next(self) -> None:
         start = self._next_index * self.block_size
-        if self.trace is not None:
-            horizon = self.trace.horizon
-            if horizon < 1:
-                raise SimulationError("availability trace is empty")
-            if start >= horizon:
-                raise SimulationError(
-                    f"availability trace ends at slot {horizon} but the run "
-                    f"reached slot {start}; provide a longer trace or lower "
-                    "max_slots"
-                )
-            length = min(self.block_size, horizon - start, self.max_slots - start)
-            block = np.asarray(self.trace.block(start, start + length), dtype=np.int8)
-            if block.shape != (self.platform.num_processors, length):
-                raise SimulationError(
-                    f"availability source returned a block of shape "
-                    f"{block.shape}, expected "
-                    f"{(self.platform.num_processors, length)}"
-                )
-        else:
-            length = min(self.block_size, self.max_slots - start)
-            block = np.empty((self.platform.num_processors, length), dtype=np.int8)
-            if start == 0:
-                for worker_id, processor in enumerate(self.platform.processors):
-                    model = processor.availability
-                    model.reset()
-                    rng = self._rngs[worker_id]
-                    state = model.initial_state(rng)
-                    block[worker_id, 0] = int(state)
-                    if length > 1:
-                        block[worker_id, 1:] = model.sample_block(
-                            1, length - 1, rng, current=state
-                        )
-            else:
-                # With a hazard, the base chains continue from the raw
-                # pre-overlay states — same discipline as the solo engine,
-                # which keeps the realisation window-boundary independent.
-                previous = (
-                    self._base_last_column
-                    if self._hazard is not None
-                    else self._last_column
-                )
-                for worker_id, processor in enumerate(self.platform.processors):
-                    block[worker_id] = processor.availability.sample_block(
-                        start,
-                        length,
-                        self._rngs[worker_id],
-                        current=ProcessorState(int(previous[worker_id])),
-                    )
-            if self._hazard is not None:
-                if start == 0:
-                    self._hazard.reset(self._hazard_rng)
-                self._base_last_column = block[:, -1].copy()
-                self._hazard.overlay(start, block)
+        horizon = self.trace.horizon
+        if start >= horizon:
+            raise SimulationError(
+                f"availability trace ends at slot {horizon} but the run "
+                f"reached slot {start}; provide a longer trace or lower "
+                "max_slots"
+            )
+        length = min(self.block_size, horizon - start, self.max_slots - start)
+        block = np.asarray(self.trace.block(start, start + length), dtype=np.int8)
+        if block.shape != (self.platform.num_processors, length):
+            raise SimulationError(
+                f"availability source returned a block of shape "
+                f"{block.shape}, expected "
+                f"{(self.platform.num_processors, length)}"
+            )
         self._windows[self._next_index] = BlockData(block, self._last_column)
         self._last_column = block[:, -1]
         self._next_index += 1

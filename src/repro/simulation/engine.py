@@ -21,14 +21,16 @@ either comes from the processors' stochastic models or from a fixed
 
 Performance model
 -----------------
-Availability is consumed in *blocks*: worker states are prefetched into an
-``(m, block_size)`` ``int8`` matrix through the models'
-:meth:`~repro.availability.model.AvailabilityModel.sample_block` vectorised
-samplers (or by slicing the replay trace), served in aligned windows by a
+Availability is consumed in *blocks*: worker states arrive as aligned
+``(m, block_size)`` ``int8`` windows served by a
 :class:`~repro.simulation.blocks.SharedBlockSource` — private to a solo
-run, shared by the engines of a multi-heuristic pass.  Because every worker owns an
-independent generator stream, block sampling consumes exactly the same draws
-as slot-by-slot sampling, so fixed seeds reproduce the same trajectories bit
+run, shared by the engines of a multi-heuristic pass.  The source slices a
+trace: the replay trace, or a :class:`~repro.simulation.blocks.SampledTrace`
+that draws the run's realisation through the models'
+:meth:`~repro.availability.model.AvailabilityModel.sample_block` vectorised
+samplers as the run reaches it.  Because every worker owns an independent
+generator stream, block sampling consumes exactly the same draws as
+slot-by-slot sampling, so fixed seeds reproduce the same trajectories bit
 for bit.
 
 Schedulers whose :attr:`~repro.scheduling.base.Scheduler.passive_between_rebuilds`
@@ -76,7 +78,12 @@ from repro.availability.trace import AvailabilityTrace
 from repro.exceptions import SchedulingError, SimulationError
 from repro.platform.platform import Platform
 from repro.scheduling.base import Scheduler, _EngineObservation
-from repro.simulation.blocks import DEFAULT_BLOCK_SIZE, DEFAULT_MAX_SLOTS, SharedBlockSource
+from repro.simulation.blocks import (
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_MAX_SLOTS,
+    SampledTrace,
+    SharedBlockSource,
+)
 from repro.simulation.comm import CommunicationManager
 from repro.simulation.events import EventKind, EventLog
 from repro.simulation.kernels import (
@@ -122,12 +129,14 @@ class SimulationEngine:
     max_slots:
         Makespan cap; the run is declared failed when it is reached.
     trace:
-        Optional fixed availability source to replay instead of sampling
-        from the processors' models: an :class:`AvailabilityTrace` or any
-        object exposing ``num_processors``, ``horizon`` and
-        ``block(start, stop)``.  Must cover at least ``max_slots`` slots or
-        the run fails with :class:`SimulationError` when it runs off the
-        end.
+        Optional fixed availability source to replay: an
+        :class:`AvailabilityTrace`, a
+        :class:`~repro.simulation.blocks.SampledTrace` or any object
+        exposing ``num_processors``, ``horizon`` and ``block(start, stop)``.
+        Must cover at least ``max_slots`` slots or the run fails with
+        :class:`SimulationError` when it runs off the end.  Without one, the
+        run samples a :class:`~repro.simulation.blocks.SampledTrace` of its
+        own from the processors' models and *seed*.
     analysis:
         Optional pre-built :class:`AnalysisContext`; sharing one across runs
         on the same platform (different schedulers / trials) avoids
@@ -209,11 +218,12 @@ class SimulationEngine:
         self.last_result: Optional[SimulationResult] = None
 
         # Independent streams: one per worker for availability, one for the
-        # scheduler.  The recipe lives in utils.rng so the experiment layer
-        # can rebuild the exact availability realisation of a seed.  A
-        # platform-level hazard overlay gets its own master stream — an
-        # additional SeedSequence child, so the worker and scheduler streams
-        # (and every hazard-free run) are unaffected.
+        # scheduler.  The recipe lives in utils.rng so the one-pass driver
+        # and the campaign runner can rebuild the exact availability
+        # realisation of a seed.  A platform-level hazard overlay gets its
+        # own master stream — an additional SeedSequence child, so the
+        # worker and scheduler streams (and every hazard-free run) are
+        # unaffected.
         hazard = platform.hazard is not None and trace is None and shared_blocks is None
         self._streams = derive_run_streams(seed, platform.num_processors, hazard=hazard)
         self._scheduler_rng = self._streams[1]
@@ -251,12 +261,14 @@ class SimulationEngine:
         source = self._shared_blocks
         if source is None:
             if self._private_blocks is None:
+                trace = self.trace
+                if trace is None:
+                    trace = SampledTrace(self.platform, self._streams, self.max_slots)
                 self._private_blocks = SharedBlockSource(
                     self.platform,
-                    trace=self.trace,
+                    trace,
                     block_size=self.block_size,
                     max_slots=self.max_slots,
-                    streams=self._streams,
                 )
             source = self._private_blocks
             source.release_below(start)  # a solo run holds one window at a time

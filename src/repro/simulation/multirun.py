@@ -9,13 +9,15 @@ decoding) the worker-state blocks and deriving their per-column companions
 
 This module removes that duplication without changing a single result:
 
-* :class:`~repro.simulation.blocks.SharedBlockSource` materialises
-  availability in aligned windows — ``[k·B, (k+1)·B)`` for block size
-  ``B`` — each wrapped in one :class:`~repro.simulation.kernels.BlockData`
-  that every engine of the pass shares (masks and tables are computed once
-  per window, not once per engine).  A solo engine reads its windows from
-  a private source of the same kind, so each engine of the pass sees the
-  realisation it would see running alone with the same seed.
+* one :class:`~repro.simulation.blocks.SampledTrace` — the sampler a solo
+  engine uses too — draws the pass's realisation from the seed, and one
+  :class:`~repro.simulation.blocks.SharedBlockSource` serves it in aligned
+  windows — ``[k·B, (k+1)·B)`` for block size ``B`` — each wrapped in one
+  :class:`~repro.simulation.kernels.BlockData` that every engine of the
+  pass shares (masks and tables are computed once per window, not once per
+  engine).  A solo engine reads its windows from a private source of the
+  same kind, so each engine of the pass sees the realisation it would see
+  running alone with the same seed.
 * :class:`MultiHeuristicDriver` builds one engine per scheduler, all backed
   by the same source, and advances them in lockstep, window by window: each
   engine calls its scheduler inline and runs up to its next window boundary
@@ -40,12 +42,17 @@ from repro.availability.trace import AvailabilityTrace
 from repro.exceptions import SimulationError
 from repro.platform.platform import Platform
 from repro.scheduling.base import Scheduler
-from repro.simulation.blocks import DEFAULT_BLOCK_SIZE, DEFAULT_MAX_SLOTS, SharedBlockSource
+from repro.simulation.blocks import (
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_MAX_SLOTS,
+    SampledTrace,
+    SharedBlockSource,
+)
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.results import SimulationResult
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, derive_run_streams
 
-__all__ = ["SharedBlockSource", "MultiHeuristicDriver"]
+__all__ = ["MultiHeuristicDriver"]
 
 
 class MultiHeuristicDriver:
@@ -65,7 +72,8 @@ class MultiHeuristicDriver:
         Per-engine run seed.  All engines get the same seed, so each result
         is bit-identical to ``SimulationEngine(..., seed=seed).run()``.
     trace:
-        Optional replay trace handed to the :class:`SharedBlockSource`.
+        Optional replay trace handed to the :class:`SharedBlockSource`;
+        without one the driver samples a :class:`SampledTrace` from *seed*.
     analysis:
         Optional shared :class:`AnalysisContext` (built once otherwise).
     metrics:
@@ -106,12 +114,13 @@ class MultiHeuristicDriver:
                 f"metrics must provide one collector per scheduler "
                 f"({len(metrics)} given for {len(schedulers)} schedulers)"
             )
+        if trace is None:
+            streams = derive_run_streams(
+                seed, platform.num_processors, hazard=platform.hazard is not None
+            )
+            trace = SampledTrace(platform, streams, max_slots)
         self.source = SharedBlockSource(
-            platform,
-            trace=trace,
-            seed=seed,
-            block_size=block_size,
-            max_slots=max_slots,
+            platform, trace, block_size=block_size, max_slots=max_slots
         )
         self.analysis = analysis if analysis is not None else AnalysisContext(platform)
         self.engines: List[SimulationEngine] = [

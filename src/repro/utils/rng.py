@@ -73,10 +73,10 @@ def derive_run_streams(seed: SeedLike, num_workers: int, *, hazard: bool = False
 
     Returns ``(availability_streams, scheduler_stream)``: one independent
     generator per worker plus one for the scheduler, all derived
-    deterministically from *seed*.  This recipe is shared by the simulation
-    engine and the experiment trace bank — anything that needs to reproduce
-    the exact availability realisation of a run for a given seed must derive
-    its streams through this function.
+    deterministically from *seed*.  Every
+    :class:`~repro.simulation.blocks.SampledTrace` is fed from this recipe —
+    anything that needs to reproduce the exact availability realisation of a
+    run for a given seed must derive its streams through this function.
 
     With ``hazard=True`` a third element is appended to the return value: a
     master stream for the platform-level

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import re
 import sqlite3
 from pathlib import Path
@@ -185,6 +186,27 @@ class TestJsonlRecovery:
         reopened.close()
         assert path.read_bytes() == written
         assert path.stat().st_mtime_ns == before
+
+    @pytest.mark.parametrize("cut", [25, 1], ids=["torn-line", "missing-newline"])
+    def test_status_of_a_damaged_tail_leaves_the_file_untouched(self, tmp_path, cut):
+        """Readers never write: the campaign appending to a store may still
+        be finishing the line a reader sees as torn."""
+        spec = unit_spec()
+        cells = spec.cells()
+        store = ResultStore.create(tmp_path / "c", spec)
+        store.append(cells[0], fake_result(cells[0]))
+        store.append(cells[1], fake_result(cells[1]))
+        store.close()
+        path = tmp_path / "c" / "results.jsonl"
+        path.write_bytes(path.read_bytes()[:-cut])
+        # An old mtime, so that any write shows even on coarse clocks.
+        os.utime(path, ns=(10**18, 10**18))
+        written = path.read_bytes()
+
+        status = store_status(ResultStore.open(tmp_path / "c"))
+        assert status.completed == (1 if cut > 1 else 2)
+        assert path.read_bytes() == written
+        assert path.stat().st_mtime_ns == 10**18
 
     def test_corrupt_middle_line_raises(self, tmp_path):
         spec = unit_spec()

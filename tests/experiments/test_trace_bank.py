@@ -1,11 +1,12 @@
-"""Tests for the shared per-(scenario, trial) availability trace bank."""
+"""Tests for the shared per-(scenario, trial) sampled availability trace."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ExperimentError
-from repro.experiments.runner import TraceBank, run_instance
+from repro.exceptions import SimulationError
+from repro.experiments.runner import run_instance
 from repro.experiments.scenarios import ExperimentScenario, ScenarioParameters
+from repro.simulation import SampledTrace
 from repro.utils.rng import derive_run_streams
 
 
@@ -15,12 +16,11 @@ def make_scenario(num_processors=10):
 
 
 def test_bank_trace_matches_direct_sampling():
-    """The bank replays exactly what the engine would sample for the seed."""
+    """The trace replays exactly what the engine would sample for the seed."""
     scenario = make_scenario()
     platform = scenario.build_platform()
     seed = scenario.trial_seed(0)
-    bank = TraceBank(platform, horizon=600, chunk=64)
-    trace = bank.trace_for(seed)
+    trace = SampledTrace(platform, derive_run_streams(seed, platform.num_processors), 600)
     assert trace.num_processors == platform.num_processors
     assert trace.horizon == 600
 
@@ -36,7 +36,7 @@ def test_bank_trace_matches_direct_sampling():
             current = model.next_state(current, rng)
             reference[worker, slot] = int(current)
 
-    # Request blocks out of order sizes to exercise the lazy growth.
+    # Requests of uneven sizes exercise the lazy sampling.
     assert np.array_equal(trace.block(0, 5), reference[:, 0:5])
     assert np.array_equal(trace.block(5, 130), reference[:, 5:130])
     assert np.array_equal(trace.block(130, 600), reference[:, 130:600])
@@ -46,11 +46,12 @@ def test_bank_trace_matches_direct_sampling():
 
 def test_bank_trace_rejects_out_of_range_blocks():
     scenario = make_scenario()
-    bank = TraceBank(scenario.build_platform(), horizon=100)
-    trace = bank.trace_for(scenario.trial_seed(0))
-    with pytest.raises(ExperimentError):
+    platform = scenario.build_platform()
+    streams = derive_run_streams(scenario.trial_seed(0), platform.num_processors)
+    trace = SampledTrace(platform, streams, 100)
+    with pytest.raises(SimulationError):
         trace.block(0, 101)
-    with pytest.raises(ExperimentError):
+    with pytest.raises(SimulationError):
         trace.block(-1, 10)
 
 
@@ -58,12 +59,16 @@ def test_run_instance_with_bank_trace_is_bit_identical():
     scenario = make_scenario()
     platform = scenario.build_platform()
     run = dict(iterations=3, makespan_cap=30_000)
-    bank = TraceBank(platform, horizon=run["makespan_cap"])
+    seed = scenario.trial_seed(0)
     for heuristic in ("RANDOM", "IE", "Y-IE"):
         direct = run_instance(scenario, heuristic, 0, **run, platform=platform)
         replayed = run_instance(
             scenario, heuristic, 0, **run, platform=platform,
-            trace=bank.trace_for(scenario.trial_seed(0)),
+            trace=SampledTrace(
+                platform,
+                derive_run_streams(seed, platform.num_processors),
+                run["makespan_cap"],
+            ),
         )
         direct_dict, replay_dict = direct.as_dict(), replayed.as_dict()
         direct_dict.pop("wall_time_seconds")

@@ -1,8 +1,8 @@
 """Cross-layer determinism of the hazard substrates.
 
 A hazard-bearing run is bit-identical between the solo engine, the
-one-pass :class:`MultiHeuristicDriver`, the experiment layer's trace-bank
-replay and the engine's slot-by-slot path (``record_events=True``); and the
+one-pass :class:`MultiHeuristicDriver`, a replayed :class:`SampledTrace`
+and the engine's slot-by-slot path (``record_events=True``); and the
 metrics plumbing observes the overlays (pool dips hitting whole domains in
 the same slot, Monte Carlo bands over a correlated-outage campaign).
 """
@@ -17,14 +17,14 @@ from repro.availability.markov import MarkovAvailabilityModel
 from repro.availability.registry import model_factory_for
 from repro.experiments import run_campaign_spec
 from repro.experiments.metrics import aggregate_metric_bands
-from repro.experiments.runner import TraceBank
 from repro.experiments.scenarios import AvailabilitySpec
 from repro.experiments.spec import CampaignSpec
 from repro.hazards import DomainOutageProcess
 from repro.platform import Platform, PlatformSpec, Processor
 from repro.platform.builders import availability_platform
 from repro.scheduling import create_scheduler
-from repro.simulation import MultiHeuristicDriver, SimulationEngine, simulate
+from repro.simulation import MultiHeuristicDriver, SampledTrace, SimulationEngine, simulate
+from repro.utils.rng import derive_run_streams
 
 pytestmark = pytest.mark.slow
 
@@ -87,7 +87,8 @@ def test_solo_driver_and_bank_replay_are_bit_identical(kind, params, golden):
     ).run()
     assert shared == solo
 
-    bank = TraceBank(platform, horizon=MAX_SLOTS).trace_for(5)
+    streams = derive_run_streams(5, platform.num_processors, hazard=True)
+    sampled = SampledTrace(platform, streams, MAX_SLOTS)
     replayed = [
         SimulationEngine(
             platform,
@@ -96,7 +97,7 @@ def test_solo_driver_and_bank_replay_are_bit_identical(kind, params, golden):
             seed=5,
             max_slots=MAX_SLOTS,
             analysis=analysis,
-            trace=bank,
+            trace=sampled,
         ).run()
         for name in HEURISTICS
     ]

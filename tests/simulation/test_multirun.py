@@ -26,7 +26,13 @@ from repro.experiments.runner import run_campaign_spec
 from repro.experiments.spec import CampaignSpec
 from repro.platform import PlatformSpec, paper_platform
 from repro.scheduling import PASSIVE_HEURISTICS, create_scheduler
-from repro.simulation import MultiHeuristicDriver, SharedBlockSource, SimulationEngine
+from repro.simulation import (
+    MultiHeuristicDriver,
+    SampledTrace,
+    SharedBlockSource,
+    SimulationEngine,
+)
+from repro.utils.rng import derive_run_streams
 
 from tests.simulation.test_golden_replay import REFERENCES
 
@@ -140,10 +146,17 @@ def test_empty_scheduler_list_rejected():
         MultiHeuristicDriver(platform, application, [])
 
 
+def sampled_source(platform, seed, *, block_size=4096, max_slots=1_000_000):
+    """A source over the realisation a solo engine with *seed* samples."""
+    streams = derive_run_streams(seed, platform.num_processors)
+    trace = SampledTrace(platform, streams, max_slots)
+    return SharedBlockSource(platform, trace, block_size=block_size, max_slots=max_slots)
+
+
 class TestSharedBlockSource:
     def test_windows_are_aligned_and_cached(self):
         platform, _ = golden_setup()
-        source = SharedBlockSource(platform, seed=1, block_size=128, max_slots=1000)
+        source = sampled_source(platform, 1, block_size=128, max_slots=1000)
         start, data = source.window(300)
         assert start == 256
         assert data.length == 128
@@ -157,7 +170,7 @@ class TestSharedBlockSource:
             max_slots=2048, block_size=512,
         )
         engine._fetch_block(0)
-        source = SharedBlockSource(platform, seed=11, block_size=512, max_slots=2048)
+        source = sampled_source(platform, 11, block_size=512, max_slots=2048)
         _, data = source.window(0)
         assert np.array_equal(data.block, engine._block)
         _, later = source.window(1536)
@@ -168,7 +181,7 @@ class TestSharedBlockSource:
 
     def test_release_below_frees_and_rejects_stale_windows(self):
         platform, _ = golden_setup()
-        source = SharedBlockSource(platform, seed=1, block_size=100, max_slots=1000)
+        source = sampled_source(platform, 1, block_size=100, max_slots=1000)
         source.window(250)
         source.release_below(200)
         source.window(250)  # still live
@@ -177,7 +190,7 @@ class TestSharedBlockSource:
 
     def test_out_of_range_slot_rejected(self):
         platform, _ = golden_setup()
-        source = SharedBlockSource(platform, seed=1, max_slots=500)
+        source = sampled_source(platform, 1, max_slots=500)
         with pytest.raises(SimulationError, match="outside the source's range"):
             source.window(500)
 
