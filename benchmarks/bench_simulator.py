@@ -20,6 +20,10 @@ performance trajectory is tracked across PRs:
   heuristic-slots in one pass, which is the number to compare against a
   ``kernel`` row's slots/second (a sequential sweep pays the per-slot cost
   once per heuristic).
+* ``sample`` — one :class:`SampledTrace` of the same 20 paper-style Markov
+  workers filled over 100,000 slots in one request: the availability
+  sampler alone, with no engine.  ``heuristic`` names the availability
+  model (``markov``) so the row fits the gate's run key;
 * ``metrics_overhead`` — the kernel driver re-measured with a live
   :class:`~repro.metrics.collector.MetricsCollector` at the default stride;
   the row records collector-on/off slots/second and ``overhead_percent``,
@@ -56,7 +60,8 @@ from repro.application import Application
 from repro.metrics.collector import MetricsCollector
 from repro.platform import PlatformSpec, paper_platform
 from repro.scheduling import create_scheduler
-from repro.simulation import MultiHeuristicDriver, SimulationEngine
+from repro.simulation import MultiHeuristicDriver, SampledTrace, SimulationEngine
+from repro.utils.rng import derive_run_streams
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -354,6 +359,31 @@ def _measure_multiheuristic(max_slots: int, repeats: int = 3) -> dict:
     }
 
 
+def _measure_sampling(slots: int, repeats: int = 3) -> dict:
+    """Best-of-*repeats* fill of a fresh :class:`SampledTrace` of *slots* slots."""
+    platform = paper_platform(
+        PlatformSpec(num_processors=THROUGHPUT_WORKERS, ncom=10, wmin=2),
+        num_tasks=5,
+        seed=123,
+    )
+    best = float("inf")
+    for _ in range(repeats):
+        trace = SampledTrace(
+            platform, derive_run_streams(7, platform.num_processors), slots
+        )
+        start = time.perf_counter()
+        trace.block(0, slots)
+        best = min(best, time.perf_counter() - start)
+    return {
+        "mode": "sample",
+        "heuristic": "markov",
+        "workers": THROUGHPUT_WORKERS,
+        "slots": slots,
+        "wall_seconds": round(best, 4),
+        "slots_per_second": round(slots / best, 1),
+    }
+
+
 def measure_throughput(max_slots: int = THROUGHPUT_SLOTS, repeats: int = 3) -> dict:
     """Measure all modes and return the JSON-ready report."""
     runs = [_measure_engine(heuristic, max_slots, repeats) for heuristic in ("RANDOM", "IE")]
@@ -364,6 +394,7 @@ def measure_throughput(max_slots: int = THROUGHPUT_SLOTS, repeats: int = 3) -> d
         _measure_engine(heuristic, proactive_slots, repeats) for heuristic in PROACTIVE_HEURISTICS
     )
     runs.append(_measure_multiheuristic(max_slots, repeats))
+    runs.append(_measure_sampling(max_slots, repeats))
     by_key = {(r["heuristic"], r["mode"]): r["slots_per_second"] for r in runs}
     # Overhead rows are a *difference* of two close throughputs, so they are
     # far more noise-sensitive than the throughput rows; give the median

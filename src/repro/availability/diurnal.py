@@ -195,7 +195,10 @@ class DiurnalAvailabilityModel(AvailabilityModel):
         slot ``t - 1`` (matching :meth:`next_state`, whose clock lags the
         produced slot by one).  Absolute slot indices are used, so the
         internal clock is re-synchronised to ``start_slot + horizon - 1``
-        and mixed block/slot-by-slot driving stays consistent.
+        and mixed block/slot-by-slot driving stays consistent.  The per-slot
+        maps go through
+        :func:`~repro.availability.model.scan_transition_maps`, which
+        composes only the slots whose map is not the identity.
         """
         if start_slot < 1:
             raise ValueError(f"start_slot must be >= 1, got {start_slot}")

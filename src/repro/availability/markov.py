@@ -220,9 +220,11 @@ class MarkovAvailabilityModel(AvailabilityModel):
         states: ``map[i]`` is the state reached from state *i* under that
         draw, obtained by comparing the draw against the cumulative row of
         each state.  The trajectory is then the running composition of these
-        maps applied to *current*, computed with a logarithmic number of
-        vectorised passes (Hillis–Steele scan over map composition) instead
-        of a Python loop over slots.
+        maps applied to *current*, computed by
+        :func:`~repro.availability.model.scan_transition_maps`: a
+        Hillis–Steele scan over only the slots whose map is not the
+        identity, forward-filled over the rest, instead of a Python loop
+        over slots.
         """
         if start_slot < 1:
             raise ValueError(f"start_slot must be >= 1, got {start_slot}")

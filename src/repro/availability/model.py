@@ -53,6 +53,8 @@ _COMPOSE = np.array(
     [[int(_DECODE[a][_DECODE[b]] @ np.array([1, 3, 9])) for b in range(27)] for a in range(27)],
     dtype=np.int16,
 )
+#: Code of the identity map (0 + 3·1 + 9·2): the slot leaves every state as is.
+_IDENTITY = 21
 
 
 def scan_transition_maps(maps: np.ndarray, current: int) -> np.ndarray:
@@ -60,20 +62,28 @@ def scan_transition_maps(maps: np.ndarray, current: int) -> np.ndarray:
 
     ``maps[t, i]`` is the state reached from state *i* by the transition of
     slot *t*; the result is the state trajectory ``s_t = maps[t][s_{t-1}]``
-    with ``s_{-1} = current``.  Instead of a Python loop over slots, each map
-    is packed into one of 27 codes and the codes are prefix-composed with a
-    Hillis–Steele scan (map composition is associative) through the
-    :data:`_COMPOSE` lookup table, processed in chunks so the work stays
-    quasi-linear in the horizon.
+    with ``s_{-1} = current``.  Each map is packed into one of 27 codes with
+    integer adds.  A slot whose code is the identity (:data:`_IDENTITY`)
+    moves no state, and in a slowly mixing chain most slots are such slots,
+    so only the others are prefix-composed: a Hillis–Steele scan (map
+    composition is associative) through the :data:`_COMPOSE` lookup table,
+    processed in chunks so the work stays quasi-linear.  One
+    ``maximum.accumulate`` over their indices then forward-fills the
+    trajectory, so the scan's cost follows the slots that can change a
+    state, not the horizon.
 
     Shared by the Markov and diurnal models, whose block samplers both
     reduce to "one cumulative-threshold map per slot".
     """
     horizon = maps.shape[0]
-    codes = maps.astype(np.int16) @ np.array([1, 3, 9], dtype=np.int16)
-    states = np.empty(horizon, dtype=np.int8)
-    state = int(current)
-    for chunk_start in range(0, horizon, _SCAN_CHUNK):
+    codes = maps[:, 0] + 3 * maps[:, 1] + 9 * maps[:, 2]
+    moving = np.flatnonzero(codes != _IDENTITY)
+    codes = codes[moving]
+    # reached[k + 1] is the state after the k-th moving slot; reached[0] the
+    # state before the first one.
+    reached = np.empty(moving.shape[0] + 1, dtype=np.int8)
+    reached[0] = state = int(current)
+    for chunk_start in range(0, moving.shape[0], _SCAN_CHUNK):
         chunk = codes[chunk_start: chunk_start + _SCAN_CHUNK]
         length = chunk.shape[0]
         offset = 1
@@ -81,10 +91,12 @@ def scan_transition_maps(maps: np.ndarray, current: int) -> np.ndarray:
             chunk[offset:] = _COMPOSE[chunk[offset:], chunk[:-offset]]
             offset *= 2
         trajectory = _DECODE[chunk, state]
-        states[chunk_start: chunk_start + length] = trajectory
-        if length:
-            state = int(trajectory[-1])
-    return states
+        reached[chunk_start + 1: chunk_start + 1 + length] = trajectory
+        state = int(trajectory[-1])
+    latest = np.zeros(horizon, dtype=np.intp)
+    latest[moving] = np.arange(1, moving.shape[0] + 1)
+    np.maximum.accumulate(latest, out=latest)
+    return reached[latest]
 
 
 class AvailabilityModel(abc.ABC):

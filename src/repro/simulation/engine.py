@@ -397,6 +397,8 @@ class SimulationEngine:
         while slot < self.max_slots:
             rel = slot - self._block_start
             if self._block is None or rel >= self._block_len:
+                # Done with this window: let its lazily built tables go.
+                self._block_data = None
                 yield True
                 self._fetch_block(slot)
                 rel = slot - self._block_start
@@ -525,35 +527,27 @@ class SimulationEngine:
                 record.idle_slots += 1
                 self.events.record(slot, EventKind.IDLE, reason="no_feasible_configuration")
             else:
-                comm_remaining = 0
-                for runtime in enrolled_runtimes:
-                    comm_remaining += runtime.comm_slots_remaining(tprog, tdata)
+                remaining = [
+                    runtime.comm_slots_remaining(tprog, tdata) for runtime in enrolled_runtimes
+                ]
+                comm_remaining = sum(remaining)
                 if comm_remaining and can_fast_forward and len(enrolled_runtimes) <= ncom:
                     # ---- whole-phase jump (capacity surplus) ------------
                     # With a channel for every enrolled worker the sticky
                     # policy serves each needing UP worker on every slot,
                     # so the complete communication phase collapses to
-                    # per-worker cumulative-UP searches over the block.
+                    # per-worker searches in the window's UP-count table.
                     # Valid on failure slots too: the failure scan already
                     # pruned DOWN workers from the configuration, so the
                     # current column is DOWN-free for the enrolled set.
                     begin = time.perf_counter_ns() if tracer is not None else 0
                     advance, units, granted = comm_phase_span(
-                        self._block,
+                        self._block_data.ensure_phase_tables(),
                         enrolled_ids,
-                        np.fromiter(
-                            (
-                                runtime.comm_slots_remaining(tprog, tdata)
-                                for runtime in enrolled_runtimes
-                            ),
-                            dtype=np.int64,
-                            count=len(enrolled_runtimes),
-                        ),
+                        np.array(remaining, dtype=np.int32),
                         rel,
-                        self._block_len,
                     )
-                    for index, runtime in enumerate(enrolled_runtimes):
-                        used = int(units[index])
+                    for runtime, used in zip(enrolled_runtimes, units.tolist()):
                         if used:
                             runtime.advance_communication(used, tprog, tdata)
                     self._comm.set_holders(enrolled_ids[granted])
@@ -717,6 +711,7 @@ class SimulationEngine:
                 )
             slot += 1
 
+        self._block_data = None
         if not success:
             self.events.record(self.max_slots - 1, EventKind.RUN_ABORTED, reason="max_slots")
 

@@ -3,8 +3,10 @@
 The simulation engine consumes availability in ``(m, block_size)`` ``int8``
 blocks (see :mod:`repro.simulation.engine`).  This module hosts the numeric
 primitives of that consumption — the per-block companion masks, the
-per-worker next-change table, and the span searches used by the engine's
-fast paths:
+per-worker next-change and phase tables, and the span searches used by the
+engine's fast paths.  The tables are built at most once per window (see
+:class:`BlockData`), so the frozen-span and communication-phase jumps cost a
+few NumPy calls however many slots they cover:
 
 ``block_companions``
     The DOWN / column-identical masks the per-slot loop reads at O(1).
@@ -24,12 +26,17 @@ fast paths:
     completing slot, and how many of them are all-UP compute slots.  Unlike
     ``frozen_span`` it jumps straight over UP/RECLAIMED flicker.
 
+``phase_tables``
+    Per-worker cumulative UP counts (flattened with row offsets so one
+    ``searchsorted`` serves every row) and a next-DOWN table.
+
 ``comm_phase_span``
     Whole-communication-phase jump for the capacity-surplus case
     (``ncom >= #enrolled``): with a channel for everybody, the sticky
     policy degenerates to "every needing UP worker is served every slot",
     so worker ``q``'s transfer completes on its ``N_q``-th UP slot and the
-    phase collapses to per-worker cumulative-UP searches.
+    phase collapses to one search in the UP counts and one next-DOWN
+    gather.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ __all__ = [
     "next_change_table",
     "frozen_span",
     "compute_span",
+    "phase_tables",
     "comm_phase_span",
 ]
 
@@ -157,68 +165,73 @@ def compute_span(
     return advance, progressed
 
 
-#: First chunk width of the ``comm_phase_span`` scan; typical phases are a
-#: few tens of slots, so start small and grow geometrically for stalls.
-_PHASE_CHUNK = 64
+def phase_tables(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(up_counts, next_down)``: the ``(m, L + 1)`` tables :func:`comm_phase_span` reads.
+
+    ``up_counts[q, k]`` is ``q·(L + 1)`` plus the number of UP slots of
+    worker *q* in columns ``[0, k)``.  A row's counts never reach ``L + 1``,
+    so the row offsets keep the flattened table sorted and one
+    ``searchsorted`` serves every row.  ``next_down[q, k]`` is the first
+    column ``>= k`` at which worker *q* is DOWN, else ``L``.
+    """
+    num_workers, length = block.shape
+    width = length + 1
+    # The narrowest dtypes that hold the values: two windows' tables can be
+    # alive at once, and they are the largest per-window structures.
+    dtype = np.int32 if num_workers * width < 2**31 else np.int64
+    up_counts = np.zeros((num_workers, width), dtype=dtype)
+    np.cumsum(block == _UP_CODE, axis=1, dtype=dtype, out=up_counts[:, 1:])
+    up_counts += np.arange(0, num_workers * width, width, dtype=dtype)[:, None]
+    column_dtype = np.int16 if length < 2**15 else np.int32
+    next_down = np.full((num_workers, width), length, dtype=column_dtype)
+    columns = np.arange(length, dtype=column_dtype)
+    np.copyto(next_down[:, :length], columns, where=block == _DOWN_CODE)
+    backwards = next_down[:, ::-1]
+    np.minimum.accumulate(backwards, axis=1, out=backwards)
+    return up_counts, next_down
 
 
 def comm_phase_span(
-    block: np.ndarray,
+    tables: Tuple[np.ndarray, np.ndarray],
     enrolled_ids: np.ndarray,
     needs: np.ndarray,
     rel: int,
-    length: int,
 ) -> Tuple[int, np.ndarray, np.ndarray]:
     """Jump a whole communication phase, starting *at* column *rel*.
 
     Valid only while every needing UP worker is guaranteed a channel
     (``ncom >= #enrolled``): then worker ``i`` receives exactly one unit on
     each of its UP columns until its ``needs[i]`` units are done, and the
-    phase ends on the column where the last transfer completes.  The scan
+    phase ends on the column where the last transfer completes.  The jump
     stops *before* the first column with an enrolled DOWN worker (the
     caller guarantees column *rel* has none) and at the block end.
+
+    *tables* are the block's :func:`phase_tables`: the stop column is one
+    gather + min over ``next_down``, and every worker's completing column
+    comes from one ``searchsorted`` over the flattened UP counts, so the
+    cost is a fixed handful of NumPy calls however long the phase is.
 
     Returns ``(advance, units, holders)``: the number of columns consumed
     (all of them communication slots), the per-worker units served, and the
     per-worker "granted a channel on the last consumed column" mask — the
     sticky-holder set the slot-by-slot policy would have left behind.
     """
-    count = enrolled_ids.shape[0]
-    carry = np.zeros(count, dtype=np.int64)
-    last_up = np.zeros(count, dtype=bool)
-    advance = 0
-    start = rel
-    chunk = _PHASE_CHUNK
-    while start < length:
-        stop = start + chunk
-        if stop > length:
-            stop = length
-        chunk *= 2
-        window = block[enrolled_ids, start:stop]
-        width = window.shape[1]
-        down = (window == _DOWN_CODE).any(axis=0)
-        limit = width
-        if down.any():
-            limit = int(np.argmax(down))
-            if limit == 0:
-                break
-        up = window[:, :limit] == _UP_CODE
-        cumulative = np.cumsum(up, axis=1) + carry[:, None]
-        met = (cumulative >= needs[:, None]).all(axis=0)
-        if met.any():
-            done = int(np.argmax(met))  # the column completing the phase
-            advance += done + 1
-            carry = cumulative[:, done]
-            holders = up[:, done] & (carry <= needs) & (needs > 0)
-            return advance, np.minimum(needs, carry), holders
-        advance += limit
-        carry = cumulative[:, limit - 1]
-        last_up = up[:, limit - 1]
-        if limit < width:  # stopped at an enrolled DOWN column
-            break
-        start = stop
-    holders = last_up & (carry <= needs) & (needs > 0)
-    return advance, np.minimum(needs, carry), holders
+    up_counts, next_down = tables
+    counts = up_counts.ravel()
+    at = enrolled_ids * up_counts.shape[1] + rel  # flat index of each row's column rel
+    room = int(next_down.ravel()[at].min()) - rel
+    before = counts[at]
+    # Targets in the table's dtype: a wider one would cast the whole table.
+    # ``reach[i]`` counts the columns from *rel* through worker i's
+    # completing column; it exceeds the block when the worker cannot finish.
+    reach = counts.searchsorted(np.add(before, needs, dtype=counts.dtype)) - at
+    advance = int(reach.max())
+    if advance <= room:
+        return advance, needs, reach == advance
+    after = counts[at + room]
+    carry = after - before
+    up_last = after > counts[at + room - 1]
+    return room, np.minimum(needs, carry), up_last & (carry <= needs) & (needs > 0)
 
 
 # ----------------------------------------------------------------------
@@ -229,16 +242,18 @@ class BlockData:
 
     Bundles what the engine installs per prefetch so the multi-heuristic
     driver can compute everything once and hand the same bundle to every
-    engine.  The next-change table is built lazily — only the fast paths
-    read it — and exactly once per block no matter how many engines ask.
+    engine.  The next-change and phase tables are built lazily — only the
+    fast paths read them — and exactly once per block no matter how many
+    engines ask.
     """
 
-    __slots__ = ("block", "down", "same", "_next_change")
+    __slots__ = ("block", "down", "same", "_next_change", "_phase_tables")
 
     def __init__(self, block: np.ndarray, last_column: Optional[np.ndarray]) -> None:
         self.block = block
         self.down, self.same = block_companions(block, last_column)
         self._next_change: Optional[np.ndarray] = None
+        self._phase_tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def length(self) -> int:
@@ -248,3 +263,8 @@ class BlockData:
         if self._next_change is None:
             self._next_change = next_change_table(self.block)
         return self._next_change
+
+    def ensure_phase_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._phase_tables is None:
+            self._phase_tables = phase_tables(self.block)
+        return self._phase_tables

@@ -162,8 +162,12 @@ class MultiHeuristicDriver:
                 walls[index] += perf_counter() - started
             live = next_round
             if live:
-                # Everyone still running has fetched past the watermark.
-                watermark = min(self.engines[index]._block_start for index, _ in live)
+                # Everyone still running has finished its current window
+                # and will next fetch at or past its end.
+                watermark = min(
+                    self.engines[index]._block_start + self.engines[index]._block_len
+                    for index, _ in live
+                )
                 self.source.release_below(watermark)
         self.wall_seconds = walls
         return results  # type: ignore[return-value]

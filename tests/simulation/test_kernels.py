@@ -2,12 +2,15 @@
 
 Every primitive in :mod:`repro.simulation.kernels` is checked against a
 dumb slot-by-slot reference.  The table builders run on seeded random
-blocks.  The three span scans keep their seeded random cases and are also
-Hypothesis properties over generated blocks, with the edge cases the engine
-relies on pinned as explicit examples: one-column blocks, a scan starting
-at the last column, an empty enrolled set, ``needed <= 1`` and a single
-worker that still needs data.
+blocks; the phase tables are also a Hypothesis property.  The three span
+scans keep their seeded random cases and are also Hypothesis properties over
+generated blocks, with the edge cases the engine relies on pinned as
+explicit examples: one-column blocks, all-DOWN rows, a scan starting at the
+last column, an empty enrolled set, ``needed <= 1`` and a single worker that
+still needs data.
 """
+
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from repro.simulation.kernels import (
     compute_span,
     frozen_span,
     next_change_table,
+    phase_tables,
 )
 
 UP, RECLAIMED, DOWN = 0, 1, 2
@@ -78,6 +82,23 @@ def brute_compute_span(block, enrolled, rel, length, needed):
             progressed += 1
         advance += 1
     return advance, progressed
+
+
+def brute_phase_tables(block):
+    """Row-offset cumulative UP counts and the next-DOWN table."""
+    num_workers, length = block.shape
+    width = length + 1
+    up_counts = np.zeros((num_workers, width), dtype=np.int64)
+    next_down = np.full((num_workers, width), length, dtype=np.int64)
+    for q in range(num_workers):
+        count = q * width
+        for k in range(width):
+            up_counts[q, k] = count
+            if k < length and block[q, k] == UP:
+                count += 1
+        for k in reversed(range(length)):
+            next_down[q, k] = k if block[q, k] == DOWN else next_down[q, k + 1]
+    return up_counts, next_down
 
 
 def brute_comm_phase(block, enrolled, needs, rel, length):
@@ -168,7 +189,7 @@ def test_comm_phase_span_variants_agree_with_brute_force(seed):
         if not needs.any():
             needs[0] = 1
         expected = brute_comm_phase(block, enrolled, needs, rel, length)
-        advance, units, holders = comm_phase_span(block, enrolled, needs, rel, length)
+        advance, units, holders = comm_phase_span(phase_tables(block), enrolled, needs, rel)
         assert advance == expected[0]
         assert np.array_equal(units, expected[1])
         assert np.array_equal(holders, expected[2])
@@ -246,6 +267,23 @@ def test_compute_span_matches_brute_force(case, needed):
     assert compute_span(block, ids, rel, length, needed) == expected
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scan_cases(max_length=80, max_run=12, min_enrolled=0).map(itemgetter(0)))
+@example(state_block([[(UP, 1)], [(DOWN, 1)], [(RECLAIMED, 1)]]))
+@example(state_block([[(DOWN, 7)], [(UP, 2), (DOWN, 5)]]))
+@example(state_block([[(RECLAIMED, 2), (UP, 3), (DOWN, 1), (UP, 2)]]))
+@example(state_block([[(DOWN, 1)]]))
+# Column indices past 2**15 - 1 switch next_down to a wider dtype.
+@example(state_block([[(UP, 5), (DOWN, 1), (UP, 2**15 - 5), (DOWN, 1)], [(RECLAIMED, 2**15 + 2)]]))
+def test_phase_tables_match_brute_force(block):
+    up_counts, next_down = phase_tables(block)
+    expected_counts, expected_down = brute_phase_tables(block)
+    assert np.array_equal(up_counts, expected_counts)
+    assert np.array_equal(next_down, expected_down)
+    # The row offsets keep the flat counts sorted for one searchsorted.
+    assert (np.diff(up_counts.ravel()) >= 0).all()
+
+
 @st.composite
 def phase_cases(draw):
     """A scan case plus per-worker units still needed, ``needs``: general,
@@ -276,7 +314,7 @@ def test_comm_phase_span_matches_brute_force(case):
     block, ids, rel, needs = case
     length = block.shape[1]
     expected = brute_comm_phase(block, ids, needs, rel, length)
-    advance, units, holders = comm_phase_span(block, ids, needs, rel, length)
+    advance, units, holders = comm_phase_span(phase_tables(block), ids, needs, rel)
     assert advance == expected[0]
     assert np.array_equal(units, expected[1])
     assert np.array_equal(holders, expected[2])
@@ -290,3 +328,13 @@ def test_block_data_builds_next_change_once():
     assert data.ensure_next_change() is table
     assert np.array_equal(table, next_change_table(block))
     assert data.length == 20
+
+
+def test_block_data_builds_phase_tables_once():
+    rng = np.random.default_rng(9)
+    block = random_block(rng, num_workers=3, length=20)
+    data = BlockData(block, None)
+    tables = data.ensure_phase_tables()
+    assert data.ensure_phase_tables() is tables
+    for built, expected in zip(tables, phase_tables(block)):
+        assert np.array_equal(built, expected)
