@@ -14,6 +14,22 @@ from repro.scheduling.registry import ALL_HEURISTICS, TABLE2_HEURISTICS
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 
+#: ``repro demo --heuristic IE --m 3 --processors 6 --iterations 1 --wmin 1
+#: --seed 2`` (trailing spaces are slots where the worker is not enrolled).
+DEMO_OUTPUT = (
+    "IE: ok, makespan=9, iterations=1/1, restarts=0, reconfigs=1\n"
+    "\n"
+    "   0    5   \n"
+    "P1 ········ \n"
+    "P2 ·········\n"
+    "P3 PPPPPDDCC\n"
+    "P4 PPPPPDICC\n"
+    "P5 ······   \n"
+    "P6 ·········\n"
+    "legend: P=program  D=data  C=compute  I=idle  ·=reclaimed  #=down  "
+    "(blank = not enrolled)\n"
+)
+
 #: (command, --scale) -> (cell count, sha256 of the cell enumeration), as
 #: recorded from the table commands before they became spec wrappers.
 TABLE_ENUMERATIONS = {
@@ -331,6 +347,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "makespan" in out
         assert "legend" in out  # the Gantt chart was printed
+
+    def test_demo_output_is_pinned(self, capsys):
+        """The demo's summary line and Gantt chart, byte for byte."""
+        assert main(["demo", "--heuristic", "IE", "--m", "3", "--processors", "6",
+                     "--iterations", "1", "--wmin", "1", "--seed", "2"]) == 0
+        assert capsys.readouterr().out == DEMO_OUTPUT
 
     @pytest.mark.slow
     def test_table1_smoke(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the HTML campaign dashboard and the ``repro report`` command."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from repro.experiments.runner import run_campaign_spec
 from repro.experiments.spec import builtin_spec
 from repro.metrics import SERIES_NAMES
 from repro.metrics.html import render_html_report
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,22 @@ class TestRenderHtmlReport:
         huge = dataclasses.replace(smoke_spec, makespan_cap=1_000_000)
         html = render_html_report(smoke_results, huge)
         assert "exceeds the re-simulation limit" in html
+
+    @pytest.mark.parametrize(
+        "golden, trials",
+        [("gantt_smoke.html", (0, 1)), ("gantt_smoke_trial1.html", (1,))],
+        ids=["whole-runs", "first-120-slots"],
+    )
+    def test_gantt_section_is_pinned(self, smoke_results, smoke_spec, golden, trials):
+        """The drill-down's titles and charts, byte for byte.
+
+        Trial 0's runs end inside the drawn window; trial 1's run past it,
+        so only their first 120 slots are drawn.
+        """
+        chosen = [result for result in smoke_results if result.trial_index in trials]
+        html = render_html_report(chosen, smoke_spec)
+        section = html.split("<h2>Gantt drill-down</h2>\n", 1)[1]
+        assert section == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_labels_are_escaped(self, smoke_results, smoke_spec):
         spooky = dataclasses.replace(smoke_spec, name="<b>smoke & mirrors</b>")

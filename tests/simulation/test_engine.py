@@ -9,7 +9,7 @@ from repro.availability.generators import paper_transition_matrix
 from repro.exceptions import SchedulingError, SimulationError
 from repro.platform import Platform, Processor, uniform_platform
 from repro.scheduling.base import Observation, Scheduler
-from repro.simulation import SimulationEngine, simulate
+from repro.simulation import SimulationEngine, render_gantt, simulate
 from repro.simulation.events import EventKind
 
 
@@ -34,6 +34,19 @@ class StaticScheduler(Scheduler):
 def reliable_processor(speed, capacity=5):
     return Processor(speed=speed, capacity=capacity,
                      availability=MarkovAvailabilityModel.always_up())
+
+
+#: The chart of the Figure-1 configuration on an always-UP platform.
+FIGURE1_CHART = (
+    "   0    5    10 \n"
+    "P1              \n"
+    "P2 PPDDIIICCCCCC\n"
+    "P3 PPDDIIICCCCCC\n"
+    "P4 IIIIPPDCCCCCC\n"
+    "P5              \n"
+    "legend: P=program  D=data  C=compute  I=idle  ·=reclaimed  #=down  "
+    "(blank = not enrolled)"
+)
 
 
 def figure1_platform():
@@ -97,6 +110,7 @@ class TestBasicExecution:
         assert np.all(engine.activity_matrix[4] == " ")
         # P4 (id 3) is idle during the first slots (bandwidth constraint).
         assert list(engine.activity_matrix[3, :3]) == ["I", "I", "I"]
+        assert render_gantt(engine.activity_matrix, engine.state_matrix) == FIGURE1_CHART
 
     def test_iterations_resend_data_but_not_program(self):
         platform = figure1_platform()
