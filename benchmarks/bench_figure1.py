@@ -16,7 +16,8 @@ from repro.application import Application, Configuration
 from repro.availability import AvailabilityTrace, MarkovAvailabilityModel
 from repro.platform import Platform, Processor
 from repro.scheduling.base import Observation, Scheduler
-from repro.simulation import SimulationEngine, render_gantt
+from repro.simulation import SimulationEngine
+from repro.simulation.gantt import activity_from_events, render_gantt
 
 
 class Figure1Scheduler(Scheduler):
@@ -60,14 +61,15 @@ def test_figure1_worked_example(benchmark):
     def run():
         engine = SimulationEngine(
             platform, application, Figure1Scheduler(), trace=trace, max_slots=20,
-            record_activity=True, record_events=True,
+            record_events=True,
         )
         return engine, engine.run()
 
     engine, result = benchmark.pedantic(run, rounds=3, iterations=1)
 
     assert result.success
-    gantt = render_gantt(engine.activity_matrix, engine.state_matrix)
+    activity = activity_from_events(engine.events, platform.num_processors, result.makespan)
+    gantt = render_gantt(activity, trace.block(0, result.makespan))
     report = (
         "Figure 1 reproduction — one iteration with m = 5 tasks on 5 processors\n"
         f"(w_i = i, ncom = 2, Tprog = 2, Tdata = 1); makespan = {result.makespan} slots,\n"

@@ -20,7 +20,8 @@ from __future__ import annotations
 from repro import Application, AvailabilityTrace, Configuration, MarkovAvailabilityModel
 from repro.platform import Platform, Processor
 from repro.scheduling.base import Observation, Scheduler
-from repro.simulation import SimulationEngine, render_gantt
+from repro.simulation import SimulationEngine
+from repro.simulation.gantt import activity_from_events, render_gantt
 
 
 class Figure1Scheduler(Scheduler):
@@ -58,7 +59,7 @@ def main() -> None:
 
     engine = SimulationEngine(
         platform, application, Figure1Scheduler(), trace=trace, max_slots=20,
-        record_activity=True, record_events=True,
+        record_events=True,
     )
     result = engine.run()
 
@@ -69,7 +70,8 @@ def main() -> None:
     print(f"computation slots   : {result.computation_slots}")
     print(f"suspended slots     : {result.idle_slots} (workers reclaimed)")
     print()
-    print(render_gantt(engine.activity_matrix, engine.state_matrix,
+    activity = activity_from_events(engine.events, platform.num_processors, result.makespan)
+    print(render_gantt(activity, trace.block(0, result.makespan),
                        worker_names=[p.name for p in platform]))
     print()
     print("Reading the chart: the master can serve only ncom = 2 workers per slot,")

@@ -8,9 +8,9 @@ inline SVG, no external assets or scripts — suitable for a CI artifact:
 * Monte Carlo band plots of every sampled metric series, one chart per
   (grid cell, series) with all heuristics of the cell overlaid
   (median line + shaded inter-quantile band across repetitions);
-* a Gantt drill-down: a handful of stored runs re-simulated
-  deterministically from their seeds with activity recording on, rendered
-  through :func:`repro.simulation.gantt.render_gantt`.
+* a Gantt drill-down: the first slots of a handful of stored runs,
+  re-simulated deterministically from their seeds with the event log on and
+  rendered through :func:`repro.simulation.gantt.render_gantt`.
 
 Only results that carry a ``metrics`` payload contribute band plots; a
 store recorded without the collector still gets the summary tables and the
@@ -37,11 +37,7 @@ __all__ = ["render_html_report"]
 #: Charts are thinned to at most this many points per curve.
 _MAX_POINTS = 400
 
-#: Gantt drill-down re-simulates a run with full per-slot recording, whose
-#: memory grows with the slot cap; skip the section beyond this cap.
-_GANTT_CAP = 250_000
-
-#: Slots rendered per Gantt chart.
+#: Slots rendered (and re-simulated) per Gantt chart.
 _GANTT_WINDOW = 120
 
 #: Qualitative palette (colorblind-safe Okabe-Ito order).
@@ -229,12 +225,6 @@ def _gantt_sections(
         return []
     if spec is None:
         return ['<p class="note">No spec available — Gantt drill-down skipped.</p>']
-    if spec.makespan_cap > _GANTT_CAP:
-        return [
-            f'<p class="note">Gantt drill-down skipped: the spec\'s slot cap '
-            f"({spec.makespan_cap}) exceeds the re-simulation limit "
-            f"({_GANTT_CAP}).</p>"
-        ]
     # Deterministic pick: the first successful run of each heuristic, in
     # store order, up to the requested count.
     chosen: List[InstanceResult] = []
@@ -251,8 +241,10 @@ def _gantt_sections(
     from repro.analysis.cache import AnalysisContext
     from repro.analysis.group import ExpectationMode
     from repro.scheduling.registry import create_scheduler
+    from repro.simulation.blocks import SampledTrace
     from repro.simulation.engine import SimulationEngine
-    from repro.simulation.gantt import render_gantt
+    from repro.simulation.gantt import activity_from_events, render_gantt
+    from repro.utils.rng import derive_run_streams
 
     scenario_index = {
         (
@@ -271,23 +263,30 @@ def _gantt_sections(
         if scenario is None:
             continue
         try:
-            # Mirror runner.run_instance exactly (platform, analysis mode,
-            # seed, cap) so the re-simulated run IS the stored one.
+            # Mirror runner._run_cells (platform, analysis mode, seed, trial
+            # trace) so the re-simulated slots ARE the stored run's: the
+            # slot-by-slot path never looks ahead, so stopping the run at
+            # the drawn window changes none of them.
             platform = scenario.build_platform()
+            seed = scenario.trial_seed(result.trial_index)
+            window = min(_GANTT_WINDOW, result.makespan)
+            streams = derive_run_streams(
+                seed, platform.num_processors, hazard=platform.hazard is not None
+            )
+            trace = SampledTrace(platform, streams, window)
             engine = SimulationEngine(
                 platform,
                 scenario.build_application(iterations=spec.iterations),
                 create_scheduler(result.heuristic),
-                seed=scenario.trial_seed(result.trial_index),
-                max_slots=spec.makespan_cap,
+                seed=seed,
+                max_slots=window,
+                trace=trace,
                 analysis=AnalysisContext(platform, mode=ExpectationMode(spec.estimator)),
-                record_activity=True,
+                record_events=True,
             )
-            simulation = engine.run()
-            window = min(_GANTT_WINDOW, simulation.makespan or _GANTT_WINDOW)
-            text = render_gantt(
-                engine.activity_matrix, engine.state_matrix, end=window
-            )
+            engine.run()
+            activity = activity_from_events(engine.events, platform.num_processors, window)
+            text = render_gantt(activity, trace.block(0, window))
         except ReproError as error:
             sections.append(
                 f'<p class="note">Could not re-simulate {_esc(result.heuristic)} '
@@ -296,7 +295,7 @@ def _gantt_sections(
             continue
         sections.append(
             f"<h3>{_esc(result.heuristic)} — {_esc(scenario.label())}, trial "
-            f"{result.trial_index} (makespan {simulation.makespan}, first "
+            f"{result.trial_index} (makespan {result.makespan}, first "
             f"{window} slots)</h3>"
             f"<pre>{_esc(text)}</pre>"
         )

@@ -48,9 +48,10 @@ built on the span primitives of :mod:`repro.simulation.kernels`:
 * only the enrolled workers' runtime states are synchronised per event.
 
 Every short-cut is exact: it changes neither the trajectory nor any counter
-of the run.  Keeping a per-slot record (``record_events`` or
-``record_activity``) disables the jumps, so that slot-by-slot path is the
-in-engine reference the fast paths are tested against.
+of the run.  Keeping the per-slot event log (``record_events``) disables the
+jumps, so that slot-by-slot path is the in-engine reference the fast paths
+are tested against; :func:`repro.simulation.gantt.activity_from_events`
+draws Figure-1 Gantt charts from the same log.
 
 The engine owns the decision loop: it calls ``scheduler.select`` inline at
 every slot where the scheduler is consulted.  A consulted slot pays only for
@@ -100,13 +101,6 @@ from repro.utils.rng import SeedLike, derive_run_streams
 
 __all__ = ["SimulationEngine", "simulate"]
 
-#: Activity codes recorded per worker per slot when ``record_activity`` is on.
-ACTIVITY_NONE = " "
-ACTIVITY_IDLE = "I"
-ACTIVITY_PROGRAM = "P"
-ACTIVITY_DATA = "D"
-ACTIVITY_COMPUTE = "C"
-
 #: Cheap int -> singleton lookup for the three processor states.
 _STATE_OF_CODE = (UP, RECLAIMED, DOWN)
 _DOWN_CODE = int(DOWN)
@@ -151,10 +145,9 @@ class SimulationEngine:
         :class:`~repro.simulation.multirun.MultiHeuristicDriver`; mutually
         exclusive with *trace* (the source owns the availability).
     record_events:
-        Keep a structured event log (off by default).
-    record_activity:
-        Keep per-worker per-slot activity and state matrices, enabling Gantt
-        rendering (off by default; memory grows with the makespan).
+        Keep a structured event log (off by default; memory grows with the
+        makespan).  The log is the run's one per-slot record: Gantt charts
+        are drawn from it.
     metrics:
         Optional :class:`~repro.metrics.collector.MetricsCollector` sampling
         per-slot series (pool availability, active set, work, backlog) at a
@@ -183,7 +176,6 @@ class SimulationEngine:
         block_size: int = DEFAULT_BLOCK_SIZE,
         shared_blocks=None,
         record_events: bool = False,
-        record_activity: bool = False,
         metrics=None,
         tracer=None,
     ) -> None:
@@ -210,7 +202,6 @@ class SimulationEngine:
         self.block_size = int(block_size)
         self.analysis = analysis if analysis is not None else AnalysisContext(platform)
         self.events = EventLog(enabled=record_events)
-        self.record_activity = bool(record_activity)
         self.metrics = metrics
         self.tracer = active_tracer(tracer)
         self._shared_blocks = shared_blocks
@@ -244,8 +235,6 @@ class SimulationEngine:
         self._block_down: Optional[np.ndarray] = None
         self._block_same: Optional[np.ndarray] = None
         self._block_data: Optional[BlockData] = None
-        self.activity_matrix: Optional[np.ndarray] = None
-        self.state_matrix: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Availability driving (chunked prefetch)
@@ -336,19 +325,11 @@ class SimulationEngine:
         heuristic_name = self.scheduler.name
         run_begin = time.perf_counter_ns() if tracer is not None else 0
 
-        if self.record_activity:
-            self.activity_matrix = np.full(
-                (platform.num_processors, self.max_slots), ACTIVITY_NONE, dtype="<U1"
-            )
-            self.state_matrix = np.zeros(
-                (platform.num_processors, self.max_slots), dtype=np.int8
-            )
-
         # Schedulers that declare the passive contract let the engine pin
         # their decision on uneventful slots; fast-forwarding additionally
-        # requires that no per-slot record (events/activity) is kept.
+        # requires that the per-slot event log is off.
         contract = bool(getattr(self.scheduler, "passive_between_rebuilds", False))
-        can_fast_forward = contract and not self.events.enabled and not self.record_activity
+        can_fast_forward = contract and not self.events.enabled
         # Only the *enrolled* workers' runtime states are synchronised per
         # column: nothing in the engine reads the state of a non-enrolled
         # worker (observations and selection checks use the raw state
@@ -410,8 +391,6 @@ class SimulationEngine:
                     runtime.state = _STATE_OF_CODE[states[runtime.worker_id]]
                 up_workers = None
                 states_dirty = False
-            if self.record_activity:
-                self.state_matrix[:, slot] = states
 
             record = records[-1]
 
@@ -579,15 +558,6 @@ class SimulationEngine:
                         holders = None
                     if served:
                         self.events.record(slot, EventKind.COMMUNICATION, served=served)
-                    if self.record_activity:
-                        for runtime in enrolled_runtimes:
-                            kind = served.get(runtime.worker_id)
-                            if kind == "program":
-                                self.activity_matrix[runtime.worker_id, slot] = ACTIVITY_PROGRAM
-                            elif kind == "data":
-                                self.activity_matrix[runtime.worker_id, slot] = ACTIVITY_DATA
-                            else:
-                                self.activity_matrix[runtime.worker_id, slot] = ACTIVITY_IDLE
                     if can_fast_forward and not failure:
                         # ---- fast-forward the communication phase -------
                         # While no *relevant* worker changes state the slot
@@ -633,16 +603,10 @@ class SimulationEngine:
                             progress=progress,
                             workload=workload,
                         )
-                        if self.record_activity:
-                            for runtime in enrolled_runtimes:
-                                self.activity_matrix[runtime.worker_id, slot] = ACTIVITY_COMPUTE
                     else:
                         total_idle_slots += 1
                         record.idle_slots += 1
                         self.events.record(slot, EventKind.IDLE, reason="worker_reclaimed")
-                        if self.record_activity:
-                            for runtime in enrolled_runtimes:
-                                self.activity_matrix[runtime.worker_id, slot] = ACTIVITY_IDLE
 
                     # ---- iteration completion ---------------------------
                     if progress >= workload and all_up:
@@ -714,10 +678,6 @@ class SimulationEngine:
         self._block_data = None
         if not success:
             self.events.record(self.max_slots - 1, EventKind.RUN_ABORTED, reason="max_slots")
-
-        if self.record_activity and makespan is not None:
-            self.activity_matrix = self.activity_matrix[:, :makespan]
-            self.state_matrix = self.state_matrix[:, :makespan]
 
         if collector is not None:
             collector.finish(

@@ -3,8 +3,10 @@
 The paper's Figure 1 shows, for every processor and time-slot, the
 availability state (white = UP, gray = RECLAIMED, black = DOWN) and the
 activity ("P" receiving the program, "D" receiving task data, "C" computing,
-"I" idle).  When the engine is run with ``record_activity=True`` it keeps the
-same two matrices, which this module renders as monospaced text:
+"I" idle).  :func:`activity_from_events` rebuilds the activity matrix from
+the event log of a run made with ``record_events=True``; the states are the
+availability trace the run read (``trace.block(0, n)``).
+:func:`render_gantt` draws the two matrices as monospaced text:
 
 * activity letters are shown for UP slots;
 * RECLAIMED slots are shown as ``·`` and DOWN slots as ``#`` regardless of
@@ -14,16 +16,61 @@ same two matrices, which this module renders as monospaced text:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.simulation.events import EventKind, SimulationEvent
 from repro.types import DOWN, RECLAIMED
 
-__all__ = ["render_gantt"]
+__all__ = ["activity_from_events", "render_gantt"]
 
 _RECLAIMED_CHAR = "·"  # middle dot
 _DOWN_CHAR = "#"
+
+
+def activity_from_events(
+    events: Iterable[SimulationEvent], num_workers: int, length: int
+) -> np.ndarray:
+    """The ``(num_workers, length)`` activity matrix of a run's event log.
+
+    *events* is the engine's :class:`~repro.simulation.events.EventLog` (or
+    its events, in slot order) of a run made with ``record_events=True``,
+    which visits every slot.  Per slot, the enrolled workers are those of
+    the last ``CONFIGURATION_CHANGED`` minus those ``WORKER_FAILED`` since;
+    each gets ``P``/``D`` when a ``COMMUNICATION`` event served it, ``C`` on
+    a ``COMPUTATION`` slot and ``I`` otherwise, except on an
+    ``IDLE(no_feasible_configuration)`` slot, which stays blank.  A slot
+    with none of those three events is a communication slot that served
+    nobody.  Workers that are not enrolled stay blank.
+    """
+    activity = np.full((num_workers, length), " ", dtype="<U1")
+    pending = iter(events)
+    event = next(pending, None)
+    enrolled: set = set()
+    for slot in range(length):
+        served: dict = {}
+        letter = "I"
+        while event is not None and event.slot == slot:
+            kind = event.kind
+            if kind is EventKind.WORKER_FAILED:
+                enrolled.discard(event.details["worker"])
+            elif kind is EventKind.CONFIGURATION_CHANGED:
+                enrolled = {int(worker) for worker in event.details["new"]}
+            elif kind is EventKind.COMMUNICATION:
+                served = event.details["served"]
+            elif kind is EventKind.COMPUTATION:
+                letter = "C"
+            elif (kind is EventKind.IDLE
+                  and event.details["reason"] == "no_feasible_configuration"):
+                letter = " "
+            event = next(pending, None)
+        for worker in enrolled:
+            transfer = served.get(worker)
+            activity[worker, slot] = (
+                letter if transfer is None else "P" if transfer == "program" else "D"
+            )
+    return activity
 
 
 def render_gantt(
@@ -41,7 +88,7 @@ def render_gantt(
     ----------
     activity:
         ``(p, N)`` array of single-character activity codes (as produced by
-        the engine with ``record_activity=True``).
+        :func:`activity_from_events`).
     states:
         ``(p, N)`` int array of availability states.
     worker_names:

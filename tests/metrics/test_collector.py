@@ -14,7 +14,8 @@ from repro.exceptions import SimulationError
 from repro.metrics import DEFAULT_STRIDE, SERIES_NAMES, MetricsCollector, RunMetrics
 from repro.platform import PlatformSpec, paper_platform
 from repro.scheduling import create_scheduler
-from repro.simulation import MultiHeuristicDriver, SimulationEngine
+from repro.simulation import MultiHeuristicDriver, SampledTrace, SimulationEngine
+from repro.utils.rng import derive_run_streams
 
 from tests.simulation.test_golden_replay import GOLDEN_CASES, RESULT_FIELDS, run_case
 
@@ -35,7 +36,7 @@ def make_engine(
     iterations=5,
     metrics=None,
     record_events=False,
-    record_activity=False,
+    trace=None,
 ):
     platform = paper_platform(
         PlatformSpec(num_processors=10, ncom=5, wmin=1), num_tasks=4, seed=seed
@@ -50,7 +51,7 @@ def make_engine(
         analysis=AnalysisContext(platform),
         metrics=metrics,
         record_events=record_events,
-        record_activity=record_activity,
+        trace=trace,
     )
 
 
@@ -91,14 +92,19 @@ class TestSeriesSemantics:
         assert metrics.slots() == [i * 64 for i in range(metrics.num_samples)]
 
     def test_stride_one_matches_recorded_activity(self):
-        """With every slot visited (record_activity disables fast-forward),
-        a stride-1 collector reproduces the recorded pool states exactly."""
+        """With every slot visited (record_events disables fast-forward),
+        a stride-1 collector reproduces the pool states of the trace the run
+        read exactly."""
         collector = MetricsCollector(stride=1)
-        engine = make_engine(metrics=collector, record_activity=True)
+        platform = paper_platform(
+            PlatformSpec(num_processors=10, ncom=5, wmin=1), num_tasks=4, seed=11
+        )
+        trace = SampledTrace(platform, derive_run_streams(11, 10), 20_000)
+        engine = make_engine(metrics=collector, record_events=True, trace=trace)
         result = engine.run()
         assert result.success
         metrics = collector.result()
-        states = engine.state_matrix
+        states = trace.block(0, result.makespan)
         assert len(metrics.series["pool_up"]) == result.makespan
         expected_up = (states == 0).sum(axis=0)
         expected_down = (states == 2).sum(axis=0)

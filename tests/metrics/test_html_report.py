@@ -62,9 +62,11 @@ class TestRenderHtmlReport:
         assert "<pre>" not in render_html_report(
             smoke_results, smoke_spec, gantt_runs=0
         ).split("Gantt drill-down")[1]
+        # The drill-down re-simulates only the slots it draws, so a spec
+        # with a huge slot cap gets the same charts.
         huge = dataclasses.replace(smoke_spec, makespan_cap=1_000_000)
-        html = render_html_report(smoke_results, huge)
-        assert "exceeds the re-simulation limit" in html
+        gantt = render_html_report(smoke_results, smoke_spec).split("Gantt drill-down")[1]
+        assert render_html_report(smoke_results, huge).split("Gantt drill-down")[1] == gantt
 
     @pytest.mark.parametrize(
         "golden, trials",

@@ -7,10 +7,13 @@ from repro.application import Application, Configuration
 from repro.availability import AvailabilityTrace, MarkovAvailabilityModel
 from repro.availability.generators import paper_transition_matrix
 from repro.exceptions import SchedulingError, SimulationError
+from repro.metrics import MetricsCollector
 from repro.platform import Platform, Processor, uniform_platform
 from repro.scheduling.base import Observation, Scheduler
-from repro.simulation import SimulationEngine, render_gantt, simulate
+from repro.simulation import SampledTrace, SimulationEngine, simulate
 from repro.simulation.events import EventKind
+from repro.simulation.gantt import activity_from_events, render_gantt
+from repro.utils.rng import derive_run_streams
 
 
 class StaticScheduler(Scheduler):
@@ -96,21 +99,23 @@ class TestBasicExecution:
         platform = figure1_platform()
         application = Application(tasks_per_iteration=5, iterations=1)
         scheduler = StaticScheduler({1: 2, 2: 2, 3: 1})
+        trace = SampledTrace(platform, derive_run_streams(0, 5), 100)
         engine = SimulationEngine(
-            platform, application, scheduler, seed=0, max_slots=100,
-            record_events=True, record_activity=True,
+            platform, application, scheduler, seed=0, max_slots=100, trace=trace,
+            record_events=True,
         )
         result = engine.run()
         assert result.success
         assert result.communication_slots == 7
         assert result.computation_slots == 6
         assert result.makespan == 13
+        activity = activity_from_events(engine.events, 5, result.makespan)
         # Worker P1 (id 0) and P5 (id 4) are never enrolled.
-        assert np.all(engine.activity_matrix[0] == " ")
-        assert np.all(engine.activity_matrix[4] == " ")
+        assert np.all(activity[0] == " ")
+        assert np.all(activity[4] == " ")
         # P4 (id 3) is idle during the first slots (bandwidth constraint).
-        assert list(engine.activity_matrix[3, :3]) == ["I", "I", "I"]
-        assert render_gantt(engine.activity_matrix, engine.state_matrix) == FIGURE1_CHART
+        assert list(activity[3, :3]) == ["I", "I", "I"]
+        assert render_gantt(activity, trace.block(0, result.makespan)) == FIGURE1_CHART
 
     def test_iterations_resend_data_but_not_program(self):
         platform = figure1_platform()
@@ -394,15 +399,26 @@ class TestDeterminismAndPairing:
         platform = self._markov_platform()
         application = Application(tasks_per_iteration=3, iterations=2)
 
+        class BlockRecorder(MetricsCollector):
+            """A collector that also keeps the availability blocks the run read."""
+
+            def on_block(self, start, block):
+                self.blocks.append((start, block.copy()))
+                super().on_block(start, block)
+
         makespans = {}
         for name in ("RANDOM", "IE"):
+            recorder = BlockRecorder()
+            recorder.blocks = []
             engine = SimulationEngine(
                 platform, application, create_scheduler(name), seed=77, max_slots=5000,
-                record_activity=True,
+                metrics=recorder,
             )
             result = engine.run()
             makespans[name] = result.makespan
             # Record the availability of the first 30 slots for comparison.
-            window = min(30, engine.state_matrix.shape[1])
-            makespans[name + "_states"] = engine.state_matrix[:, :window].tolist()
+            start, block = recorder.blocks[0]
+            assert start == 0
+            window = min(30, result.makespan)
+            makespans[name + "_states"] = block[:, :window].tolist()
         assert makespans["RANDOM_states"] == makespans["IE_states"]

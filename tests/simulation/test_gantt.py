@@ -5,9 +5,11 @@ import pytest
 
 from repro.application import Application
 from repro.availability import MarkovAvailabilityModel
-from repro.platform import Platform, Processor
+from repro.platform import Platform, PlatformSpec, Processor, paper_platform
 from repro.scheduling import create_scheduler
-from repro.simulation import SimulationEngine, render_gantt
+from repro.simulation import EventKind, SampledTrace, SimulationEngine, SimulationEvent
+from repro.simulation.gantt import activity_from_events, render_gantt
+from repro.utils.rng import derive_run_streams
 
 
 class TestRenderGantt:
@@ -53,12 +55,60 @@ class TestRenderGantt:
         ]
         platform = Platform(processors, ncom=1, tprog=1, tdata=1)
         application = Application(tasks_per_iteration=3, iterations=1)
+        trace = SampledTrace(platform, derive_run_streams(0, 3), 100)
         engine = SimulationEngine(
             platform, application, create_scheduler("IE"), seed=0, max_slots=100,
-            record_activity=True,
+            trace=trace, record_events=True,
         )
         result = engine.run()
         assert result.success
-        text = render_gantt(engine.activity_matrix, engine.state_matrix)
+        activity = activity_from_events(engine.events, 3, result.makespan)
+        text = render_gantt(activity, trace.block(0, result.makespan))
         assert "P1" in text
         assert "C" in text  # some computation happened
+
+
+class TestActivityFromEvents:
+    def test_each_rule(self):
+        def event(slot, kind, **details):
+            return SimulationEvent(slot=slot, kind=kind, details=details)
+
+        events = [
+            event(0, EventKind.IDLE, reason="no_feasible_configuration"),
+            event(1, EventKind.CONFIGURATION_CHANGED, old={}, new={"0": 1, "2": 2}),
+            event(1, EventKind.COMMUNICATION, served={0: "program"}),
+            # Slot 2: a communication slot that served nobody.
+            event(3, EventKind.COMMUNICATION, served={0: "data", 2: "program"}),
+            event(4, EventKind.COMPUTATION, progress=1, workload=2),
+            event(5, EventKind.IDLE, reason="worker_reclaimed"),
+            event(6, EventKind.WORKER_FAILED, worker=2),
+            event(6, EventKind.ITERATION_RESTARTED, iteration=0),
+            event(6, EventKind.IDLE, reason="no_feasible_configuration"),
+            event(7, EventKind.CONFIGURATION_CHANGED, old={"0": 1}, new={"0": 1, "1": 2}),
+            event(7, EventKind.COMMUNICATION, served={1: "program"}),
+        ]
+        activity = activity_from_events(events, 3, 8)
+        assert ["".join(row) for row in activity.tolist()] == [
+            " PIDCI I",
+            "       P",
+            " IIPCI  ",
+        ]
+
+    @pytest.mark.parametrize("heuristic", ["IE", "RANDOM", "Y-IE", "E-IAY"])
+    def test_columns_agree_with_the_result(self, heuristic):
+        platform = paper_platform(
+            PlatformSpec(num_processors=8, ncom=2, wmin=4), num_tasks=4, seed=5
+        )
+        application = Application(tasks_per_iteration=4, iterations=2)
+        engine = SimulationEngine(
+            platform, application, create_scheduler(heuristic), seed=5, max_slots=50_000,
+            record_events=True,
+        )
+        result = engine.run()
+        assert result.success
+        activity = activity_from_events(engine.events, 8, result.makespan)
+        computing = (activity == "C").any(axis=0)
+        transfers = ((activity == "P") | (activity == "D")).sum(axis=0)
+        assert computing.sum() == result.computation_slots
+        assert transfers.max() <= platform.ncom
+        assert (transfers > 0).sum() <= result.communication_slots
