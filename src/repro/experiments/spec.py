@@ -65,6 +65,7 @@ __all__ = [
     "BUILTIN_SPEC_NAMES",
     "builtin_spec",
     "load_spec",
+    "parse_spec_text",
 ]
 
 SPEC_FORMAT_VERSION = 1
@@ -371,7 +372,18 @@ def load_spec(path: Union[str, Path]) -> CampaignSpec:
         text = path.read_text()
     except OSError as error:
         raise ExperimentError(f"cannot read campaign spec {path}: {error}") from error
-    if path.suffix.lower() == ".toml":
+    payload = parse_spec_text(text, toml=path.suffix.lower() == ".toml", source=str(path))
+    return CampaignSpec.from_dict(payload, base_dir=path.parent)
+
+
+def parse_spec_text(text: str, *, toml: bool, source: str) -> dict:
+    """Parse a campaign spec's TOML (``toml=True``) or JSON text to a mapping.
+
+    TOML needs Python >= 3.11's ``tomllib``.  Every failure, a missing
+    ``tomllib`` included, raises :class:`ExperimentError`; *source* names
+    the text in the message (a file path, a request field).
+    """
+    if toml:
         try:
             import tomllib
         except ImportError as error:  # Python <= 3.10
@@ -379,15 +391,13 @@ def load_spec(path: Union[str, Path]) -> CampaignSpec:
                 "TOML specs need Python >= 3.11 (tomllib); use a JSON spec instead"
             ) from error
         try:
-            payload = tomllib.loads(text)
+            return tomllib.loads(text)
         except tomllib.TOMLDecodeError as error:
-            raise ExperimentError(f"invalid TOML in {path}: {error}") from error
-    else:
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ExperimentError(f"invalid JSON in {path}: {error}") from error
-    return CampaignSpec.from_dict(payload, base_dir=path.parent)
+            raise ExperimentError(f"{source} is not valid TOML: {error}") from error
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ExperimentError(f"{source} is not valid JSON: {error}") from error
 
 
 def _builtins() -> dict:

@@ -29,6 +29,7 @@ from repro.experiments.spec import (
     BUILTIN_SPEC_NAMES,
     CampaignSpec,
     builtin_spec,
+    parse_spec_text,
 )
 from repro.experiments.store import ResultStore, store_status
 from repro.service import openapi as openapi_module
@@ -467,13 +468,9 @@ class ServiceState:
                 )
             return builtin_spec(submission.builtin)
         if submission.spec_toml is not None:
-            import tomllib
-
-            try:
-                data = tomllib.loads(submission.spec_toml)
-            except tomllib.TOMLDecodeError as error:
-                raise ServiceError(f"spec_toml is not valid TOML: {error}")
-            return self._spec_from_mapping(data)
+            return self._spec_from_mapping(
+                parse_spec_text(submission.spec_toml, toml=True, source="spec_toml")
+            )
         return self._spec_from_mapping(submission.spec)
 
     @staticmethod

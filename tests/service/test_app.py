@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
+
+import pytest
 
 from repro.service.jobs import JOB_FIELDS
 from repro.service.worker import run_job
@@ -41,6 +44,7 @@ def test_submit_builtin_by_name(client):
 
 
 def test_submit_toml_text(client):
+    pytest.importorskip("tomllib")
     toml = """
 [campaign]
 name = "toml-submission"
@@ -90,9 +94,18 @@ def test_unknown_builtin_is_422(client):
 
 
 def test_invalid_toml_is_422(client):
+    pytest.importorskip("tomllib")
     status, payload = client.post_json("/campaigns", {"spec_toml": "= broken"})
     assert status == 422
     assert "spec_toml is not valid TOML" in payload["error"]
+
+
+def test_toml_without_tomllib_is_422(client, monkeypatch):
+    """Python < 3.11 has no tomllib: a TOML submission is refused, not a 500."""
+    monkeypatch.setitem(sys.modules, "tomllib", None)
+    status, payload = client.post_json("/campaigns", {"spec_toml": "[campaign]"})
+    assert status == 422
+    assert "TOML specs need Python >= 3.11" in payload["error"]
 
 
 def test_multiple_spec_sources_is_422(client):
