@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.cache import AnalysisContext
 from repro.analysis.group import ExpectationMode
@@ -257,8 +257,11 @@ def _run_cells(
     collect_metrics: bool = False,
     metrics_stride: int = DEFAULT_STRIDE,
     trace_dir: Optional[str] = None,
-) -> List[InstanceResult]:
+) -> Iterator[InstanceResult]:
     """Run an ordered subset of one scenario's (trial, heuristic) pairs.
+
+    Yields the results in *work* order, each trial's as soon as that trial
+    ends, so an in-process campaign stores a trial before starting the next.
 
     Platform and analysis context are built once and shared.  Each trial's
     availability realisation is sampled once, as a
@@ -281,7 +284,8 @@ def _run_cells(
     *trace_dir*, when set, attaches a per-process
     :class:`~repro.telemetry.tracer.Tracer` writing span files into that
     directory (engine, allocator and analysis spans with cell/trial
-    correlation attributes); ``None`` is the exact untraced path.
+    correlation attributes), flushed as each trial ends; ``None`` is the
+    exact untraced path.
     """
     platform = scenario.build_platform()
     analysis = AnalysisContext(platform, mode=mode)
@@ -290,7 +294,6 @@ def _run_cells(
         analysis.tracer = tracer
     application = scenario.build_application(iterations=iterations)
     hazard = platform.hazard is not None
-    results: List[InstanceResult] = []
     trial_order: List[int] = []
     by_trial: Dict[int, List[str]] = {}
     for trial, heuristic in work:
@@ -304,6 +307,7 @@ def _run_cells(
         )
         trace = SampledTrace(platform, streams, makespan_cap)
         names = by_trial[trial]
+        results: List[InstanceResult] = []
         one_pass: Dict[str, InstanceResult] = {}
         if len(names) >= 2:
             contract = [
@@ -362,11 +366,11 @@ def _run_cells(
                     tracer=tracer,
                 )
             results.append(result)
-    if tracer is not None:
-        # Make child-process span files durable before the pool hands the
-        # results back to the parent.
-        tracer.flush()
-    return results
+        if tracer is not None:
+            # Make the trial's spans durable before its results are stored
+            # (or handed back to the parent by the pool).
+            tracer.flush()
+        yield from results
 
 
 # ----------------------------------------------------------------------
@@ -403,8 +407,9 @@ def run_campaign_spec(
     store:
         Optional :class:`~repro.experiments.store.ResultStore`.  Cells whose
         index is already recorded are skipped (resume); every newly finished
-        cell is appended durably.  With ``n_jobs <= 1`` a kill loses at most
-        the cell in flight; with ``n_jobs > 1`` results reach the store as
+        cell is appended durably.  With ``n_jobs <= 1`` each trial's cells
+        are appended when the trial ends, so a kill loses at most the trial
+        in flight; with ``n_jobs > 1`` results reach the store as
         whole scenario chunks return (in submission order), so a kill can
         lose the chunks still in flight — resume re-runs exactly those.
     shard:

@@ -52,7 +52,7 @@ def test_shared_context_records_equal_fresh_context_records(availability):
     }
     # A one-cell subset runs its heuristic solo on a context of its own.
     fresh = {
-        (trial, name): record(_run_cells(scenario, [(trial, name)], **RUN)[0])
+        (trial, name): record(next(_run_cells(scenario, [(trial, name)], **RUN)))
         for trial, name in work
     }
     assert shared == fresh

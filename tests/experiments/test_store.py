@@ -111,6 +111,46 @@ class TestRoundTrip:
         assert len(again) == 1
 
 
+class Killed(Exception):
+    """Stands in for a kill arriving in the middle of a run."""
+
+
+class TestInProcessKill:
+    def test_kill_loses_only_the_trial_in_flight(self, tmp_path, monkeypatch):
+        """Every finished trial is in the store when a kill hits the next.
+
+        Two heuristics × four trials run in process, one solo engine run per
+        cell (Y-IE has no passive contract, so no one-pass driver); the kill
+        lands in the fifth run, the first of trial 2.
+        """
+        from repro.experiments.runner import run_campaign_spec
+        from repro.simulation.engine import SimulationEngine
+
+        spec = unit_spec(trials_per_scenario=4, heuristics=("IE", "Y-IE"))
+        run = SimulationEngine.run
+        calls = []
+
+        def killed_in_trial_two(engine):
+            calls.append(engine)
+            if len(calls) == 5:
+                raise Killed()
+            return run(engine)
+
+        monkeypatch.setattr(SimulationEngine, "run", killed_in_trial_two)
+        store = ResultStore.create(tmp_path / "c", spec)
+        with pytest.raises(Killed):
+            run_campaign_spec(spec, store=store)
+        store.close()
+        monkeypatch.setattr(SimulationEngine, "run", run)
+
+        store = ResultStore.open(tmp_path / "c")
+        assert sorted(result.trial_index for result in store.results()) == [0, 0, 1, 1]
+        # Resume runs exactly the lost trials' cells.
+        assert len(run_campaign_spec(spec, store=store)) == spec.num_cells()
+        assert len(store.completed_cells()) == spec.num_cells()
+        store.close()
+
+
 class TestJsonlRecovery:
     def test_truncated_trailing_line_is_dropped(self, tmp_path):
         spec = unit_spec()
