@@ -50,11 +50,7 @@ from repro.components import ComponentInfo
 from repro.exceptions import ExperimentError
 from repro.experiments.metrics import HeuristicSummary, filter_results, summarize_results
 from repro.experiments.runner import CellProgress, InstanceResult, run_campaign_spec
-from repro.experiments.scenarios import (
-    AvailabilitySpec,
-    ScenarioParameters,
-    _build_availability_platform,
-)
+from repro.experiments.scenarios import AvailabilitySpec, ScenarioParameters, build_platform
 from repro.experiments.spec import (
     BUILTIN_SPEC_NAMES,
     CampaignSpec,
@@ -64,7 +60,6 @@ from repro.experiments.spec import (
 from repro.experiments.store import ResultStore
 from repro.experiments.tables import format_spec_report, format_summaries
 from repro.metrics.collector import MetricsCollector, RunMetrics
-from repro.platform.builders import PlatformSpec, paper_platform
 from repro.platform.platform import Platform
 from repro.scheduling.registry import (
     HEURISTICS,
@@ -233,22 +228,6 @@ def _as_spec(spec: SpecLike) -> CampaignSpec:
     )
 
 
-def _build_platform(
-    *,
-    m: int,
-    ncom: int,
-    wmin: int,
-    num_processors: int,
-    availability: Optional[AvailabilitySpec],
-    seed,
-) -> Platform:
-    if availability is None or availability.is_default_markov():
-        spec = PlatformSpec(num_processors=num_processors, ncom=ncom, wmin=wmin)
-        return paper_platform(spec, num_tasks=m, seed=seed)
-    params = ScenarioParameters(m=m, ncom=ncom, wmin=wmin, num_processors=num_processors)
-    return _build_availability_platform(params, availability, num_tasks=m, seed=seed)
-
-
 # ----------------------------------------------------------------------
 # The three verbs
 # ----------------------------------------------------------------------
@@ -295,12 +274,9 @@ def run(
     """
     availability_spec = _as_availability(availability)
     if platform is None:
-        platform = _build_platform(
-            m=m,
-            ncom=ncom,
-            wmin=wmin,
-            num_processors=num_processors,
-            availability=availability_spec,
+        platform = build_platform(
+            ScenarioParameters(m=m, ncom=ncom, wmin=wmin, num_processors=num_processors),
+            availability_spec,
             seed=seed if platform_seed is None else platform_seed,
         )
     elif availability_spec is not None:

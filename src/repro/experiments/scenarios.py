@@ -27,12 +27,13 @@ from repro.availability.registry import AVAILABILITY_MODELS, model_factory_for
 from repro.exceptions import ExperimentError
 from repro.platform.builders import PlatformSpec, availability_platform, paper_platform
 from repro.platform.platform import Platform
-from repro.utils.rng import stable_hash_seed
+from repro.utils.rng import SeedLike, stable_hash_seed
 
 __all__ = [
     "AvailabilitySpec",
     "ScenarioParameters",
     "ExperimentScenario",
+    "build_platform",
 ]
 
 #: Availability substrates a scenario can request (snapshot of the registry
@@ -188,16 +189,7 @@ class ExperimentScenario:
 
     def build_platform(self) -> Platform:
         """Materialise the scenario's platform (deterministic in the seed)."""
-        spec = self.availability
-        if spec is None or spec.is_default_markov():
-            return paper_platform(
-                self.params.platform_spec(),
-                num_tasks=self.params.m,
-                seed=self.platform_seed(),
-            )
-        return _build_availability_platform(
-            self.params, spec, num_tasks=self.params.m, seed=self.platform_seed()
-        )
+        return build_platform(self.params, self.availability, seed=self.platform_seed())
 
     def build_application(self, iterations: int = 10) -> Application:
         return Application(
@@ -213,24 +205,28 @@ class ExperimentScenario:
 # ----------------------------------------------------------------------
 # Availability substrates beyond the paper's Markov recipe
 # ----------------------------------------------------------------------
-def _build_availability_platform(
+def build_platform(
     params: ScenarioParameters,
-    spec: AvailabilitySpec,
+    availability: Optional[AvailabilitySpec],
     *,
-    num_tasks: int,
-    seed: int,
+    seed: SeedLike,
 ) -> Platform:
-    """Platform with paper speeds but a registry-built availability substrate.
+    """The platform of *params* on an availability substrate, drawn from *seed*.
 
-    The substrate is looked up in
-    :data:`repro.availability.registry.AVAILABILITY_MODELS` and its model
-    factory handed to :func:`~repro.platform.builders.availability_platform`,
-    which draws models first and speeds second from the scenario's seeded
-    generator — for ``markov`` this reproduces the
-    :func:`~repro.platform.builders.paper_platform` draws bit-for-bit.
+    ``None`` or the default ``markov`` substrate is the paper's recipe
+    (:func:`~repro.platform.builders.paper_platform`).  Any other substrate
+    is looked up in :data:`repro.availability.registry.AVAILABILITY_MODELS`
+    and its model factory handed to
+    :func:`~repro.platform.builders.availability_platform`, which draws
+    models first and speeds second from the seeded generator — for
+    ``markov`` this reproduces the ``paper_platform`` draws bit-for-bit.
     """
-    factory = model_factory_for(spec)
+    if availability is None or availability.is_default_markov():
+        return paper_platform(params.platform_spec(), num_tasks=params.m, seed=seed)
     return availability_platform(
-        params.platform_spec(), num_tasks=num_tasks, seed=seed, model_factory=factory
+        params.platform_spec(),
+        num_tasks=params.m,
+        seed=seed,
+        model_factory=model_factory_for(availability),
     )
 
