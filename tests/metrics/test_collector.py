@@ -5,13 +5,12 @@ result (all hooks are read-only), and a disabled collector costs nothing —
 the golden-seed runs must stay bit-identical either way.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.cache import AnalysisContext
 from repro.application import Application
 from repro.exceptions import SimulationError
-from repro.metrics import DEFAULT_STRIDE, SERIES_NAMES, MetricsCollector, RunMetrics
+from repro.metrics import SERIES_NAMES, MetricsCollector, RunMetrics
 from repro.platform import PlatformSpec, paper_platform
 from repro.scheduling import create_scheduler
 from repro.simulation import MultiHeuristicDriver, SampledTrace, SimulationEngine
