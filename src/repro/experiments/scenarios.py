@@ -203,7 +203,7 @@ class ExperimentScenario:
 
 
 # ----------------------------------------------------------------------
-# Availability substrates beyond the paper's Markov recipe
+# Platforms: the paper's Markov recipe or a registry-built substrate
 # ----------------------------------------------------------------------
 def build_platform(
     params: ScenarioParameters,
