@@ -112,3 +112,23 @@ class TestActivityFromEvents:
         assert computing.sum() == result.computation_slots
         assert transfers.max() <= platform.ncom
         assert (transfers > 0).sum() <= result.communication_slots
+
+    @pytest.mark.parametrize("heuristic", ["IP", "IE", "RANDOM", "P-IY", "Y-IE", "E-IAY"])
+    def test_a_capped_run_draws_the_same_first_slots(self, heuristic):
+        """The slot-by-slot path never looks ahead, so stopping a run early
+        (as the HTML drill-down does) leaves the slots it drew unchanged."""
+        platform = paper_platform(
+            PlatformSpec(num_processors=8, ncom=3, wmin=2), num_tasks=5, seed=9
+        )
+        application = Application(tasks_per_iteration=5, iterations=3)
+        charts = []
+        for max_slots in (60, 50_000):
+            engine = SimulationEngine(
+                platform, application, create_scheduler(heuristic), seed=9,
+                max_slots=max_slots, record_events=True,
+            )
+            result = engine.run()
+            charts.append(activity_from_events(engine.events, 8, 60))
+        assert result.success and result.makespan > 60
+        assert (charts[0] != " ").any()
+        assert (charts[0] == charts[1]).all()
