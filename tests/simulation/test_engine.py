@@ -419,6 +419,5 @@ class TestDeterminismAndPairing:
             # Record the availability of the first 30 slots for comparison.
             start, block = recorder.blocks[0]
             assert start == 0
-            window = min(30, result.makespan)
-            makespans[name + "_states"] = block[:, :window].tolist()
+            makespans[name + "_states"] = block[:, :30].tolist()
         assert makespans["RANDOM_states"] == makespans["IE_states"]
