@@ -61,7 +61,6 @@ from repro.metrics.collector import MetricsCollector
 from repro.platform import PlatformSpec, paper_platform
 from repro.scheduling import create_scheduler
 from repro.simulation import MultiHeuristicDriver, SampledTrace, SimulationEngine
-from repro.utils.rng import derive_run_streams
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -368,9 +367,7 @@ def _measure_sampling(slots: int, repeats: int = 3) -> dict:
     )
     best = float("inf")
     for _ in range(repeats):
-        trace = SampledTrace(
-            platform, derive_run_streams(7, platform.num_processors), slots
-        )
+        trace = SampledTrace(platform, 7, slots)
         start = time.perf_counter()
         trace.block(0, slots)
         best = min(best, time.perf_counter() - start)

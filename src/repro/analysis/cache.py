@@ -237,20 +237,22 @@ class AnalysisContext:
     ) -> ConfigurationEstimate:
         """Estimate *configuration* (see :func:`evaluate_configuration`).
 
-        This cached variant is what the heuristics use; semantics are
-        identical to the module-level function with ``mode=self.mode``.
+        A one-request :meth:`evaluate_batch`; semantics are identical to the
+        module-level function with ``mode=self.mode``.
         """
-        return self._evaluate_one(
-            EvaluationRequest(
-                configuration=configuration,
-                comm_slots=comm_slots,
-                has_program=has_program,
-                received_data=received_data,
-                workload=workload,
-                completed_work=completed_work,
-                elapsed=elapsed,
-            )
-        )
+        return self.evaluate_batch(
+            [
+                EvaluationRequest(
+                    configuration=configuration,
+                    comm_slots=comm_slots,
+                    has_program=has_program,
+                    received_data=received_data,
+                    workload=workload,
+                    completed_work=completed_work,
+                    elapsed=elapsed,
+                )
+            ]
+        )[0]
 
     def evaluate_batch(
         self, requests: Sequence[EvaluationRequest]
@@ -305,21 +307,6 @@ class AnalysisContext:
                 },
             )
         return estimates
-
-    def _evaluate_one(self, request: EvaluationRequest) -> ConfigurationEstimate:
-        comm_slots = request.comm_slots
-        if comm_slots is None:
-            comm_slots = request.configuration.communication_slots(
-                self.platform,
-                has_program=request.has_program,
-                received_data=request.received_data,
-            )
-        workload = request.workload
-        if workload is None:
-            workload = request.configuration.workload(self.platform)
-        remaining = max(int(workload) - int(request.completed_work), 0)
-        workers = frozenset(request.configuration.workers)
-        return self._finish_estimate(request, comm_slots, remaining, workers)
 
     def _finish_estimate(
         self,

@@ -15,9 +15,9 @@ parameters (any object with a ``get(name, default)`` accessor, such as
 :class:`~repro.availability.model.AvailabilityModel` per processor.  The
 factory is consumed by
 :func:`repro.platform.builders.availability_platform`, which draws models
-first and speeds second from one seeded generator — for the ``markov`` kind
-this is bit-identical to the original
-:func:`~repro.platform.builders.paper_platform` path.
+first and speeds second from one seeded generator — for the default
+``markov`` kind this is exactly the
+:func:`~repro.platform.builders.paper_platform` draw.
 
 Numeric parameters may be scalars (used as-is for every processor) or
 two-element ``[low, high]`` ranges (drawn uniformly per processor from the

@@ -604,29 +604,25 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.application import Application
     from repro.platform import PlatformSpec, paper_platform
-    from repro.simulation import SampledTrace, SimulationEngine
+    from repro.simulation import SimulationEngine
     from repro.simulation.gantt import activity_from_events, render_gantt
-    from repro.utils.rng import derive_run_streams
 
     spec = PlatformSpec(num_processors=args.processors, ncom=args.ncom, wmin=args.wmin)
     platform = paper_platform(spec, num_tasks=args.m, seed=args.seed)
     application = Application(tasks_per_iteration=args.m, iterations=args.iterations)
     scheduler = create_scheduler(args.heuristic)
     max_slots = 200_000
-    # The run reads this trace, so the chart's states are the run's states.
-    trace = SampledTrace(
-        platform, derive_run_streams(args.seed, platform.num_processors), max_slots
-    )
     engine = SimulationEngine(
         platform, application, scheduler, seed=args.seed, max_slots=max_slots,
-        trace=trace, record_events=True,
+        record_events=True,
     )
     result = engine.run()
     print(result.describe())
     window = min(args.gantt_slots, result.makespan or max_slots)
     print()
     activity = activity_from_events(engine.events, platform.num_processors, window)
-    print(render_gantt(activity, trace.block(0, window)))
+    # The chart's states are those of the trace the run read.
+    print(render_gantt(activity, engine.trace.block(0, window)))
     return 0
 
 

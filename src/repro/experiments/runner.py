@@ -4,18 +4,18 @@ The unit of work is the *instance*: one (scenario, trial, heuristic) triple.
 Three properties of the runner are important for faithfulness and efficiency:
 
 * **Paired availability realisations** — for a given (scenario, trial), every
-  heuristic sees exactly the same availability realisation: the engine
-  derives its per-worker availability streams deterministically from the
-  trial seed, independently of the scheduler's own stream.  This matches the
+  heuristic sees exactly the same availability realisation:
+  :class:`~repro.simulation.blocks.SampledTrace` derives the per-worker
+  availability streams deterministically from the trial seed, independently
+  of the scheduler's own stream.  This matches the
   paper's per-trial comparison of heuristics and sharply reduces the variance
   of %diff/%wins at small trial counts.
 * **One sampled realisation per trial** — the runner samples each
   (scenario, trial) availability realisation *once*, as a
   :class:`~repro.simulation.blocks.SampledTrace`, and replays it for every
   heuristic instead of re-sampling the identical chains per heuristic.  A
-  solo engine run samples through the same class with the same
-  :func:`~repro.utils.rng.derive_run_streams` recipe, so replayed runs are
-  bit-identical to directly sampled ones.
+  solo engine run samples through the same class from the same seed, so
+  replayed runs are bit-identical to directly sampled ones.
 * **Shared analysis** — all heuristics and trials of a scenario share one
   :class:`AnalysisContext` (the Theorem 5.1 quantities depend only on the
   platform), which is what makes the proactive heuristics affordable.
@@ -50,8 +50,7 @@ from repro.simulation.blocks import SampledTrace
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.multirun import MultiHeuristicDriver
 from repro.simulation.results import SimulationResult
-from repro.telemetry.tracer import Tracer, active_tracer, shared_tracer
-from repro.utils.rng import derive_run_streams
+from repro.telemetry.tracer import Tracer, shared_tracer
 
 __all__ = [
     "InstanceResult",
@@ -196,7 +195,7 @@ def run_instance(
     mode: ExpectationMode = ExpectationMode.PAPER,
     collect_metrics: bool = False,
     metrics_stride: int = DEFAULT_STRIDE,
-    tracer=None,
+    tracer: Optional[Tracer] = None,
 ) -> InstanceResult:
     """Run one (scenario, trial, heuristic) instance.
 
@@ -219,7 +218,6 @@ def run_instance(
         platform = scenario.build_platform()
     if analysis is None:
         analysis = AnalysisContext(platform, mode=mode)
-    tracer = active_tracer(tracer)
     if tracer is not None:
         analysis.tracer = tracer
     application = scenario.build_application(iterations=iterations)
@@ -293,7 +291,6 @@ def _run_cells(
     if tracer is not None:
         analysis.tracer = tracer
     application = scenario.build_application(iterations=iterations)
-    hazard = platform.hazard is not None
     trial_order: List[int] = []
     by_trial: Dict[int, List[str]] = {}
     for trial, heuristic in work:
@@ -302,10 +299,7 @@ def _run_cells(
             by_trial[trial] = []
         by_trial[trial].append(heuristic)
     for trial in trial_order:
-        streams = derive_run_streams(
-            scenario.trial_seed(trial), platform.num_processors, hazard=hazard
-        )
-        trace = SampledTrace(platform, streams, makespan_cap)
+        trace = SampledTrace(platform, scenario.trial_seed(trial), makespan_cap)
         names = by_trial[trial]
         results: List[InstanceResult] = []
         one_pass: Dict[str, InstanceResult] = {}

@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Tuple, Union
 from repro.application.application import Application
 from repro.availability.registry import AVAILABILITY_MODELS, model_factory_for
 from repro.exceptions import ExperimentError
-from repro.platform.builders import PlatformSpec, availability_platform, paper_platform
+from repro.platform.builders import PlatformSpec, availability_platform
 from repro.platform.platform import Platform
 from repro.utils.rng import SeedLike, stable_hash_seed
 
@@ -59,8 +59,8 @@ class AvailabilitySpec:
     scenario)`` exactly like the paper's Markov grid.
 
     The default (Markov, paper parameters) reproduces Section VII-A
-    bit-for-bit: :meth:`ExperimentScenario.build_platform` routes it through
-    the unchanged :func:`~repro.platform.builders.paper_platform` path.
+    bit-for-bit: its registry factory draws exactly what
+    :func:`~repro.platform.builders.paper_platform` draws.
     """
 
     kind: str = "markov"
@@ -203,7 +203,7 @@ class ExperimentScenario:
 
 
 # ----------------------------------------------------------------------
-# Platforms: the paper's Markov recipe or a registry-built substrate
+# Platforms: one draw, on the substrate's registered model factory
 # ----------------------------------------------------------------------
 def build_platform(
     params: ScenarioParameters,
@@ -213,20 +213,16 @@ def build_platform(
 ) -> Platform:
     """The platform of *params* on an availability substrate, drawn from *seed*.
 
-    ``None`` or the default ``markov`` substrate is the paper's recipe
-    (:func:`~repro.platform.builders.paper_platform`).  Any other substrate
-    is looked up in :data:`repro.availability.registry.AVAILABILITY_MODELS`
-    and its model factory handed to
-    :func:`~repro.platform.builders.availability_platform`, which draws
-    models first and speeds second from the seeded generator — for
-    ``markov`` this reproduces the ``paper_platform`` draws bit-for-bit.
+    The substrate (``None`` is the paper's default ``markov``) is looked up
+    in :data:`repro.availability.registry.AVAILABILITY_MODELS` and its model
+    factory handed to :func:`~repro.platform.builders.availability_platform`,
+    which draws models first and speeds second from the seeded generator —
+    for the default ``markov`` spec this is exactly the
+    :func:`~repro.platform.builders.paper_platform` draw.
     """
-    if availability is None or availability.is_default_markov():
-        return paper_platform(params.platform_spec(), num_tasks=params.m, seed=seed)
     return availability_platform(
         params.platform_spec(),
         num_tasks=params.m,
         seed=seed,
-        model_factory=model_factory_for(availability),
+        model_factory=model_factory_for(availability or AvailabilitySpec()),
     )
-

@@ -22,8 +22,9 @@ after sampling it, so every path sees the same realisation bit-for-bit.
 Determinism contract
 --------------------
 ``reset(rng)`` consumes exactly one integer from the run's dedicated hazard
-master stream (the third element of
-:func:`~repro.utils.rng.derive_run_streams` with ``hazard=True``) and spawns
+master stream (:func:`~repro.utils.rng.hazard_stream`, which
+:class:`~repro.simulation.blocks.SampledTrace` derives from the run seed on
+a platform with a hazard) and spawns
 one child generator per hazard *unit* (domain, or worker for churn).  Each
 unit then run-fills its own alternating-renewal timeline from its private
 stream, so the realisation is

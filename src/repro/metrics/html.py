@@ -241,10 +241,8 @@ def _gantt_sections(
     from repro.analysis.cache import AnalysisContext
     from repro.analysis.group import ExpectationMode
     from repro.scheduling.registry import create_scheduler
-    from repro.simulation.blocks import SampledTrace
     from repro.simulation.engine import SimulationEngine
     from repro.simulation.gantt import activity_from_events, render_gantt
-    from repro.utils.rng import derive_run_streams
 
     scenario_index = {
         (
@@ -263,30 +261,26 @@ def _gantt_sections(
         if scenario is None:
             continue
         try:
-            # Mirror runner._run_cells (platform, analysis mode, seed, trial
-            # trace) so the re-simulated slots ARE the stored run's: the
-            # slot-by-slot path never looks ahead, so stopping the run at
-            # the drawn window changes none of them.
+            # Mirror runner._run_cells (platform, analysis mode, trial seed:
+            # the engine samples the trial's realisation from it) so the
+            # re-simulated slots ARE the stored run's: the slot-by-slot path
+            # never looks ahead, so stopping the run at the drawn window
+            # changes none of them.
             platform = scenario.build_platform()
             seed = scenario.trial_seed(result.trial_index)
             window = min(_GANTT_WINDOW, result.makespan)
-            streams = derive_run_streams(
-                seed, platform.num_processors, hazard=platform.hazard is not None
-            )
-            trace = SampledTrace(platform, streams, window)
             engine = SimulationEngine(
                 platform,
                 scenario.build_application(iterations=spec.iterations),
                 create_scheduler(result.heuristic),
                 seed=seed,
                 max_slots=window,
-                trace=trace,
                 analysis=AnalysisContext(platform, mode=ExpectationMode(spec.estimator)),
                 record_events=True,
             )
             engine.run()
             activity = activity_from_events(engine.events, platform.num_processors, window)
-            text = render_gantt(activity, trace.block(0, window))
+            text = render_gantt(activity, engine.trace.block(0, window))
         except ReproError as error:
             sections.append(
                 f'<p class="note">Could not re-simulate {_esc(result.heuristic)} '

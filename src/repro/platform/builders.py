@@ -93,20 +93,15 @@ def paper_platform(
         Seed / generator controlling both the availability models and the
         speeds.
     """
-    if num_tasks < 1:
-        raise InvalidPlatformError("num_tasks must be >= 1")
-    rng = as_generator(seed)
-    models = random_markov_models(
-        spec.num_processors, rng, stay_low=spec.stay_low, stay_high=spec.stay_high
+
+    def markov_models(rng, count):
+        return random_markov_models(
+            count, rng, stay_low=spec.stay_low, stay_high=spec.stay_high
+        )
+
+    return availability_platform(
+        spec, num_tasks=num_tasks, seed=seed, model_factory=markov_models
     )
-    # Speeds w_q uniform integer in [wmin, 10 * wmin] (inclusive bounds).
-    speeds = rng.integers(spec.wmin, spec.speed_factor * spec.wmin + 1, size=spec.num_processors)
-    capacity = spec.capacity if spec.capacity is not None else num_tasks
-    processors = [
-        Processor(speed=int(speed), capacity=int(capacity), availability=model)
-        for speed, model in zip(speeds, models)
-    ]
-    return Platform(processors, ncom=spec.ncom, tprog=spec.tprog, tdata=spec.tdata)
 
 
 def availability_platform(
@@ -118,13 +113,14 @@ def availability_platform(
 ) -> Platform:
     """A paper-style platform with arbitrary availability models.
 
-    Follows exactly the structure of :func:`paper_platform` — availability
-    models are drawn first, speeds second, from the same seeded generator —
-    but delegates model construction to ``model_factory(rng, count)``, which
-    must return one :class:`AvailabilityModel` per processor.  This is what
-    lets declarative campaign specs swap the Markov substrate for
-    semi-Markov, diurnal or trace-replay models while keeping the speed /
-    capacity / communication methodology of Section VII-A.
+    The one platform draw: availability models first, speeds second, from
+    the same seeded generator, with model construction delegated to
+    ``model_factory(rng, count)``, which must return one
+    :class:`AvailabilityModel` per processor.  :func:`paper_platform` is
+    this draw with Markov models; other factories let declarative campaign
+    specs swap the Markov substrate for semi-Markov, diurnal or trace-replay
+    models while keeping the speed / capacity / communication methodology of
+    Section VII-A.
 
     A factory may additionally carry a ``hazard_factory`` attribute (a
     callable ``num_workers -> GroupHazardProcess``); the built process is
@@ -141,6 +137,7 @@ def availability_platform(
         raise InvalidPlatformError(
             f"model_factory returned {len(models)} models for {spec.num_processors} processors"
         )
+    # Speeds w_q uniform integer in [wmin, 10 * wmin] (inclusive bounds).
     speeds = rng.integers(spec.wmin, spec.speed_factor * spec.wmin + 1, size=spec.num_processors)
     capacity = spec.capacity if spec.capacity is not None else num_tasks
     processors = [

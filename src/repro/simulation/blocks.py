@@ -1,11 +1,12 @@
 """Availability: one sampled realisation, served in aligned windows.
 
 :class:`SampledTrace` is the one sampler of availability realisations: it
-draws a run's worker states lazily from the platform's models with the run's
-stream recipe (:func:`~repro.utils.rng.derive_run_streams`) and bakes in the
-platform's hazard overlay.  Solo engines, the one-pass driver and the
-campaign runner all read their realisation through one, so every path sees
-the same states bit for bit.
+draws a run's worker states lazily from the platform's models and bakes in
+the platform's hazard overlay.  It is the one place that turns a run seed
+into availability streams (through the recipe of :mod:`repro.utils.rng`):
+solo engines, the one-pass driver and the campaign runner all read their
+realisation through one built from the seed, so every path sees the same
+states bit for bit.
 
 The simulation engine consumes availability in ``(m, block_size)`` ``int8``
 blocks.  :class:`SharedBlockSource` serves any trace — a sampled one or a
@@ -27,6 +28,7 @@ from repro.availability.trace import AvailabilityTrace
 from repro.exceptions import SimulationError
 from repro.platform.platform import Platform
 from repro.simulation.kernels import BlockData
+from repro.utils.rng import SeedLike, hazard_stream, run_entropy, worker_streams
 
 __all__ = ["SampledTrace", "SharedBlockSource", "DEFAULT_MAX_SLOTS", "DEFAULT_BLOCK_SIZE"]
 
@@ -41,13 +43,13 @@ class SampledTrace:
     """One availability realisation of *platform*, sampled as it is read.
 
     Implements the trace protocol (``num_processors``, ``horizon``,
-    ``block``).  *streams* is the run's
-    :func:`~repro.utils.rng.derive_run_streams` tuple: one generator per
-    worker, then the scheduler's, then — on a platform with a hazard — the
-    hazard master stream.  Each request samples exactly the slots not yet
-    sampled; every worker consumes only its own stream and the hazard
-    overlay is split-independent, so the realisation does not depend on how
-    the horizon is split into requests.
+    ``block``).  *seed* is the run seed: the trace draws the run's entropy
+    from it once (:func:`~repro.utils.rng.run_entropy`, kept as
+    :attr:`entropy`) and derives one stream per worker plus, on a platform
+    with a hazard, the hazard master stream.  Each request samples exactly
+    the slots not yet sampled; every worker consumes only its own stream and
+    the hazard overlay is split-independent, so the realisation does not
+    depend on how the horizon is split into requests.
 
     The states are kept in one ``(m, horizon)`` buffer allocated up front;
     the operating system commits its pages only as slots are sampled.  The
@@ -56,21 +58,25 @@ class SampledTrace:
     same model objects sample anything else.
     """
 
-    def __init__(self, platform: Platform, streams, horizon: int) -> None:
+    def __init__(self, platform: Platform, seed: SeedLike, horizon: int) -> None:
         if horizon < 1:
             raise SimulationError(f"sampled trace horizon must be >= 1, got {horizon}")
         self._models = [processor.availability for processor in platform.processors]
-        self._rngs = streams[0]
+        m = platform.num_processors
+        #: The run's entropy draw; a solo engine derives its scheduler
+        #: stream from it, so both come from one draw of the seed.
+        self.entropy = run_entropy(seed)
+        self._rngs = worker_streams(self.entropy, m)
         self._hazard = platform.hazard
-        self._hazard_rng = streams[2] if self._hazard is not None else None
+        self._hazard_rng = hazard_stream(self.entropy, m) if self._hazard is not None else None
         self._horizon = int(horizon)
         try:
-            self._buffer = np.empty((platform.num_processors, self._horizon), dtype=np.int8)
+            self._buffer = np.empty((m, self._horizon), dtype=np.int8)
         except MemoryError:
             # The whole horizon is reserved up front, so a cap far beyond
             # what any run reaches can exceed the address space on offer.
             raise SimulationError(
-                f"cannot reserve {platform.num_processors} x {self._horizon} slots "
+                f"cannot reserve {m} x {self._horizon} slots "
                 "of availability states; lower max_slots"
             ) from None
         self._filled = 0

@@ -26,7 +26,7 @@ Availability is consumed in *blocks*: worker states arrive as aligned
 :class:`~repro.simulation.blocks.SharedBlockSource` — private to a solo
 run, shared by the engines of a multi-heuristic pass.  The source slices a
 trace: the replay trace, or a :class:`~repro.simulation.blocks.SampledTrace`
-that draws the run's realisation through the models'
+that draws the run's realisation from the run seed through the models'
 :meth:`~repro.availability.model.AvailabilityModel.sample_block` vectorised
 samplers as the run reaches it.  Because every worker owns an independent
 generator stream, block sampling consumes exactly the same draws as
@@ -95,9 +95,9 @@ from repro.simulation.kernels import (
 )
 from repro.simulation.results import IterationRecord, SimulationResult
 from repro.simulation.state import WorkerRuntime
-from repro.telemetry.tracer import active_tracer
+from repro.telemetry.tracer import Tracer
 from repro.types import DOWN, RECLAIMED, UP
-from repro.utils.rng import SeedLike, derive_run_streams
+from repro.utils.rng import SeedLike, run_entropy, scheduler_stream
 
 __all__ = ["SimulationEngine", "simulate"]
 
@@ -128,9 +128,11 @@ class SimulationEngine:
         :class:`~repro.simulation.blocks.SampledTrace` or any object
         exposing ``num_processors``, ``horizon`` and ``block(start, stop)``.
         Must cover at least ``max_slots`` slots or the run fails with
-        :class:`SimulationError` when it runs off the end.  Without one, the
-        run samples a :class:`~repro.simulation.blocks.SampledTrace` of its
-        own from the processors' models and *seed*.
+        :class:`SimulationError` when it runs off the end.  Without one (and
+        without *shared_blocks*), the engine samples a
+        :class:`~repro.simulation.blocks.SampledTrace` of its own from the
+        processors' models and *seed*; it is kept as :attr:`trace`, so the
+        states a run read can be drawn after it.
     analysis:
         Optional pre-built :class:`AnalysisContext`; sharing one across runs
         on the same platform (different schedulers / trials) avoids
@@ -159,8 +161,7 @@ class SimulationEngine:
         Optional :class:`~repro.telemetry.tracer.Tracer` recording
         wall-clock spans of the run's phases (block fetch, communication
         phase, fast-forward jumps, whole run).  Like the collector it is
-        strictly read-only; ``None`` (or a ``NullTracer``) takes the exact
-        untraced code path.
+        strictly read-only; ``None`` takes the exact untraced code path.
     """
 
     def __init__(
@@ -177,7 +178,7 @@ class SimulationEngine:
         shared_blocks=None,
         record_events: bool = False,
         metrics=None,
-        tracer=None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         if max_slots < 1:
             raise SimulationError(f"max_slots must be >= 1, got {max_slots}")
@@ -203,21 +204,21 @@ class SimulationEngine:
         self.analysis = analysis if analysis is not None else AnalysisContext(platform)
         self.events = EventLog(enabled=record_events)
         self.metrics = metrics
-        self.tracer = active_tracer(tracer)
+        self.tracer = tracer
         self._shared_blocks = shared_blocks
         #: Result of the most recently completed run.
         self.last_result: Optional[SimulationResult] = None
 
-        # Independent streams: one per worker for availability, one for the
-        # scheduler.  The recipe lives in utils.rng so the one-pass driver
-        # and the campaign runner can rebuild the exact availability
-        # realisation of a seed.  A platform-level hazard overlay gets its
-        # own master stream — an additional SeedSequence child, so the
-        # worker and scheduler streams (and every hazard-free run) are
-        # unaffected.
-        hazard = platform.hazard is not None and trace is None and shared_blocks is None
-        self._streams = derive_run_streams(seed, platform.num_processors, hazard=hazard)
-        self._scheduler_rng = self._streams[1]
+        # Availability comes from the given trace, the shared source, or a
+        # SampledTrace of the engine's own; the engine derives only the
+        # scheduler stream.  An own trace and the scheduler stream share the
+        # trace's one entropy draw, so a Generator seed is drawn once.
+        if trace is None and shared_blocks is None:
+            self.trace = SampledTrace(platform, seed, self.max_slots)
+            entropy = self.trace.entropy
+        else:
+            entropy = run_entropy(seed)
+        self._scheduler_rng = scheduler_stream(entropy, platform.num_processors)
         # A solo run reads a private block source, opened per run.
         self._private_blocks: Optional[SharedBlockSource] = None
 
@@ -250,12 +251,9 @@ class SimulationEngine:
         source = self._shared_blocks
         if source is None:
             if self._private_blocks is None:
-                trace = self.trace
-                if trace is None:
-                    trace = SampledTrace(self.platform, self._streams, self.max_slots)
                 self._private_blocks = SharedBlockSource(
                     self.platform,
-                    trace,
+                    self.trace,
                     block_size=self.block_size,
                     max_slots=self.max_slots,
                 )

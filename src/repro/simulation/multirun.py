@@ -10,7 +10,8 @@ decoding) the worker-state blocks and deriving their per-column companions
 This module removes that duplication without changing a single result:
 
 * one :class:`~repro.simulation.blocks.SampledTrace` — the sampler a solo
-  engine uses too — draws the pass's realisation from the seed, and one
+  engine uses too, and the one owner of the seed-to-streams recipe — draws
+  the pass's realisation from the seed, and one
   :class:`~repro.simulation.blocks.SharedBlockSource` serves it in aligned
   windows — ``[k·B, (k+1)·B)`` for block size ``B`` — each wrapped in one
   :class:`~repro.simulation.kernels.BlockData` that every engine of the
@@ -50,7 +51,7 @@ from repro.simulation.blocks import (
 )
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.results import SimulationResult
-from repro.utils.rng import SeedLike, derive_run_streams
+from repro.utils.rng import SeedLike
 
 __all__ = ["MultiHeuristicDriver"]
 
@@ -115,10 +116,7 @@ class MultiHeuristicDriver:
                 f"({len(metrics)} given for {len(schedulers)} schedulers)"
             )
         if trace is None:
-            streams = derive_run_streams(
-                seed, platform.num_processors, hazard=platform.hazard is not None
-            )
-            trace = SampledTrace(platform, streams, max_slots)
+            trace = SampledTrace(platform, seed, max_slots)
         self.source = SharedBlockSource(
             platform, trace, block_size=block_size, max_slots=max_slots
         )

@@ -2,9 +2,9 @@
 
 Three pieces, all zero-dependency:
 
-* :mod:`repro.telemetry.tracer` — :class:`Tracer` / :class:`NullTracer`
-  span context managers writing JSONL records with monotonic timings and
-  run/job/cell correlation attributes (per-process files, thread-safe).
+* :mod:`repro.telemetry.tracer` — :class:`Tracer` span context managers
+  writing JSONL records with monotonic timings and run/job/cell
+  correlation attributes (per-process files, thread-safe).
 * :mod:`repro.telemetry.profile` — load + aggregate span traces into
   per-phase/per-heuristic time breakdowns (``repro profile``).
 * :mod:`repro.telemetry.metrics` — Prometheus-text-format instruments
@@ -32,18 +32,14 @@ from repro.telemetry.profile import (
     render_profile_html,
 )
 from repro.telemetry.tracer import (
-    NullTracer,
     Span,
     Tracer,
-    active_tracer,
     shared_tracer,
 )
 
 __all__ = [
     "Tracer",
-    "NullTracer",
     "Span",
-    "active_tracer",
     "shared_tracer",
     "ProfileReport",
     "ProfileRow",

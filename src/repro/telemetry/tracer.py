@@ -12,8 +12,6 @@ Design constraints (mirroring the collector):
   ``tracer=None`` and guards with ``if tracer is not None`` — the disabled
   path is the exact pre-telemetry code path, so golden seeds stay
   bit-identical and the ``telemetry_overhead`` benchmark gate stays honest.
-  :class:`NullTracer` exists for callers that want an object either way;
-  :func:`active_tracer` normalises it back to ``None`` at the boundary.
 * **Thread- and process-safe.**  Each process appends to its own
   ``spans-<pid>.jsonl`` file inside the trace directory (re-opened after
   ``fork``), writes are line-buffered under a lock, and records carry the
@@ -54,8 +52,6 @@ from typing import Any, Dict, Iterator, Optional, Union
 __all__ = [
     "Span",
     "Tracer",
-    "NullTracer",
-    "active_tracer",
     "shared_tracer",
     "TRACE_FILE_PREFIX",
 ]
@@ -93,8 +89,6 @@ class Tracer:
     run_id:
         Optional correlation id stamped on every record as ``run``.
     """
-
-    enabled = True
 
     def __init__(self, directory: Union[str, Path], *, run_id: Optional[str] = None):
         self.directory = Path(directory)
@@ -276,70 +270,6 @@ class Tracer:
         self.close()
 
 
-class _NullSpan(Span):
-    __slots__ = ()
-
-    def __init__(self):
-        super().__init__("", {})
-
-    def add(self, key: str, amount: Union[int, float] = 1) -> None:
-        """Discard the counter increment."""
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """API-compatible no-op tracer.
-
-    Instrumented call sites normalise it to ``None`` via
-    :func:`active_tracer`, so passing a ``NullTracer`` takes the exact
-    pre-telemetry code path — no timing calls, no allocations, no files.
-    """
-
-    enabled = False
-
-    @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
-        """Yield a shared inert span; record nothing."""
-        yield _NULL_SPAN
-
-    def record(self, name: str, start_ns: int, **attrs: Any) -> None:
-        """Discard the record."""
-
-    def accumulate(
-        self,
-        name: str,
-        start_ns: int,
-        counters: Optional[Dict[str, Union[int, float]]] = None,
-        **attrs: Any,
-    ) -> None:
-        """Discard the occurrence."""
-
-    def flush_accumulated(self) -> None:
-        """Nothing accumulated."""
-
-    def event(self, name: str, **attrs: Any) -> None:
-        """Discard the event."""
-
-    @contextmanager
-    def context(self, **attrs: Any) -> Iterator[None]:
-        """Yield without tracking any context."""
-        yield
-
-    def flush(self) -> None:
-        """Nothing to flush."""
-
-    def close(self) -> None:
-        """Nothing to close."""
-
-    def __enter__(self) -> "NullTracer":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        return None
-
-
 # One tracer per (process, trace directory): span files are buffered
 # append-only streams, so two handles on the same file could interleave
 # partial lines.  The cache is per-process state (process-pool children get
@@ -362,14 +292,3 @@ def shared_tracer(directory: Union[str, Path]) -> Tracer:
         if tracer is None:
             tracer = _SHARED[key] = Tracer(directory)
         return tracer
-
-
-def active_tracer(tracer: Optional[Union[Tracer, NullTracer]]) -> Optional[Tracer]:
-    """Normalise a tracer argument: ``None`` / disabled tracers -> ``None``.
-
-    Call sites hoist ``tracer = active_tracer(tracer)`` once and then guard
-    with ``if tracer is not None`` so disabled tracing adds zero work.
-    """
-    if tracer is None or not getattr(tracer, "enabled", True):
-        return None
-    return tracer

@@ -20,10 +20,13 @@ import numpy as np
 __all__ = [
     "SeedLike",
     "as_generator",
-    "derive_run_streams",
+    "hazard_stream",
+    "run_entropy",
+    "scheduler_stream",
     "spawn_generators",
     "spawn_seeds",
     "stable_hash_seed",
+    "worker_streams",
 ]
 
 #: Anything accepted as a seed by the helpers in this module.
@@ -68,29 +71,38 @@ def spawn_generators(seed: SeedLike, count: int) -> List[np.random.Generator]:
     return [np.random.default_rng(child) for child in spawn_seeds(seed, count)]
 
 
-def derive_run_streams(seed: SeedLike, num_workers: int, *, hazard: bool = False):
-    """Derive the per-run generator streams of a simulation run.
+def run_entropy(seed: SeedLike) -> int:
+    """Draw the entropy every stream of one simulation run is spawned from.
 
-    Returns ``(availability_streams, scheduler_stream)``: one independent
-    generator per worker plus one for the scheduler, all derived
-    deterministically from *seed*.  Every
-    :class:`~repro.simulation.blocks.SampledTrace` is fed from this recipe —
-    anything that needs to reproduce the exact availability realisation of a
-    run for a given seed must derive its streams through this function.
-
-    With ``hazard=True`` a third element is appended to the return value: a
-    master stream for the platform-level
-    :class:`~repro.hazards.GroupHazardProcess`.  The hazard stream is an
-    *additional* ``SeedSequence`` child, so the worker and scheduler streams
-    are bit-identical whether or not it is requested — runs on hazard-free
-    platforms are unaffected.
+    This is the run's one draw from *seed*: an ``int`` seed always maps to
+    the same entropy, while a :class:`numpy.random.Generator` seed advances
+    by one integer.  The streams of the run are the children of
+    ``SeedSequence(entropy)``: one per worker (indices ``0 .. m-1``), then
+    the scheduler's (``m``), then the platform hazard's (``m + 1``).  Adding
+    the hazard child changes no other stream, so runs on hazard-free
+    platforms never depend on it.
     """
-    root = as_generator(seed)
-    extra = 2 if hazard else 1
-    streams = spawn_generators(int(root.integers(0, 2**62)), num_workers + extra)
-    if hazard:
-        return streams[:num_workers], streams[num_workers], streams[num_workers + 1]
-    return streams[:-1], streams[-1]
+    return int(as_generator(seed).integers(0, 2**62))
+
+
+def worker_streams(entropy: int, num_workers: int) -> List[np.random.Generator]:
+    """The run's per-worker availability streams (children ``0 .. m-1``)."""
+    return spawn_generators(entropy, num_workers)
+
+
+def scheduler_stream(entropy: int, num_workers: int) -> np.random.Generator:
+    """The run's scheduler tie-breaking stream (child ``m``)."""
+    return _run_child(entropy, num_workers)
+
+
+def hazard_stream(entropy: int, num_workers: int) -> np.random.Generator:
+    """The master stream of the platform's hazard overlay (child ``m + 1``)."""
+    return _run_child(entropy, num_workers + 1)
+
+
+def _run_child(entropy: int, index: int) -> np.random.Generator:
+    # Bit-identical to SeedSequence(entropy).spawn(index + 1)[index].
+    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(index,)))
 
 
 def stable_hash_seed(*parts: Union[str, int, float]) -> int:

@@ -24,7 +24,6 @@ from repro.platform import Platform, PlatformSpec, Processor
 from repro.platform.builders import availability_platform
 from repro.scheduling import create_scheduler
 from repro.simulation import MultiHeuristicDriver, SampledTrace, SimulationEngine, simulate
-from repro.utils.rng import derive_run_streams
 
 pytestmark = pytest.mark.slow
 
@@ -87,8 +86,7 @@ def test_solo_driver_and_bank_replay_are_bit_identical(kind, params, golden):
     ).run()
     assert shared == solo
 
-    streams = derive_run_streams(5, platform.num_processors, hazard=True)
-    sampled = SampledTrace(platform, streams, MAX_SLOTS)
+    sampled = SampledTrace(platform, 5, MAX_SLOTS)
     replayed = [
         SimulationEngine(
             platform,

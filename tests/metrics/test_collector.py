@@ -14,7 +14,6 @@ from repro.metrics import SERIES_NAMES, MetricsCollector, RunMetrics
 from repro.platform import PlatformSpec, paper_platform
 from repro.scheduling import create_scheduler
 from repro.simulation import MultiHeuristicDriver, SampledTrace, SimulationEngine
-from repro.utils.rng import derive_run_streams
 
 from tests.simulation.test_golden_replay import GOLDEN_CASES, RESULT_FIELDS, run_case
 
@@ -98,7 +97,7 @@ class TestSeriesSemantics:
         platform = paper_platform(
             PlatformSpec(num_processors=10, ncom=5, wmin=1), num_tasks=4, seed=11
         )
-        trace = SampledTrace(platform, derive_run_streams(11, 10), 20_000)
+        trace = SampledTrace(platform, 11, 20_000)
         engine = make_engine(metrics=collector, record_events=True, trace=trace)
         result = engine.run()
         assert result.success

@@ -13,7 +13,6 @@ from repro.scheduling.base import Observation, Scheduler
 from repro.simulation import SampledTrace, SimulationEngine, simulate
 from repro.simulation.events import EventKind
 from repro.simulation.gantt import activity_from_events, render_gantt
-from repro.utils.rng import derive_run_streams
 
 
 class StaticScheduler(Scheduler):
@@ -99,7 +98,7 @@ class TestBasicExecution:
         platform = figure1_platform()
         application = Application(tasks_per_iteration=5, iterations=1)
         scheduler = StaticScheduler({1: 2, 2: 2, 3: 1})
-        trace = SampledTrace(platform, derive_run_streams(0, 5), 100)
+        trace = SampledTrace(platform, 0, 100)
         engine = SimulationEngine(
             platform, application, scheduler, seed=0, max_slots=100, trace=trace,
             record_events=True,

@@ -9,7 +9,6 @@ from repro.platform import Platform, PlatformSpec, Processor, paper_platform
 from repro.scheduling import create_scheduler
 from repro.simulation import EventKind, SampledTrace, SimulationEngine, SimulationEvent
 from repro.simulation.gantt import activity_from_events, render_gantt
-from repro.utils.rng import derive_run_streams
 
 
 class TestRenderGantt:
@@ -55,7 +54,7 @@ class TestRenderGantt:
         ]
         platform = Platform(processors, ncom=1, tprog=1, tdata=1)
         application = Application(tasks_per_iteration=3, iterations=1)
-        trace = SampledTrace(platform, derive_run_streams(0, 3), 100)
+        trace = SampledTrace(platform, 0, 100)
         engine = SimulationEngine(
             platform, application, create_scheduler("IE"), seed=0, max_slots=100,
             trace=trace, record_events=True,

@@ -32,7 +32,6 @@ from repro.simulation import (
     SharedBlockSource,
     SimulationEngine,
 )
-from repro.utils.rng import derive_run_streams
 
 from tests.simulation.test_golden_replay import REFERENCES
 
@@ -148,8 +147,7 @@ def test_empty_scheduler_list_rejected():
 
 def sampled_source(platform, seed, *, block_size=4096, max_slots=1_000_000):
     """A source over the realisation a solo engine with *seed* samples."""
-    streams = derive_run_streams(seed, platform.num_processors)
-    trace = SampledTrace(platform, streams, max_slots)
+    trace = SampledTrace(platform, seed, max_slots)
     return SharedBlockSource(platform, trace, block_size=block_size, max_slots=max_slots)
 
 

@@ -22,7 +22,7 @@ from repro.platform import PlatformSpec
 from repro.platform.builders import availability_platform
 from repro.simulation import SampledTrace
 from repro.types import DOWN
-from repro.utils.rng import derive_run_streams
+from repro.utils.rng import run_entropy, worker_streams
 
 HORIZON = 400
 
@@ -38,23 +38,19 @@ SUBSTRATES = [
 ]
 
 
-def platform_and_streams(kind, params, seed):
-    """A fresh platform (own model objects) and the run streams of *seed*."""
+def fresh_platform(kind, params):
+    """A fresh platform (own model objects) on the substrate."""
     spec = AvailabilitySpec(kind=kind, parameters=tuple(sorted(params.items())))
-    platform = availability_platform(
+    return availability_platform(
         PlatformSpec(num_processors=8, ncom=4, wmin=1),
         num_tasks=4,
         seed=17,
         model_factory=model_factory_for(spec),
     )
-    streams = derive_run_streams(
-        seed, platform.num_processors, hazard=platform.hazard is not None
-    )
-    return platform, streams
 
 
 def sampled_trace(kind, params, seed):
-    return SampledTrace(*platform_and_streams(kind, params, seed), HORIZON)
+    return SampledTrace(fresh_platform(kind, params), seed, HORIZON)
 
 
 @pytest.mark.parametrize("kind,params", SUBSTRATES, ids=[kind for kind, _ in SUBSTRATES])
@@ -79,10 +75,11 @@ def test_hazard_overlay_acts_inside_the_horizon(kind):
     the trace forces DOWN onto some slots of the raw worker chains."""
     params = dict(SUBSTRATES)[kind]
     overlaid = sampled_trace(kind, params, seed=3).block(0, HORIZON)
-    platform, streams = platform_and_streams(kind, params, seed=3)
+    platform = fresh_platform(kind, params)
+    rngs = worker_streams(run_entropy(3), platform.num_processors)
     models = [processor.availability for processor in platform.processors]
-    first = sample_initial_states(models, streams[0])
-    rest = sample_state_block(models, 1, HORIZON - 1, streams[0], first)
+    first = sample_initial_states(models, rngs)
+    rest = sample_state_block(models, 1, HORIZON - 1, rngs, first)
     base = np.column_stack([first, rest])
     forced = overlaid != base
     assert forced.any()
@@ -92,6 +89,6 @@ def test_hazard_overlay_acts_inside_the_horizon(kind):
 def test_unreservable_horizon_is_a_typed_error():
     """The horizon is reserved up front: a cap no address space can hold
     (here 8 x 10**16 bytes) fails with a SimulationError, not a MemoryError."""
-    platform, streams = platform_and_streams("markov", {}, seed=0)
+    platform = fresh_platform("markov", {})
     with pytest.raises(SimulationError, match="lower max_slots"):
-        SampledTrace(platform, streams, 10**16)
+        SampledTrace(platform, 0, 10**16)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import threading
 
-from repro.telemetry import NullTracer, Tracer, active_tracer, shared_tracer
+from repro.telemetry import Tracer, shared_tracer
 from repro.telemetry.tracer import TRACE_FILE_PREFIX
 
 
@@ -111,23 +111,6 @@ def test_concurrent_threads_produce_valid_lines(tmp_path):
     tracer.close()
     spans = read_spans(tmp_path)  # json.loads raises on any torn line
     assert len(spans) == 200
-
-
-def test_null_tracer_is_inert_and_normalised(tmp_path):
-    null = NullTracer()
-    with null.span("x") as span:
-        span.add("c")
-    null.record("y", 0)
-    null.event("z")
-    with null.context(cell="a"):
-        pass
-    null.flush()
-    null.close()
-    assert active_tracer(None) is None
-    assert active_tracer(null) is None
-    real = Tracer(tmp_path)
-    assert active_tracer(real) is real
-    real.close()
 
 
 def test_accumulate_merges_occurrences_into_one_record(tmp_path):

@@ -8,7 +8,6 @@ from repro.availability.markov import MarkovAvailabilityModel
 from repro.availability.semi_markov import SemiMarkovAvailabilityModel
 from repro.availability.trace import AvailabilityTrace
 from repro.traces.fit import (
-    FIT_KINDS,
     TraceFitError,
     fit_diurnal,
     fit_markov,
