@@ -13,7 +13,10 @@ so aggressive memoisation keyed on those values makes the heuristics
 affordable without changing any result.  :class:`AnalysisContext` bundles the
 per-worker analyses, the group analysis and a communication-estimate cache,
 and exposes a single :meth:`evaluate` entry point mirroring
-:func:`repro.analysis.evaluation.evaluate_configuration`.
+:func:`repro.analysis.evaluation.evaluate_configuration`, plus
+:meth:`AnalysisContext.switch_pairs`, the proactive switch test's
+``(probability, expected time)`` pairs read from the same memos without
+building an estimate object.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.communication import CommunicationEstimate, estimate_communication
+from repro.analysis.criteria import expected_time, success_probability
 from repro.analysis.evaluation import ConfigurationEstimate
 from repro.analysis.group import ExpectationMode, GroupAnalysis, GroupQuantities
 from repro.analysis.single import WorkerAnalysis
@@ -30,6 +34,11 @@ from repro.application.configuration import Configuration
 from repro.platform.platform import Platform
 
 __all__ = ["AnalysisContext", "EvaluationRequest"]
+
+#: Candidate pairs :meth:`AnalysisContext.switch_pairs` keeps before its table
+#: is emptied and started over (the 24 scenarios of the paper-mix benchmark
+#: met 1,443 distinct (candidate, holders) keys in all).
+CANDIDATE_PAIR_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -90,12 +99,16 @@ class AnalysisContext:
         self._comp_cache: Dict[Tuple[FrozenSet[int], int], Tuple[float, float]] = {}
         # (frozen worker set, phase duration) -> Π_q P_ND(duration).
         self._survival_cache: Dict[Tuple[FrozenSet[int], int], float] = {}
+        # (fresh candidate, program holders) -> its (P, E), see switch_pairs.
+        self._candidate_pairs: Dict[
+            Tuple[Configuration, FrozenSet[int]], Tuple[float, float]
+        ] = {}
         #: State the allocators bound to this context share (their
         #: greedy-path trees and answer tables, see
         #: :mod:`repro.scheduling.allocation`); dropped with the memos.
         self.allocator_state: Dict[object, object] = {}
         #: Optional :class:`~repro.telemetry.tracer.Tracer` shared with the
-        #: allocator: when set, ``evaluate_batch`` and
+        #: allocator: when set, ``evaluate_batch``, ``switch_pairs`` and
         #: ``IncrementalAllocator.allocate`` emit spans with memo hit/miss
         #: counters.  ``None`` (the default) is the exact untraced path.
         self.tracer = None
@@ -106,7 +119,7 @@ class AnalysisContext:
         """The ``E^(S)(W)`` estimator in use.
 
         Several memos (single-worker expectations, communication estimates,
-        computation estimates, the allocators' shared state) cache
+        computation estimates, candidate pairs, the allocators' shared state) cache
         mode-dependent values, so assigning a new mode drops them — stale
         entries would otherwise be replayed.
         """
@@ -119,6 +132,7 @@ class AnalysisContext:
             self._comm_cache.clear()
             self._single_time_cache.clear()
             self._comp_cache.clear()
+            self._candidate_pairs.clear()
             self.allocator_state.clear()
 
     @property
@@ -213,15 +227,86 @@ class AnalysisContext:
 
     # ------------------------------------------------------------------
     def communication(self, comm_slots: Mapping[int, int]) -> CommunicationEstimate:
-        """Cached communication estimate for the given remaining slots."""
-        key = tuple(sorted((int(w), int(n)) for w, n in comm_slots.items()))
+        """Cached communication estimate for the given remaining slots.
+
+        Keyed on the ``(worker, slots)`` items in ascending worker order.
+        Mappings already in that order (the engine's and
+        :meth:`Configuration.communication_slots`') hit on their items as
+        they are; any other is sorted first.
+        """
+        key = tuple(comm_slots.items())
         cached = self._comm_cache.get(key)
         if cached is None:
-            cached = estimate_communication(
-                self.group, dict(key), ncom=self.platform.ncom, mode=self.mode
-            )
-            self._comm_cache[key] = cached
+            key = tuple(sorted((int(w), int(n)) for w, n in key))
+            cached = self._comm_cache.get(key)
+            if cached is None:
+                cached = estimate_communication(
+                    self.group, dict(key), ncom=self.platform.ncom, mode=self.mode
+                )
+                self._comm_cache[key] = cached
         return cached
+
+    def switch_pairs(
+        self,
+        current: Configuration,
+        comm_remaining: Mapping[int, int],
+        progress: int,
+        candidate: Configuration,
+        holders: Iterable[int],
+    ) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+        """The ``(P, E)`` pairs of the proactive switch test.
+
+        The first pair is the running *current* configuration's, with
+        *comm_remaining* communication slots and *progress* computation
+        slots behind it; the second is a fresh *candidate*'s, built with the
+        program on *holders*.  Each equals the ``(success_probability,
+        expected_time)`` of the :meth:`evaluate` estimate of the same
+        inputs, bit for bit, from the same communication and computation
+        memos; no estimate object is built.  The candidate's pair depends on
+        the candidate and the holders alone, so it is kept in a table keyed
+        on them (emptied at :data:`CANDIDATE_PAIR_LIMIT` entries, and
+        dropped with the other memos).
+
+        When :attr:`tracer` is set, each call accumulates into one
+        ``analysis.switch_pairs`` span counting the pairs scored
+        (``requests``) and the candidate pairs the table answered
+        (``hits``).
+        """
+        tracer = self.tracer
+        begin = time.perf_counter_ns() if tracer is not None else 0
+        workload = current.workload(self.platform) - int(progress)
+        current_pair = self._pair(
+            comm_remaining, frozenset(current.workers), workload if workload > 0 else 0
+        )
+        key = (candidate, holders if type(holders) is frozenset else frozenset(holders))
+        candidate_pair = self._candidate_pairs.get(key)
+        hit = candidate_pair is not None
+        if not hit:
+            candidate_pair = self._pair(
+                candidate.communication_slots(self.platform, has_program=key[1]),
+                frozenset(candidate.workers),
+                candidate.workload(self.platform),
+            )
+            if len(self._candidate_pairs) >= CANDIDATE_PAIR_LIMIT:
+                self._candidate_pairs.clear()
+            self._candidate_pairs[key] = candidate_pair
+        if tracer is not None:
+            tracer.accumulate(
+                "analysis.switch_pairs", begin, counters={"requests": 2, "hits": int(hit)}
+            )
+        return current_pair, candidate_pair
+
+    def _pair(
+        self, comm_slots: Mapping[int, int], workers: FrozenSet[int], workload: int
+    ) -> Tuple[float, float]:
+        """``(P, E)`` of *workload* computation slots on *workers* after
+        *comm_slots* of communication (the parts of :meth:`_finish_estimate`)."""
+        communication = self.communication(comm_slots)
+        computation_probability, computation_time = self.computation(workers, workload)
+        return (
+            success_probability(communication.success_probability, computation_probability),
+            expected_time(communication.expected_time, computation_time),
+        )
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -330,12 +415,14 @@ class AnalysisContext:
 
     # ------------------------------------------------------------------
     def clear_caches(self) -> None:
-        """Drop all memoised values (group quantities, estimates, allocator state)."""
+        """Drop all memoised values (group quantities, estimates, candidate
+        pairs, allocator state)."""
         self.group.clear_cache()
         self._comm_cache.clear()
         self._single_time_cache.clear()
         self._comp_cache.clear()
         self._survival_cache.clear()
+        self._candidate_pairs.clear()
         self.allocator_state.clear()
 
     def cache_stats(self) -> Dict[str, int]:
@@ -345,4 +432,5 @@ class AnalysisContext:
             "communication_keys": len(self._comm_cache),
             "computation_keys": len(self._comp_cache),
             "survival_keys": len(self._survival_cache),
+            "candidate_pairs": len(self._candidate_pairs),
         }

@@ -1,7 +1,7 @@
 """The four scheduling criteria of Section VI.
 
 Each criterion maps a :class:`~repro.analysis.evaluation.ConfigurationEstimate`
-to a scalar figure of merit:
+(or its ``(probability, expected time)`` pair) to a scalar figure of merit:
 
 * **P** — probability of success of the iteration (higher is better);
 * **E** — expected completion time of the iteration (lower is better);
@@ -20,6 +20,13 @@ Criteria are used in two roles:
 The paper only retains P, E and Y for the proactive role because AY does not
 satisfy the anti-divergence constraint (a configuration that has been running
 longer must never score worse than the same configuration started later).
+
+Every criterion value is a function of a ``(probability, expected time)``
+pair and the elapsed time: :func:`success_probability`,
+:func:`expected_time`, :func:`yield_value` and :func:`apparent_yield` are the
+one set of float expressions that both
+:class:`~repro.analysis.evaluation.ConfigurationEstimate` and the proactive
+switch test (:meth:`Criterion.pair_value`) compute them with.
 """
 
 from __future__ import annotations
@@ -39,7 +46,36 @@ __all__ = [
     "ApparentYieldCriterion",
     "get_criterion",
     "PROACTIVE_CRITERIA",
+    "success_probability",
+    "expected_time",
+    "yield_value",
+    "apparent_yield",
 ]
+
+
+def success_probability(comm_probability: float, comp_probability: float) -> float:
+    """``P = P_comm × P_comp``."""
+    return comm_probability * comp_probability
+
+
+def expected_time(comm_time: float, comp_time: float) -> float:
+    """``E = E_comm + E_comp`` (remaining time, in slots)."""
+    return comm_time + comp_time
+
+
+def yield_value(probability: float, expected: float, elapsed: int) -> float:
+    """``Y = P / (t + E)`` — the expected inverse iteration duration."""
+    denominator = elapsed + expected
+    if denominator <= 0.0:
+        return math.inf if probability > 0 else 0.0
+    return probability / denominator
+
+
+def apparent_yield(probability: float, expected: float) -> float:
+    """``AY = P / E`` — yield of the remaining work only."""
+    if expected <= 0.0:
+        return math.inf if probability > 0 else 0.0
+    return probability / expected
 
 
 class Criterion(abc.ABC):
@@ -55,8 +91,16 @@ class Criterion(abc.ABC):
     proactive_safe: bool = True
 
     @abc.abstractmethod
+    def pair_value(self, probability: float, expected: float, elapsed: int) -> float:
+        """The criterion value of a configuration with success probability
+        *probability* and expected remaining time *expected*, *elapsed* slots
+        into its iteration."""
+
     def value(self, estimate: "ConfigurationEstimate") -> float:
         """The criterion value of *estimate*."""
+        return self.pair_value(
+            estimate.success_probability, estimate.expected_time, estimate.elapsed
+        )
 
     # ------------------------------------------------------------------
     def better(self, candidate: float, incumbent: float) -> bool:
@@ -90,8 +134,8 @@ class ProbabilityCriterion(Criterion):
     higher_is_better = True
     proactive_safe = True
 
-    def value(self, estimate: "ConfigurationEstimate") -> float:
-        return estimate.success_probability
+    def pair_value(self, probability: float, expected: float, elapsed: int) -> float:
+        return probability
 
 
 class ExpectedTimeCriterion(Criterion):
@@ -101,8 +145,8 @@ class ExpectedTimeCriterion(Criterion):
     higher_is_better = False
     proactive_safe = True
 
-    def value(self, estimate: "ConfigurationEstimate") -> float:
-        return estimate.expected_time
+    def pair_value(self, probability: float, expected: float, elapsed: int) -> float:
+        return expected
 
 
 class YieldCriterion(Criterion):
@@ -112,8 +156,8 @@ class YieldCriterion(Criterion):
     higher_is_better = True
     proactive_safe = True
 
-    def value(self, estimate: "ConfigurationEstimate") -> float:
-        return estimate.yield_value
+    def pair_value(self, probability: float, expected: float, elapsed: int) -> float:
+        return yield_value(probability, expected, elapsed)
 
 
 class ApparentYieldCriterion(Criterion):
@@ -129,8 +173,8 @@ class ApparentYieldCriterion(Criterion):
     higher_is_better = True
     proactive_safe = False
 
-    def value(self, estimate: "ConfigurationEstimate") -> float:
-        return estimate.apparent_yield
+    def pair_value(self, probability: float, expected: float, elapsed: int) -> float:
+        return apparent_yield(probability, expected)
 
 
 _CRITERIA: Dict[str, Type[Criterion]] = {

@@ -8,7 +8,9 @@ produce the estimated
 * probability of success of the iteration
   (``P = P_comm × P_comp``),
 * expected completion time (``E = E_comm + E_comp``),
-* yield (``P / (t + E)``) and apparent yield (``P / E``).
+* yield (``P / (t + E)``) and apparent yield (``P / E``),
+
+each through the float expressions of :mod:`repro.analysis.criteria`.
 
 These estimates are what the incremental heuristics maximise/minimise when
 assigning tasks, and what the proactive heuristics compare when deciding
@@ -17,10 +19,10 @@ whether to abandon the current configuration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+from repro.analysis import criteria
 from repro.analysis.communication import CommunicationEstimate, estimate_communication
 from repro.analysis.group import ExpectationMode, GroupAnalysis
 from repro.application.configuration import Configuration
@@ -54,27 +56,24 @@ class ConfigurationEstimate:
     @property
     def success_probability(self) -> float:
         """``P = P_comm × P_comp``."""
-        return self.communication.success_probability * self.computation_probability
+        return criteria.success_probability(
+            self.communication.success_probability, self.computation_probability
+        )
 
     @property
     def expected_time(self) -> float:
         """``E = E_comm + E_comp`` (remaining time, in slots)."""
-        return self.communication.expected_time + self.computation_time
+        return criteria.expected_time(self.communication.expected_time, self.computation_time)
 
     @property
     def yield_value(self) -> float:
         """``Y = P / (t + E)`` — the expected inverse iteration duration."""
-        denominator = self.elapsed + self.expected_time
-        if denominator <= 0.0:
-            return math.inf if self.success_probability > 0 else 0.0
-        return self.success_probability / denominator
+        return criteria.yield_value(self.success_probability, self.expected_time, self.elapsed)
 
     @property
     def apparent_yield(self) -> float:
         """``AY = P / E`` — yield of the remaining work only."""
-        if self.expected_time <= 0.0:
-            return math.inf if self.success_probability > 0 else 0.0
-        return self.success_probability / self.expected_time
+        return criteria.apparent_yield(self.success_probability, self.expected_time)
 
     def describe(self) -> str:
         return (

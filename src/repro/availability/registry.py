@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import json
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,14 +52,12 @@ from repro.availability.diurnal import DiurnalAvailabilityModel
 from repro.availability.generators import random_markov_models
 from repro.availability.semi_markov import SemiMarkovAvailabilityModel
 from repro.availability.trace import AvailabilityTrace, TraceAvailabilityModel
-from repro.components import ComponentInfo, ComponentParameter, ComponentRegistry
+from repro.components import ComponentParameter, ComponentRegistry
 from repro.exceptions import ExperimentError
 
 __all__ = [
     "AVAILABILITY_MODELS",
     "register_availability_model",
-    "available_models",
-    "availability_model_info",
     "model_factory_for",
 ]
 
@@ -91,16 +89,6 @@ def register_availability_model(
         description=description,
         parameters=tuple(parameters),
     )
-
-
-def available_models(family: Optional[str] = None) -> List[str]:
-    """Registered availability-model kinds, in registration order."""
-    return AVAILABILITY_MODELS.names(family)
-
-
-def availability_model_info(kind: str) -> ComponentInfo:
-    """Registered metadata (description, parameters) for one kind."""
-    return AVAILABILITY_MODELS.get(kind)
 
 
 def model_factory_for(spec) -> Callable:

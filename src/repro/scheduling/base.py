@@ -22,7 +22,7 @@ from repro.analysis.cache import AnalysisContext
 from repro.application.application import Application
 from repro.application.configuration import Configuration
 from repro.platform.platform import Platform
-from repro.types import UP, ProcessorState
+from repro.types import UP
 
 __all__ = ["Observation", "Scheduler"]
 
@@ -62,9 +62,6 @@ class Observation:
     comm_remaining: Dict[int, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    def state_of(self, worker: int) -> ProcessorState:
-        return ProcessorState(int(self.states[worker]))
-
     def up_workers(self) -> List[int]:
         """Ids of the workers that are UP at this slot."""
         # ``tolist`` yields Python ints: no NumPy scalar is built per worker.

@@ -10,7 +10,12 @@ At every slot:
    configuration are both measured under ``C``, the current one accounting
    for the progress made so far (remaining communication, remaining
    workload, elapsed iteration time) — a missing or identical candidate
-   cannot win, so no estimate is built for it;
+   cannot win, so nothing is measured for it.  Both are measured by their
+   ``(probability, expected time)`` pairs from
+   :meth:`~repro.analysis.cache.AnalysisContext.switch_pairs`, which reads
+   the analysis memos and keeps the candidate's pair in a table the
+   scenario's heuristics share; ``C`` turns each pair into its value with
+   the float expressions of :mod:`repro.analysis.criteria`;
 3. if the candidate scores strictly better than the current configuration
    under ``C``, the execution switches to the candidate (losing any partial
    computation); otherwise the current configuration runs for one more slot.
@@ -24,7 +29,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.cache import EvaluationRequest
 from repro.analysis.criteria import Criterion
 from repro.application.configuration import Configuration
 from repro.exceptions import SchedulingError
@@ -78,30 +82,24 @@ class ProactiveHeuristic(Scheduler):
         candidate = self.passive.build_candidate(observation)
 
         # 2. A candidate that is missing or equal to the current configuration
-        #    cannot win, so only a differing one is estimated: one
-        #    evaluate_batch call fills any uncached group quantities, then
-        #    scores current and candidate together.
+        #    cannot win, so only a differing one is scored, together with
+        #    the current configuration, from their (P, E) pairs.
         if candidate is None or candidate == current:
             return current
-        estimates = self.analysis.evaluate_batch(
-            [
-                EvaluationRequest(
-                    configuration=current,
-                    comm_slots=observation.comm_remaining,
-                    completed_work=observation.progress,
-                    elapsed=observation.iteration_elapsed,
-                ),
-                EvaluationRequest(
-                    configuration=candidate,
-                    has_program=observation.has_program,
-                    elapsed=observation.iteration_elapsed,
-                ),
-            ]
+        (current_p, current_e), (candidate_p, candidate_e) = self.analysis.switch_pairs(
+            current,
+            observation.comm_remaining,
+            observation.progress,
+            candidate,
+            observation.has_program,
         )
-        current_value = self.criterion.value(estimates[0])
-        candidate_value = self.criterion.value(estimates[1])
+        elapsed = observation.iteration_elapsed
+        criterion = self.criterion
 
         # 3. Switch only on a strict improvement ("if c >= c2, keep the current one").
-        if self.criterion.better(candidate_value, current_value):
+        if criterion.better(
+            criterion.pair_value(candidate_p, candidate_e, elapsed),
+            criterion.pair_value(current_p, current_e, elapsed),
+        ):
             return candidate
         return current

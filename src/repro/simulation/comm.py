@@ -20,9 +20,10 @@ transfer-first) can be benchmarked without touching the engine.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, Optional, Sequence, Set
 
 from repro.simulation.state import WorkerRuntime
+from repro.types import UP
 
 __all__ = ["CommunicationManager"]
 
@@ -45,71 +46,65 @@ class CommunicationManager:
 
         Used by the engine's whole-phase fast-forward
         (:func:`repro.simulation.kernels.comm_phase_span`) to leave the
-        stickiness state exactly as the slot-by-slot :meth:`allocate` calls
+        stickiness state exactly as the slot-by-slot :meth:`step` calls
         would have: the grant set of the last consumed communication slot.
         """
         self._previous_holders = {int(worker) for worker in worker_ids}
 
     # ------------------------------------------------------------------
-    def allocate(
+    def step(
         self,
         runtimes: Sequence[WorkerRuntime],
+        remaining: Sequence[int],
         *,
         tprog: int,
         tdata: int,
-    ) -> List[int]:
-        """Pick the workers to serve this slot.
+        served: Optional[Dict[int, str]] = None,
+    ) -> bool:
+        """Grant this slot's channels and advance the granted transfers by one slot.
 
         Parameters
         ----------
         runtimes:
-            The per-worker runtime records (all workers; eligibility is
-            decided here).
+            The enrolled workers' runtime records, in ascending worker order.
+        remaining:
+            Their communication slots still needed
+            (:meth:`WorkerRuntime.comm_slots_remaining`), in the same order.
+            A worker is eligible when it is UP and still needs a slot; at
+            most ``ncom`` eligible workers are granted a channel.
         tprog, tdata:
-            Transfer durations, used to decide who still needs communication.
+            Transfer durations.
+        served:
+            When given, filled with worker id -> ``"program"`` or ``"data"``
+            for each granted worker: what it received (for the event log).
 
         Returns
         -------
-        list of worker ids granted a channel this slot (at most ``ncom``).
+        Whether a worker completed its program transfer this slot.
         """
         eligible = [
-            runtime.worker_id
-            for runtime in runtimes
-            if runtime.enrolled
-            and runtime.is_up()
-            and runtime.comm_slots_remaining(tprog, tdata) > 0
+            runtime
+            for runtime, needed in zip(runtimes, remaining)
+            if needed > 0 and runtime.state == UP
         ]
         if not eligible:
-            self._previous_holders.clear()
-            return []
-
-        eligible_set = set(eligible)
-        # Sticky channels first (ascending id for determinism), then the rest.
-        keep = sorted(self._previous_holders & eligible_set)
-        rest = sorted(eligible_set - self._previous_holders)
-        granted = (keep + rest)[: self.ncom]
-        self._previous_holders = set(granted)
-        return granted
-
-    # ------------------------------------------------------------------
-    def serve(
-        self,
-        runtimes: Dict[int, WorkerRuntime],
-        granted: Iterable[int],
-        *,
-        tprog: int,
-        tdata: int,
-    ) -> Dict[int, str]:
-        """Advance the transfers of the *granted* workers by one slot.
-
-        Returns a mapping worker id -> ``"program"`` or ``"data"`` describing
-        what was transferred (used by the event log / Gantt rendering).
-        """
-        served: Dict[int, str] = {}
-        for worker_id in granted:
-            runtime = runtimes[worker_id]
-            served[worker_id] = runtime.receive_communication_slot(tprog, tdata)
-        return served
+            self._previous_holders = set()
+            return False
+        previous = self._previous_holders
+        # Sticky channels first, then the rest, each in ascending worker order.
+        granted = [runtime for runtime in eligible if runtime.worker_id in previous]
+        if len(granted) < self.ncom:
+            granted += [runtime for runtime in eligible if runtime.worker_id not in previous]
+        del granted[self.ncom:]
+        self._previous_holders = {runtime.worker_id for runtime in granted}
+        program_completed = False
+        for runtime in granted:
+            received = runtime.receive_communication_slot(tprog, tdata)
+            if served is not None:
+                served[runtime.worker_id] = received
+            if received == "program" and runtime.has_program:
+                program_completed = True
+        return program_completed
 
     # ------------------------------------------------------------------
     def drain(
@@ -122,16 +117,16 @@ class CommunicationManager:
     ) -> int:
         """Fast-forward up to *span* communication slots with frozen states.
 
-        Event-driven equivalent of calling :meth:`allocate` + :meth:`serve`
-        once per slot while no worker changes availability state: under the
-        sticky policy the granted set only changes when a transfer
-        completes, so each grant interval is applied in one batch through
+        Event-driven equivalent of calling :meth:`step` once per slot while
+        no worker changes availability state: under the sticky policy the
+        granted set only changes when a transfer completes, so each grant
+        interval is applied in one batch through
         :meth:`WorkerRuntime.advance_communication`.  Returns the number of
         slots consumed — stopping at the first slot that is no longer a
         communication slot (all transfers done) or at *span* — and leaves
         the sticky-holder set exactly as the slot-by-slot calls would have.
 
-        This is the one other place besides :meth:`allocate` that encodes
+        This is the one other place besides :meth:`step` that encodes
         the channel-allocation policy; an alternative policy must replace
         both (or simply not offer a drain, at the cost of per-slot
         fast-forwarding in the engine).

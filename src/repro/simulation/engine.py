@@ -327,7 +327,8 @@ class SimulationEngine:
         # their decision on uneventful slots; fast-forwarding additionally
         # requires that the per-slot event log is off.
         contract = bool(getattr(self.scheduler, "passive_between_rebuilds", False))
-        can_fast_forward = contract and not self.events.enabled
+        log_events = self.events.enabled
+        can_fast_forward = contract and not log_events
         # Only the *enrolled* workers' runtime states are synchronised per
         # column: nothing in the engine reads the state of a non-enrolled
         # worker (observations and selection checks use the raw state
@@ -404,9 +405,10 @@ class SimulationEngine:
                             or runtime.data_progress):
                         if runtime.enrolled:
                             failure = True
-                            self.events.record(
-                                slot, EventKind.WORKER_FAILED, worker=runtime.worker_id
-                            )
+                            if log_events:
+                                self.events.record(
+                                    slot, EventKind.WORKER_FAILED, worker=runtime.worker_id
+                                )
                         if runtime.has_program:
                             holders = None
                         runtime.on_down()
@@ -414,9 +416,10 @@ class SimulationEngine:
                 if progress > 0 or not current_config.is_empty():
                     total_restarts += 1
                     record.restarts += 1
-                    self.events.record(
-                        slot, EventKind.ITERATION_RESTARTED, iteration=iteration_index
-                    )
+                    if log_events:
+                        self.events.record(
+                            slot, EventKind.ITERATION_RESTARTED, iteration=iteration_index
+                        )
                 progress = 0
                 # Remove DOWN workers from the carried-over configuration.
                 pruned = {
@@ -465,12 +468,13 @@ class SimulationEngine:
             if new_config != current_config:
                 total_config_changes += 1
                 record.configuration_changes += 1
-                self.events.record(
-                    slot,
-                    EventKind.CONFIGURATION_CHANGED,
-                    old=current_config.to_dict(),
-                    new=new_config.to_dict(),
-                )
+                if log_events:
+                    self.events.record(
+                        slot,
+                        EventKind.CONFIGURATION_CHANGED,
+                        old=current_config.to_dict(),
+                        new=new_config.to_dict(),
+                    )
                 progress = 0  # tight coupling: any reconfiguration loses partial work
                 old_workers = set(current_config.workers)
                 new_workers = set(new_config.workers)
@@ -502,7 +506,8 @@ class SimulationEngine:
             if not feasible:
                 total_idle_slots += 1
                 record.idle_slots += 1
-                self.events.record(slot, EventKind.IDLE, reason="no_feasible_configuration")
+                if log_events:
+                    self.events.record(slot, EventKind.IDLE, reason="no_feasible_configuration")
             else:
                 remaining = [
                     runtime.comm_slots_remaining(tprog, tdata) for runtime in enrolled_runtimes
@@ -546,14 +551,13 @@ class SimulationEngine:
                             heuristic=heuristic_name,
                         )
                 elif comm_remaining:
-                    granted = self._comm.allocate(enrolled_runtimes, tprog=tprog, tdata=tdata)
-                    served = self._comm.serve(
-                        runtime_by_id, granted, tprog=tprog, tdata=tdata
-                    )
+                    served = {} if log_events else None
+                    if self._comm.step(
+                        enrolled_runtimes, remaining, tprog=tprog, tdata=tdata, served=served
+                    ):
+                        holders = None
                     total_comm_slots += 1
                     record.communication_slots += 1
-                    if "program" in served.values():
-                        holders = None
                     if served:
                         self.events.record(slot, EventKind.COMMUNICATION, served=served)
                     if can_fast_forward and not failure:
@@ -595,28 +599,32 @@ class SimulationEngine:
                         progress += 1
                         total_compute_slots += 1
                         record.computation_slots += 1
-                        self.events.record(
-                            slot,
-                            EventKind.COMPUTATION,
-                            progress=progress,
-                            workload=workload,
-                        )
+                        if log_events:
+                            self.events.record(
+                                slot,
+                                EventKind.COMPUTATION,
+                                progress=progress,
+                                workload=workload,
+                            )
                     else:
                         total_idle_slots += 1
                         record.idle_slots += 1
-                        self.events.record(slot, EventKind.IDLE, reason="worker_reclaimed")
+                        if log_events:
+                            self.events.record(slot, EventKind.IDLE, reason="worker_reclaimed")
 
                     # ---- iteration completion ---------------------------
                     if progress >= workload and all_up:
                         record.end_slot = slot
-                        self.events.record(
-                            slot, EventKind.ITERATION_COMPLETED, iteration=iteration_index
-                        )
+                        if log_events:
+                            self.events.record(
+                                slot, EventKind.ITERATION_COMPLETED, iteration=iteration_index
+                            )
                         iteration_index += 1
                         if iteration_index >= application.iterations:
                             makespan = slot + 1
                             success = True
-                            self.events.record(slot, EventKind.RUN_COMPLETED, makespan=makespan)
+                            if log_events:
+                                self.events.record(slot, EventKind.RUN_COMPLETED, makespan=makespan)
                             break
                         # Start the next iteration at the next slot.
                         iteration_start = slot + 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import cache
 from repro.analysis.cache import AnalysisContext
 from repro.analysis.evaluation import evaluate_configuration
 from repro.analysis.group import ExpectationMode
@@ -106,3 +107,104 @@ class TestAnalysisContext:
         fresh = AnalysisContext(platform, mode=ExpectationMode.RENEWAL)
         assert renewal_estimate.computation_time == fresh.evaluate(config).computation_time
         assert renewal_estimate.computation_time != paper_estimate.computation_time
+
+
+class SpanRecorder:
+    """Tracer stand-in that keeps the name and counters of each accumulated span."""
+
+    def __init__(self):
+        self.spans = []
+
+    def accumulate(self, name, begin, *, counters=None, **attrs):
+        self.spans.append((name, dict(counters or {})))
+
+
+def estimate_pair(estimate):
+    return (estimate.success_probability, estimate.expected_time)
+
+
+class TestSwitchPairs:
+    """The proactive switch test's pairs and the shared table of candidate pairs."""
+
+    CURRENT = Configuration({2: 3, 3: 1})
+    CANDIDATES = [
+        Configuration({0: 2, 1: 2}),
+        Configuration({0: 1, 1: 1, 3: 2}),
+        Configuration({1: 4}),
+        Configuration({0: 4}),
+        Configuration({0: 3, 3: 1}),
+    ]
+
+    def test_pairs_equal_the_evaluate_estimates(self, platform):
+        context = AnalysisContext(platform)
+        comm_remaining = {3: 1, 2: 2}
+        for holders in (frozenset(), frozenset({0, 3})):
+            for candidate in self.CANDIDATES:
+                current_pair, candidate_pair = context.switch_pairs(
+                    self.CURRENT, comm_remaining, 0, candidate, holders
+                )
+                fresh = AnalysisContext(platform)
+                assert current_pair == estimate_pair(
+                    fresh.evaluate(self.CURRENT, comm_slots=comm_remaining)
+                )
+                assert candidate_pair == estimate_pair(
+                    fresh.evaluate(candidate, has_program=holders)
+                )
+        # Progress shortens the current configuration's remaining workload.
+        current_pair, _ = context.switch_pairs(
+            self.CURRENT, {2: 0, 3: 0}, 5, self.CANDIDATES[0], frozenset()
+        )
+        assert current_pair == estimate_pair(
+            context.evaluate(self.CURRENT, comm_slots={2: 0, 3: 0}, completed_work=5)
+        )
+
+    def test_candidate_pair_is_kept_per_candidate_and_holders(self, platform):
+        context = AnalysisContext(platform)
+        context.tracer = recorder = SpanRecorder()
+        candidate = self.CANDIDATES[1]
+        first = context.switch_pairs(self.CURRENT, {2: 4, 3: 2}, 0, candidate, frozenset({3}))
+        # Another current configuration, progress and holder-set type: the
+        # same (candidate, holders) key, answered from the table.
+        again = context.switch_pairs(Configuration({1: 4}), {1: 0}, 2, candidate, [3])
+        assert again[1] is first[1]
+        other = context.switch_pairs(self.CURRENT, {2: 4, 3: 2}, 0, candidate, frozenset())
+        assert other[1] != first[1]
+        assert context.cache_stats()["candidate_pairs"] == 2
+        assert recorder.spans == [
+            ("analysis.switch_pairs", {"requests": 2, "hits": 0}),
+            ("analysis.switch_pairs", {"requests": 2, "hits": 1}),
+            ("analysis.switch_pairs", {"requests": 2, "hits": 0}),
+        ]
+
+    def test_candidate_table_is_bounded(self, platform, monkeypatch):
+        monkeypatch.setattr(cache, "CANDIDATE_PAIR_LIMIT", 3)
+        context = AnalysisContext(platform)
+        fresh = AnalysisContext(platform)
+        for _ in range(3):
+            for holders in (frozenset(), frozenset({1})):
+                for candidate in self.CANDIDATES:
+                    _, pair = context.switch_pairs(self.CURRENT, {2: 1}, 0, candidate, holders)
+                    assert pair == estimate_pair(fresh.evaluate(candidate, has_program=holders))
+                    # The table is emptied when full, before it takes a new pair.
+                    assert context.cache_stats()["candidate_pairs"] <= 3
+
+    def test_mode_change_never_replays_a_stale_pair(self, platform):
+        context = AnalysisContext(platform, mode=ExpectationMode.PAPER)
+        candidate = self.CANDIDATES[0]
+        _, paper_pair = context.switch_pairs(self.CURRENT, {2: 1}, 0, candidate, frozenset())
+        context.mode = ExpectationMode.RENEWAL
+        assert context.cache_stats()["candidate_pairs"] == 0
+        _, renewal_pair = context.switch_pairs(self.CURRENT, {2: 1}, 0, candidate, frozenset())
+        fresh = AnalysisContext(platform, mode=ExpectationMode.RENEWAL)
+        assert renewal_pair == estimate_pair(fresh.evaluate(candidate))
+        assert renewal_pair != paper_pair
+
+    def test_cleared_context_never_replays_a_stale_pair(self, platform):
+        context = AnalysisContext(platform)
+        candidate = self.CANDIDATES[2]
+        _, pair = context.switch_pairs(self.CURRENT, {2: 1}, 0, candidate, frozenset())
+        # Poison the stored pair: a cleared context must compute it afresh.
+        context._candidate_pairs[candidate, frozenset()] = (-1.0, -1.0)
+        context.clear_caches()
+        assert context.cache_stats()["candidate_pairs"] == 0
+        assert context.switch_pairs(self.CURRENT, {2: 1}, 0, candidate, frozenset())[1] == pair

@@ -134,21 +134,21 @@ class TestProactiveBehaviour:
 
     @staticmethod
     def spied(monkeypatch, platform, m=5):
-        """An E-IE scheduler whose ``evaluate_batch`` calls are recorded."""
+        """An E-IE scheduler whose ``switch_pairs`` calls are recorded."""
         scheduler = bind(create_scheduler("E-IE"), platform, m=m)
-        batches = []
-        evaluate_batch = scheduler.analysis.evaluate_batch
+        calls = []
+        switch_pairs = scheduler.analysis.switch_pairs
 
-        def spy(requests):
-            batches.append(list(requests))
-            return evaluate_batch(requests)
+        def spy(current, comm_remaining, progress, candidate, holders):
+            calls.append((current, comm_remaining, progress, candidate, holders))
+            return switch_pairs(current, comm_remaining, progress, candidate, holders)
 
-        monkeypatch.setattr(scheduler.analysis, "evaluate_batch", spy)
-        return scheduler, batches
+        monkeypatch.setattr(scheduler.analysis, "switch_pairs", spy)
+        return scheduler, calls
 
     def test_equal_candidate_is_not_estimated(self, monkeypatch):
         platform = make_platform()
-        scheduler, batches = self.spied(monkeypatch, platform)
+        scheduler, calls = self.spied(monkeypatch, platform)
         states = [UP, UP, UP, UP]
         candidate = scheduler.passive.build_candidate(make_observation(states, elapsed=2))
         observation = make_observation(
@@ -156,11 +156,11 @@ class TestProactiveBehaviour:
             comm_remaining=candidate.communication_slots(platform),
         )
         assert scheduler.select(observation) is candidate
-        assert batches == []
+        assert calls == []
 
     def test_missing_candidate_is_not_estimated(self, monkeypatch):
         # One UP worker of capacity 5 cannot hold m=6 tasks: no candidate.
-        scheduler, batches = self.spied(monkeypatch, make_platform(), m=6)
+        scheduler, calls = self.spied(monkeypatch, make_platform(), m=6)
         current = Configuration({0: 3, 1: 3})
         observation = make_observation(
             [UP, RECLAIMED, RECLAIMED, RECLAIMED], current=current, elapsed=2,
@@ -168,19 +168,19 @@ class TestProactiveBehaviour:
         )
         assert scheduler.passive.build_candidate(observation) is None
         assert scheduler.select(observation) is current
-        assert batches == []
+        assert calls == []
 
     def test_differing_candidate_is_estimated_with_current_in_one_call(self, monkeypatch):
-        scheduler, batches = self.spied(monkeypatch, make_platform())
+        scheduler, calls = self.spied(monkeypatch, make_platform())
         current = Configuration({2: 5})
         observation = make_observation(
             [UP, UP, UP, UP], current=current, elapsed=2, comm_remaining={2: 7},
+            progress=1, has_program=[3],
         )
         candidate = scheduler.passive.build_candidate(observation)
         assert candidate != current
         scheduler.select(observation)
-        (requests,) = batches
-        assert [request.configuration for request in requests] == [current, candidate]
+        assert calls == [(current, {2: 7}, 1, candidate, frozenset({3}))]
 
     def test_repeated_candidate_replays_the_greedy_path(self):
         platform = make_platform()
