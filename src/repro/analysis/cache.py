@@ -92,6 +92,8 @@ class AnalysisContext:
             for model, proc in zip(models, platform.processors)
         ]
         self.group = GroupAnalysis(self._workers, epsilon=epsilon, max_horizon=max_horizon)
+        # Each worker's t -> P_ND(t) memo (t >= 1), read by comm_survival.
+        self._no_down_memos = [analysis._no_down_scalar for analysis in self._workers]
         self._comm_cache: Dict[Tuple[Tuple[int, int], ...], CommunicationEstimate] = {}
         self._single_time_cache: Dict[Tuple[int, int], float] = {}
         # (frozen worker set, remaining workload) -> (P_comp, E_comp); the
@@ -179,12 +181,17 @@ class AnalysisContext:
 
     def comm_survival(self, workers: FrozenSet[int], duration: int) -> float:
         """Memoised ``Π_{q∈workers} P_ND(duration)`` (ascending worker order)."""
-        key = (workers, int(duration))
+        duration = int(duration)
+        key = (workers, duration)
         cached = self._survival_cache.get(key)
         if cached is None:
+            memos = self._no_down_memos
             cached = 1.0
             for worker in sorted(workers):
-                cached *= self._workers[worker].no_down_probability(int(duration))
+                value = memos[worker].get(duration)
+                if value is None:
+                    value = self._workers[worker].no_down_probability(duration)
+                cached *= value
             self._survival_cache[key] = cached
         return cached
 

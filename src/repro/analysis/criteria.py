@@ -113,12 +113,6 @@ class Criterion(abc.ABC):
             return candidate > incumbent
         return candidate < incumbent
 
-    def better_estimate(
-        self, candidate: "ConfigurationEstimate", incumbent: "ConfigurationEstimate"
-    ) -> bool:
-        """Whether *candidate* is strictly better than *incumbent* under this criterion."""
-        return self.better(self.value(candidate), self.value(incumbent))
-
     def worst(self) -> float:
         """A value strictly worse than any achievable criterion value."""
         return -math.inf if self.higher_is_better else math.inf

@@ -186,6 +186,10 @@ class GroupAnalysis:
         if max_horizon < 1:
             raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
         self._workers = list(workers)
+        self._can_fail = [analysis.can_fail() for analysis in self._workers]
+        self._lambda1 = [analysis.lambda1 for analysis in self._workers]
+        # t = 1, 2, ... as floats, grown like the workers' series arrays.
+        self._t_values = np.empty(0)
         self.epsilon = float(epsilon)
         self.max_horizon = int(max_horizon)
         self._cache: Dict[FrozenSet[int], GroupQuantities] = {}
@@ -201,7 +205,7 @@ class GroupAnalysis:
     # ------------------------------------------------------------------
     def quantities(self, workers: Iterable[int]) -> GroupQuantities:
         """The Theorem 5.1 quantities for the worker set *workers* (cached)."""
-        key = frozenset(int(w) for w in workers)
+        key = workers if type(workers) is frozenset else frozenset(int(w) for w in workers)
         cached = self._cache.get(key)
         if cached is None:
             cached = self._compute(key)
@@ -239,10 +243,11 @@ class GroupAnalysis:
                 raise IndexError(
                     f"worker id {worker_id} out of range for {len(self._workers)} workers"
                 )
-        analyses = [self._workers[worker_id] for worker_id in sorted(workers)]
-        if not any(analysis.can_fail() for analysis in analyses):
-            return self._compute_no_failure(analyses)
-        return self._compute_with_failures(analyses)
+        ordered = sorted(workers)
+        can_fail = self._can_fail
+        if not any(can_fail[worker_id] for worker_id in ordered):
+            return self._compute_no_failure([self._workers[w] for w in ordered])
+        return self._compute_with_failures(ordered)
 
     def _compute_no_failure(self, analyses: Sequence[WorkerAnalysis]) -> GroupQuantities:
         """Closed form when no worker of the set can go DOWN.
@@ -266,18 +271,28 @@ class GroupAnalysis:
             eu=math.inf, a=math.inf, p_plus=1.0, e_c=e_c, horizon=0, can_fail=False
         )
 
-    def _compute_with_failures(self, analyses: Sequence[WorkerAnalysis]) -> GroupQuantities:
+    def _compute_with_failures(self, ordered: Sequence[int]) -> GroupQuantities:
+        """The truncated series for the ascending worker ids *ordered*."""
         lam_product = 1.0
-        for analysis in analyses:
-            lam_product *= analysis.lambda1
+        lambda1 = self._lambda1
+        for worker_id in ordered:
+            lam_product *= lambda1[worker_id]
         lam_product = min(lam_product, 1.0 - _NO_FAILURE_TOLERANCE)
         horizon = truncation_horizon(lam_product, self.epsilon, max_horizon=self.max_horizon)
 
         # P^{(S)}_{u->u}(t) = Π_q P^{(q)}_{u->u}(t), vectorised over t = 1..T.
-        product = np.ones(horizon)
-        for analysis in analyses:
-            product *= analysis.up_return_array(horizon)
-        t_values = np.arange(1, horizon + 1, dtype=float)
+        # The product starts from the first factor (1.0 · x == x exactly) and
+        # is only written to once it is a fresh array.
+        arrays = [self._workers[worker_id].up_return_array(horizon) for worker_id in ordered]
+        product = arrays[0]
+        if len(arrays) > 1:
+            product = product * arrays[1]
+            for array in arrays[2:]:
+                product *= array
+        if horizon > self._t_values.size:
+            grown = max(horizon, (self._t_values.size * 3) // 2)
+            self._t_values = np.arange(1, grown + 1, dtype=float)
+        t_values = self._t_values[:horizon]
         eu = float(product.sum())
         a = float((t_values * product).sum())
 

@@ -212,6 +212,8 @@ class Configuration:
     # Value-object protocol
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True  # the engine compares a kept configuration every slot
         if not isinstance(other, Configuration):
             return NotImplemented
         return self._allocation == other._allocation

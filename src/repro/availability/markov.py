@@ -23,12 +23,12 @@ chain-level quantities consumed by the analytical machinery of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import InvalidModelError
-from repro.availability.model import AvailabilityModel, scan_transition_maps
+from repro.availability.model import AvailabilityModel, _scan_moving_codes
 from repro.types import DOWN, RECLAIMED, UP, STATE_INDEX, ProcessorState
 from repro.utils.validation import check_probability_matrix
 
@@ -37,6 +37,19 @@ __all__ = ["MarkovAvailabilityModel"]
 _U = STATE_INDEX[UP]
 _R = STATE_INDEX[RECLAIMED]
 _D = STATE_INDEX[DOWN]
+
+
+def _identity_interval(cumulative: np.ndarray) -> Tuple[float, float]:
+    """The draws ``[low, high)`` under which no state moves.
+
+    On the cumulative rows ``c`` of a transition matrix, a draw keeps UP
+    below ``c[0, 0]``, keeps RECLAIMED in ``[c[1, 0], c[1, 1])`` and keeps
+    DOWN from ``c[2, 1]`` on, so it keeps all three in the intersection.
+    When ``low >= high`` the interval is empty and every draw moves a state.
+    """
+    low = max(cumulative[_R, 0], cumulative[_D, 1])
+    high = min(cumulative[_U, 0], cumulative[_R, 1])
+    return float(low), float(high)
 
 
 @dataclass(frozen=True)
@@ -120,6 +133,7 @@ class MarkovAvailabilityModel(AvailabilityModel):
         # slower than a single uniform draw compared against these thresholds).
         self._cumulative = np.cumsum(self._matrix, axis=1)
         self._cumulative[:, -1] = 1.0
+        self._still = _identity_interval(self._cumulative)
         self._cumulative_initial: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -219,12 +233,12 @@ class MarkovAvailabilityModel(AvailabilityModel):
         consume) defines, for each slot, a transition *map* over the three
         states: ``map[i]`` is the state reached from state *i* under that
         draw, obtained by comparing the draw against the cumulative row of
-        each state.  The trajectory is then the running composition of these
-        maps applied to *current*, computed by
-        :func:`~repro.availability.model.scan_transition_maps`: a
-        Hillis–Steele scan over only the slots whose map is not the
-        identity, forward-filled over the rest, instead of a Python loop
-        over slots.
+        each state.  A draw inside :func:`_identity_interval` leaves every
+        state as is, so one interval test finds the slots that can move a
+        state; only their maps are built, and the trajectory is their
+        running composition applied to *current* (a Hillis–Steele scan,
+        forward-filled over the other slots) instead of a Python loop over
+        slots.
         """
         if start_slot < 1:
             raise ValueError(f"start_slot must be >= 1, got {start_slot}")
@@ -232,12 +246,20 @@ class MarkovAvailabilityModel(AvailabilityModel):
             raise ValueError(f"horizon must be >= 0, got {horizon}")
         if horizon == 0:
             return np.empty(0, dtype=np.int8)
-        draws = rng.random(horizon)[:, None]
+        draws = rng.random(horizon)
+        moving = self._moving_slots(draws)
+        moved = draws[moving][:, None]
         cumulative = self._cumulative
-        # maps[t, i] = next state from i under draw t (0, 1 or 2).
-        maps = (draws >= cumulative[None, :, 0]).astype(np.int8)
-        maps += draws >= cumulative[None, :, 1]
-        return scan_transition_maps(maps, int(current))
+        # maps[k, i] = next state from i under the k-th moving draw.
+        maps = (moved >= cumulative[None, :, 0]).astype(np.int8)
+        maps += moved >= cumulative[None, :, 1]
+        codes = maps[:, 0] + 3 * maps[:, 1] + 9 * maps[:, 2]
+        return _scan_moving_codes(horizon, moving, codes, int(current))
+
+    def _moving_slots(self, draws: np.ndarray) -> np.ndarray:
+        """Indices of the *draws* outside the identity interval, ascending."""
+        low, high = self._still
+        return np.flatnonzero((draws < low) | (draws >= high))
 
     # ------------------------------------------------------------------
     # Derived probabilistic quantities

@@ -63,22 +63,32 @@ def scan_transition_maps(maps: np.ndarray, current: int) -> np.ndarray:
     ``maps[t, i]`` is the state reached from state *i* by the transition of
     slot *t*; the result is the state trajectory ``s_t = maps[t][s_{t-1}]``
     with ``s_{-1} = current``.  Each map is packed into one of 27 codes with
-    integer adds.  A slot whose code is the identity (:data:`_IDENTITY`)
-    moves no state, and in a slowly mixing chain most slots are such slots,
-    so only the others are prefix-composed: a Hillis–Steele scan (map
-    composition is associative) through the :data:`_COMPOSE` lookup table,
-    processed in chunks so the work stays quasi-linear.  One
-    ``maximum.accumulate`` over their indices then forward-fills the
-    trajectory, so the scan's cost follows the slots that can change a
-    state, not the horizon.
+    integer adds, and the slots whose code is not the identity
+    (:data:`_IDENTITY`) go to :func:`_scan_moving_codes`.
 
-    Shared by the Markov and diurnal models, whose block samplers both
-    reduce to "one cumulative-threshold map per slot".
+    Used by the diurnal model, whose maps change with the slot's phase; the
+    Markov model finds its moving slots without building the maps.
     """
-    horizon = maps.shape[0]
     codes = maps[:, 0] + 3 * maps[:, 1] + 9 * maps[:, 2]
     moving = np.flatnonzero(codes != _IDENTITY)
-    codes = codes[moving]
+    return _scan_moving_codes(maps.shape[0], moving, codes[moving], current)
+
+
+def _scan_moving_codes(
+    horizon: int, moving: np.ndarray, codes: np.ndarray, current: int
+) -> np.ndarray:
+    """The trajectory of *horizon* slots of which only *moving* can move a state.
+
+    *moving* holds the ascending indices of the slots whose map is not the
+    identity and *codes* their 27-code maps (the array is scanned in
+    place); every other slot leaves the state as is.  In a slowly mixing
+    chain most slots are such slots, so only the moving ones are
+    prefix-composed: a Hillis–Steele scan (map composition is associative)
+    through the :data:`_COMPOSE` lookup table, processed in chunks so the
+    work stays quasi-linear.  One ``np.repeat`` then forward-fills the
+    trajectory, so the scan's cost follows the slots that can change a
+    state, not the horizon.
+    """
     # reached[k + 1] is the state after the k-th moving slot; reached[0] the
     # state before the first one.
     reached = np.empty(moving.shape[0] + 1, dtype=np.int8)
@@ -93,10 +103,8 @@ def scan_transition_maps(maps: np.ndarray, current: int) -> np.ndarray:
         trajectory = _DECODE[chunk, state]
         reached[chunk_start + 1: chunk_start + 1 + length] = trajectory
         state = int(trajectory[-1])
-    latest = np.zeros(horizon, dtype=np.intp)
-    latest[moving] = np.arange(1, moving.shape[0] + 1)
-    np.maximum.accumulate(latest, out=latest)
-    return reached[latest]
+    # reached[k + 1] holds from slot moving[k] up to the next moving slot.
+    return np.repeat(reached, np.diff(moving, prepend=0, append=horizon))
 
 
 class AvailabilityModel(abc.ABC):

@@ -486,8 +486,12 @@ def _argmax(tokens, scored, name: str, higher_better: bool, elapsed: int):
         elif name == "E":
             value = expected
         else:
+            # yield_value / apparent_yield, inline.
             denominator = elapsed + expected if name == "Y" else expected
-            value = probability / denominator if denominator > 0 else math.inf
+            if denominator <= 0.0:
+                value = math.inf if probability > 0 else 0.0
+            else:
+                value = probability / denominator
         if best_token is None or (value > best_value if higher_better else value < best_value):
             best_token = token
             best_value = value

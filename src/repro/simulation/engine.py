@@ -58,9 +58,12 @@ every slot where the scheduler is consulted.  A consulted slot pays only for
 what changed since the previous one: the observation shares the program
 holder set and the UP list until an event changes them and computes its
 remaining fields on first read; a configuration is validated once, when
-``select`` first returns it; and the DOWN scan is skipped on a column
-identical to the one just processed.  The run suspends only at availability
-window boundaries, which lets
+``select`` first returns it; a fresh column is read into Python ints once,
+for the state sync, the UP list and the DOWN scan; and the DOWN scan visits
+only the runtimes that can carry state (the enrolled ones and the program
+holders, listed anew after a configuration change or a DOWN transition) and
+is skipped on a column identical to the one just processed.  The run
+suspends only at availability window boundaries, which lets
 :class:`~repro.simulation.multirun.MultiHeuristicDriver` advance several
 engines in lockstep, window by window.
 """
@@ -352,6 +355,15 @@ class SimulationEngine:
         # which already reset the holders.
         holders: Optional[FrozenSet[int]] = frozenset()
         up_workers: Optional[List[int]] = None
+        # The runtimes that can carry state, ascending: the enrolled ones and
+        # the program holders (un-enrolment and DOWN wipe every other field,
+        # and only enrolled runtimes receive transfers).  The failure scan
+        # reads only these; None once a configuration change or a DOWN
+        # transition may have changed them.  A program transfer finishes only
+        # on an enrolled runtime, which is listed already.
+        carriers: Optional[List[WorkerRuntime]] = []
+        # The slot's column as Python ints, read once per fresh column.
+        column: List[int] = []
         enrolled_runtimes: List[WorkerRuntime] = []
         enrolled_ids = np.empty(0, dtype=np.intp)
         iteration_index = 0
@@ -382,27 +394,33 @@ class SimulationEngine:
                 yield True
                 self._fetch_block(slot)
                 rel = slot - self._block_start
-            states = self._block[:, rel]
             # The previous processed slot saw this very column.
             repeated = not states_dirty and self._block_same[rel]
             if not repeated:
+                column = self._block[:, rel].tolist()
                 for runtime in enrolled_runtimes:
-                    runtime.state = _STATE_OF_CODE[states[runtime.worker_id]]
+                    runtime.state = _STATE_OF_CODE[column[runtime.worker_id]]
                 up_workers = None
                 states_dirty = False
 
             record = records[-1]
 
-            # ---- 1. failures among enrolled workers --------------------
+            # ---- 1. failures among state-carrying workers ---------------
             # On a repeated column the previous slot's scan already cleared
             # every DOWN worker, and validation keeps them un-enrolled.
             failure = False
-            if self._block_down[rel] and not repeated:
-                for worker_id in (states == _DOWN_CODE).nonzero()[0]:
-                    runtime = runtimes[worker_id]
-                    if (runtime.has_program or runtime.enrolled
-                            or runtime.program_progress or runtime.data_received
-                            or runtime.data_progress):
+            if not repeated and self._block_down[rel]:
+                if carriers is None:
+                    carriers = [
+                        runtime for runtime in runtimes
+                        if runtime.enrolled or runtime.has_program
+                    ]
+                lost = [
+                    runtime for runtime in carriers if column[runtime.worker_id] == _DOWN_CODE
+                ]
+                if lost:
+                    carriers = None
+                    for runtime in lost:
                         if runtime.enrolled:
                             failure = True
                             if log_events:
@@ -448,15 +466,15 @@ class SimulationEngine:
                     )
                 if up_workers is None:
                     up_workers = [
-                        worker for worker, code in enumerate(states.tolist()) if code == _UP_CODE
+                        worker for worker, code in enumerate(column) if code == _UP_CODE
                     ]
                 new_config = select(_EngineObservation.build(
-                    slot, states, current_config, iteration_index, slot - iteration_start,
-                    progress, failure, new_iteration, holders, up_workers,
-                    enrolled_runtimes, tprog, tdata,
+                    slot, self._block[:, rel], current_config, iteration_index,
+                    slot - iteration_start, progress, failure, new_iteration, holders,
+                    up_workers, enrolled_runtimes, tprog, tdata,
                 ))
                 if new_config is not current_config or new_config is not validated:
-                    self._validate_selection(new_config, current_config, states, num_tasks)
+                    self._validate_selection(new_config, current_config, column, num_tasks)
                     validated = new_config
                     if new_config == current_config:
                         # Carry the validated twin, so returning it again
@@ -492,7 +510,7 @@ class SimulationEngine:
                 feasible = current_config.total_tasks() == num_tasks
                 workload = current_config.workload(platform)
                 # absorb_free_transfers hands out the program when tprog == 0.
-                holders = None
+                holders = carriers = None
                 enrolled_runtimes = [runtime_by_id[w] for w in current_config.workers]
                 enrolled_ids = np.fromiter(
                     current_config.workers, dtype=np.intp, count=len(enrolled_runtimes)
@@ -500,7 +518,7 @@ class SimulationEngine:
                 # Newly enrolled workers may carry a stale state under the
                 # enrolled-only synchronisation; refresh the set.
                 for runtime in enrolled_runtimes:
-                    runtime.state = _STATE_OF_CODE[states[runtime.worker_id]]
+                    runtime.state = _STATE_OF_CODE[column[runtime.worker_id]]
 
             # ---- 4. run the slot ---------------------------------------
             if not feasible:
@@ -538,7 +556,7 @@ class SimulationEngine:
                     if advance > 1 and self._apply_offline_failures(
                         rel, advance - 1, runtimes
                     ):
-                        holders = None
+                        holders = carriers = None
                     total_comm_slots += advance
                     record.communication_slots += advance
                     slot += advance - 1
@@ -581,7 +599,7 @@ class SimulationEngine:
                         )
                         if consumed:
                             if self._apply_offline_failures(rel, consumed, runtimes):
-                                holders = None
+                                holders = carriers = None
                             total_comm_slots += consumed
                             record.communication_slots += consumed
                             slot += consumed
@@ -655,7 +673,7 @@ class SimulationEngine:
                         )
                         if advance > 0:
                             if self._apply_offline_failures(rel, advance, runtimes):
-                                holders = None
+                                holders = carriers = None
                             idled = advance - progressed
                             if progressed:
                                 progress += progressed
@@ -758,10 +776,13 @@ class SimulationEngine:
         self,
         new_config: Configuration,
         current_config: Configuration,
-        states: np.ndarray,
+        column: Sequence[int],
         num_tasks: int,
     ) -> None:
-        """Sanity checks on the scheduler's decision (model rules of Sec. III-C)."""
+        """Sanity checks on the scheduler's decision (model rules of Sec. III-C).
+
+        *column* holds the slot's state codes, indexed by worker.
+        """
         if new_config.is_empty():
             return
         if new_config.total_tasks() != num_tasks:
@@ -780,12 +801,12 @@ class SimulationEngine:
                     f"scheduler {self.scheduler.name!r} assigned {tasks} tasks to worker "
                     f"{worker} whose capacity is {self.platform.processor(worker).capacity}"
                 )
-            state = int(states[worker])
-            if state == int(DOWN):
+            state = column[worker]
+            if state == _DOWN_CODE:
                 raise SchedulingError(
                     f"scheduler {self.scheduler.name!r} enrolled DOWN worker {worker}"
                 )
-            if worker not in current_workers and state != int(UP):
+            if worker not in current_workers and state != _UP_CODE:
                 raise SchedulingError(
                     f"scheduler {self.scheduler.name!r} newly enrolled worker {worker} "
                     "which is not UP"

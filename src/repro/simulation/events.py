@@ -58,9 +58,6 @@ class EventLog:
     def events(self) -> List[SimulationEvent]:
         return list(self._events)
 
-    def of_kind(self, kind: EventKind) -> List[SimulationEvent]:
-        return [event for event in self._events if event.kind == kind]
-
     def count(self, kind: EventKind) -> int:
         return sum(1 for event in self._events if event.kind == kind)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.types import DOWN, RECLAIMED, UP, ProcessorState
+from repro.types import DOWN, UP, ProcessorState
 
 __all__ = ["WorkerRuntime"]
 
@@ -45,9 +45,6 @@ class WorkerRuntime:
 
     def is_down(self) -> bool:
         return self.state == DOWN
-
-    def is_reclaimed(self) -> bool:
-        return self.state == RECLAIMED
 
     def program_slots_remaining(self, tprog: int) -> int:
         """Slots of program transfer still needed (0 if it holds the program)."""
@@ -79,10 +76,6 @@ class WorkerRuntime:
         if missing <= 0:
             return program
         return program + missing * tdata - self.data_progress
-
-    def ready_to_compute(self, tprog: int, tdata: int) -> bool:
-        """Whether the worker holds the program and all data for its tasks."""
-        return self.enrolled and self.comm_slots_remaining(tprog, tdata) == 0
 
     # ------------------------------------------------------------------
     # Transitions driven by the engine

@@ -74,12 +74,6 @@ class TestComparisons:
         assert ProbabilityCriterion().worst() == -math.inf
         assert ExpectedTimeCriterion().worst() == math.inf
 
-    def test_better_estimate(self):
-        fast = make_estimate(comp_time=2.0)
-        slow = make_estimate(comp_time=20.0)
-        assert ExpectedTimeCriterion().better_estimate(fast, slow)
-        assert not ExpectedTimeCriterion().better_estimate(slow, fast)
-
 
 class TestRegistry:
     @pytest.mark.parametrize("name,cls", [

@@ -408,3 +408,42 @@ def test_drawn_sequences_on_a_shared_context_match_the_scalar_loops(seed, calls)
         for up, program, received, elapsed in calls
     ]
     assert_shared_context_matches(platform, AnalysisContext(platform), drawn)
+
+
+ratio_edge_values = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, -math.inf, math.inf, math.nan]),
+    st.floats(-10.0, 1e6, allow_nan=False),
+)
+scored_pairs = st.one_of(
+    st.none(),
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        ratio_edge_values,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(scored_pairs, min_size=1, max_size=8),
+    st.sampled_from(CRITERIA),
+    st.one_of(st.just(0), st.integers(0, 50)),
+)
+def test_argmax_is_the_first_best_pair_value(pairs, name, elapsed):
+    # ``_argmax`` inlines the criteria's float expressions, edge branch
+    # included: P = 0 over a non-positive denominator scores 0, not inf.
+    criterion = get_criterion(name)
+    tokens = list(range(len(pairs)))
+    scored = dict(zip(tokens, pairs))
+    expected = None
+    best = None
+    for token in tokens:
+        if scored[token] is None:
+            continue
+        value = criterion.pair_value(*scored[token], elapsed)
+        if expected is None or (
+            value > best if criterion.higher_is_better else value < best
+        ):
+            expected, best = token, value
+    got = allocation._argmax(tokens, scored, name, criterion.higher_is_better, elapsed)
+    assert got == expected

@@ -11,7 +11,6 @@ class TestEventLog:
         log.record(4, EventKind.WORKER_FAILED, worker=1)
         assert len(log) == 3
         assert log.count(EventKind.WORKER_FAILED) == 2
-        assert log.of_kind(EventKind.CONFIGURATION_CHANGED)[0].slot == 0
         assert log.last().slot == 4
         assert log.last(EventKind.CONFIGURATION_CHANGED).slot == 0
 

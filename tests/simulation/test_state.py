@@ -9,9 +9,9 @@ from repro.types import DOWN, RECLAIMED, UP
 class TestQueries:
     def test_state_predicates(self):
         runtime = WorkerRuntime(worker_id=0, state=UP)
-        assert runtime.is_up() and not runtime.is_down() and not runtime.is_reclaimed()
+        assert runtime.is_up() and not runtime.is_down()
         runtime.state = RECLAIMED
-        assert runtime.is_reclaimed()
+        assert not runtime.is_up() and not runtime.is_down()
         runtime.state = DOWN
         assert runtime.is_down()
 
@@ -21,23 +21,12 @@ class TestQueries:
         assert runtime.program_slots_remaining(tprog=4) == 4
         assert runtime.data_slots_remaining(tdata=2) == 6
         assert runtime.comm_slots_remaining(4, 2) == 10
-        assert not runtime.ready_to_compute(4, 2)
 
     def test_comm_slots_with_program(self):
         runtime = WorkerRuntime(worker_id=0, has_program=True)
         runtime.on_enroll(2)
         assert runtime.has_program  # enrolment keeps a complete program copy
         assert runtime.comm_slots_remaining(4, 2) == 4
-
-    def test_ready_to_compute(self):
-        runtime = WorkerRuntime(worker_id=0, has_program=True)
-        runtime.on_enroll(1)
-        runtime.data_received = 1
-        assert runtime.ready_to_compute(4, 2)
-
-    def test_not_enrolled_never_ready(self):
-        runtime = WorkerRuntime(worker_id=0, has_program=True)
-        assert not runtime.ready_to_compute(0, 0)
 
 
 class TestTransitions:
@@ -118,7 +107,7 @@ class TestCommunicationProgress:
         assert kinds == ["program", "program", "data", "data"]
         assert runtime.has_program
         assert runtime.data_received == 1
-        assert runtime.ready_to_compute(2, 2)
+        assert runtime.comm_slots_remaining(2, 2) == 0
 
     def test_partial_data_progress(self):
         runtime = WorkerRuntime(worker_id=0, has_program=True)
@@ -141,7 +130,7 @@ class TestCommunicationProgress:
         runtime.absorb_free_transfers(tprog=0, tdata=0)
         assert runtime.has_program
         assert runtime.data_received == 3
-        assert runtime.ready_to_compute(0, 0)
+        assert runtime.comm_slots_remaining(0, 0) == 0
 
     def test_absorb_free_transfers_only_when_zero_cost(self):
         runtime = WorkerRuntime(worker_id=0)
