@@ -113,10 +113,6 @@ class Criterion(abc.ABC):
             return candidate > incumbent
         return candidate < incumbent
 
-    def worst(self) -> float:
-        """A value strictly worse than any achievable criterion value."""
-        return -math.inf if self.higher_is_better else math.inf
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Criterion {self.name}>"
 

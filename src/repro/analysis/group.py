@@ -153,12 +153,6 @@ class GroupQuantities:
             return float(1.0 + extra * self.e_c / self.p_plus)
         raise ValueError(f"unknown expectation mode {mode!r}")
 
-    def expected_gap(self) -> float:
-        """Conditional expected gap between consecutive compute slots (``E_c / P₊``)."""
-        if self.p_plus <= 0.0:
-            return math.inf
-        return float(self.e_c / self.p_plus)
-
 
 class GroupAnalysis:
     """Computes and caches :class:`GroupQuantities` for worker sets.

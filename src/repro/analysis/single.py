@@ -57,9 +57,8 @@ class WorkerAnalysis:
         # Closed-form coefficients of the no-DOWN probability
         #   P_ND(t) = a1 * λ1^t + a2 * λ2^t
         self._nd_coefficients = self._compute_nd_coefficients()
-        # Cached arrays P_{u->u}(t) / P_ND(t) for t = 1..len(cache).
+        # Cached array P_{u->u}(t) for t = 1..len(cache), and memoised P_ND(t).
         self._up_return_cache = np.empty(0)
-        self._no_down_cache = np.empty(0)
         self._no_down_scalar: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
@@ -115,32 +114,6 @@ class WorkerAnalysis:
     # ------------------------------------------------------------------
     # P_ND — probability of not going DOWN within t slots (starting UP)
     # ------------------------------------------------------------------
-    def no_down_array(self, horizon: int) -> np.ndarray:
-        """Array ``[P_ND(1), ..., P_ND(horizon)]`` (cached, grows geometrically)."""
-        if horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {horizon}")
-        if horizon > self._no_down_cache.size:
-            grown = max(horizon, (self._no_down_cache.size * 3) // 2)
-            self._no_down_cache = self._compute_no_down_array(grown)
-        return self._no_down_cache[:horizon]
-
-    def _compute_no_down_array(self, horizon: int) -> np.ndarray:
-        t = np.arange(1, horizon + 1, dtype=float)
-        if self._nd_coefficients is not None:
-            values = (
-                self._nd_coefficients[0] * np.power(self._nd_eigenvalues[0], t)
-                + self._nd_coefficients[1] * np.power(self._nd_eigenvalues[1], t)
-            )
-            return np.clip(values, 0.0, 1.0)
-        # Defective sub-chain: fall back to iterated matrix-vector products.
-        sub = self.model.up_reclaimed_submatrix()
-        values = np.empty(horizon)
-        row = np.array([1.0, 0.0])
-        for index in range(horizon):
-            row = row @ sub
-            values[index] = row.sum()
-        return np.clip(values, 0.0, 1.0)
-
     def no_down_probability(self, t: int) -> float:
         """Scalar ``P_ND(t)`` — memoised (accepts any non-negative integer)."""
         if t < 0:
@@ -149,9 +122,7 @@ class WorkerAnalysis:
             return 1.0
         cached = self._no_down_scalar.get(t)
         if cached is None:
-            if t <= self._no_down_cache.size:
-                cached = float(self._no_down_cache[t - 1])
-            elif self._nd_coefficients is not None:
+            if self._nd_coefficients is not None:
                 value = (
                     self._nd_coefficients[0] * self._nd_eigenvalues[0] ** t
                     + self._nd_coefficients[1] * self._nd_eigenvalues[1] ** t

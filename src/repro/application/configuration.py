@@ -56,23 +56,6 @@ class Configuration:
         """The empty configuration (no worker enrolled)."""
         return cls({})
 
-    @classmethod
-    def single(cls, worker: WorkerId, tasks: int = 1) -> "Configuration":
-        return cls({worker: tasks})
-
-    @classmethod
-    def even_split(cls, workers: Iterable[WorkerId], num_tasks: int) -> "Configuration":
-        """Distribute *num_tasks* as evenly as possible over *workers* (round-robin)."""
-        workers = list(workers)
-        if num_tasks < 0:
-            raise InvalidConfigurationError(f"num_tasks must be >= 0, got {num_tasks}")
-        if num_tasks > 0 and not workers:
-            raise InvalidConfigurationError("cannot split tasks over an empty worker set")
-        allocation: Dict[int, int] = {int(worker): 0 for worker in workers}
-        for index in range(num_tasks):
-            allocation[int(workers[index % len(workers)])] += 1
-        return cls(allocation)
-
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
@@ -121,13 +104,6 @@ class Configuration:
             for worker, tasks in self._allocation.items()
         )
 
-    def per_worker_load(self, platform: Platform) -> Dict[int, int]:
-        """Mapping worker -> ``x_q · w_q`` (each worker's own compute time)."""
-        return {
-            worker: tasks * platform.processor(worker).speed
-            for worker, tasks in self._allocation.items()
-        }
-
     def communication_slots(
         self,
         platform: Platform,
@@ -158,55 +134,6 @@ class Configuration:
                 tasks - already, needs_program=needs_program
             )
         return slots
-
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-    def validate(self, platform: Platform, num_tasks: int) -> None:
-        """Check the configuration against the execution model of Section III-C.
-
-        Raises :class:`InvalidConfigurationError` if any worker id is out of
-        range, a capacity bound ``µ_q`` is exceeded, or ``Σ x_q != m``.
-        """
-        for worker, tasks in self._allocation.items():
-            if worker >= platform.num_processors:
-                raise InvalidConfigurationError(
-                    f"worker {worker} does not exist on a platform with "
-                    f"{platform.num_processors} processors"
-                )
-            capacity = platform.processor(worker).capacity
-            if tasks > capacity:
-                raise InvalidConfigurationError(
-                    f"worker {worker} is assigned {tasks} tasks but its capacity µ is {capacity}"
-                )
-        total = self.total_tasks()
-        if total != num_tasks:
-            raise InvalidConfigurationError(
-                f"configuration assigns {total} tasks but the iteration has {num_tasks}"
-            )
-
-    def is_valid(self, platform: Platform, num_tasks: int) -> bool:
-        """Boolean form of :meth:`validate`."""
-        try:
-            self.validate(platform, num_tasks)
-        except InvalidConfigurationError:
-            return False
-        return True
-
-    # ------------------------------------------------------------------
-    # Functional updates
-    # ------------------------------------------------------------------
-    def with_task_added(self, worker: WorkerId) -> "Configuration":
-        """A new configuration with one extra task on *worker*."""
-        allocation = dict(self._allocation)
-        allocation[int(worker)] = allocation.get(int(worker), 0) + 1
-        return Configuration(allocation)
-
-    def without_worker(self, worker: WorkerId) -> "Configuration":
-        """A new configuration with *worker* removed entirely."""
-        allocation = dict(self._allocation)
-        allocation.pop(int(worker), None)
-        return Configuration(allocation)
 
     # ------------------------------------------------------------------
     # Value-object protocol

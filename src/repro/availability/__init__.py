@@ -39,7 +39,7 @@ from repro.availability.semi_markov import (
     SemiMarkovAvailabilityModel,
     WeibullHolding,
 )
-from repro.availability.statistics import TraceStatistics, estimate_markov_model
+from repro.availability.statistics import TraceStatistics
 from repro.availability.trace import AvailabilityTrace, TraceAvailabilityModel
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "WeibullHolding",
     "LogNormalHolding",
     "TraceStatistics",
-    "estimate_markov_model",
     "paper_transition_matrix",
     "random_markov_model",
     "random_markov_models",

@@ -142,11 +142,6 @@ class DiurnalAvailabilityModel(AvailabilityModel):
 
     # ------------------------------------------------------------------
     @property
-    def cycle_length(self) -> int:
-        """Number of slots in one full cycle."""
-        return self._cycle
-
-    @property
     def phases(self) -> List[DiurnalPhase]:
         return list(self._phases)
 

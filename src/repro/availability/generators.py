@@ -14,7 +14,7 @@ plus a few parameterised variants used by the extension experiments.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "paper_transition_matrix",
     "random_markov_model",
     "random_markov_models",
-    "reliability_spread_models",
     "sample_initial_states",
     "sample_state_block",
 ]
@@ -95,37 +94,6 @@ def random_markov_models(
         random_markov_model(rng, stay_low=stay_low, stay_high=stay_high)
         for _ in range(count)
     ]
-
-
-def reliability_spread_models(
-    count: int,
-    seed: SeedLike = None,
-    *,
-    reliable_fraction: float = 0.5,
-    reliable_range: Tuple[float, float] = (0.98, 0.995),
-    unreliable_range: Tuple[float, float] = (0.85, 0.95),
-) -> List[MarkovAvailabilityModel]:
-    """Models with a bimodal reliability mix (extension scenarios).
-
-    A fraction of processors is highly reliable (UP-stay probability drawn
-    from ``reliable_range``) while the rest churn much more (drawn from
-    ``unreliable_range``).  These instances stress exactly the trade-off the
-    paper's heuristics are designed around: is a fast-but-flaky processor
-    worth enrolling when the whole configuration dies with it?
-    """
-    if not (0.0 <= reliable_fraction <= 1.0):
-        raise ValueError("reliable_fraction must lie in [0, 1]")
-    rng = as_generator(seed)
-    models: List[MarkovAvailabilityModel] = []
-    num_reliable = int(round(count * reliable_fraction))
-    for index in range(count):
-        low, high = reliable_range if index < num_reliable else unreliable_range
-        stay_up = rng.uniform(low, high)
-        stay_other = rng.uniform(0.90, 0.99, size=2)
-        matrix = paper_transition_matrix([stay_up, stay_other[0], stay_other[1]])
-        models.append(MarkovAvailabilityModel(matrix))
-    rng.shuffle(models)  # avoid correlating reliability with processor index
-    return models
 
 
 # ----------------------------------------------------------------------

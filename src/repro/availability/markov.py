@@ -16,8 +16,8 @@ chain-level quantities consumed by the analytical machinery of
   between;
 * :math:`P^{(q)}_{ND}(t)` — the probability that a processor UP at time 0
   does not become DOWN during the next *t* slots;
-* the stationary distribution, mean sojourn times, and mean time to failure,
-  which are useful for sanity checks and for the trace statistics module.
+* the stationary distribution and the mean time to failure, which are
+  useful for sanity checks and for the trace statistics module.
 """
 
 from __future__ import annotations
@@ -140,52 +140,9 @@ class MarkovAvailabilityModel(AvailabilityModel):
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def from_probabilities(
-        cls,
-        *,
-        p_uu: float,
-        p_ur: float,
-        p_ud: float,
-        p_ru: float,
-        p_rr: float,
-        p_rd: float,
-        p_du: float,
-        p_dr: float,
-        p_dd: float,
-        initial_distribution: Optional[np.ndarray] = None,
-    ) -> "MarkovAvailabilityModel":
-        """Build a model from the nine named probabilities of the paper."""
-        matrix = np.array(
-            [
-                [p_uu, p_ur, p_ud],
-                [p_ru, p_rr, p_rd],
-                [p_du, p_dr, p_dd],
-            ],
-            dtype=float,
-        )
-        return cls(matrix, initial_distribution=initial_distribution)
-
-    @classmethod
     def always_up(cls) -> "MarkovAvailabilityModel":
         """A degenerate, perfectly reliable processor (useful in tests)."""
         return cls(np.eye(3), initial_distribution=np.array([1.0, 0.0, 0.0]))
-
-    @classmethod
-    def two_state(cls, p_stay_up: float, p_recover: float) -> "MarkovAvailabilityModel":
-        """A classic UP/DOWN model (no RECLAIMED state).
-
-        ``p_stay_up`` is the probability of remaining UP; ``p_recover`` the
-        probability of leaving DOWN.  Used for comparisons with the prior
-        2-state literature cited in Section II.
-        """
-        matrix = np.array(
-            [
-                [p_stay_up, 0.0, 1.0 - p_stay_up],
-                [0.0, 1.0, 0.0],
-                [p_recover, 0.0, 1.0 - p_recover],
-            ]
-        )
-        return cls(matrix, initial_distribution=np.array([1.0, 0.0, 0.0]))
 
     # ------------------------------------------------------------------
     # AvailabilityModel interface
@@ -304,13 +261,6 @@ class MarkovAvailabilityModel(AvailabilityModel):
         """Long-run fraction of time the processor is UP."""
         return float(self.stationary_distribution()[_U])
 
-    def mean_sojourn(self, state: ProcessorState) -> float:
-        """Expected number of consecutive slots spent in *state* per visit."""
-        stay = self._matrix[int(state), int(state)]
-        if stay >= 1.0:
-            return float("inf")
-        return 1.0 / (1.0 - stay)
-
     def mean_time_to_failure(self) -> float:
         """Expected number of slots before first entering DOWN, starting UP.
 
@@ -328,10 +278,6 @@ class MarkovAvailabilityModel(AvailabilityModel):
     def up_reclaimed_submatrix(self) -> np.ndarray:
         """The 2x2 sub-matrix ``M_q`` over the non-failure states {UP, RECLAIMED}."""
         return self._matrix[np.ix_([_U, _R], [_U, _R])].copy()
-
-    def failure_probability_from_up(self) -> float:
-        """One-step probability of failing (UP -> DOWN)."""
-        return float(self._matrix[_U, _D])
 
     def can_fail(self) -> bool:
         """Whether DOWN is reachable from {UP, RECLAIMED}."""
@@ -363,10 +309,6 @@ class MarkovAvailabilityModel(AvailabilityModel):
                     mu, nu = 1.0, 0.0
             self._spectrum = _UpReturnSpectrum(lambda1=lambda1, lambda2=lambda2, mu=mu, nu=nu)
         return self._spectrum
-
-    def dominant_up_eigenvalue(self) -> float:
-        """:math:`\\lambda_1^{(q)}`, the spectral radius of ``M_q`` (in [0, 1])."""
-        return self.up_return_spectrum().lambda1
 
     def up_return_probability(self, t) -> np.ndarray:
         """:math:`P^{(q)}_{u \\xrightarrow{t} u}` for scalar or array *t*.

@@ -27,7 +27,6 @@ from repro.types import DOWN, RECLAIMED, UP, ProcessorState
 
 __all__ = [
     "estimate_markov_matrix",
-    "estimate_markov_model",
     "transition_counts",
     "state_intervals",
     "state_runs",
@@ -87,13 +86,6 @@ def estimate_markov_matrix(
         if total > 0:
             matrix[i] = counts[i] / total
     return matrix
-
-
-def estimate_markov_model(sequence: Union[Sequence[int], np.ndarray], *, prior: float = 0.0):
-    """Fit a :class:`~repro.availability.markov.MarkovAvailabilityModel` to a sequence."""
-    from repro.availability.markov import MarkovAvailabilityModel
-
-    return MarkovAvailabilityModel(estimate_markov_matrix(sequence, prior=prior))
 
 
 def state_runs(sequence: Union[Sequence[int], np.ndarray]) -> List[Tuple[ProcessorState, int]]:

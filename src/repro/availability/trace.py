@@ -25,7 +25,7 @@ arbitrary processor counts (registered as the ``trace-catalog``,
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -108,34 +108,6 @@ class AvailabilityTrace:
     def up_matrix(self) -> np.ndarray:
         """Boolean matrix ``up[q, t]`` — True where the processor is UP."""
         return self._states == int(UP)
-
-    def processors_up_at(self, t: int) -> List[int]:
-        """Indices of processors UP at slot *t*."""
-        return [int(q) for q in np.flatnonzero(self._states[:, t] == int(UP))]
-
-    def slots_all_up(self, workers: Iterable[int]) -> np.ndarray:
-        """Slots at which all the given *workers* are simultaneously UP."""
-        workers = list(workers)
-        if not workers:
-            return np.arange(self.horizon)
-        mask = np.all(self._states[workers, :] == int(UP), axis=0)
-        return np.flatnonzero(mask)
-
-    def truncated(self, horizon: int) -> "AvailabilityTrace":
-        """A copy of the trace restricted to the first *horizon* slots."""
-        if horizon < 0 or horizon > self.horizon:
-            raise ValueError(
-                f"horizon must be in [0, {self.horizon}], got {horizon}"
-            )
-        return AvailabilityTrace(self._states[:, :horizon])
-
-    def extended(self, extra: "AvailabilityTrace") -> "AvailabilityTrace":
-        """Concatenate another trace for the same processors after this one."""
-        if extra.num_processors != self.num_processors:
-            raise InvalidModelError(
-                "cannot extend: traces describe different numbers of processors"
-            )
-        return AvailabilityTrace(np.hstack([self._states, extra._states]))
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Optional, Set, Tuple
 
 import numpy as np
 
@@ -33,9 +33,6 @@ from repro.exceptions import InvalidModelError
 from repro.offline.problem import OfflineProblem
 from repro.types import DOWN, UP
 
-if TYPE_CHECKING:  # optional dependency, imported on first use
-    import networkx as nx
-
 __all__ = [
     "ENCDInstance",
     "encd_to_offline_mu1",
@@ -43,26 +40,6 @@ __all__ = [
     "biclique_from_offline_solution",
     "solve_encd_bruteforce",
 ]
-
-
-def _require_networkx():
-    """Return the networkx module or raise a clear install hint.
-
-    networkx is an optional dependency (the ``graphs`` extra): every core
-    ENCD computation works on plain adjacency matrices, only the
-    import/export helpers :meth:`ENCDInstance.from_graph` and
-    :meth:`ENCDInstance.to_graph` need the graph library itself.  It is
-    imported here, on first use, so ``import repro`` never pays for it.
-    """
-    try:
-        import networkx
-    except ImportError:
-        raise ImportError(
-            "networkx is required for ENCDInstance.from_graph/to_graph; "
-            "install it with `pip install networkx` "
-            "(or `pip install repro-volatile-master-worker[graphs]`)"
-        ) from None
-    return networkx
 
 
 @dataclass(frozen=True)
@@ -112,27 +89,6 @@ class ENCDInstance:
         return cls(adjacency, a, b)
 
     @classmethod
-    def from_graph(
-        cls,
-        graph: nx.Graph,
-        left_nodes: Sequence,
-        right_nodes: Sequence,
-        a: int,
-        b: int,
-    ) -> "ENCDInstance":
-        """Build an instance from a networkx bipartite graph."""
-        _require_networkx()
-        left_index = {node: i for i, node in enumerate(left_nodes)}
-        right_index = {node: j for j, node in enumerate(right_nodes)}
-        matrix = np.zeros((len(left_nodes), len(right_nodes)), dtype=bool)
-        for u, v in graph.edges():
-            if u in left_index and v in right_index:
-                matrix[left_index[u], right_index[v]] = True
-            elif v in left_index and u in right_index:
-                matrix[left_index[v], right_index[u]] = True
-        return cls.from_matrix(matrix, a, b)
-
-    @classmethod
     def random(
         cls,
         num_left: int,
@@ -146,21 +102,6 @@ class ENCDInstance:
         rng = np.random.default_rng(seed)
         matrix = rng.random((num_left, num_right)) < edge_probability
         return cls.from_matrix(matrix, a, b)
-
-    def to_graph(self) -> nx.Graph:
-        """Return the instance as a networkx bipartite graph.
-
-        Left nodes are ``("v", i)`` and right nodes ``("w", j)``.
-        """
-        graph = _require_networkx().Graph()
-        graph.add_nodes_from((("v", i) for i in range(self.num_left)), bipartite=0)
-        graph.add_nodes_from((("w", j) for j in range(self.num_right)), bipartite=1)
-        matrix = self.matrix()
-        for i in range(self.num_left):
-            for j in range(self.num_right):
-                if matrix[i, j]:
-                    graph.add_edge(("v", i), ("w", j))
-        return graph
 
 
 # ----------------------------------------------------------------------

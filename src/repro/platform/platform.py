@@ -11,15 +11,12 @@ Transfer durations are expressed directly in time-slots:
 * ``Tprog = Vprog / bw`` slots to send the application program,
 * ``Tdata = Vdata / bw`` slots to send the input data of one task.
 
-The :class:`Platform` may be constructed either from the physical quantities
-(``bandwidth_master``, ``bandwidth_worker``, ``Vprog``, ``Vdata``) or
-directly from the derived quantities (``ncom``, ``tprog``, ``tdata``), which
-is how the paper's experiments are parameterised.
+The :class:`Platform` takes the derived quantities (``ncom``, ``tprog``,
+``tdata``) directly, which is how the paper's experiments are parameterised.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence
 
 import numpy as np
@@ -89,42 +86,6 @@ class Platform:
         self._hazard = hazard
 
     # ------------------------------------------------------------------
-    # Alternative constructor from physical quantities
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_bandwidth(
-        cls,
-        processors: Sequence[Processor],
-        *,
-        master_bandwidth: float,
-        worker_bandwidth: float,
-        program_size: float,
-        data_size: float,
-        slot_duration: float = 1.0,
-    ) -> "Platform":
-        """Build a platform from bandwidths (bytes/s) and message sizes (bytes).
-
-        ``ncom = floor(BW / bw)``; transfer times are converted to whole
-        time-slots by rounding up (a transfer occupies whole slots in the
-        discretised model), exactly as the paper assumes when stating that
-        ``Tprog`` and ``Tdata`` are integral numbers of slots.
-        """
-        if master_bandwidth <= 0 or worker_bandwidth <= 0:
-            raise InvalidPlatformError("bandwidths must be positive")
-        if worker_bandwidth > master_bandwidth:
-            raise InvalidPlatformError(
-                "per-worker bandwidth cannot exceed the master's aggregate bandwidth"
-            )
-        if program_size < 0 or data_size < 0:
-            raise InvalidPlatformError("message sizes must be >= 0")
-        if slot_duration <= 0:
-            raise InvalidPlatformError("slot_duration must be positive")
-        ncom = int(master_bandwidth // worker_bandwidth)
-        tprog = int(math.ceil(program_size / worker_bandwidth / slot_duration)) if program_size else 0
-        tdata = int(math.ceil(data_size / worker_bandwidth / slot_duration)) if data_size else 0
-        return cls(processors, ncom=ncom, tprog=tprog, tdata=tdata)
-
-    # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
     @property
@@ -175,13 +136,6 @@ class Platform:
     def total_capacity(self) -> int:
         """``Σ µ_q`` — must be >= m for the application to be executable."""
         return int(self.capacities().sum())
-
-    def availability_models(self) -> List:
-        return [proc.availability for proc in self._processors]
-
-    def markov_matrices(self) -> List[np.ndarray]:
-        """Per-processor 3x3 Markov (or fitted-Markov) transition matrices."""
-        return [proc.availability.markov_approximation() for proc in self._processors]
 
     def markov_models(self) -> List[MarkovAvailabilityModel]:
         """Per-processor Markov views used by the analytical machinery.

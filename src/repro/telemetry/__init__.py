@@ -27,7 +27,6 @@ from repro.telemetry.profile import (
     ProfileRow,
     aggregate_spans,
     format_profile,
-    load_spans,
     profile_trace,
     render_profile_html,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "shared_tracer",
     "ProfileReport",
     "ProfileRow",
-    "load_spans",
     "aggregate_spans",
     "profile_trace",
     "format_profile",

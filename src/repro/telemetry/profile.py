@@ -28,7 +28,6 @@ from repro.utils.tables import format_table
 __all__ = [
     "ProfileRow",
     "ProfileReport",
-    "load_spans",
     "aggregate_spans",
     "profile_trace",
     "format_profile",
@@ -103,18 +102,6 @@ def _span_files(path: Union[str, Path]) -> List[Path]:
             "(run the campaign with --trace, or point at a trace directory)"
         )
     raise ReproError(f"trace path does not exist: {target}")
-
-
-def load_spans(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Load span records from a file, trace directory, or campaign store."""
-    spans: List[Dict[str, Any]] = []
-    for file in _span_files(path):
-        with open(file, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    spans.append(json.loads(line))
-    return spans
 
 
 def _group_label(span: Dict[str, Any]) -> str:

@@ -34,7 +34,6 @@ from repro.traces.fit import (
     fit_diurnal,
     fit_markov,
     fit_model,
-    fit_per_processor,
     fit_semi_markov,
     ks_distance,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "fit_diurnal",
     "fit_markov",
     "fit_model",
-    "fit_per_processor",
     "fit_semi_markov",
     "fitted_trace",
     "ks_distance",

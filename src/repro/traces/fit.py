@@ -63,7 +63,6 @@ __all__ = [
     "fit_correlated",
     "fit_degradation",
     "fit_model",
-    "fit_per_processor",
     "ks_distance",
 ]
 
@@ -851,13 +850,3 @@ def fit_model(
     if kind == "degradation":
         return fit_degradation(data, **options)
     raise TraceFitError(f"unknown fit kind {kind!r}; expected one of {FIT_KINDS}")
-
-
-def fit_per_processor(
-    trace: AvailabilityTrace, kind: str = "markov", **options
-) -> List[FittedModel]:
-    """One independent fit per processor row (versus the pooled estimators)."""
-    return [
-        fit_model(kind, trace.row(index), **options)
-        for index in range(trace.num_processors)
-    ]

@@ -9,10 +9,7 @@ from repro.utils.rng import (
 )
 from repro.utils.tables import format_table
 from repro.utils.validation import (
-    check_fraction,
-    check_non_negative_int,
     check_positive,
-    check_positive_int,
     check_probability_matrix,
 )
 
@@ -23,9 +20,6 @@ __all__ = [
     "spawn_seeds",
     "stable_hash_seed",
     "format_table",
-    "check_fraction",
-    "check_non_negative_int",
     "check_positive",
-    "check_positive_int",
     "check_probability_matrix",
 ]

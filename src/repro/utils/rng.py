@@ -13,7 +13,7 @@ streams through :class:`numpy.random.SeedSequence`.  This guarantees that
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Sequence, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -130,18 +130,3 @@ def _canonical_part(part: Union[str, int, float]) -> str:
     if isinstance(part, str):
         return f"s:{part}"
     raise TypeError(f"unsupported seed part type: {type(part).__name__}")
-
-
-def interleave(streams: Sequence[Iterable]) -> Iterable:
-    """Round-robin interleave several iterables (utility for experiments)."""
-    iterators = [iter(stream) for stream in streams]
-    active = list(iterators)
-    while active:
-        next_round = []
-        for iterator in active:
-            try:
-                yield next(iterator)
-            except StopIteration:
-                continue
-            next_round.append(iterator)
-        active = next_round

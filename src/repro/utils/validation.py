@@ -14,9 +14,6 @@ import numpy as np
 
 __all__ = [
     "check_positive",
-    "check_positive_int",
-    "check_non_negative_int",
-    "check_fraction",
     "check_probability_matrix",
 ]
 
@@ -26,42 +23,6 @@ def check_positive(value: float, name: str) -> float:
     value = float(value)
     if not np.isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-    return value
-
-
-def check_positive_int(value: int, name: str) -> int:
-    """Ensure *value* is a strictly positive integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    value = int(value)
-    if value <= 0:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def check_non_negative_int(value: int, name: str) -> int:
-    """Ensure *value* is an integer >= 0."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def check_fraction(value: float, name: str, *, allow_zero: bool = True,
-                   allow_one: bool = True) -> float:
-    """Ensure *value* lies in the unit interval ``[0, 1]``.
-
-    ``allow_zero`` / ``allow_one`` make the corresponding bound strict.
-    """
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    low_ok = value > 0 or (allow_zero and value == 0)
-    high_ok = value < 1 or (allow_one and value == 1)
-    if not (low_ok and high_ok):
-        raise ValueError(f"{name} must lie in the unit interval, got {value!r}")
     return value
 
 

@@ -1,6 +1,5 @@
 """Tests for the scheduling criteria (P, E, Y, AY)."""
 
-import math
 
 import pytest
 
@@ -69,10 +68,6 @@ class TestComparisons:
         criterion = ProbabilityCriterion()
         assert not criterion.better(float("nan"), 0.1)
         assert criterion.better(0.1, float("nan"))
-
-    def test_worst_values(self):
-        assert ProbabilityCriterion().worst() == -math.inf
-        assert ExpectedTimeCriterion().worst() == math.inf
 
 
 class TestRegistry:

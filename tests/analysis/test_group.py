@@ -209,11 +209,6 @@ class TestExpectedTime:
         probabilities = [quantities.success_probability(w) for w in range(1, 20)]
         assert all(a >= b for a, b in zip(probabilities, probabilities[1:]))
 
-    def test_expected_gap(self):
-        analysis = GroupAnalysis(make_workers([(0.95, 0.9, 0.9)]))
-        quantities = analysis.quantities([0])
-        assert quantities.expected_gap() == pytest.approx(quantities.e_c / quantities.p_plus)
-
     def test_unknown_mode_rejected(self):
         analysis = GroupAnalysis(make_workers([(0.95, 0.9, 0.9)]))
         with pytest.raises(ValueError):

@@ -112,7 +112,7 @@ class TestConditionalExpectedDuration:
             success, gap = simulate_gap(models, rng)
             if success:
                 gaps.append(gap)
-        assert np.mean(gaps) == pytest.approx(quantities.expected_gap(), rel=0.05)
+        assert np.mean(gaps) == pytest.approx(quantities.e_c / quantities.p_plus, rel=0.05)
 
     def test_renewal_expectation_matches_simulation(self):
         stays = [(0.95, 0.9, 0.9), (0.94, 0.92, 0.9)]

@@ -43,17 +43,16 @@ class TestWorkerAnalysis:
             float(analysis.model.up_return_probability(3))
         )
 
-    def test_no_down_array_matches_matrix_power(self):
+    def test_no_down_probability_matches_matrix_power(self):
+        # The eigen closed form, on the scalar path the analysis uses.
         analysis = make_analysis()
         sub = analysis.model.up_reclaimed_submatrix()
-        values = analysis.no_down_array(15)
         for t in range(1, 16):
             expected = np.linalg.matrix_power(sub, t)[0, :].sum()
-            assert values[t - 1] == pytest.approx(expected, rel=1e-9)
+            assert analysis.no_down_probability(t) == pytest.approx(expected, rel=1e-9)
 
-    def test_no_down_scalar_beyond_cache(self):
+    def test_no_down_scalar_at_long_horizon(self):
         analysis = make_analysis()
-        analysis.no_down_array(5)
         value = analysis.no_down_probability(50)
         expected = analysis.model.no_down_probability(50)
         assert value == pytest.approx(expected, rel=1e-9)

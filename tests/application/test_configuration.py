@@ -49,20 +49,6 @@ class TestConstruction:
         assert Configuration.empty().is_empty()
         assert Configuration.empty().total_tasks() == 0
 
-    def test_single(self):
-        config = Configuration.single(2, 3)
-        assert config.allocation == {2: 3}
-
-    def test_even_split(self):
-        config = Configuration.even_split([1, 2, 3], 7)
-        assert config.total_tasks() == 7
-        assert sorted(config.allocation.values(), reverse=True) == [3, 2, 2]
-
-    def test_even_split_empty_workers(self):
-        with pytest.raises(InvalidConfigurationError):
-            Configuration.even_split([], 3)
-        assert Configuration.even_split([], 0).is_empty()
-
 
 class TestDerivedQuantities:
     def test_workload_is_max_load(self, platform):
@@ -72,10 +58,6 @@ class TestDerivedQuantities:
 
     def test_workload_empty(self, platform):
         assert Configuration.empty().workload(platform) == 0
-
-    def test_per_worker_load(self, platform):
-        config = Configuration({1: 2, 2: 1})
-        assert config.per_worker_load(platform) == {1: 4, 2: 3}
 
     def test_communication_slots_fresh(self, platform):
         config = Configuration({0: 2, 1: 1})
@@ -93,27 +75,6 @@ class TestDerivedQuantities:
         assert slots == {0: 1, 1: 2}
 
 
-class TestValidation:
-    def test_valid(self, platform):
-        Configuration({0: 2, 1: 3}).validate(platform, 5)
-
-    def test_wrong_total(self, platform):
-        with pytest.raises(InvalidConfigurationError):
-            Configuration({0: 2}).validate(platform, 5)
-
-    def test_capacity_exceeded(self, platform):
-        with pytest.raises(InvalidConfigurationError):
-            Configuration({3: 2}).validate(platform, 2)
-
-    def test_unknown_worker(self, platform):
-        with pytest.raises(InvalidConfigurationError):
-            Configuration({9: 2}).validate(platform, 2)
-
-    def test_is_valid(self, platform):
-        assert Configuration({0: 5}).is_valid(platform, 5)
-        assert not Configuration({0: 6}).is_valid(platform, 5)
-
-
 class TestValueSemantics:
     def test_equality_and_hash(self):
         a = Configuration({0: 1, 2: 2})
@@ -121,17 +82,6 @@ class TestValueSemantics:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Configuration({0: 1})
-
-    def test_with_task_added(self):
-        config = Configuration({0: 1})
-        updated = config.with_task_added(0).with_task_added(3)
-        assert updated.allocation == {0: 2, 3: 1}
-        assert config.allocation == {0: 1}  # original unchanged
-
-    def test_without_worker(self):
-        config = Configuration({0: 1, 1: 2})
-        assert config.without_worker(0).allocation == {1: 2}
-        assert config.without_worker(9) == config
 
     def test_round_trip_dict(self):
         config = Configuration({0: 1, 4: 2})
@@ -156,21 +106,3 @@ class TestPropertyBased:
         config = Configuration(allocation)
         assert config.total_tasks() == sum(v for v in allocation.values() if v > 0)
         assert all(config.tasks_on(w) > 0 for w in config.workers)
-
-    @given(
-        allocation=st.dictionaries(
-            keys=st.integers(min_value=0, max_value=15),
-            values=st.integers(min_value=1, max_value=5),
-            min_size=1,
-            max_size=8,
-        ),
-        worker=st.integers(min_value=0, max_value=15),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_with_task_added_increments_exactly_one_worker(self, allocation, worker):
-        config = Configuration(allocation)
-        updated = config.with_task_added(worker)
-        assert updated.total_tasks() == config.total_tasks() + 1
-        assert updated.tasks_on(worker) == config.tasks_on(worker) + 1
-        for other in set(allocation) - {worker}:
-            assert updated.tasks_on(other) == config.tasks_on(other)

@@ -28,10 +28,9 @@ class TestDiurnalPhase:
 
 
 class TestDiurnalModel:
-    def test_cycle_length(self):
+    def test_phases(self):
         model = two_phase_model()
-        assert model.cycle_length == 20
-        assert len(model.phases) == 2
+        assert [phase.duration for phase in model.phases] == [10, 10]
 
     def test_phase_lookup_respects_offset(self):
         model = two_phase_model(offset=10)

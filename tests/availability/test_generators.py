@@ -7,7 +7,6 @@ from repro.availability.generators import (
     paper_transition_matrix,
     random_markov_model,
     random_markov_models,
-    reliability_spread_models,
 )
 from repro.exceptions import InvalidModelError
 
@@ -76,16 +75,3 @@ class TestRandomMarkovModels:
 
     def test_zero_count(self):
         assert random_markov_models(0, seed=0) == []
-
-
-class TestReliabilitySpreadModels:
-    def test_count_and_mix(self):
-        models = reliability_spread_models(10, seed=4, reliable_fraction=0.5)
-        assert len(models) == 10
-        up_stay = sorted(m.matrix[0, 0] for m in models)
-        # Half the workers should have a clearly higher UP-stay probability.
-        assert up_stay[0] < 0.95 < up_stay[-1]
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            reliability_spread_models(4, reliable_fraction=1.5)

@@ -8,7 +8,7 @@ form: a slot moves a state exactly when its code is not the identity.
 Hypothesis draws transition matrices with zero entries (so rows share
 thresholds and stay probabilities can vanish) and draws placed exactly on
 every threshold and next to it; explicit cases pin ``always_up``,
-``two_state``, an absorbing DOWN state and zero stay probabilities.
+a two-state UP/DOWN chain, an absorbing DOWN state and zero stay probabilities.
 """
 
 import numpy as np
@@ -87,7 +87,9 @@ def test_always_up_never_moves():
 
 
 def test_two_state():
-    model = MarkovAvailabilityModel.two_state(0.9, 0.3)
+    # UP/DOWN only: RECLAIMED is never entered from UP or DOWN.
+    matrix = np.array([[0.9, 0.0, 0.1], [0.0, 1.0, 0.0], [0.3, 0.0, 0.7]])
+    model = MarkovAvailabilityModel(matrix, initial_distribution=np.array([1.0, 0.0, 0.0]))
     check(model)
     check_block(model)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.availability.generators import paper_transition_matrix
 from repro.availability.markov import MarkovAvailabilityModel
 from repro.exceptions import InvalidModelError
-from repro.types import RECLAIMED, UP
+from repro.types import RECLAIMED
 
 
 def make_model(stay_up=0.95, stay_r=0.92, stay_d=0.90) -> MarkovAvailabilityModel:
@@ -16,15 +16,6 @@ def make_model(stay_up=0.95, stay_r=0.92, stay_d=0.90) -> MarkovAvailabilityMode
 
 
 class TestConstruction:
-    def test_from_probabilities_matches_matrix(self):
-        model = MarkovAvailabilityModel.from_probabilities(
-            p_uu=0.9, p_ur=0.05, p_ud=0.05,
-            p_ru=0.3, p_rr=0.6, p_rd=0.1,
-            p_du=0.5, p_dr=0.1, p_dd=0.4,
-        )
-        assert model.matrix[0, 0] == pytest.approx(0.9)
-        assert model.matrix[2, 1] == pytest.approx(0.1)
-
     def test_rejects_non_stochastic_matrix(self):
         bad = np.array([[0.9, 0.2, 0.0], [0.3, 0.6, 0.1], [0.5, 0.1, 0.4]])
         with pytest.raises(ValueError):
@@ -53,11 +44,6 @@ class TestConstruction:
         assert model.availability() == pytest.approx(1.0)
         assert not model.can_fail()
 
-    def test_two_state(self):
-        model = MarkovAvailabilityModel.two_state(0.9, 0.5)
-        assert model.matrix[0, 1] == 0.0  # no RECLAIMED state
-        assert model.can_fail()
-
 
 class TestDerivedQuantities:
     def test_stationary_distribution_is_fixed_point(self):
@@ -70,14 +56,6 @@ class TestDerivedQuantities:
     def test_availability_between_zero_and_one(self):
         model = make_model()
         assert 0.0 < model.availability() < 1.0
-
-    def test_mean_sojourn(self):
-        model = make_model(stay_up=0.95)
-        assert model.mean_sojourn(UP) == pytest.approx(1.0 / 0.05)
-
-    def test_mean_sojourn_absorbing(self):
-        model = MarkovAvailabilityModel.always_up()
-        assert model.mean_sojourn(UP) == float("inf")
 
     def test_mean_time_to_failure_finite_for_failing_model(self):
         model = make_model()
@@ -93,10 +71,6 @@ class TestDerivedQuantities:
         sub = model.up_reclaimed_submatrix()
         assert sub.shape == (2, 2)
         assert sub[0, 0] == pytest.approx(0.95)
-
-    def test_failure_probability_from_up(self):
-        model = make_model(stay_up=0.9)
-        assert model.failure_probability_from_up() == pytest.approx(0.05)
 
 
 class TestUpReturnProbability:
@@ -128,7 +102,7 @@ class TestUpReturnProbability:
 
     def test_dominant_eigenvalue_below_one_when_failures_possible(self):
         model = make_model()
-        assert 0.0 < model.dominant_up_eigenvalue() < 1.0
+        assert 0.0 < model.up_return_spectrum().lambda1 < 1.0
 
     def test_dominant_eigenvalue_one_when_no_failures(self):
         matrix = paper_transition_matrix([0.9, 0.8, 1.0])
@@ -137,7 +111,7 @@ class TestUpReturnProbability:
         matrix[1] = [0.2, 0.8, 0.0]
         matrix[2] = [0.0, 0.0, 1.0]
         model = MarkovAvailabilityModel(matrix, down_recoverable=False)
-        assert model.dominant_up_eigenvalue() == pytest.approx(1.0, abs=1e-9)
+        assert model.up_return_spectrum().lambda1 == pytest.approx(1.0, abs=1e-9)
 
 
 class TestNoDownProbability:

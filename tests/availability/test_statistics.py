@@ -6,7 +6,6 @@ import pytest
 from repro.availability.statistics import (
     TraceStatistics,
     estimate_markov_matrix,
-    estimate_markov_model,
     state_intervals,
     state_runs,
     transition_counts,
@@ -54,10 +53,6 @@ class TestEstimateMarkovMatrix:
     def test_negative_prior_rejected(self):
         with pytest.raises(ValueError):
             estimate_markov_matrix([0, 1], prior=-1)
-
-    def test_estimate_model_round_trip(self):
-        model = estimate_markov_model([0, 0, 1, 1, 0, 2, 0] * 10)
-        assert model.matrix.shape == (3, 3)
 
 
 class TestStateIntervals:

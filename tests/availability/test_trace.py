@@ -43,33 +43,6 @@ class TestAvailabilityTrace:
         up = trace.up_matrix()
         assert up.tolist() == [[True, False], [True, True]]
 
-    def test_processors_up_at(self):
-        trace = AvailabilityTrace(["ud", "ru", "uu"])
-        assert trace.processors_up_at(0) == [0, 2]
-        assert trace.processors_up_at(1) == [1, 2]
-
-    def test_slots_all_up(self):
-        trace = AvailabilityTrace(["uudu", "uruu"])
-        assert trace.slots_all_up([0, 1]).tolist() == [0, 3]
-        # Empty set: vacuously all slots.
-        assert trace.slots_all_up([]).tolist() == [0, 1, 2, 3]
-
-    def test_truncated(self):
-        trace = AvailabilityTrace(["uudu"])
-        assert trace.truncated(2).horizon == 2
-        with pytest.raises(ValueError):
-            trace.truncated(10)
-
-    def test_extended(self):
-        a = AvailabilityTrace(["ud"])
-        b = AvailabilityTrace(["ru"])
-        combined = a.extended(b)
-        assert combined.to_strings() == ["udru"]
-
-    def test_extended_mismatched_rejected(self):
-        with pytest.raises(InvalidModelError):
-            AvailabilityTrace(["ud"]).extended(AvailabilityTrace(["ud", "uu"]))
-
     def test_round_trip_strings_and_dict(self):
         trace = AvailabilityTrace(["urdu", "dduu"])
         assert AvailabilityTrace(trace.to_strings()) == trace

@@ -1,7 +1,5 @@
 """Tests for ENCD instances and the Theorem 4.1 reductions."""
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,28 +51,9 @@ class TestENCDInstance:
         with pytest.raises(InvalidModelError):
             ENCDInstance((), a=1, b=1)
 
-    def test_graph_round_trip(self):
-        pytest.importorskip("networkx", reason="graph import/export needs networkx")
-        instance = small_instance()
-        graph = instance.to_graph()
-        left = [("v", i) for i in range(instance.num_left)]
-        right = [("w", j) for j in range(instance.num_right)]
-        clone = ENCDInstance.from_graph(graph, left, right, instance.a, instance.b)
-        assert np.array_equal(clone.matrix(), instance.matrix())
-
     def test_random_instance(self):
         instance = ENCDInstance.random(5, 6, 0.5, a=2, b=2, seed=3)
         assert instance.matrix().shape == (5, 6)
-
-    def test_missing_networkx_gives_clear_error(self, monkeypatch):
-        # networkx is optional: the graph helpers must fail with an install
-        # hint (not a bare NameError) when it is absent.  A None entry in
-        # sys.modules makes the import raise ImportError.
-        monkeypatch.setitem(sys.modules, "networkx", None)
-        with pytest.raises(ImportError, match="networkx"):
-            small_instance().to_graph()
-        with pytest.raises(ImportError, match="pip install"):
-            ENCDInstance.from_graph(object(), [], [], 1, 1)
 
 
 class TestBruteForceENCD:

@@ -39,38 +39,6 @@ class TestConstruction:
         with pytest.raises(InvalidPlatformError):
             Platform(make_processors(1), **kwargs)
 
-    def test_from_bandwidth(self):
-        platform = Platform.from_bandwidth(
-            make_processors(4),
-            master_bandwidth=100.0,
-            worker_bandwidth=10.0,
-            program_size=55.0,
-            data_size=10.0,
-        )
-        assert platform.ncom == 10
-        assert platform.tprog == 6  # ceil(55 / 10)
-        assert platform.tdata == 1
-
-    def test_from_bandwidth_worker_exceeds_master(self):
-        with pytest.raises(InvalidPlatformError):
-            Platform.from_bandwidth(
-                make_processors(1),
-                master_bandwidth=5.0,
-                worker_bandwidth=10.0,
-                program_size=1.0,
-                data_size=1.0,
-            )
-
-    def test_from_bandwidth_zero_sizes(self):
-        platform = Platform.from_bandwidth(
-            make_processors(1),
-            master_bandwidth=10.0,
-            worker_bandwidth=10.0,
-            program_size=0.0,
-            data_size=0.0,
-        )
-        assert platform.tprog == 0 and platform.tdata == 0
-
 
 class TestAccessors:
     def test_speeds_and_capacities(self):
@@ -98,12 +66,6 @@ class TestAccessors:
         assert platform.communication_slots(0, needs_program=False) == 0
         with pytest.raises(ValueError):
             platform.communication_slots(-1, needs_program=True)
-
-    def test_markov_matrices(self):
-        platform = Platform(make_processors(2), ncom=1, tprog=0, tdata=0)
-        matrices = platform.markov_matrices()
-        assert len(matrices) == 2
-        assert matrices[0].shape == (3, 3)
 
     def test_markov_models_from_trace_availability(self):
         trace_proc = Processor(

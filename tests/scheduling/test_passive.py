@@ -85,7 +85,7 @@ class TestPassiveBehaviour:
         observation = make_observation([UP, UP, UP, UP], new_iteration=True)
         config = scheduler.select(observation)
         assert config.total_tasks() == 5
-        config.validate(platform, 5)
+        assert all(tasks <= platform.processor(w).capacity for w, tasks in config.items())
 
     def test_keeps_configuration_mid_iteration(self, platform):
         scheduler = bind(make_passive_heuristic("IE"), platform)

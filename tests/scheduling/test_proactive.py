@@ -76,7 +76,7 @@ class TestProactiveBehaviour:
         observation = make_observation([UP, UP, UP, UP], new_iteration=True)
         config = scheduler.select(observation)
         assert config.total_tasks() == 5
-        config.validate(platform, 5)
+        assert all(tasks <= platform.processor(w).capacity for w, tasks in config.items())
 
     def test_switches_to_better_workers_mid_iteration(self):
         """A proactive heuristic abandons a clearly inferior configuration."""

@@ -11,7 +11,6 @@ from repro.telemetry import (
     Tracer,
     aggregate_spans,
     format_profile,
-    load_spans,
     profile_trace,
     render_profile_html,
 )
@@ -64,10 +63,10 @@ def test_profile_trace_accepts_file_dir_and_store(tmp_path):
         assert report.total_spans == 1
 
 
-def test_load_spans_skips_blank_lines(tmp_path):
+def test_profile_trace_skips_blank_lines(tmp_path):
     path = tmp_path / "spans-1.jsonl"
     path.write_text(json.dumps({"name": "a", "dur_us": 1.0}) + "\n\n")
-    assert len(load_spans(path)) == 1
+    assert profile_trace(path).total_spans == 1
 
 
 def test_missing_trace_path_raises(tmp_path):

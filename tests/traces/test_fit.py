@@ -12,7 +12,6 @@ from repro.traces.fit import (
     fit_diurnal,
     fit_markov,
     fit_model,
-    fit_per_processor,
     fit_semi_markov,
     ks_distance,
 )
@@ -213,13 +212,6 @@ class TestDispatch:
     def test_unknown_kind(self):
         with pytest.raises(TraceFitError, match="unknown fit kind"):
             fit_model("fourier", list("urdu"))
-
-    def test_fit_per_processor(self):
-        trace = sample_rows(lambda: MarkovAvailabilityModel(MATRIX), 3, 2_000)
-        fits = fit_per_processor(trace, "markov")
-        assert len(fits) == 3
-        matrices = [np.asarray(fit.parameters["matrix"]) for fit in fits]
-        assert not np.allclose(matrices[0], matrices[1])
 
 
 class TestCensoring:

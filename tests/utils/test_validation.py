@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.validation import (
-    check_fraction,
-    check_non_negative_int,
     check_positive,
-    check_positive_int,
     check_probability_matrix,
 )
 
@@ -20,48 +17,6 @@ class TestCheckPositive:
     def test_rejects_non_positive_or_non_finite(self, value):
         with pytest.raises(ValueError):
             check_positive(value, "x")
-
-
-class TestCheckPositiveInt:
-    def test_accepts_numpy_integer(self):
-        assert check_positive_int(np.int64(4), "x") == 4
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            check_positive_int(0, "x")
-
-    def test_rejects_bool(self):
-        with pytest.raises(TypeError):
-            check_positive_int(True, "x")
-
-    def test_rejects_float(self):
-        with pytest.raises(TypeError):
-            check_positive_int(2.0, "x")
-
-
-class TestCheckNonNegativeInt:
-    def test_accepts_zero(self):
-        assert check_non_negative_int(0, "x") == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_non_negative_int(-1, "x")
-
-
-class TestCheckFraction:
-    def test_bounds_inclusive_by_default(self):
-        assert check_fraction(0.0, "x") == 0.0
-        assert check_fraction(1.0, "x") == 1.0
-
-    def test_strict_bounds(self):
-        with pytest.raises(ValueError):
-            check_fraction(0.0, "x", allow_zero=False)
-        with pytest.raises(ValueError):
-            check_fraction(1.0, "x", allow_one=False)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            check_fraction(1.5, "x")
 
 
 class TestCheckProbabilityMatrix:
