@@ -1,5 +1,6 @@
 """Tests for worker configurations (task allocation value objects)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,21 @@ class TestConstruction:
         assert Configuration.empty().is_empty()
         assert Configuration.empty().total_tasks() == 0
 
+    def test_bool_task_count_rejected(self):
+        with pytest.raises(InvalidConfigurationError):
+            Configuration({0: True})
+
+    def test_integral_float_task_count_accepted(self):
+        config = Configuration({0: 2.0})
+        assert config.tasks_on(0) == 2
+        assert isinstance(config.tasks_on(0), int)
+
+    def test_numpy_integer_ids_and_counts(self):
+        config = Configuration({np.int64(3): np.int64(2)})
+        assert config.workers == (3,)
+        assert config.tasks_on(np.int64(3)) == 2
+        assert np.int64(3) in config
+
 
 class TestDerivedQuantities:
     def test_workload_is_max_load(self, platform):
@@ -74,6 +90,15 @@ class TestDerivedQuantities:
         # Worker 1: needs program, data capped at its 1 task -> 2 + 0 = 2.
         assert slots == {0: 1, 1: 2}
 
+    def test_communication_slots_empty(self, platform):
+        assert Configuration.empty().communication_slots(platform) == {}
+
+    def test_communication_slots_all_data_received(self, platform):
+        config = Configuration({0: 2, 1: 1})
+        slots = config.communication_slots(platform, received_data={0: 2, 1: 1})
+        # Only the program (Tprog=2) is left to send.
+        assert slots == {0: 2, 1: 2}
+
 
 class TestValueSemantics:
     def test_equality_and_hash(self):
@@ -86,6 +111,19 @@ class TestValueSemantics:
     def test_round_trip_dict(self):
         config = Configuration({0: 1, 4: 2})
         assert Configuration.from_dict(config.to_dict()) == config
+
+    def test_to_dict_uses_string_keys(self):
+        assert Configuration({4: 2, 0: 1}).to_dict() == {"0": 1, "4": 2}
+
+    def test_allocation_is_a_copy(self):
+        config = Configuration({0: 1})
+        config.allocation[0] = 5
+        assert config.tasks_on(0) == 1
+
+    def test_not_equal_to_other_types(self):
+        config = Configuration({0: 1})
+        assert config != {0: 1}
+        assert config.__eq__({0: 1}) is NotImplemented
 
     def test_iteration_and_items(self):
         config = Configuration({3: 1, 1: 2})
@@ -106,3 +144,20 @@ class TestPropertyBased:
         config = Configuration(allocation)
         assert config.total_tasks() == sum(v for v in allocation.values() if v > 0)
         assert all(config.tasks_on(w) > 0 for w in config.workers)
+
+    @given(
+        allocation=st.dictionaries(
+            keys=st.integers(min_value=0, max_value=3),
+            values=st.integers(min_value=1, max_value=5),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_workload_is_max_of_tasks_times_speed(self, allocation):
+        processors = [
+            Processor(speed=s, capacity=5, availability=MarkovAvailabilityModel.always_up())
+            for s in (1, 2, 3, 4)
+        ]
+        platform = Platform(processors, ncom=1, tprog=0, tdata=1)
+        expected = max((tasks * (w + 1) for w, tasks in allocation.items()), default=0)
+        assert Configuration(allocation).workload(platform) == expected

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.availability.generators import paper_transition_matrix
 from repro.availability.markov import MarkovAvailabilityModel
 from repro.exceptions import InvalidModelError
-from repro.types import RECLAIMED
+from repro.types import DOWN, RECLAIMED
 
 
 def make_model(stay_up=0.95, stay_r=0.92, stay_d=0.90) -> MarkovAvailabilityModel:
@@ -38,6 +38,28 @@ class TestConstruction:
     def test_invalid_initial_distribution(self):
         with pytest.raises(InvalidModelError):
             MarkovAvailabilityModel(np.eye(3), initial_distribution=np.array([0.5, 0.6, -0.1]))
+
+    def test_initial_distribution_of_wrong_shape_rejected(self):
+        with pytest.raises(InvalidModelError, match="shape"):
+            MarkovAvailabilityModel(np.eye(3), initial_distribution=np.array([0.5, 0.5]))
+
+    def test_explicit_initial_distribution_drives_initial_state(self):
+        model = MarkovAvailabilityModel(
+            paper_transition_matrix([0.95, 0.92, 0.90]),
+            initial_distribution=np.array([0.0, 0.0, 1.0]),
+        )
+        rng = np.random.default_rng(3)
+        assert {model.initial_state(rng) for _ in range(20)} == {DOWN}
+
+    def test_matrix_is_a_copy(self):
+        model = make_model()
+        model.matrix[0, 0] = 0.0
+        assert model.matrix[0, 0] == pytest.approx(0.95)
+
+    def test_not_equal_to_other_types(self):
+        assert make_model().__eq__(np.eye(3)) is NotImplemented
+        assert make_model() == make_model()
+        assert make_model() != make_model(stay_up=0.9)
 
     def test_always_up(self):
         model = MarkovAvailabilityModel.always_up()
@@ -85,6 +107,12 @@ class TestUpReturnProbability:
         model = make_model()
         assert model.up_return_probability(0) == pytest.approx(1.0)
 
+    def test_vector_of_zero_or_negative_horizon(self):
+        model = make_model()
+        assert model.up_return_probabilities(0).shape == (0,)
+        with pytest.raises(ValueError):
+            model.up_return_probabilities(-1)
+
     def test_vectorised_matches_scalar(self):
         model = make_model()
         horizon = 20
@@ -130,6 +158,18 @@ class TestNoDownProbability:
     def test_reliable_model_never_fails(self):
         model = MarkovAvailabilityModel.always_up()
         assert model.no_down_probability(500) == pytest.approx(1.0)
+
+    def test_zero_and_negative_horizon(self):
+        model = make_model()
+        assert model.no_down_probability(0) == 1.0
+        with pytest.raises(ValueError):
+            model.no_down_probability(-1)
+
+    def test_bounds_up_return_probability(self):
+        # Being UP at t without a DOWN in between implies no DOWN within t.
+        model = make_model()
+        for t in (1, 2, 5, 20):
+            assert model.no_down_probability(t) >= model.up_return_probability(t) - 1e-12
 
 
 class TestSampling:
@@ -180,6 +220,12 @@ class TestSerialisation:
         )
         clone = MarkovAvailabilityModel.from_dict(model.to_dict())
         assert np.allclose(clone.initial_distribution, [1.0, 0.0, 0.0])
+
+    def test_describe_reports_stay_probabilities_and_availability(self):
+        model = make_model()
+        text = model.describe()
+        assert "p_uu=0.950" in text
+        assert f"availability={model.availability():.3f}" in text
 
     def test_from_dict_rejects_other_types(self):
         with pytest.raises(InvalidModelError):

@@ -65,6 +65,34 @@ class TestAvailabilityTrace:
         assert AvailabilityTrace(["ud"]) == AvailabilityTrace(["ud"])
         assert AvailabilityTrace(["ud"]) != AvailabilityTrace(["uu"])
 
+    def test_not_equal_across_shapes_or_types(self):
+        assert AvailabilityTrace(["ud"]) != AvailabilityTrace(["ud", "ud"])
+        assert AvailabilityTrace(["ud"]).__eq__(["ud"]) is NotImplemented
+
+    def test_block_returns_requested_slice(self):
+        trace = AvailabilityTrace(["urdu", "dduu"])
+        assert AvailabilityTrace(trace.block(1, 3)).to_strings() == ["rd", "du"]
+        assert trace.block(2, 2).shape == (2, 0)
+
+    def test_block_is_a_copy(self):
+        trace = AvailabilityTrace(["uu"])
+        trace.block(0, 2)[0, 0] = 2
+        assert trace.state(0, 0) == UP
+
+    @pytest.mark.parametrize("start, stop", [(-1, 1), (2, 1), (0, 5)])
+    def test_block_rejects_out_of_range(self, start, stop):
+        with pytest.raises(ValueError):
+            AvailabilityTrace(["uuuu"]).block(start, stop)
+
+    def test_states_is_a_copy(self):
+        trace = AvailabilityTrace(["uu"])
+        trace.states[0, 1] = 2
+        assert trace.state(0, 1) == UP
+
+    def test_from_dict_rejects_other_types(self):
+        with pytest.raises(InvalidModelError):
+            AvailabilityTrace.from_dict({"type": "markov", "rows": ["uu"]})
+
 
 class TestTraceAvailabilityModel:
     def test_replays_sequence(self):
@@ -97,3 +125,33 @@ class TestTraceAvailabilityModel:
 
     def test_describe_mentions_up_fraction(self):
         assert "up_fraction" in TraceAvailabilityModel("uu").describe()
+
+    def test_dict_round_trip_keeps_wrap(self):
+        model = TraceAvailabilityModel("ud", wrap=False)
+        clone = TraceAvailabilityModel.from_dict(model.to_dict())
+        assert clone.sample_trajectory(4, seed=0).tolist() == [0, 2, 2, 2]
+
+    def test_from_dict_rejects_multi_row_payload(self):
+        with pytest.raises(InvalidModelError):
+            TraceAvailabilityModel.from_dict({"type": "trace", "rows": ["uu", "dd"]})
+
+    def test_reset_restarts_replay(self):
+        model = TraceAvailabilityModel("urd")
+        rng = np.random.default_rng(0)
+        state = model.initial_state(rng)
+        state = model.next_state(state, rng)
+        state = model.next_state(state, rng)
+        assert state == DOWN
+        model.reset()
+        assert model.next_state(state, rng) == RECLAIMED
+
+    def test_sequence_is_a_copy(self):
+        model = TraceAvailabilityModel("uu")
+        model.sequence[0] = 2
+        assert model.sequence.tolist() == [0, 0]
+
+    def test_markov_approximation_is_a_copy(self):
+        model = TraceAvailabilityModel("uuurrdduu")
+        first = model.markov_approximation()
+        first[:] = 0.0
+        assert np.allclose(model.markov_approximation().sum(axis=1), 1.0)

@@ -1,9 +1,38 @@
 """Tests for the Platform model (bounded multi-port master, transfer times)."""
+import numpy as np
 import pytest
 
 from repro.availability import MarkovAvailabilityModel, TraceAvailabilityModel
+from repro.availability.model import AvailabilityModel
 from repro.exceptions import InvalidPlatformError
 from repro.platform import Platform, Processor
+from repro.types import UP
+
+
+class StubHazard:
+    """The least a platform-level hazard must provide."""
+
+    def reset(self):
+        pass
+
+    def overlay(self, *args):
+        pass
+
+    def describe(self):
+        return "stub-hazard"
+
+
+class AlwaysUpWithoutDict(AvailabilityModel):
+    """An availability model that cannot be serialised."""
+
+    def initial_state(self, rng):
+        return UP
+
+    def next_state(self, current, rng):
+        return UP
+
+    def markov_approximation(self):
+        return np.eye(3)
 
 
 def make_processors(count=3, speed=1, capacity=2):
@@ -26,6 +55,17 @@ class TestConstruction:
         platform = Platform(make_processors(2), ncom=1, tprog=0, tdata=0)
         assert [p.name for p in platform] == ["P1", "P2"]
 
+    def test_given_names_kept(self):
+        named = Processor(
+            speed=1, capacity=1, availability=MarkovAvailabilityModel.always_up(), name="alpha"
+        )
+        platform = Platform([named] + make_processors(1), ncom=1, tprog=0, tdata=0)
+        assert [p.name for p in platform] == ["alpha", "P2"]
+
+    def test_hazard_without_protocol_rejected(self):
+        with pytest.raises(InvalidPlatformError, match="reset"):
+            Platform(make_processors(1), ncom=1, tprog=0, tdata=0, hazard=object())
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidPlatformError):
             Platform([], ncom=1, tprog=0, tdata=0)
@@ -34,6 +74,9 @@ class TestConstruction:
         {"ncom": 0, "tprog": 0, "tdata": 0},
         {"ncom": 1, "tprog": -1, "tdata": 0},
         {"ncom": 1, "tprog": 0, "tdata": -2},
+        {"ncom": 1.5, "tprog": 0, "tdata": 0},
+        {"ncom": 1, "tprog": 0.5, "tdata": 0},
+        {"ncom": 1, "tprog": 0, "tdata": 1.5},
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(InvalidPlatformError):
@@ -75,6 +118,17 @@ class TestAccessors:
         models = platform.markov_models()
         assert isinstance(models[0], MarkovAvailabilityModel)
 
+    def test_markov_models_reuse_markov_availability(self):
+        processors = make_processors(2)
+        platform = Platform(processors, ncom=1, tprog=0, tdata=0)
+        models = platform.markov_models()
+        assert all(m is p.availability for m, p in zip(models, processors))
+
+    def test_processors_is_a_copy(self):
+        platform = Platform(make_processors(2), ncom=1, tprog=0, tdata=0)
+        platform.processors.clear()
+        assert platform.num_processors == 2
+
 
 class TestSerialisation:
     def test_round_trip_markov(self):
@@ -93,3 +147,37 @@ class TestSerialisation:
     def test_describe(self):
         platform = Platform(make_processors(2), ncom=1, tprog=0, tdata=0)
         assert "p=2" in platform.describe()
+
+    def test_round_trip_keeps_names_and_transfer_times(self):
+        platform = Platform(make_processors(2), ncom=3, tprog=4, tdata=2)
+        clone = Platform.from_dict(platform.to_dict())
+        assert [p.name for p in clone] == ["P1", "P2"]
+        assert (clone.ncom, clone.tprog, clone.tdata) == (3, 4, 2)
+        assert clone.to_dict() == platform.to_dict()
+
+    def test_describe_mentions_hazard(self):
+        platform = Platform(make_processors(1), ncom=1, tprog=0, tdata=0, hazard=StubHazard())
+        assert "hazard=stub-hazard" in platform.describe()
+
+    def test_to_dict_rejects_hazard(self):
+        platform = Platform(make_processors(1), ncom=1, tprog=0, tdata=0, hazard=StubHazard())
+        with pytest.raises(InvalidPlatformError, match="hazard"):
+            platform.to_dict()
+
+    def test_to_dict_rejects_model_without_to_dict(self):
+        proc = Processor(speed=1, capacity=1, availability=AlwaysUpWithoutDict())
+        platform = Platform([proc], ncom=1, tprog=0, tdata=0)
+        with pytest.raises(InvalidPlatformError, match="AlwaysUpWithoutDict"):
+            platform.to_dict()
+
+    def test_from_dict_rejects_unknown_availability_type(self):
+        payload = Platform(make_processors(1), ncom=1, tprog=0, tdata=0).to_dict()
+        payload["processors"][0]["availability"] = {"type": "weibull"}
+        with pytest.raises(InvalidPlatformError, match="weibull"):
+            Platform.from_dict(payload)
+
+    def test_from_dict_rejects_multi_row_trace(self):
+        payload = Platform(make_processors(1), ncom=1, tprog=0, tdata=0).to_dict()
+        payload["processors"][0]["availability"] = {"type": "trace", "rows": ["uu", "dd"]}
+        with pytest.raises(InvalidPlatformError):
+            Platform.from_dict(payload)

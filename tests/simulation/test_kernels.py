@@ -3,11 +3,11 @@
 Every primitive in :mod:`repro.simulation.kernels` is checked against a
 dumb slot-by-slot reference.  The table builders run on seeded random
 blocks; the phase tables are also a Hypothesis property.  The three span
-scans are Hypothesis properties over generated blocks, with the edge cases
-the engine relies on pinned as explicit examples: one-column blocks,
-all-DOWN rows, a scan starting at the last column, an empty enrolled set,
-``needed <= 1``, a single worker that still needs data and a communication
-jump cut short by DOWN.
+scans keep their seeded random cases and are also Hypothesis properties over
+generated blocks, with the edge cases the engine relies on pinned as
+explicit examples: one-column blocks, all-DOWN rows, a scan starting at the
+last column, an empty enrolled set, ``needed <= 1``, a single worker that
+still needs data and a communication jump cut short by DOWN.
 """
 
 from operator import itemgetter
@@ -142,6 +142,57 @@ def test_block_companions_matches_brute_force():
             else:
                 expected = np.array_equal(block[:, j], block[:, j - 1])
             assert same[j] == expected, j
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_frozen_span_variants_agree_with_brute_force(seed):
+    rng = np.random.default_rng(100 + seed)
+    block = random_block(rng, num_workers=6, length=50)
+    table = next_change_table(block)
+    length = block.shape[1]
+    for _ in range(20):
+        size = int(rng.integers(0, 5))
+        enrolled = np.sort(rng.choice(6, size=size, replace=False)).astype(np.int64)
+        rel = int(rng.integers(0, length))
+        span = brute_frozen_span(block, enrolled, rel)
+        assert frozen_span(table, enrolled, rel) == span
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compute_span_variants_agree_with_brute_force(seed):
+    rng = np.random.default_rng(200 + seed)
+    block = np.ascontiguousarray(random_block(rng, num_workers=6, length=700))
+    length = block.shape[1]
+    for _ in range(15):
+        size = int(rng.integers(1, 5))
+        enrolled = np.sort(rng.choice(6, size=size, replace=False)).astype(np.int64)
+        rel = int(rng.integers(0, length))
+        needed = int(rng.integers(1, 8))
+        expected = brute_compute_span(block, enrolled, rel, length, needed)
+        assert compute_span(block, enrolled, rel, length, needed) == expected
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_comm_phase_span_variants_agree_with_brute_force(seed):
+    rng = np.random.default_rng(300 + seed)
+    block = np.ascontiguousarray(random_block(rng, num_workers=6, length=200))
+    length = block.shape[1]
+    for _ in range(15):
+        size = int(rng.integers(1, 5))
+        enrolled = np.sort(rng.choice(6, size=size, replace=False)).astype(np.int64)
+        rel = int(rng.integers(0, length))
+        # The engine only calls this on a column without enrolled failures.
+        block[enrolled, rel] = np.where(
+            block[enrolled, rel] == DOWN, UP, block[enrolled, rel]
+        )
+        needs = rng.integers(0, 6, size=size).astype(np.int64)
+        if not needs.any():
+            needs[0] = 1
+        expected = brute_comm_phase(block, enrolled, needs, rel, length)
+        advance, units, holders = comm_phase_span(phase_tables(block), enrolled, needs, rel)
+        assert advance == expected[0]
+        assert np.array_equal(units, expected[1])
+        assert np.array_equal(holders, expected[2])
 
 
 def state_block(rows):
