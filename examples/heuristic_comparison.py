@@ -15,7 +15,6 @@ Run with:  python examples/heuristic_comparison.py          (about a minute)
 from __future__ import annotations
 
 import argparse
-import time
 
 from repro import summarize_results
 from repro.experiments import CampaignSpec, run_campaign_spec
@@ -51,19 +50,17 @@ def main() -> None:
 
     print(f"Campaign: m = {args.m}, {spec.num_cells() // len(heuristics)} problem "
           f"instances, {len(heuristics)} heuristics")
-    start = time.perf_counter()
     results = run_campaign_spec(
         spec,
         n_jobs=args.jobs,
         cell_progress=lambda event: print(f"  cell {event.done}/{event.total} done", flush=True),
     )
-    elapsed = time.perf_counter() - start
 
     summaries = summarize_results(results)
     print()
     print(format_summaries(
         summaries,
-        title=f"Mini Table I (m = {args.m}) — {elapsed:.1f}s of simulation",
+        title=f"Mini Table I (m = {args.m})",
     ))
     print(
         "\nReading the table: negative %diff means the heuristic beats the IE\n"

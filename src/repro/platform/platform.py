@@ -241,7 +241,9 @@ class Platform:
                     raise InvalidPlatformError(
                         "per-processor trace payload must contain exactly one row"
                     )
-                availability = TraceAvailabilityModel(rows[0])
+                availability = TraceAvailabilityModel(
+                    rows[0], wrap=availability_payload.get("wrap", True)
+                )
             else:
                 raise InvalidPlatformError(f"unsupported availability payload type {kind!r}")
             processors.append(

@@ -14,18 +14,22 @@ matches the behaviour illustrated in Figure 1:
   preempted);
 * remaining channels are granted to eligible workers by ascending worker id.
 
-The policy is isolated here so alternative policies (e.g. shortest-remaining-
-transfer-first) can be benchmarked without touching the engine.
+:meth:`CommunicationManager.serve` is the one place that encodes the policy
+for a general state column; the engine's capacity-surplus jump
+(:func:`repro.simulation.kernels.comm_phase_span`) covers the case where
+every enrolled worker has a channel of its own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.simulation.state import WorkerRuntime
 from repro.types import UP
 
 __all__ = ["CommunicationManager"]
+
+_UP_CODE = int(UP)
 
 
 class CommunicationManager:
@@ -46,22 +50,24 @@ class CommunicationManager:
 
         Used by the engine's whole-phase fast-forward
         (:func:`repro.simulation.kernels.comm_phase_span`) to leave the
-        stickiness state exactly as the slot-by-slot :meth:`step` calls
-        would have: the grant set of the last consumed communication slot.
+        stickiness state exactly as :meth:`serve` would have: the grant set
+        of the last consumed communication slot.
         """
         self._previous_holders = {int(worker) for worker in worker_ids}
 
     # ------------------------------------------------------------------
-    def step(
+    def serve(
         self,
         runtimes: Sequence[WorkerRuntime],
         remaining: Sequence[int],
+        column: Sequence[int],
+        span: int,
         *,
         tprog: int,
         tdata: int,
         served: Optional[Dict[int, str]] = None,
-    ) -> bool:
-        """Grant this slot's channels and advance the granted transfers by one slot.
+    ) -> Tuple[int, bool]:
+        """Serve up to *span* communication slots under one state column.
 
         Parameters
         ----------
@@ -71,110 +77,75 @@ class CommunicationManager:
             Their communication slots still needed
             (:meth:`WorkerRuntime.comm_slots_remaining`), in the same order.
             A worker is eligible when it is UP and still needs a slot; at
-            most ``ncom`` eligible workers are granted a channel.
+            most ``ncom`` eligible workers hold a channel in any slot.
+        column:
+            The state code of every worker (indexed by worker id), the same
+            in each of the *span* slots.
+        span:
+            The number of slots to serve at most.
         tprog, tdata:
             Transfer durations.
         served:
             When given, filled with worker id -> ``"program"`` or ``"data"``
-            for each granted worker: what it received (for the event log).
+            for each worker granted a channel: what its first granted slot
+            carried (for the event log).
+
+        Under the sticky policy the grant set changes only when a transfer
+        completes, so each grant interval is applied in one batch through
+        :meth:`WorkerRuntime.advance_communication`.  Serving stops early at
+        the first slot that is no longer a communication slot (every
+        transfer is done); a slot where only non-UP workers still need
+        transfers is a communication slot with an empty grant.  The
+        sticky-holder set is left as the grant set of the last served slot.
 
         Returns
         -------
-        Whether a worker completed its program transfer this slot.
+        The number of slots consumed, and whether a worker completed its
+        program transfer within them.
         """
-        eligible = [
-            runtime
-            for runtime, needed in zip(runtimes, remaining)
-            if needed > 0 and runtime.state == UP
-        ]
-        if not eligible:
-            self._previous_holders = set()
-            return False
+        # [worker id, runtime, slots needed] of the eligible workers, ascending.
+        eligible = []
+        stalled = False
+        for runtime, needed in zip(runtimes, remaining):
+            if needed > 0:
+                worker = runtime.worker_id
+                if column[worker] == _UP_CODE:
+                    eligible.append([worker, runtime, needed])
+                else:
+                    stalled = True
+        ncom = self.ncom
         previous = self._previous_holders
         # Sticky channels first, then the rest, each in ascending worker order.
-        granted = [runtime for runtime in eligible if runtime.worker_id in previous]
-        if len(granted) < self.ncom:
-            granted += [runtime for runtime in eligible if runtime.worker_id not in previous]
-        del granted[self.ncom:]
-        self._previous_holders = {runtime.worker_id for runtime in granted}
-        program_completed = False
-        for runtime in granted:
-            received = runtime.receive_communication_slot(tprog, tdata)
-            if served is not None:
-                served[runtime.worker_id] = received
-            if received == "program" and runtime.has_program:
-                program_completed = True
-        return program_completed
-
-    # ------------------------------------------------------------------
-    def drain(
-        self,
-        enrolled_runtimes: Sequence[WorkerRuntime],
-        span: int,
-        *,
-        tprog: int,
-        tdata: int,
-    ) -> int:
-        """Fast-forward up to *span* communication slots with frozen states.
-
-        Event-driven equivalent of calling :meth:`step` once per slot while
-        no worker changes availability state: under the sticky policy the
-        granted set only changes when a transfer completes, so each grant
-        interval is applied in one batch through
-        :meth:`WorkerRuntime.advance_communication`.  Returns the number of
-        slots consumed — stopping at the first slot that is no longer a
-        communication slot (all transfers done) or at *span* — and leaves
-        the sticky-holder set exactly as the slot-by-slot calls would have.
-
-        This is the one other place besides :meth:`step` that encodes
-        the channel-allocation policy; an alternative policy must replace
-        both (or simply not offer a drain, at the cost of per-slot
-        fast-forwarding in the engine).
-        """
-        if span <= 0:
-            return 0
-        active: Dict[int, int] = {}
-        stalled_remaining = 0
-        for runtime in enrolled_runtimes:
-            remaining = runtime.comm_slots_remaining(tprog, tdata)
-            if remaining > 0:
-                if runtime.is_up():
-                    active[runtime.worker_id] = remaining
-                else:
-                    stalled_remaining += remaining
-        runtime_by_id = {r.worker_id: r for r in enrolled_runtimes}
-        previous = self._previous_holders
-        granted = sorted(w for w in active if w in previous)
-        granted += sorted(w for w in active if w not in previous)
-        granted = granted[: self.ncom]
-        waiting = sorted(w for w in active if w not in granted)
+        granted = [entry for entry in eligible if entry[0] in previous]
+        granted += [entry for entry in eligible if entry[0] not in previous]
+        # Whoever waits is a non-holder once the first slot is served.
+        waiting = sorted(granted[ncom:])
+        del granted[ncom:]
         consumed = 0
-        final_granted = None
-        while consumed < span and active:
-            step = min(active[w] for w in granted)
+        program_completed = False
+        while granted:
+            step = min(entry[2] for entry in granted)
             if step > span - consumed:
                 step = span - consumed
-            for w in granted:
-                runtime_by_id[w].advance_communication(step, tprog, tdata)
-                active[w] -= step
+            for entry in granted:
+                runtime = entry[1]
+                had_program = runtime.has_program
+                if served is not None:
+                    served.setdefault(entry[0], "data" if had_program else "program")
+                runtime.advance_communication(step, tprog, tdata)
+                if runtime.has_program and not had_program:
+                    program_completed = True
+                entry[2] -= step
             consumed += step
-            # The sticky set after these slots is the grant set *they* used,
-            # not the refilled one computed for the next interval.
-            final_granted = granted
-            finished = [w for w in granted if active[w] == 0]
-            if finished:
-                for w in finished:
-                    del active[w]
-                granted = [w for w in granted if w in active]
-                while waiting and len(granted) < self.ncom:
-                    granted.append(waiting.pop(0))
-        if final_granted is not None:
-            self._previous_holders = set(final_granted)
-        if not active and stalled_remaining > 0 and consumed < span:
-            # Only RECLAIMED workers still owe transfers: every remaining
-            # frozen slot is a stalled comm slot with no eligible worker,
-            # which the slot-by-slot policy answers with an empty grant
-            # (and a cleared sticky set).
+            self._previous_holders = {entry[0] for entry in granted}
+            if consumed == span:
+                return consumed, program_completed
+            granted = [entry for entry in granted if entry[2]]
+            while waiting and len(granted) < ncom:
+                granted.append(waiting.pop(0))
+        if stalled:
+            # Every slot left is a stalled communication slot with an empty
+            # grant, which clears the sticky set.
             self._previous_holders = set()
-            consumed = span
-        return consumed
+            return span, program_completed
+        return consumed, program_completed

@@ -44,8 +44,7 @@ built on the span primitives of :mod:`repro.simulation.kernels`:
   communication phase into an O(#enrolled) lookup, and with a channel for
   every enrolled worker the whole phase collapses into one jump;
 * the computation phase jumps straight over UP/RECLAIMED flicker to the
-  first enrolled DOWN transition or the iteration's completing slot;
-* only the enrolled workers' runtime states are synchronised per event.
+  first enrolled DOWN transition or the iteration's completing slot.
 
 Every short-cut is exact: it changes neither the trajectory nor any counter
 of the run.  Keeping the per-slot event log (``record_events``) disables the
@@ -59,11 +58,12 @@ what changed since the previous one: the observation shares the program
 holder set and the UP list until an event changes them and computes its
 remaining fields on first read; a configuration is validated once, when
 ``select`` first returns it; a fresh column is read into Python ints once,
-for the state sync, the UP list and the DOWN scan; and the DOWN scan visits
-only the runtimes that can carry state (the enrolled ones and the program
-holders, listed anew after a configuration change or a DOWN transition) and
-is skipped on a column identical to the one just processed.  The run
-suspends only at availability window boundaries, which lets
+and that list is the run's one record of worker availability (the UP list,
+the DOWN scan, the channel grants and the compute test all read it); and the
+DOWN scan visits only the runtimes that can carry state (the enrolled ones
+and the program holders, listed anew after a configuration change or a DOWN
+transition) and is skipped on a column identical to the one just processed.
+The run suspends only at availability window boundaries, which lets
 :class:`~repro.simulation.multirun.MultiHeuristicDriver` advance several
 engines in lockstep, window by window.
 """
@@ -99,13 +99,11 @@ from repro.simulation.kernels import (
 from repro.simulation.results import IterationRecord, SimulationResult
 from repro.simulation.state import WorkerRuntime
 from repro.telemetry.tracer import Tracer
-from repro.types import DOWN, RECLAIMED, UP
+from repro.types import DOWN, UP
 from repro.utils.rng import SeedLike, run_entropy, scheduler_stream
 
 __all__ = ["SimulationEngine", "simulate"]
 
-#: Cheap int -> singleton lookup for the three processor states.
-_STATE_OF_CODE = (UP, RECLAIMED, DOWN)
 _DOWN_CODE = int(DOWN)
 _UP_CODE = int(UP)
 
@@ -309,8 +307,7 @@ class SimulationEngine:
         select = self.scheduler.select
         self._comm.reset()
         self._runtimes = [WorkerRuntime(worker_id=q) for q in range(platform.num_processors)]
-        runtimes = self._runtimes
-        runtime_by_id = {runtime.worker_id: runtime for runtime in runtimes}
+        runtimes = self._runtimes  # indexed by worker id
         self._private_blocks = None
         self._block = None
         self._block_start = 0
@@ -332,12 +329,6 @@ class SimulationEngine:
         contract = bool(getattr(self.scheduler, "passive_between_rebuilds", False))
         log_events = self.events.enabled
         can_fast_forward = contract and not log_events
-        # Only the *enrolled* workers' runtime states are synchronised per
-        # column: nothing in the engine reads the state of a non-enrolled
-        # worker (observations and selection checks use the raw state
-        # column; offline program-holder failures read the block directly).
-        # Newly enrolled workers are synchronised at the configuration
-        # change that enrols them.
 
         current_config = Configuration.empty()
         # The current configuration object once the engine has validated it
@@ -362,7 +353,8 @@ class SimulationEngine:
         # transition may have changed them.  A program transfer finishes only
         # on an enrolled runtime, which is listed already.
         carriers: Optional[List[WorkerRuntime]] = []
-        # The slot's column as Python ints, read once per fresh column.
+        # The slot's column as Python ints, read once per fresh column: the
+        # one record of worker availability.
         column: List[int] = []
         enrolled_runtimes: List[WorkerRuntime] = []
         enrolled_ids = np.empty(0, dtype=np.intp)
@@ -398,8 +390,6 @@ class SimulationEngine:
             repeated = not states_dirty and self._block_same[rel]
             if not repeated:
                 column = self._block[:, rel].tolist()
-                for runtime in enrolled_runtimes:
-                    runtime.state = _STATE_OF_CODE[column[runtime.worker_id]]
                 up_workers = None
                 states_dirty = False
 
@@ -443,12 +433,12 @@ class SimulationEngine:
                 pruned = {
                     worker: tasks
                     for worker, tasks in current_config.items()
-                    if not runtime_by_id[worker].is_down()
+                    if column[worker] != _DOWN_CODE
                 }
                 current_config = Configuration(pruned)
                 feasible = current_config.total_tasks() == num_tasks
                 workload = current_config.workload(platform)
-                enrolled_runtimes = [runtime_by_id[w] for w in current_config.workers]
+                enrolled_runtimes = [runtimes[w] for w in current_config.workers]
                 enrolled_ids = np.fromiter(
                     current_config.workers, dtype=np.intp, count=len(enrolled_runtimes)
                 )
@@ -497,9 +487,9 @@ class SimulationEngine:
                 old_workers = set(current_config.workers)
                 new_workers = set(new_config.workers)
                 for worker in old_workers - new_workers:
-                    runtime_by_id[worker].on_unenroll()
+                    runtimes[worker].on_unenroll()
                 for worker in new_workers:
-                    runtime = runtime_by_id[worker]
+                    runtime = runtimes[worker]
                     tasks = new_config.tasks_on(worker)
                     if worker in old_workers and runtime.enrolled:
                         runtime.on_reassign(tasks)
@@ -509,16 +499,12 @@ class SimulationEngine:
                 current_config = new_config
                 feasible = current_config.total_tasks() == num_tasks
                 workload = current_config.workload(platform)
-                # absorb_free_transfers hands out the program when tprog == 0.
-                holders = carriers = None
-                enrolled_runtimes = [runtime_by_id[w] for w in current_config.workers]
+                enrolled_runtimes = [runtimes[w] for w in current_config.workers]
                 enrolled_ids = np.fromiter(
                     current_config.workers, dtype=np.intp, count=len(enrolled_runtimes)
                 )
-                # Newly enrolled workers may carry a stale state under the
-                # enrolled-only synchronisation; refresh the set.
-                for runtime in enrolled_runtimes:
-                    runtime.state = _STATE_OF_CODE[column[runtime.worker_id]]
+                # absorb_free_transfers hands out the program when tprog == 0.
+                holders = carriers = None
 
             # ---- 4. run the slot ---------------------------------------
             if not feasible:
@@ -531,88 +517,75 @@ class SimulationEngine:
                     runtime.comm_slots_remaining(tprog, tdata) for runtime in enrolled_runtimes
                 ]
                 comm_remaining = sum(remaining)
-                if comm_remaining and can_fast_forward and len(enrolled_runtimes) <= ncom:
-                    # ---- whole-phase jump (capacity surplus) ------------
-                    # With a channel for every enrolled worker the sticky
-                    # policy serves each needing UP worker on every slot,
-                    # so the complete communication phase collapses to
-                    # per-worker searches in the window's UP-count table.
-                    # Valid on failure slots too: the failure scan already
-                    # pruned DOWN workers from the configuration, so the
-                    # current column is DOWN-free for the enrolled set.
+                if comm_remaining:
                     begin = time.perf_counter_ns() if tracer is not None else 0
-                    advance, units, granted = comm_phase_span(
-                        self._block_data.ensure_phase_tables(),
-                        enrolled_ids,
-                        np.array(remaining, dtype=np.int32),
-                        rel,
-                    )
-                    for runtime, used in zip(enrolled_runtimes, units.tolist()):
-                        if used:
-                            runtime.advance_communication(used, tprog, tdata)
-                    self._comm.set_holders(enrolled_ids[granted])
-                    # Column ``rel`` itself was covered by this slot's
-                    # failure scan; batch the rest of the window.
-                    if advance > 1 and self._apply_offline_failures(
-                        rel, advance - 1, runtimes
-                    ):
-                        holders = carriers = None
-                    total_comm_slots += advance
-                    record.communication_slots += advance
-                    slot += advance - 1
-                    states_dirty = True
-                    if tracer is not None:
-                        tracer.accumulate(
-                            "engine.comm_phase",
-                            begin,
-                            counters={"advance": advance},
-                            heuristic=heuristic_name,
-                        )
-                elif comm_remaining:
-                    served = {} if log_events else None
-                    if self._comm.step(
-                        enrolled_runtimes, remaining, tprog=tprog, tdata=tdata, served=served
-                    ):
-                        holders = None
-                    total_comm_slots += 1
-                    record.communication_slots += 1
-                    if served:
-                        self.events.record(slot, EventKind.COMMUNICATION, served=served)
-                    if can_fast_forward and not failure:
-                        # ---- fast-forward the communication phase -------
-                        # While no *relevant* worker changes state the slot
-                        # structure is fixed: every slot is a comm slot
-                        # until the transfers complete, and the sticky
-                        # channel allocation only changes when a transfer
-                        # finishes.  Drain whole grant intervals event by
-                        # event.  The window is bounded by the work actually
-                        # left and by the first enrolled state change.
-                        begin = time.perf_counter_ns() if tracer is not None else 0
-                        nc_span = frozen_span(
-                            self._block_data.ensure_next_change(),
+                    jump = can_fast_forward and len(enrolled_runtimes) <= ncom
+                    if jump:
+                        # ---- whole-phase jump (capacity surplus) --------
+                        # With a channel for every enrolled worker the
+                        # sticky policy serves each needing UP worker on
+                        # every slot, so the complete communication phase
+                        # collapses to per-worker searches in the window's
+                        # UP-count table.  Valid on failure slots too: the
+                        # failure scan already pruned DOWN workers from the
+                        # configuration, so the current column is DOWN-free
+                        # for the enrolled set.
+                        consumed, units, granted = comm_phase_span(
+                            self._block_data.ensure_phase_tables(),
                             enrolled_ids,
+                            np.array(remaining, dtype=np.int32),
                             rel,
                         )
-                        span = min(self._block_len - rel - 1, comm_remaining, nc_span)
-                        consumed = self._comm.drain(
-                            enrolled_runtimes, span, tprog=tprog, tdata=tdata
+                        for runtime, used in zip(enrolled_runtimes, units.tolist()):
+                            if used:
+                                runtime.advance_communication(used, tprog, tdata)
+                        self._comm.set_holders(enrolled_ids[granted])
+                    else:
+                        # ---- communication slot(s) ----------------------
+                        # While no enrolled worker changes state every slot
+                        # is a comm slot until the transfers complete, and
+                        # the sticky grants change only when a transfer
+                        # finishes, so fast-forwarding serves whole grant
+                        # intervals at once.  The span is bounded by the
+                        # work left and by the first enrolled state change.
+                        span = 1
+                        if can_fast_forward and not failure:
+                            span += min(
+                                self._block_len - rel - 1,
+                                comm_remaining,
+                                frozen_span(
+                                    self._block_data.ensure_next_change(), enrolled_ids, rel
+                                ),
+                            )
+                        served = {} if log_events else None
+                        consumed, program_completed = self._comm.serve(
+                            enrolled_runtimes, remaining, column, span,
+                            tprog=tprog, tdata=tdata, served=served,
                         )
-                        if consumed:
-                            if self._apply_offline_failures(rel, consumed, runtimes):
-                                holders = carriers = None
-                            total_comm_slots += consumed
-                            record.communication_slots += consumed
-                            slot += consumed
-                            states_dirty = True
-                            if tracer is not None:
-                                tracer.accumulate(
-                                    "engine.comm_drain",
-                                    begin,
-                                    counters={"advance": consumed},
-                                    heuristic=heuristic_name,
-                                )
+                        if program_completed:
+                            holders = None
+                        if served:
+                            self.events.record(slot, EventKind.COMMUNICATION, served=served)
+                    total_comm_slots += consumed
+                    record.communication_slots += consumed
+                    if consumed > 1:
+                        # Column ``rel`` itself was covered by this slot's
+                        # failure scan; batch the rest of the span.
+                        if self._apply_offline_failures(rel, consumed - 1, runtimes):
+                            holders = carriers = None
+                        slot += consumed - 1
+                        states_dirty = True
+                    if tracer is not None and (jump or consumed > 1):
+                        tracer.accumulate(
+                            "engine.comm_phase" if jump else "engine.comm_drain",
+                            begin,
+                            counters={"advance": consumed if jump else consumed - 1},
+                            heuristic=heuristic_name,
+                        )
                 else:
-                    all_up = all(runtime.is_up() for runtime in enrolled_runtimes)
+                    all_up = all(
+                        column[runtime.worker_id] == _UP_CODE for runtime in enrolled_runtimes
+                    )
                     if all_up:
                         progress += 1
                         total_compute_slots += 1

@@ -1,8 +1,8 @@
 """Per-worker runtime state tracked by the simulation engine.
 
-For every worker the engine keeps, besides the availability state of the
-current slot, the information needed to apply the execution model of
-Section III-C:
+For every worker the engine keeps the information needed to apply the
+execution model of Section III-C (the worker's availability state is read
+from the slot's state column, never stored here):
 
 * whether the worker currently holds the application program (retained across
   iterations and un-enrolments, lost on DOWN);
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.types import DOWN, UP, ProcessorState
-
 __all__ = ["WorkerRuntime"]
 
 
@@ -29,7 +27,6 @@ class WorkerRuntime:
     """Mutable runtime record of one worker inside a simulation run."""
 
     worker_id: int
-    state: ProcessorState = UP
     enrolled: bool = False
     assigned_tasks: int = 0
     has_program: bool = False
@@ -40,38 +37,16 @@ class WorkerRuntime:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def is_up(self) -> bool:
-        return self.state == UP
-
-    def is_down(self) -> bool:
-        return self.state == DOWN
-
-    def program_slots_remaining(self, tprog: int) -> int:
-        """Slots of program transfer still needed (0 if it holds the program)."""
-        if self.has_program:
-            return 0
-        return max(tprog - self.program_progress, 0)
-
-    def data_slots_remaining(self, tdata: int) -> int:
-        """Slots of task-data transfer still needed for the assigned tasks."""
-        missing_messages = max(self.assigned_tasks - self.data_received, 0)
-        if missing_messages == 0:
-            return 0
-        return missing_messages * tdata - self.data_progress
-
     def comm_slots_remaining(self, tprog: int, tdata: int) -> int:
         """Total slots of master communication still needed by this worker.
 
-        Flattened (rather than delegating to the two ``*_slots_remaining``
-        helpers) because the simulation engine calls this on every
-        communication slot for every enrolled worker.
+        The program transfer (0 slots once the program is held) plus the
+        data slots of the assigned tasks not yet received.
         """
-        if self.has_program:
+        if self.has_program or self.program_progress >= tprog:
             program = 0
         else:
             program = tprog - self.program_progress
-            if program < 0:
-                program = 0
         missing = self.assigned_tasks - self.data_received
         if missing <= 0:
             return program
@@ -139,42 +114,19 @@ class WorkerRuntime:
     # ------------------------------------------------------------------
     # Communication progress
     # ------------------------------------------------------------------
-    def receive_communication_slot(self, tprog: int, tdata: int) -> str:
-        """Advance this worker's transfer by one slot; return ``"program"`` or ``"data"``.
-
-        The program is always transferred before task data (a worker cannot
-        use data without the program anyway).  Degenerate zero-length
-        transfers (``Tprog == 0`` or ``Tdata == 0``) are completed instantly
-        by the engine before channel allocation and never reach this method.
-        """
-        if self.program_slots_remaining(tprog) > 0:
-            self.program_progress += 1
-            if self.program_progress >= tprog:
-                self.has_program = True
-                self.program_progress = 0
-            return "program"
-        if self.data_slots_remaining(tdata) > 0:
-            self.data_progress += 1
-            if self.data_progress >= tdata:
-                self.data_received += 1
-                self.data_progress = 0
-            return "data"
-        raise RuntimeError(
-            f"worker {self.worker_id} was granted a communication slot but needs none"
-        )
-
     def advance_communication(self, units: int, tprog: int, tdata: int) -> None:
         """Apply *units* consecutive communication slots to this worker at once.
 
-        Exactly equivalent to *units* successive
-        :meth:`receive_communication_slot` calls (program first, then data
-        messages), collapsed into O(1) arithmetic so the engine's
-        communication fast-forward can batch a whole grant interval.
-        *units* must not exceed :meth:`comm_slots_remaining`.
+        The program is transferred before task data (a worker cannot use
+        data without the program anyway); the slots are applied in O(1)
+        arithmetic so a whole grant interval is one call.  *units* must not
+        exceed :meth:`comm_slots_remaining`.  Degenerate zero-length
+        transfers (``Tprog == 0`` or ``Tdata == 0``) are completed by
+        :meth:`absorb_free_transfers` and never reach this method.
         """
         if units <= 0:
             return
-        program = self.program_slots_remaining(tprog)
+        program = 0 if self.has_program else tprog - self.program_progress
         if program > 0:
             take = units if units < program else program
             self.program_progress += take

@@ -6,6 +6,7 @@ from repro.availability import MarkovAvailabilityModel, TraceAvailabilityModel
 from repro.availability.model import AvailabilityModel
 from repro.exceptions import InvalidPlatformError
 from repro.platform import Platform, Processor
+from repro.simulation import SampledTrace
 from repro.types import UP
 
 
@@ -143,6 +144,17 @@ class TestSerialisation:
         platform = Platform([proc], ncom=1, tprog=0, tdata=0)
         clone = Platform.from_dict(platform.to_dict())
         assert isinstance(clone.processor(0).availability, TraceAvailabilityModel)
+
+    def test_round_trip_keeps_trace_wrap(self):
+        # A trace that does not wrap repeats its last state once exhausted.
+        for wrap, expected in ((False, [[0, 2, 2, 2]]), (True, [[0, 2, 0, 2]])):
+            proc = Processor(
+                speed=1, capacity=1, availability=TraceAvailabilityModel("ud", wrap=wrap)
+            )
+            platform = Platform([proc], ncom=1, tprog=0, tdata=0)
+            clone = Platform.from_dict(platform.to_dict())
+            assert SampledTrace(platform, 0, 4).block(0, 4).tolist() == expected
+            assert SampledTrace(clone, 0, 4).block(0, 4).tolist() == expected
 
     def test_describe(self):
         platform = Platform(make_processors(2), ncom=1, tprog=0, tdata=0)

@@ -1,25 +1,30 @@
 """Tests for the per-worker runtime state."""
 
+import dataclasses
+
 import pytest
 
 from repro.simulation.state import WorkerRuntime
-from repro.types import DOWN, RECLAIMED, UP
 
 
 class TestQueries:
-    def test_state_predicates(self):
-        runtime = WorkerRuntime(worker_id=0, state=UP)
-        assert runtime.is_up() and not runtime.is_down()
-        runtime.state = RECLAIMED
-        assert not runtime.is_up() and not runtime.is_down()
-        runtime.state = DOWN
-        assert runtime.is_down()
+    def test_record_keeps_no_availability_state(self):
+        # A worker's state is read from the slot's column, never stored.
+        assert [field.name for field in dataclasses.fields(WorkerRuntime)] == [
+            "worker_id",
+            "enrolled",
+            "assigned_tasks",
+            "has_program",
+            "program_progress",
+            "data_received",
+            "data_progress",
+        ]
 
     def test_comm_slots_remaining_fresh_worker(self):
         runtime = WorkerRuntime(worker_id=0)
         runtime.on_enroll(3)
-        assert runtime.program_slots_remaining(tprog=4) == 4
-        assert runtime.data_slots_remaining(tdata=2) == 6
+        assert runtime.comm_slots_remaining(4, 0) == 4  # the program alone
+        assert runtime.comm_slots_remaining(0, 2) == 6  # the data alone
         assert runtime.comm_slots_remaining(4, 2) == 10
 
     def test_comm_slots_with_program(self):
@@ -103,26 +108,41 @@ class TestCommunicationProgress:
     def test_program_then_data(self):
         runtime = WorkerRuntime(worker_id=0)
         runtime.on_enroll(1)
-        kinds = [runtime.receive_communication_slot(2, 2) for _ in range(4)]
-        assert kinds == ["program", "program", "data", "data"]
-        assert runtime.has_program
-        assert runtime.data_received == 1
+        progress = []
+        for _ in range(4):
+            runtime.advance_communication(1, 2, 2)
+            progress.append(
+                (runtime.has_program, runtime.program_progress,
+                 runtime.data_received, runtime.data_progress)
+            )
+        assert progress == [
+            (False, 1, 0, 0), (True, 0, 0, 0), (True, 0, 0, 1), (True, 0, 1, 0)
+        ]
         assert runtime.comm_slots_remaining(2, 2) == 0
 
     def test_partial_data_progress(self):
         runtime = WorkerRuntime(worker_id=0, has_program=True)
         runtime.on_enroll(2)
-        runtime.receive_communication_slot(0, 3)
+        runtime.advance_communication(1, 0, 3)
         assert runtime.data_progress == 1
         assert runtime.data_received == 0
-        assert runtime.data_slots_remaining(3) == 5
+        assert runtime.comm_slots_remaining(0, 3) == 5
 
-    def test_slot_granted_with_nothing_needed_raises(self):
-        runtime = WorkerRuntime(worker_id=0, has_program=True)
+    def test_batched_slots_cross_program_and_data(self):
+        runtime = WorkerRuntime(worker_id=0)
+        runtime.on_enroll(3)
+        runtime.program_progress = 1
+        runtime.advance_communication(6, 3, 2)  # 2 program slots, then 4 data
+        assert runtime.has_program and runtime.program_progress == 0
+        assert (runtime.data_received, runtime.data_progress) == (2, 0)
+        assert runtime.comm_slots_remaining(3, 2) == 2
+
+    def test_no_slots_change_nothing(self):
+        runtime = WorkerRuntime(worker_id=0)
         runtime.on_enroll(1)
-        runtime.data_received = 1
-        with pytest.raises(RuntimeError):
-            runtime.receive_communication_slot(2, 1)
+        before = dataclasses.replace(runtime)
+        runtime.advance_communication(0, 2, 1)
+        assert runtime == before
 
     def test_absorb_free_transfers(self):
         runtime = WorkerRuntime(worker_id=0)
