@@ -137,14 +137,6 @@ class AnalysisContext:
             self._candidate_pairs.clear()
             self.allocator_state.clear()
 
-    @property
-    def num_workers(self) -> int:
-        return len(self._workers)
-
-    def worker(self, worker_id: int) -> WorkerAnalysis:
-        """Per-worker analysis (speed, spectrum, no-DOWN probabilities)."""
-        return self._workers[worker_id]
-
     def quantities(self, workers: Iterable[int]) -> GroupQuantities:
         """Group quantities (``Eu``, ``P₊``, ``E_c``) for a worker set."""
         return self.group.quantities(workers)
@@ -227,10 +219,6 @@ class AnalysisContext:
             cached = self.group.quantities((worker,)).expected_time(slots, self.mode)
             self._single_time_cache[key] = cached
         return cached
-
-    def no_down_probability(self, worker: int, slots: int) -> float:
-        """Cached per-worker ``P_ND(t)``."""
-        return self._workers[worker].no_down_probability(int(slots))
 
     # ------------------------------------------------------------------
     def communication(self, comm_slots: Mapping[int, int]) -> CommunicationEstimate:

@@ -66,20 +66,9 @@ class ConfigurationEstimate:
         return criteria.expected_time(self.communication.expected_time, self.computation_time)
 
     @property
-    def yield_value(self) -> float:
-        """``Y = P / (t + E)`` — the expected inverse iteration duration."""
-        return criteria.yield_value(self.success_probability, self.expected_time, self.elapsed)
-
-    @property
     def apparent_yield(self) -> float:
         """``AY = P / E`` — yield of the remaining work only."""
         return criteria.apparent_yield(self.success_probability, self.expected_time)
-
-    def describe(self) -> str:
-        return (
-            f"Estimate(P={self.success_probability:.4f}, E={self.expected_time:.2f}, "
-            f"Y={self.yield_value:.5f}, AY={self.apparent_yield:.5f})"
-        )
 
 
 def evaluate_configuration(

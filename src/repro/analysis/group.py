@@ -189,10 +189,6 @@ class GroupAnalysis:
         self._cache: Dict[FrozenSet[int], GroupQuantities] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def num_workers(self) -> int:
-        return len(self._workers)
-
     def worker(self, worker_id: int) -> WorkerAnalysis:
         return self._workers[worker_id]
 

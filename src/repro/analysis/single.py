@@ -103,14 +103,6 @@ class WorkerAnalysis:
             self._up_return_cache = self.model.up_return_probabilities(grown)
         return self._up_return_cache[:horizon]
 
-    def up_return_probability(self, t: int) -> float:
-        """Scalar ``P_{u->u}(t)``."""
-        if t < 0:
-            raise ValueError(f"t must be >= 0, got {t}")
-        if t == 0:
-            return 1.0
-        return float(self.up_return_array(t)[t - 1])
-
     # ------------------------------------------------------------------
     # P_ND — probability of not going DOWN within t slots (starting UP)
     # ------------------------------------------------------------------
@@ -152,9 +144,3 @@ class WorkerAnalysis:
         if p_ur + p_ru == 0:
             return 1.0  # the processor never leaves UP
         return p_ru / (p_ur + p_ru)
-
-    def describe(self) -> str:
-        return (
-            f"WorkerAnalysis(w={self.speed}, lambda1={self.lambda1:.4f}, "
-            f"can_fail={self.can_fail()})"
-        )

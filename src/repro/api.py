@@ -119,21 +119,6 @@ class RunResult:
     #: when the run was invoked with ``collect_metrics=True``, else ``None``.
     metrics: Optional[RunMetrics] = None
 
-    def as_dict(self) -> dict:
-        """JSON-ready mapping of the scalar result fields (plus metrics)."""
-        payload = {
-            "heuristic": self.heuristic,
-            "seed": self.seed,
-            "success": self.success,
-            "makespan": self.makespan,
-            "completed_iterations": self.completed_iterations,
-            "total_restarts": self.total_restarts,
-            "total_configuration_changes": self.total_configuration_changes,
-        }
-        if self.metrics is not None:
-            payload["metrics"] = self.metrics.as_dict()
-        return payload
-
 
 @dataclass
 class SweepResult:

@@ -87,22 +87,3 @@ class Application:
     def describe(self) -> str:
         label = self.name or "application"
         return f"{label}(m={self.tasks_per_iteration}, iterations={self.iterations})"
-
-    def to_dict(self) -> dict:
-        return {
-            "tasks_per_iteration": self.tasks_per_iteration,
-            "iterations": self.iterations,
-            "program_size": self.program_size,
-            "data_size": self.data_size,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Application":
-        return cls(
-            tasks_per_iteration=payload["tasks_per_iteration"],
-            iterations=payload.get("iterations", 10),
-            program_size=payload.get("program_size"),
-            data_size=payload.get("data_size"),
-            name=payload.get("name"),
-        )

@@ -77,9 +77,6 @@ class Configuration:
         """``Σ x_q``."""
         return sum(self._allocation.values())
 
-    def num_workers(self) -> int:
-        return len(self._allocation)
-
     def is_empty(self) -> bool:
         return not self._allocation
 
@@ -154,7 +151,3 @@ class Configuration:
 
     def to_dict(self) -> dict:
         return {str(worker): tasks for worker, tasks in self._allocation.items()}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, int]) -> "Configuration":
-        return cls({int(worker): tasks for worker, tasks in payload.items()})

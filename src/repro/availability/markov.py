@@ -353,24 +353,6 @@ class MarkovAvailabilityModel(AvailabilityModel):
             )
         )
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable representation (used by experiment persistence)."""
-        payload = {"type": "markov", "matrix": self._matrix.tolist()}
-        if self._initial is not None:
-            payload["initial_distribution"] = self._initial.tolist()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MarkovAvailabilityModel":
-        """Inverse of :meth:`to_dict`."""
-        if payload.get("type") != "markov":
-            raise InvalidModelError(f"not a markov model payload: {payload.get('type')!r}")
-        initial = payload.get("initial_distribution")
-        return cls(
-            np.asarray(payload["matrix"], dtype=float),
-            initial_distribution=None if initial is None else np.asarray(initial, dtype=float),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<MarkovAvailabilityModel {self.describe()}>"
 

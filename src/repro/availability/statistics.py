@@ -197,16 +197,3 @@ class TraceStatistics:
             num_failures=entries_down,
             empirical_matrix=estimate_markov_matrix(values),
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "up_fraction": self.up_fraction,
-            "reclaimed_fraction": self.reclaimed_fraction,
-            "down_fraction": self.down_fraction,
-            "mean_up_interval": self.mean_up_interval,
-            "mean_reclaimed_interval": self.mean_reclaimed_interval,
-            "mean_down_interval": self.mean_down_interval,
-            "num_failures": self.num_failures,
-            "empirical_matrix": self.empirical_matrix.tolist(),
-        }

@@ -181,10 +181,6 @@ class TraceAvailabilityModel(AvailabilityModel):
         self._cursor = 0
         self._fitted: Optional[np.ndarray] = None
 
-    @property
-    def sequence(self) -> np.ndarray:
-        return self._sequence.copy()
-
     def reset(self) -> None:
         self._cursor = 0
 
@@ -228,18 +224,6 @@ class TraceAvailabilityModel(AvailabilityModel):
         if self._fitted is None:
             self._fitted = estimate_markov_matrix(self._sequence)
         return self._fitted.copy()
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable representation (single-row trace payload)."""
-        chars = np.array(["u", "r", "d"])
-        return {"type": "trace", "rows": ["".join(chars[self._sequence])], "wrap": self._wrap}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TraceAvailabilityModel":
-        """Inverse of :meth:`to_dict`."""
-        if payload.get("type") != "trace" or len(payload.get("rows", [])) != 1:
-            raise InvalidModelError("expected a single-row trace payload")
-        return cls(payload["rows"][0], wrap=payload.get("wrap", True))
 
     def describe(self) -> str:
         up_fraction = float(np.mean(self._sequence == int(UP))) if self._sequence.size else 0.0

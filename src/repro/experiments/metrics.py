@@ -76,18 +76,6 @@ class HeuristicSummary:
             None if self.stdv is None else round(self.stdv, 2),
         ]
 
-    def as_dict(self) -> dict:
-        return {
-            "heuristic": self.heuristic,
-            "fails": self.fails,
-            "pct_diff": self.pct_diff,
-            "pct_wins": self.pct_wins,
-            "pct_wins30": self.pct_wins30,
-            "stdv": self.stdv,
-            "num_scenarios": self.num_scenarios,
-            "num_trials": self.num_trials,
-        }
-
 
 def filter_results(
     results: Iterable[InstanceResult],

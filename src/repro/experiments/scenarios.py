@@ -132,10 +132,6 @@ class AvailabilitySpec:
             payload[name] = list(value) if isinstance(value, tuple) else value
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "AvailabilitySpec":
-        return cls.from_mapping(payload)
-
     def is_default_markov(self) -> bool:
         return self.kind == "markov" and not self.parameters
 

@@ -125,16 +125,6 @@ class RunMetrics:
             },
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunMetrics":
-        """Inverse of :meth:`as_dict`."""
-        return cls(
-            stride=int(payload["stride"]),
-            end_slot=int(payload["end_slot"]),
-            scheduler=str(payload.get("scheduler", "")),
-            series={name: list(values) for name, values in payload["series"].items()},
-        )
-
 
 class MetricsCollector:
     """Samples per-slot series from a running engine at a fixed stride.

@@ -41,16 +41,8 @@ class OfflineSolution:
     tasks_per_worker: int
 
     @property
-    def num_workers(self) -> int:
-        return len(self.workers)
-
-    @property
     def num_slots(self) -> int:
         return len(self.slots)
-
-    def makespan(self) -> int:
-        """Completion slot of the iteration (last compute slot, 0-based) + 1."""
-        return (max(self.slots) + 1) if self.slots else 0
 
 
 def _common_up_slots(up_matrix: np.ndarray, workers: Tuple[int, ...]) -> np.ndarray:

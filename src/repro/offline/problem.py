@@ -93,10 +93,3 @@ class OfflineProblem:
         if self.capacity is None:
             return 1
         return -(-self.num_tasks // self.capacity)  # ceil(m / µ)
-
-    def describe(self) -> str:
-        mu = "inf" if self.capacity is None else str(self.capacity)
-        return (
-            f"OfflineProblem(p={self.num_processors}, N={self.deadline}, "
-            f"m={self.num_tasks}, w={self.task_slots}, mu={mu})"
-        )

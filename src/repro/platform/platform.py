@@ -125,10 +125,6 @@ class Platform:
     def __iter__(self):
         return iter(self._processors)
 
-    def speeds(self) -> np.ndarray:
-        """Vector of per-processor speeds ``w_q``."""
-        return np.array([proc.speed for proc in self._processors], dtype=np.int64)
-
     def capacities(self) -> np.ndarray:
         """Vector of per-processor capacities ``µ_q``."""
         return np.array([proc.capacity for proc in self._processors], dtype=np.int64)
@@ -179,7 +175,7 @@ class Platform:
         return (self._tprog if needs_program else 0) + tasks * self._tdata
 
     # ------------------------------------------------------------------
-    # Serialisation / display
+    # Display
     # ------------------------------------------------------------------
     def describe(self) -> str:
         base = (
@@ -193,70 +189,3 @@ class Platform:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{self.describe()}>"
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable description (availability must support ``to_dict``)."""
-        if self._hazard is not None:
-            raise InvalidPlatformError(
-                "platform-level hazard processes are not serialisable; "
-                "rebuild the platform from its AvailabilitySpec instead"
-            )
-        processors = []
-        for proc in self._processors:
-            availability = proc.availability
-            if not hasattr(availability, "to_dict"):
-                raise InvalidPlatformError(
-                    f"availability model {type(availability).__name__} does not support to_dict()"
-                )
-            processors.append(
-                {
-                    "name": proc.name,
-                    "speed": proc.speed,
-                    "capacity": proc.capacity,
-                    "availability": availability.to_dict(),
-                }
-            )
-        return {
-            "ncom": self._ncom,
-            "tprog": self._tprog,
-            "tdata": self._tdata,
-            "processors": processors,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Platform":
-        """Inverse of :meth:`to_dict` (currently supports Markov availability)."""
-        from repro.availability.markov import MarkovAvailabilityModel
-        from repro.availability.trace import TraceAvailabilityModel
-
-        processors = []
-        for entry in payload["processors"]:
-            availability_payload = entry["availability"]
-            kind = availability_payload.get("type")
-            if kind == "markov":
-                availability = MarkovAvailabilityModel.from_dict(availability_payload)
-            elif kind == "trace":
-                rows = availability_payload["rows"]
-                if len(rows) != 1:
-                    raise InvalidPlatformError(
-                        "per-processor trace payload must contain exactly one row"
-                    )
-                availability = TraceAvailabilityModel(
-                    rows[0], wrap=availability_payload.get("wrap", True)
-                )
-            else:
-                raise InvalidPlatformError(f"unsupported availability payload type {kind!r}")
-            processors.append(
-                Processor(
-                    speed=entry["speed"],
-                    capacity=entry["capacity"],
-                    availability=availability,
-                    name=entry.get("name"),
-                )
-            )
-        return cls(
-            processors,
-            ncom=payload["ncom"],
-            tprog=payload["tprog"],
-            tdata=payload["tdata"],
-        )

@@ -446,16 +446,20 @@ class IncrementalAllocator:
                 bandwidth_bound = candidate_total_comm / ncom
                 if bandwidth_bound > comm_time:
                     comm_time = bandwidth_bound
-            if candidate_total_comm > 0:
+            if candidate_total_comm <= 0:
+                comm_time = 0.0
+                comm_probability = 1.0
+            elif comm_time == math.inf:
+                # A transfer that never finishes: ``estimate_communication``'s
+                # infinite branch (P_comm = 0, E_comm = inf).
+                comm_probability = 0.0
+            else:
                 duration = int(math.ceil(comm_time))
                 comm_probability = survival_get((candidate_set, duration))
                 if comm_probability is None:
                     if stats is not None:
                         stats["survival_misses"] += 1
                     comm_probability = context.comm_survival(candidate_set, duration)
-            else:
-                comm_time = 0.0
-                comm_probability = 1.0
             # --- computation estimate -------------------------------------
             # ``workload >= speed >= 1`` and the set is non-empty, so the
             # uncached-trivial branch of ``computation`` never applies.

@@ -166,8 +166,6 @@ class ThresholdScheduler(Scheduler):
         capacity = sum(self.platform.processor(w).capacity for w in eligible)
         if capacity < num_tasks:
             eligible = up_workers  # the filter is too aggressive: fall back
-        if self._inner._allocator is None:  # pragma: no cover - defensive
-            return Configuration.empty()
         configuration = self._inner._allocator.allocate(
             eligible,
             has_program=observation.has_program,

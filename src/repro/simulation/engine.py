@@ -150,7 +150,7 @@ class SimulationEngine:
     record_events:
         Keep a structured event log (off by default; memory grows with the
         makespan).  The log is the run's one per-slot record: Gantt charts
-        are drawn from it.
+        are drawn from it.  Each :meth:`run` starts a new log.
     metrics:
         Optional :class:`~repro.metrics.collector.MetricsCollector` sampling
         per-slot series (pool availability, active set, work, backlog) at a
@@ -306,6 +306,7 @@ class SimulationEngine:
         # run sees every call.
         select = self.scheduler.select
         self._comm.reset()
+        self.events = EventLog(enabled=self.events.enabled)
         self._runtimes = [WorkerRuntime(worker_id=q) for q in range(platform.num_processors)]
         runtimes = self._runtimes  # indexed by worker id
         self._private_blocks = None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = ["EventKind", "SimulationEvent", "EventLog"]
 
@@ -57,17 +57,6 @@ class EventLog:
     @property
     def events(self) -> List[SimulationEvent]:
         return list(self._events)
-
-    def count(self, kind: EventKind) -> int:
-        return sum(1 for event in self._events if event.kind == kind)
-
-    def last(self, kind: Optional[EventKind] = None) -> Optional[SimulationEvent]:
-        if kind is None:
-            return self._events[-1] if self._events else None
-        for event in reversed(self._events):
-            if event.kind == kind:
-                return event
-        return None
 
     def __len__(self) -> int:
         return len(self._events)

@@ -39,18 +39,6 @@ class IterationRecord:
             return None
         return self.end_slot - self.start_slot + 1
 
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "start_slot": self.start_slot,
-            "end_slot": self.end_slot,
-            "restarts": self.restarts,
-            "configuration_changes": self.configuration_changes,
-            "communication_slots": self.communication_slots,
-            "computation_slots": self.computation_slots,
-            "idle_slots": self.idle_slots,
-        }
-
 
 @dataclass
 class SimulationResult:
@@ -80,10 +68,6 @@ class SimulationResult:
     idle_slots: int = 0
 
     # ------------------------------------------------------------------
-    @property
-    def failed(self) -> bool:
-        return not self.success
-
     def effective_makespan(self, penalty: Optional[int] = None) -> int:
         """Makespan, substituting *penalty* (default: the cap) for failed runs.
 
@@ -100,42 +84,6 @@ class SimulationResult:
         if not durations:
             return None
         return float(sum(durations)) / len(durations)
-
-    def as_dict(self) -> dict:
-        return {
-            "scheduler": self.scheduler,
-            "success": self.success,
-            "makespan": self.makespan,
-            "completed_iterations": self.completed_iterations,
-            "requested_iterations": self.requested_iterations,
-            "max_slots": self.max_slots,
-            "total_restarts": self.total_restarts,
-            "total_configuration_changes": self.total_configuration_changes,
-            "communication_slots": self.communication_slots,
-            "computation_slots": self.computation_slots,
-            "idle_slots": self.idle_slots,
-            "iterations": [record.as_dict() for record in self.iterations],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SimulationResult":
-        iterations = [
-            IterationRecord(**record) for record in payload.get("iterations", [])
-        ]
-        return cls(
-            scheduler=payload["scheduler"],
-            success=payload["success"],
-            makespan=payload.get("makespan"),
-            completed_iterations=payload["completed_iterations"],
-            requested_iterations=payload["requested_iterations"],
-            max_slots=payload["max_slots"],
-            iterations=iterations,
-            total_restarts=payload.get("total_restarts", 0),
-            total_configuration_changes=payload.get("total_configuration_changes", 0),
-            communication_slots=payload.get("communication_slots", 0),
-            computation_slots=payload.get("computation_slots", 0),
-            idle_slots=payload.get("idle_slots", 0),
-        )
 
     def describe(self) -> str:
         status = "ok" if self.success else "FAILED"

@@ -29,9 +29,8 @@ def platform():
 class TestAnalysisContext:
     def test_worker_metadata(self, platform):
         context = AnalysisContext(platform)
-        assert context.num_workers == 4
-        assert context.worker(2).speed == 3
-        assert context.worker(3).capacity == 4
+        assert context.group.worker(2).speed == 3
+        assert context.group.worker(3).capacity == 4
 
     def test_evaluate_matches_reference_implementation(self, platform):
         context = AnalysisContext(platform)
@@ -42,7 +41,7 @@ class TestAnalysisContext:
         )
         assert cached.success_probability == pytest.approx(reference.success_probability)
         assert cached.expected_time == pytest.approx(reference.expected_time)
-        assert cached.yield_value == pytest.approx(reference.yield_value)
+        assert cached.elapsed == reference.elapsed == 4
 
     def test_evaluate_with_progress_matches_reference(self, platform):
         context = AnalysisContext(platform)
@@ -74,11 +73,15 @@ class TestAnalysisContext:
         assert value == pytest.approx(expected)
         assert context.single_expected_time(0, 0) == 0.0
 
-    def test_no_down_probability_passthrough(self, platform):
+    def test_comm_survival_is_the_product_of_no_down_probabilities(self, platform):
         context = AnalysisContext(platform)
-        assert context.no_down_probability(1, 4) == pytest.approx(
-            context.worker(1).no_down_probability(4)
-        )
+        workers = frozenset({3, 1})
+        value = context.comm_survival(workers, 4)
+        expected = context.group.worker(1).no_down_probability(4)
+        expected *= context.group.worker(3).no_down_probability(4)
+        assert value == expected
+        assert context.survival_cache[(workers, 4)] == value
+        assert context.comm_survival(workers, 4) == value
 
     def test_clear_caches(self, platform):
         context = AnalysisContext(platform)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.analysis.criteria import get_criterion
 from repro.analysis.evaluation import evaluate_configuration
 from repro.analysis.group import ExpectationMode, GroupAnalysis
 from repro.analysis.single import WorkerAnalysis
@@ -11,6 +12,8 @@ from repro.application import Configuration
 from repro.availability.generators import paper_transition_matrix
 from repro.availability.markov import MarkovAvailabilityModel
 from repro.platform import Platform, Processor
+
+YIELD = get_criterion("Y")
 
 
 @pytest.fixture
@@ -94,13 +97,13 @@ class TestEvaluateConfiguration:
         config = Configuration({0: 1})
         early = evaluate_configuration(analysis, platform, config, elapsed=0)
         late = evaluate_configuration(analysis, platform, config, elapsed=100)
-        assert late.yield_value < early.yield_value
+        assert YIELD.value(late) < YIELD.value(early)
         assert late.apparent_yield == pytest.approx(early.apparent_yield)
 
     def test_yield_degenerate_cases(self, analysis, platform):
         estimate = evaluate_configuration(analysis, platform, Configuration.empty())
         assert estimate.apparent_yield == math.inf
-        assert estimate.yield_value == math.inf
+        assert YIELD.value(estimate) == math.inf
 
     def test_invalid_arguments(self, analysis, platform):
         config = Configuration({0: 1})
@@ -121,10 +124,6 @@ class TestEvaluateConfiguration:
         paper = evaluate_configuration(analysis, platform, config, mode=ExpectationMode.PAPER)
         renewal = evaluate_configuration(analysis, platform, config, mode=ExpectationMode.RENEWAL)
         assert renewal.expected_time <= paper.expected_time + 1e-9
-
-    def test_describe(self, analysis, platform):
-        estimate = evaluate_configuration(analysis, platform, Configuration({0: 1}))
-        assert "P=" in estimate.describe()
 
 
 class TestSlowerWorkerHurtsEstimate:

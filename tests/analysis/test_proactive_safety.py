@@ -21,8 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cache import AnalysisContext
+from repro.analysis.criteria import get_criterion
 from repro.application import Configuration
 from repro.platform import PlatformSpec, paper_platform
+
+
+YIELD = get_criterion("Y")
 
 
 def make_context(seed: int) -> AnalysisContext:
@@ -34,7 +38,7 @@ def make_context(seed: int) -> AnalysisContext:
 
 def make_configuration(context: AnalysisContext, seed: int) -> Configuration:
     rng = np.random.default_rng(seed)
-    workers = rng.choice(context.num_workers, size=3, replace=False)
+    workers = rng.choice(context.platform.num_processors, size=3, replace=False)
     return Configuration({int(workers[0]): 2, int(workers[1]): 2, int(workers[2]): 1})
 
 
@@ -92,4 +96,4 @@ class TestAntiDivergenceMonotonicity:
         after = context.evaluate(
             configuration, comm_slots=comm_done, completed_work=1, elapsed=elapsed + 1
         )
-        assert after.yield_value >= before.yield_value - 1e-12
+        assert YIELD.value(after) >= YIELD.value(before) - 1e-12

@@ -36,13 +36,6 @@ class TestWorkerAnalysis:
         assert np.allclose(longer[:5], short)
         assert analysis.up_return_array(10).shape == (10,)
 
-    def test_up_return_probability_scalar(self):
-        analysis = make_analysis()
-        assert analysis.up_return_probability(0) == 1.0
-        assert analysis.up_return_probability(3) == pytest.approx(
-            float(analysis.model.up_return_probability(3))
-        )
-
     def test_no_down_probability_matches_matrix_power(self):
         # The eigen closed form, on the scalar path the analysis uses.
         analysis = make_analysis()
@@ -93,6 +86,3 @@ class TestWorkerAnalysis:
         for t in (1, 4, 9):
             expected = np.linalg.matrix_power(sub, t)[0, :].sum()
             assert analysis.no_down_probability(t) == pytest.approx(expected, rel=1e-9)
-
-    def test_describe(self):
-        assert "lambda1" in make_analysis().describe()

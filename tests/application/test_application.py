@@ -36,9 +36,3 @@ class TestApplication:
     def test_describe_uses_name(self):
         app = Application(tasks_per_iteration=2, name="cg-solver")
         assert "cg-solver" in app.describe()
-
-    def test_round_trip(self):
-        app = Application(tasks_per_iteration=4, iterations=7, program_size=100.0,
-                          data_size=10.0, name="x")
-        clone = Application.from_dict(app.to_dict())
-        assert clone == app

@@ -207,29 +207,12 @@ class TestSampling:
             make_model().sample_trajectory(-1)
 
 
-class TestSerialisation:
-    def test_round_trip(self):
-        model = make_model()
-        clone = MarkovAvailabilityModel.from_dict(model.to_dict())
-        assert clone == model
-
-    def test_round_trip_with_initial_distribution(self):
-        model = MarkovAvailabilityModel(
-            paper_transition_matrix([0.95, 0.9, 0.9]),
-            initial_distribution=np.array([1.0, 0.0, 0.0]),
-        )
-        clone = MarkovAvailabilityModel.from_dict(model.to_dict())
-        assert np.allclose(clone.initial_distribution, [1.0, 0.0, 0.0])
-
+class TestDescribeAndEquality:
     def test_describe_reports_stay_probabilities_and_availability(self):
         model = make_model()
         text = model.describe()
         assert "p_uu=0.950" in text
         assert f"availability={model.availability():.3f}" in text
-
-    def test_from_dict_rejects_other_types(self):
-        with pytest.raises(InvalidModelError):
-            MarkovAvailabilityModel.from_dict({"type": "trace", "rows": ["u"]})
 
     def test_equality_and_hash(self):
         a = make_model()

@@ -129,8 +129,3 @@ class TestTraceStatistics:
         stats = TraceStatistics.from_sequence([])
         assert stats.length == 0
         assert stats.up_fraction == 0.0
-
-    def test_as_dict(self):
-        payload = TraceStatistics.from_sequence(list("uuds")).as_dict() if False else \
-            TraceStatistics.from_sequence(list("uud")).as_dict()
-        assert set(payload) >= {"length", "up_fraction", "num_failures", "empirical_matrix"}

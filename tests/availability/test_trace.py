@@ -126,15 +126,6 @@ class TestTraceAvailabilityModel:
     def test_describe_mentions_up_fraction(self):
         assert "up_fraction" in TraceAvailabilityModel("uu").describe()
 
-    def test_dict_round_trip_keeps_wrap(self):
-        model = TraceAvailabilityModel("ud", wrap=False)
-        clone = TraceAvailabilityModel.from_dict(model.to_dict())
-        assert clone.sample_trajectory(4, seed=0).tolist() == [0, 2, 2, 2]
-
-    def test_from_dict_rejects_multi_row_payload(self):
-        with pytest.raises(InvalidModelError):
-            TraceAvailabilityModel.from_dict({"type": "trace", "rows": ["uu", "dd"]})
-
     def test_reset_restarts_replay(self):
         model = TraceAvailabilityModel("urd")
         rng = np.random.default_rng(0)
@@ -144,11 +135,6 @@ class TestTraceAvailabilityModel:
         assert state == DOWN
         model.reset()
         assert model.next_state(state, rng) == RECLAIMED
-
-    def test_sequence_is_a_copy(self):
-        model = TraceAvailabilityModel("uu")
-        model.sequence[0] = 2
-        assert model.sequence.tolist() == [0, 0]
 
     def test_markov_approximation_is_a_copy(self):
         model = TraceAvailabilityModel("uuurrdduu")

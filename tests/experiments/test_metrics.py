@@ -136,7 +136,7 @@ class TestSummarizeResults:
         assert summaries["H"].pct_wins == 0.0
         assert summaries["H"].fails == 1
 
-    def test_as_row_and_dict(self):
+    def test_as_row(self):
         summary = HeuristicSummary(
             heuristic="X", fails=1, pct_diff=-10.123, pct_wins=70.0, pct_wins30=90.0,
             stdv=0.456, num_scenarios=3, num_trials=6,
@@ -144,5 +144,3 @@ class TestSummarizeResults:
         row = summary.as_row()
         assert row[0] == "X"
         assert row[2] == -10.12
-        payload = summary.as_dict()
-        assert payload["fails"] == 1

@@ -30,13 +30,13 @@ class TestExperimentScenario:
         scenario = ExperimentScenario(ScenarioParameters(m=5, ncom=5, wmin=1), 0)
         a = scenario.build_platform()
         b = scenario.build_platform()
-        assert a.speeds().tolist() == b.speeds().tolist()
+        assert [p.speed for p in a] == [p.speed for p in b]
 
     def test_different_scenarios_have_different_platforms(self):
         params = ScenarioParameters(m=5, ncom=5, wmin=1)
         a = ExperimentScenario(params, 0).build_platform()
         b = ExperimentScenario(params, 1).build_platform()
-        assert a.speeds().tolist() != b.speeds().tolist() or not all(
+        assert [p.speed for p in a] != [p.speed for p in b] or not all(
             (x.availability.matrix == y.availability.matrix).all()
             for x, y in zip(a.processors, b.processors)
         )

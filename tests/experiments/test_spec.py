@@ -51,7 +51,7 @@ class TestAvailabilitySpec:
         )
         assert spec.get("mean_up") == (25.0, 60.0)
         assert spec.get("up_shape") == 0.6
-        clone = AvailabilitySpec.from_dict(spec.as_dict())
+        clone = AvailabilitySpec.from_mapping(spec.as_dict())
         assert clone == spec
 
     def test_bad_range_rejected(self):

@@ -5,12 +5,14 @@ result (all hooks are read-only), and a disabled collector costs nothing —
 the golden-seed runs must stay bit-identical either way.
 """
 
+import json
+
 import pytest
 
 from repro.analysis.cache import AnalysisContext
 from repro.application import Application
 from repro.exceptions import SimulationError
-from repro.metrics import SERIES_NAMES, MetricsCollector, RunMetrics
+from repro.metrics import SERIES_NAMES, MetricsCollector
 from repro.platform import PlatformSpec, paper_platform
 from repro.scheduling import create_scheduler
 from repro.simulation import MultiHeuristicDriver, SampledTrace, SimulationEngine
@@ -150,17 +152,18 @@ class TestLifecycle:
         assert first is not second
         assert first.series["pool_up"] != second.series["pool_up"]
 
-    def test_round_trip_through_dict(self):
+    def test_as_dict_rounds_every_series(self):
         collector = MetricsCollector(stride=32)
         make_engine(metrics=collector).run()
         metrics = collector.result()
-        payload = metrics.as_dict()
-        restored = RunMetrics.from_dict(payload)
-        assert restored.stride == metrics.stride
-        assert restored.end_slot == metrics.end_slot
-        assert restored.scheduler == metrics.scheduler
-        # as_dict rounds floats to 3 decimals; a second round trip is exact.
-        assert RunMetrics.from_dict(restored.as_dict()) == restored
+        payload = json.loads(json.dumps(metrics.as_dict()))
+        assert payload["stride"] == metrics.stride
+        assert payload["end_slot"] == metrics.end_slot
+        assert payload["scheduler"] == metrics.scheduler
+        assert payload["series"] == {
+            name: [round(float(value), 3) for value in values]
+            for name, values in metrics.series.items()
+        }
 
 
 class TestMultiRun:

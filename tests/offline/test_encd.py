@@ -124,7 +124,7 @@ class TestReductionMuInf:
     def test_solution_uses_exactly_a_workers(self):
         instance = small_instance()
         solution = solve_offline_mu_inf(encd_to_offline_mu_inf(instance))
-        assert solution.num_workers == instance.a
+        assert len(solution.workers) == instance.a
         assert solution.tasks_per_worker == 1
 
 

@@ -35,7 +35,7 @@ class TestSolveMu1:
         problem = make_problem(["uudd", "uuuu", "dduu"], m=2, w=2)
         solution = solve_offline_mu1(problem)
         assert solution.workers == frozenset({0, 1})
-        assert solution.makespan() == 2
+        assert solution.slots[-1] + 1 == 2
 
     def test_requires_capacity_one(self):
         problem = make_problem(["uu"], m=1, w=1, capacity=None)
@@ -45,7 +45,7 @@ class TestSolveMu1:
     def test_solution_properties(self):
         problem = make_problem(["uuu", "uuu"], m=2, w=2)
         solution = solve_offline_mu1(problem)
-        assert solution.num_workers == 2
+        assert len(solution.workers) == 2
         assert solution.num_slots == 2
         assert solution.tasks_per_worker == 1
 
@@ -55,7 +55,7 @@ class TestSolveMuInf:
         problem = make_problem(["uuuu", "uuuu"], m=2, w=2, capacity=None)
         solution = solve_offline_mu_inf(problem)
         assert solution is not None
-        assert solution.num_workers == 2
+        assert len(solution.workers) == 2
         assert solution.tasks_per_worker == 1
 
     def test_single_worker_fallback(self):
@@ -63,7 +63,7 @@ class TestSolveMuInf:
         problem = make_problem(["uuuu", "dddd"], m=2, w=2, capacity=None)
         solution = solve_offline_mu_inf(problem)
         assert solution is not None
-        assert solution.num_workers == 1
+        assert len(solution.workers) == 1
         assert solution.tasks_per_worker == 2
         assert solution.num_slots == 4
 
@@ -82,6 +82,6 @@ class TestSolveMuInf:
         rows = ["uuuuuddd", "ddddduuu"]
         problem = make_problem(rows, m=2, w=2, capacity=None)
         solution = solve_offline_mu_inf(problem)
-        assert solution.num_workers == 1
+        assert len(solution.workers) == 1
         assert solution.workers == frozenset({0})
-        assert solution.makespan() == 4
+        assert solution.slots[-1] + 1 == 4

@@ -61,7 +61,3 @@ class TestOfflineProblem:
     def test_up_matrix(self, trace):
         problem = OfflineProblem(trace=trace, num_tasks=1, task_slots=1)
         assert problem.up_matrix().shape == (4, 5)
-
-    def test_describe(self, trace):
-        problem = OfflineProblem(trace=trace, num_tasks=2, task_slots=3, capacity=None)
-        assert "mu=inf" in problem.describe()

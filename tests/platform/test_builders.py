@@ -40,9 +40,9 @@ class TestPaperPlatform:
     def test_speeds_in_range(self):
         spec = PlatformSpec(num_processors=30, wmin=3)
         platform = paper_platform(spec, num_tasks=5, seed=1)
-        speeds = platform.speeds()
-        assert speeds.min() >= 3
-        assert speeds.max() <= 30
+        speeds = [proc.speed for proc in platform]
+        assert min(speeds) >= 3
+        assert max(speeds) <= 30
 
     def test_capacity_defaults_to_m(self):
         platform = paper_platform(PlatformSpec(num_processors=4), num_tasks=7, seed=2)
@@ -58,7 +58,7 @@ class TestPaperPlatform:
         spec = PlatformSpec(num_processors=6)
         a = paper_platform(spec, num_tasks=5, seed=9)
         b = paper_platform(spec, num_tasks=5, seed=9)
-        assert a.speeds().tolist() == b.speeds().tolist()
+        assert [proc.speed for proc in a] == [proc.speed for proc in b]
         assert all(
             np.allclose(x.availability.matrix, y.availability.matrix)
             for x, y in zip(a.processors, b.processors)

@@ -1,13 +1,9 @@
 """Tests for the Platform model (bounded multi-port master, transfer times)."""
-import numpy as np
 import pytest
 
 from repro.availability import MarkovAvailabilityModel, TraceAvailabilityModel
-from repro.availability.model import AvailabilityModel
 from repro.exceptions import InvalidPlatformError
 from repro.platform import Platform, Processor
-from repro.simulation import SampledTrace
-from repro.types import UP
 
 
 class StubHazard:
@@ -21,19 +17,6 @@ class StubHazard:
 
     def describe(self):
         return "stub-hazard"
-
-
-class AlwaysUpWithoutDict(AvailabilityModel):
-    """An availability model that cannot be serialised."""
-
-    def initial_state(self, rng):
-        return UP
-
-    def next_state(self, current, rng):
-        return UP
-
-    def markov_approximation(self):
-        return np.eye(3)
 
 
 def make_processors(count=3, speed=1, capacity=2):
@@ -85,13 +68,12 @@ class TestConstruction:
 
 
 class TestAccessors:
-    def test_speeds_and_capacities(self):
+    def test_capacities(self):
         processors = [
             Processor(speed=s, capacity=c, availability=MarkovAvailabilityModel.always_up())
             for s, c in [(1, 1), (2, 3), (5, 2)]
         ]
         platform = Platform(processors, ncom=1, tprog=0, tdata=0)
-        assert platform.speeds().tolist() == [1, 2, 5]
         assert platform.capacities().tolist() == [1, 3, 2]
         assert platform.total_capacity() == 6
 
@@ -131,65 +113,11 @@ class TestAccessors:
         assert platform.num_processors == 2
 
 
-class TestSerialisation:
-    def test_round_trip_markov(self):
-        platform = Platform(make_processors(2, speed=3), ncom=4, tprog=2, tdata=1)
-        clone = Platform.from_dict(platform.to_dict())
-        assert clone.num_processors == 2
-        assert clone.ncom == 4
-        assert clone.processor(0).speed == 3
-
-    def test_round_trip_trace(self):
-        proc = Processor(speed=1, capacity=1, availability=TraceAvailabilityModel("uud"))
-        platform = Platform([proc], ncom=1, tprog=0, tdata=0)
-        clone = Platform.from_dict(platform.to_dict())
-        assert isinstance(clone.processor(0).availability, TraceAvailabilityModel)
-
-    def test_round_trip_keeps_trace_wrap(self):
-        # A trace that does not wrap repeats its last state once exhausted.
-        for wrap, expected in ((False, [[0, 2, 2, 2]]), (True, [[0, 2, 0, 2]])):
-            proc = Processor(
-                speed=1, capacity=1, availability=TraceAvailabilityModel("ud", wrap=wrap)
-            )
-            platform = Platform([proc], ncom=1, tprog=0, tdata=0)
-            clone = Platform.from_dict(platform.to_dict())
-            assert SampledTrace(platform, 0, 4).block(0, 4).tolist() == expected
-            assert SampledTrace(clone, 0, 4).block(0, 4).tolist() == expected
-
+class TestDescribe:
     def test_describe(self):
         platform = Platform(make_processors(2), ncom=1, tprog=0, tdata=0)
         assert "p=2" in platform.describe()
 
-    def test_round_trip_keeps_names_and_transfer_times(self):
-        platform = Platform(make_processors(2), ncom=3, tprog=4, tdata=2)
-        clone = Platform.from_dict(platform.to_dict())
-        assert [p.name for p in clone] == ["P1", "P2"]
-        assert (clone.ncom, clone.tprog, clone.tdata) == (3, 4, 2)
-        assert clone.to_dict() == platform.to_dict()
-
     def test_describe_mentions_hazard(self):
         platform = Platform(make_processors(1), ncom=1, tprog=0, tdata=0, hazard=StubHazard())
         assert "hazard=stub-hazard" in platform.describe()
-
-    def test_to_dict_rejects_hazard(self):
-        platform = Platform(make_processors(1), ncom=1, tprog=0, tdata=0, hazard=StubHazard())
-        with pytest.raises(InvalidPlatformError, match="hazard"):
-            platform.to_dict()
-
-    def test_to_dict_rejects_model_without_to_dict(self):
-        proc = Processor(speed=1, capacity=1, availability=AlwaysUpWithoutDict())
-        platform = Platform([proc], ncom=1, tprog=0, tdata=0)
-        with pytest.raises(InvalidPlatformError, match="AlwaysUpWithoutDict"):
-            platform.to_dict()
-
-    def test_from_dict_rejects_unknown_availability_type(self):
-        payload = Platform(make_processors(1), ncom=1, tprog=0, tdata=0).to_dict()
-        payload["processors"][0]["availability"] = {"type": "weibull"}
-        with pytest.raises(InvalidPlatformError, match="weibull"):
-            Platform.from_dict(payload)
-
-    def test_from_dict_rejects_multi_row_trace(self):
-        payload = Platform(make_processors(1), ncom=1, tprog=0, tdata=0).to_dict()
-        payload["processors"][0]["availability"] = {"type": "trace", "rows": ["uu", "dd"]}
-        with pytest.raises(InvalidPlatformError):
-            Platform.from_dict(payload)

@@ -3,8 +3,9 @@
 ``IncrementalAllocator`` answers most candidate scores from its greedy-path
 tree.  :class:`ScalarAllocator` is the loop the tree replaced: every call
 scores every eligible worker at every step through the public
-:class:`~repro.analysis.cache.AnalysisContext` accessors, with no memo of
-its own.  ``test_batch_equivalence.py`` and ``test_greedy_path.py`` require
+:class:`~repro.analysis.cache.AnalysisContext` and
+:class:`~repro.analysis.group.GroupAnalysis` accessors, with no memo of its
+own.  ``test_batch_equivalence.py`` and ``test_greedy_path.py`` require
 both allocators to pick the same configurations, call for call and over
 whole simulations.
 """
@@ -93,7 +94,9 @@ class ScalarAllocator(IncrementalAllocator):
                     bandwidth_bound = candidate_total_comm / ncom
                     if bandwidth_bound > comm_time:
                         comm_time = bandwidth_bound
-                if candidate_total_comm > 0:
+                if candidate_total_comm > 0 and comm_time == math.inf:
+                    comm_probability = 0.0
+                elif candidate_total_comm > 0:
                     duration = int(math.ceil(comm_time))
                     comm_probability = 1.0
                     # Ascending worker order: the canonical product order of the
@@ -102,7 +105,7 @@ class ScalarAllocator(IncrementalAllocator):
                     # accident of the greedy path rather than a function of the
                     # candidate set).
                     for other in sorted(candidate_set):
-                        comm_probability *= context.no_down_probability(other, duration)
+                        comm_probability *= group.worker(other).no_down_probability(duration)
                 else:
                     comm_time = 0.0
                     comm_probability = 1.0

@@ -5,17 +5,23 @@ fast-path criterion computation against the reference implementation in
 :mod:`repro.analysis.evaluation` (they must rank candidates identically).
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.analysis.cache import AnalysisContext
 from repro.analysis.criteria import get_criterion
 from repro.analysis.evaluation import evaluate_configuration
-from repro.application import Configuration
+from repro.application import Application, Configuration
 from repro.availability.generators import paper_transition_matrix, random_markov_models
 from repro.availability.markov import MarkovAvailabilityModel
+from repro.availability.trace import TraceAvailabilityModel
 from repro.platform import Platform, Processor
 from repro.scheduling.allocation import IncrementalAllocator
+from repro.scheduling.registry import available_heuristics, create_scheduler
+from repro.simulation.engine import SimulationEngine
+from tests.scheduling.scalar_allocator import ScalarAllocator
 
 
 def make_platform(stays, speeds, capacities=None, ncom=2, tprog=3, tdata=1):
@@ -160,22 +166,79 @@ class TestFastPathMatchesReference:
 
         config = allocator.allocate(range(5), has_program=has_program, elapsed=elapsed)
         assert config is not None
+        assert config == reference_greedy(
+            context, platform, criterion, 4, has_program=has_program, elapsed=elapsed
+        )
 
-        # Re-run the greedy construction with the reference evaluation and
-        # check that it produces the same configuration.
-        reference = Configuration.empty()
-        for _ in range(4):
-            best, best_value = None, None
-            for worker in range(5):
-                if reference.tasks_on(worker) >= 4:
-                    continue
-                candidate = with_task_added(reference, worker)
-                estimate = evaluate_configuration(
-                    context.group, platform, candidate,
-                    has_program=has_program, elapsed=elapsed,
-                )
-                value = criterion.value(estimate)
-                if best is None or criterion.better(value, best_value):
-                    best, best_value = worker, value
-            reference = with_task_added(reference, best)
-        assert config == reference
+
+def reference_greedy(context, platform, criterion, num_tasks, *, has_program=(), elapsed=0):
+    """The greedy construction of the allocator, scored by ``evaluate_configuration``."""
+    reference = Configuration.empty()
+    for _ in range(num_tasks):
+        best, best_value = None, None
+        for worker in range(platform.num_processors):
+            if reference.tasks_on(worker) >= platform.processor(worker).capacity:
+                continue
+            candidate = with_task_added(reference, worker)
+            estimate = evaluate_configuration(
+                context.group, platform, candidate,
+                has_program=has_program, elapsed=elapsed,
+            )
+            value = criterion.value(estimate)
+            if best is None or criterion.better(value, best_value):
+                best, best_value = worker, value
+        reference = with_task_added(reference, best)
+    return reference
+
+
+def stuck_reclaimed_platform():
+    """Row 0 ends RECLAIMED, so its Markov approximation never leaves
+    RECLAIMED and its expected communication time is infinite."""
+    rows = [
+        "uuuuuuuurrrrrrrrrrrr",
+        "uuuuuuuuuuuuuuuuruuu",
+        "uuuruuuuuuuuuuuuuuuu",
+        "uuuuuuuuuuuuuduuuuuu",
+    ]
+    processors = [
+        Processor(speed=1, capacity=3, availability=TraceAvailabilityModel(row)) for row in rows
+    ]
+    return Platform(processors, ncom=2, tprog=2, tdata=1)
+
+
+class TestWorkerThatCannotReturnUp:
+    """An UP worker with an infinite expected transfer scores P = 0, E = inf,
+    as ``estimate_communication`` does, instead of crashing the allocator."""
+
+    def test_evaluate_scores_the_stuck_worker_zero(self):
+        platform = stuck_reclaimed_platform()
+        estimate = AnalysisContext(platform).evaluate(Configuration({0: 1, 1: 1}))
+        assert estimate.communication.success_probability == 0.0
+        assert estimate.success_probability == 0.0
+        assert estimate.expected_time == math.inf
+
+    @pytest.mark.parametrize("criterion_name", ["P", "E", "Y", "AY"])
+    def test_allocation_matches_reference(self, criterion_name):
+        platform = stuck_reclaimed_platform()
+        context = AnalysisContext(platform)
+        criterion = get_criterion(criterion_name)
+        allocator = IncrementalAllocator(criterion, context, platform, num_tasks=2)
+        oracle = ScalarAllocator(criterion, context, platform, num_tasks=2)
+        for has_program in ((), (0, 2)):
+            config = allocator.allocate(range(4), has_program=has_program, elapsed=3)
+            assert config == reference_greedy(
+                context, platform, criterion, 2, has_program=has_program, elapsed=3
+            )
+            assert oracle.allocate(range(4), has_program=has_program, elapsed=3) == config
+
+    @pytest.mark.parametrize(
+        "heuristic", available_heuristics("passive") + available_heuristics("proactive")
+    )
+    def test_every_heuristic_finishes(self, heuristic):
+        engine = SimulationEngine(
+            stuck_reclaimed_platform(),
+            Application(tasks_per_iteration=2),
+            create_scheduler(heuristic),
+            seed=3,
+        )
+        assert engine.run().success

@@ -116,7 +116,6 @@ class TestEvaluateBatchEquivalence:
         for one, many in zip(singles, batch):
             assert one.success_probability == many.success_probability
             assert one.expected_time == many.expected_time
-            assert one.yield_value == many.yield_value
             assert one.workload == many.workload
             assert one.elapsed == many.elapsed
 

@@ -115,6 +115,22 @@ class TestThreshold:
         # Nobody passes the filter, but worker 0 alone can host both tasks.
         assert config.tasks_on(0) == 2
 
+    def test_unbound_select_raises(self):
+        with pytest.raises(RuntimeError, match="must be bound"):
+            ThresholdScheduler().select(make_observation([UP, UP, UP, UP]))
+
+    def test_empty_when_no_worker_is_up(self):
+        platform = make_platform()
+        scheduler = bind(ThresholdScheduler(threshold=0.4), platform, m=2)
+        assert scheduler.select(make_observation([DOWN, DOWN, DOWN, DOWN])).is_empty()
+
+    def test_keeps_current_configuration(self):
+        platform = make_platform()
+        scheduler = bind(ThresholdScheduler(threshold=0.4), platform, m=2)
+        current = Configuration({0: 2})
+        observation = make_observation([UP, UP, UP, UP], current=current, new_iteration=False)
+        assert scheduler.select(observation) is current
+
 
 class TestSticky:
     def test_builds_and_keeps(self):

@@ -187,8 +187,9 @@ class TestVolatileBehaviour:
         result = engine.run()
         assert result.success
         assert result.total_restarts == 1
-        assert engine.events.count(EventKind.WORKER_FAILED) == 1
-        assert engine.events.count(EventKind.ITERATION_COMPLETED) == 2
+        kinds = [event.kind for event in engine.events]
+        assert kinds.count(EventKind.WORKER_FAILED) == 1
+        assert kinds.count(EventKind.ITERATION_COMPLETED) == 2
         # Iteration 1 restarts at slot 3 and finishes at slot 5; iteration 2 at slot 8.
         assert result.makespan == 9
 
@@ -380,6 +381,24 @@ class TestDeterminismAndPairing:
                      seed=11, max_slots=5000)
         assert a.makespan == b.makespan
         assert a.total_restarts == b.total_restarts
+
+    def test_second_run_starts_a_new_event_log(self):
+        """A second ``run()`` replays the first one's trace, and logs only its own events."""
+        from repro.platform import PlatformSpec, paper_platform
+        from repro.scheduling import create_scheduler
+
+        platform = paper_platform(PlatformSpec(8, ncom=4, wmin=1), num_tasks=3, seed=5)
+        engine = SimulationEngine(
+            platform, Application(tasks_per_iteration=3), create_scheduler("IE"),
+            seed=5, record_events=True,
+        )
+        first = engine.run()
+        first_events = engine.events.events
+        second = engine.run()
+        assert second == first
+        assert engine.events.events == first_events
+        kinds = [event.kind for event in engine.events]
+        assert kinds.count(EventKind.RUN_COMPLETED) == 1
 
     def test_different_seeds_usually_differ(self):
         platform = self._markov_platform()

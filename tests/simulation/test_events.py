@@ -4,21 +4,25 @@ from repro.simulation.events import EventKind, EventLog, SimulationEvent
 
 
 class TestEventLog:
-    def test_record_and_query(self):
+    def test_record_keeps_order_and_details(self):
         log = EventLog()
         log.record(0, EventKind.CONFIGURATION_CHANGED, old={}, new={"0": 1})
         log.record(3, EventKind.WORKER_FAILED, worker=2)
         log.record(4, EventKind.WORKER_FAILED, worker=1)
         assert len(log) == 3
-        assert log.count(EventKind.WORKER_FAILED) == 2
-        assert log.last().slot == 4
-        assert log.last(EventKind.CONFIGURATION_CHANGED).slot == 0
+        assert [(event.slot, event.kind) for event in log] == [
+            (0, EventKind.CONFIGURATION_CHANGED),
+            (3, EventKind.WORKER_FAILED),
+            (4, EventKind.WORKER_FAILED),
+        ]
+        assert log.events[0].details == {"old": {}, "new": {"0": 1}}
+        assert log.events[2].details == {"worker": 1}
 
     def test_disabled_log_records_nothing(self):
         log = EventLog(enabled=False)
         log.record(0, EventKind.IDLE)
         assert len(log) == 0
-        assert log.last() is None
+        assert log.events == []
 
     def test_iteration(self):
         log = EventLog()
@@ -26,7 +30,8 @@ class TestEventLog:
         assert [event.kind for event in log] == [EventKind.COMPUTATION]
         assert isinstance(log.events[0], SimulationEvent)
 
-    def test_last_of_missing_kind(self):
+    def test_events_is_a_copy(self):
         log = EventLog()
         log.record(0, EventKind.IDLE)
-        assert log.last(EventKind.RUN_COMPLETED) is None
+        log.events.clear()
+        assert len(log) == 1

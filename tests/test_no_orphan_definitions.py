@@ -5,12 +5,22 @@ call is code the simulator, the heuristics and the campaigns never run.  This
 guard scans the source with the standard-library ``ast`` module and fails on
 any such definition.
 
-A definition counts as used when its name appears as a ``Name``, an
-``Attribute`` or a string constant in ``src/``, ``examples/``,
-``benchmarks/``, ``perfbench/`` or ``scripts/``.  Import statements,
-re-exports and ``__all__`` entries are not uses, and neither is a
-definition's mention of its own name inside its own body.  Matching is by
-name only, so a method is used as soon as any ``.name`` attribute appears.
+A definition counts as used when its name is mentioned in ``src/``,
+``examples/``, ``benchmarks/``, ``perfbench/`` or ``scripts/``.  For a
+module-level function or class, a mention is a ``Name``, an ``Attribute`` or
+a string constant.  A method can only be called through an attribute, so
+for a method a mention is an ``Attribute`` (``obj.name``) or a string passed
+as a call argument (``getattr(obj, "name")``, ``wrap_method(cls, "name",
+...)``); a bare ``Name`` or a free-standing string is not.  Import
+statements, re-exports and ``__all__`` entries are not uses, and neither is
+a definition's mention of its own name inside its own body.
+
+Matching is still by name, not by receiver: a method stays invisible when
+another class's method of the same name is called (``run``, ``describe``,
+``as_dict``).  To audit those by hand, list every method name defined on
+two or more classes and print ``ast.unparse(node.value)`` for each
+``ast.Attribute`` of that name in the directories above, then read which
+class each receiver is.
 
 Exempt are dunder methods, definitions registered through a ``register*``
 decorator, and the module-level names pinned in ``tests/test_api_surface.py``.
@@ -36,6 +46,7 @@ PINNED = frozenset(API_SURFACE) | frozenset(PACKAGE_SURFACE)
 ALLOWLIST = {
     "repro.analysis.cache:AnalysisContext.clear_caches": "documented in docs/performance.md",
     "repro.analysis.cache:AnalysisContext.cache_stats": "documented in docs/performance.md",
+    "repro.api:ComparisonResult.best": "documented in docs/api.md",
     "repro.api:ComparisonResult.ranking": "documented in docs/api.md",
     "repro.experiments.io:load_results": "documented in docs/campaigns.md",
     "repro.experiments.report:PaperComparison.agrees_on_shape": (
@@ -47,6 +58,7 @@ ALLOWLIST = {
     "repro.hazards.degradation:DegradationAvailabilityModel.wear": (
         "the only observable of the wear-reset invariant (tests/hazards/test_degradation.py)"
     ),
+    "repro.telemetry.tracer:Tracer.span": "documented in docs/observability.md",
 }
 
 
@@ -64,17 +76,29 @@ def _is_registered(node: ast.AST) -> bool:
     return False
 
 
-def _names_in(node: ast.AST) -> Counter:
-    """Names a subtree mentions as a Name, an Attribute or a string constant."""
+def _mentions(node: ast.AST) -> tuple:
+    """``(names, members)`` a subtree mentions.
+
+    ``names`` counts every Name, Attribute and string constant; ``members``
+    counts only the mentions that can reach a method: an Attribute, or a
+    string passed as a call argument (``getattr(obj, "name")``,
+    ``wrap_method(cls, "name", ...)``).
+    """
     names: Counter = Counter()
+    members: Counter = Counter()
     for child in ast.walk(node):
         if isinstance(child, ast.Name):
             names[child.id] += 1
         elif isinstance(child, ast.Attribute):
             names[child.attr] += 1
+            members[child.attr] += 1
         elif isinstance(child, ast.Constant) and isinstance(child.value, str):
             names[child.value] += 1
-    return names
+        elif isinstance(child, ast.Call):
+            for argument in [*child.args, *(keyword.value for keyword in child.keywords)]:
+                if isinstance(argument, ast.Constant) and isinstance(argument.value, str):
+                    members[argument.value] += 1
+    return names, members
 
 
 def _is_all_assignment(node: ast.AST) -> bool:
@@ -87,13 +111,14 @@ def _is_all_assignment(node: ast.AST) -> bool:
     return any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets)
 
 
-def _uses(tree: ast.Module) -> Counter:
-    """Every mention in a module except its ``__all__`` entries."""
-    names: Counter = Counter()
+def _uses(tree: ast.Module) -> tuple:
+    """``(names, members)`` of a module, leaving out its ``__all__`` entries."""
+    uses = (Counter(), Counter())
     for statement in tree.body:
         if not _is_all_assignment(statement):
-            names.update(_names_in(statement))
-    return names
+            for total, part in zip(uses, _mentions(statement)):
+                total.update(part)
+    return uses
 
 
 def _definitions(nodes, module: str, prefix: str = "", in_class: bool = False):
@@ -116,10 +141,11 @@ def _definitions(nodes, module: str, prefix: str = "", in_class: bool = False):
 
 @functools.lru_cache(maxsize=None)
 def _scan():
-    uses: Counter = Counter()
+    uses = (Counter(), Counter())  # (names, members), indexed by is_member
     for directory in CALLER_DIRS:
         for path in sorted((ROOT / directory).rglob("*.py")):
-            uses.update(_uses(ast.parse(path.read_text(encoding="utf-8"))))
+            for total, part in zip(uses, _uses(ast.parse(path.read_text(encoding="utf-8")))):
+                total.update(part)
     definitions, orphans = {}, {}
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -130,7 +156,7 @@ def _scan():
                 continue
             if _is_registered(node) or (not is_member and name in PINNED):
                 continue
-            if uses[name] > _names_in(node)[name]:
+            if uses[is_member][name] > _mentions(node)[is_member][name]:
                 continue
             orphans[key] = f"{path.relative_to(ROOT)}:{node.lineno} {key}"
     return definitions, orphans

@@ -60,18 +60,26 @@ class TestBlockBootstrap:
             block_bootstrap_row(TRACE, 10, rng, block_length=0)
 
 
+def replays(model, row):
+    """Whether *model* replays *row*, wrapping round once it runs out."""
+    return np.array_equal(model.sample_trajectory(2 * len(row), seed=0), np.tile(row, 2))
+
+
 class TestBootstrapModels:
     def test_row_bootstrap_models(self):
         models = bootstrap_models(TRACE, np.random.default_rng(5), 4)
+        rows = bootstrap_rows(TRACE, 4, np.random.default_rng(5))
         assert len(models) == 4
         assert all(isinstance(model, TraceAvailabilityModel) for model in models)
-        assert all(model.sequence.size == TRACE.horizon for model in models)
+        assert all(replays(model, row) for model, row in zip(models, rows))
 
     def test_block_bootstrap_models_custom_horizon(self):
         models = bootstrap_models(
             TRACE, np.random.default_rng(6), 3, block_length=4, horizon=30
         )
-        assert all(model.sequence.size == 30 for model in models)
+        rng = np.random.default_rng(6)
+        rows = [block_bootstrap_row(TRACE, 30, rng, block_length=4) for _ in range(3)]
+        assert all(replays(model, row) for model, row in zip(models, rows))
 
 
 class TestBootstrapTrace:

@@ -50,7 +50,9 @@ class TestRegistry:
         )
         models = model_factory_for(spec)(np.random.default_rng(0), 14)
         # Round-robin assignment over the 12 recorded machines.
-        assert np.array_equal(models[0].sequence, models[12].sequence)
+        assert np.array_equal(
+            models[0].sample_trajectory(700, seed=0), models[12].sample_trajectory(700, seed=0)
+        )
 
     def test_catalog_requires_dataset(self, example_traces_dir):
         spec = availability("trace-catalog", path=str(example_traces_dir))
@@ -73,7 +75,8 @@ class TestRegistry:
             "trace-catalog", path=str(tmp_path), dataset="rec", slot=900
         )
         models = model_factory_for(spec)(np.random.default_rng(0), 1)
-        assert models[0].sequence.size == 3
+        # 1800 s UP then 900 s DOWN at 900 s slots: "uud", replayed round.
+        assert models[0].sample_trajectory(6, seed=0).tolist() == [0, 0, 2, 0, 0, 2]
 
     def test_fitted_substrate_fits_once_per_dataset(self, example_traces_dir, monkeypatch):
         # Regression: the fit used to be recomputed on every scenario build.
