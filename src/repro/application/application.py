@@ -80,10 +80,6 @@ class Application:
         """Alias matching the paper's notation."""
         return self.tasks_per_iteration
 
-    def total_tasks(self) -> int:
-        """Total number of task executions over the whole run (``m * iterations``)."""
-        return self.tasks_per_iteration * self.iterations
-
     def describe(self) -> str:
         label = self.name or "application"
         return f"{label}(m={self.tasks_per_iteration}, iterations={self.iterations})"

@@ -162,7 +162,7 @@ class MetricsCollector:
         #: Highest grid index whose values are final.
         self._filled = -1
         self._churn_total = 0
-        self._last_ids: Optional[np.ndarray] = None
+        self._last_workers: Optional[Sequence[int]] = None
         self._last_members: frozenset = frozenset()
         #: Last captured breakpoint for the interpolated series.
         self._prev_slot = -1
@@ -189,16 +189,16 @@ class MetricsCollector:
         self,
         slot: int,
         enrolled_runtimes: Sequence,
-        enrolled_ids: np.ndarray,
+        enrolled_workers: Sequence[int],
         compute_slots: int,
         iterations: int,
     ) -> None:
         """Observe the engine state at ``slot`` (the last slot a loop pass covered)."""
-        if enrolled_ids is not self._last_ids:
-            members = frozenset(int(worker) for worker in enrolled_ids)
+        if enrolled_workers is not self._last_workers:
+            members = frozenset(enrolled_workers)
             self._churn_total += len(members ^ self._last_members)
             self._last_members = members
-            self._last_ids = enrolled_ids
+            self._last_workers = enrolled_workers
         index = slot // self.stride
         if index <= self._filled:
             return
@@ -212,7 +212,7 @@ class MetricsCollector:
         self,
         end_slot: int,
         enrolled_runtimes: Sequence,
-        enrolled_ids: np.ndarray,
+        enrolled_workers: Sequence[int],
         compute_slots: int,
         iterations: int,
     ) -> RunMetrics:
@@ -222,7 +222,7 @@ class MetricsCollector:
         end_slot = max(1, min(int(end_slot), self._max_slots))
         # The drive loop breaks out on completion *before* its per-slot hook,
         # so the closing state may not have been captured yet.
-        self.on_step(end_slot - 1, enrolled_runtimes, enrolled_ids, compute_slots, iterations)
+        self.on_step(end_slot - 1, enrolled_runtimes, enrolled_workers, compute_slots, iterations)
         count = (end_slot - 1) // self.stride + 1
         series: Dict[str, List[float]] = {
             "pool_up": self._pool_up[:count].tolist(),

@@ -12,7 +12,7 @@ The simulation engine consumes availability in ``(m, block_size)`` ``int8``
 blocks.  :class:`SharedBlockSource` serves any trace — a sampled one or a
 replay trace — in aligned windows ``[k·B, (k+1)·B)``, each wrapped in one
 :class:`~repro.simulation.kernels.BlockData` with its derived masks and
-tables.  A solo engine reads a private source; the engines of a
+per-worker event lists.  A solo engine reads a private source; the engines of a
 :class:`~repro.simulation.multirun.MultiHeuristicDriver` pass share one, so
 the heuristic-independent work is paid once per window.
 """

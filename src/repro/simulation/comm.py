@@ -53,7 +53,7 @@ class CommunicationManager:
         stickiness state exactly as :meth:`serve` would have: the grant set
         of the last consumed communication slot.
         """
-        self._previous_holders = {int(worker) for worker in worker_ids}
+        self._previous_holders = set(worker_ids)
 
     # ------------------------------------------------------------------
     def serve(

@@ -40,9 +40,11 @@ built on the span primitives of :mod:`repro.simulation.kernels`:
 
 * the observation and the ``select`` call are skipped on slots where the
   contract pins the decision;
-* a per-worker next-change table turns the uneventful-span search of the
-  communication phase into an O(#enrolled) lookup, and with a channel for
-  every enrolled worker the whole phase collapses into one jump;
+* per-worker event lists (non-UP, DOWN and state-change columns, see
+  :class:`~repro.simulation.kernels.BlockData`) turn the uneventful-span
+  search of the communication phase into one ``bisect`` per enrolled
+  worker, and with a channel for every enrolled worker the whole phase
+  collapses into one jump;
 * the computation phase jumps straight over UP/RECLAIMED flicker to the
   first enrolled DOWN transition or the iteration's completing slot.
 
@@ -71,6 +73,7 @@ engines in lockstep, window by window.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from typing import FrozenSet, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -143,7 +146,7 @@ class SimulationEngine:
     shared_blocks:
         Optional :class:`~repro.simulation.blocks.SharedBlockSource`
         serving aligned availability windows (with their derived masks and
-        tables) computed once and shared by several engines simulating the
+        event lists) computed once and shared by several engines simulating the
         same realisation.  Internal to
         :class:`~repro.simulation.multirun.MultiHeuristicDriver`; mutually
         exclusive with *trace* (the source owns the availability).
@@ -232,7 +235,7 @@ class SimulationEngine:
         # loop does O(1) lookups instead of O(m) array scans:
         # _block_down[j]  — does column j contain a DOWN worker?
         # _block_same[j]  — is column j identical to column j - 1?
-        # _block_data bundles both (plus the lazy next-change table) so
+        # _block_data bundles both (plus the lazy per-worker event lists) so
         # block sources can share one copy.
         self._block_down: Optional[np.ndarray] = None
         self._block_same: Optional[np.ndarray] = None
@@ -358,7 +361,9 @@ class SimulationEngine:
         # one record of worker availability.
         column: List[int] = []
         enrolled_runtimes: List[WorkerRuntime] = []
-        enrolled_ids = np.empty(0, dtype=np.intp)
+        # Their worker ids, ascending; a new list on every configuration
+        # change, so the collector can tell a change by identity.
+        enrolled_workers: List[int] = []
         iteration_index = 0
         iteration_start = 0
         progress = 0
@@ -382,7 +387,7 @@ class SimulationEngine:
         while slot < self.max_slots:
             rel = slot - self._block_start
             if self._block is None or rel >= self._block_len:
-                # Done with this window: let its lazily built tables go.
+                # Done with this window: let its lazily built lists go.
                 self._block_data = None
                 yield True
                 self._fetch_block(slot)
@@ -439,10 +444,8 @@ class SimulationEngine:
                 current_config = Configuration(pruned)
                 feasible = current_config.total_tasks() == num_tasks
                 workload = current_config.workload(platform)
-                enrolled_runtimes = [runtimes[w] for w in current_config.workers]
-                enrolled_ids = np.fromiter(
-                    current_config.workers, dtype=np.intp, count=len(enrolled_runtimes)
-                )
+                enrolled_workers = list(current_config.workers)
+                enrolled_runtimes = [runtimes[w] for w in enrolled_workers]
 
             # ---- 2. scheduler decision ---------------------------------
             # Contract schedulers return the carried-over configuration on
@@ -500,10 +503,8 @@ class SimulationEngine:
                 current_config = new_config
                 feasible = current_config.total_tasks() == num_tasks
                 workload = current_config.workload(platform)
-                enrolled_runtimes = [runtimes[w] for w in current_config.workers]
-                enrolled_ids = np.fromiter(
-                    current_config.workers, dtype=np.intp, count=len(enrolled_runtimes)
-                )
+                enrolled_workers = list(current_config.workers)
+                enrolled_runtimes = [runtimes[w] for w in enrolled_workers]
                 # absorb_free_transfers hands out the program when tprog == 0.
                 holders = carriers = None
 
@@ -527,20 +528,17 @@ class SimulationEngine:
                         # sticky policy serves each needing UP worker on
                         # every slot, so the complete communication phase
                         # collapses to per-worker searches in the window's
-                        # UP-count table.  Valid on failure slots too: the
+                        # event lists.  Valid on failure slots too: the
                         # failure scan already pruned DOWN workers from the
                         # configuration, so the current column is DOWN-free
                         # for the enrolled set.
                         consumed, units, granted = comm_phase_span(
-                            self._block_data.ensure_phase_tables(),
-                            enrolled_ids,
-                            np.array(remaining, dtype=np.int32),
-                            rel,
+                            self._block_data, enrolled_workers, remaining, rel
                         )
-                        for runtime, used in zip(enrolled_runtimes, units.tolist()):
+                        for runtime, used in zip(enrolled_runtimes, units):
                             if used:
                                 runtime.advance_communication(used, tprog, tdata)
-                        self._comm.set_holders(enrolled_ids[granted])
+                        self._comm.set_holders(granted)
                     else:
                         # ---- communication slot(s) ----------------------
                         # While no enrolled worker changes state every slot
@@ -554,9 +552,7 @@ class SimulationEngine:
                             span += min(
                                 self._block_len - rel - 1,
                                 comm_remaining,
-                                frozen_span(
-                                    self._block_data.ensure_next_change(), enrolled_ids, rel
-                                ),
+                                frozen_span(self._block_data, enrolled_workers, rel),
                             )
                         served = {} if log_events else None
                         consumed, program_completed = self._comm.serve(
@@ -639,11 +635,7 @@ class SimulationEngine:
                         # comes first — splitting the consumed span into
                         # compute (all-UP) and idle columns.
                         advance, progressed = compute_span(
-                            self._block,
-                            enrolled_ids,
-                            rel,
-                            self._block_len,
-                            workload - progress,
+                            self._block_data, enrolled_workers, rel, workload - progress
                         )
                         if advance > 0:
                             if self._apply_offline_failures(rel, advance, runtimes):
@@ -669,7 +661,7 @@ class SimulationEngine:
                 # ``slot`` is now the last slot this loop pass covered
                 # (fast-forward branches advance it past the entry slot).
                 collector.on_step(
-                    slot, enrolled_runtimes, enrolled_ids, total_compute_slots, iteration_index
+                    slot, enrolled_runtimes, enrolled_workers, total_compute_slots, iteration_index
                 )
             slot += 1
 
@@ -681,7 +673,7 @@ class SimulationEngine:
             collector.finish(
                 makespan if success else self.max_slots,
                 enrolled_runtimes,
-                enrolled_ids,
+                enrolled_workers,
                 total_compute_slots,
                 iteration_index,
             )
@@ -729,20 +721,15 @@ class SimulationEngine:
         equivalent to applying it at the precise slot.  Returns whether a
         holder lost the program.
         """
-        holders = [
-            runtime
-            for runtime in runtimes
-            if runtime.has_program and not runtime.enrolled
-        ]
-        if not holders:
-            return False
-        window = self._block[:, rel + 1: rel + 1 + advance]
-        rows = window[[runtime.worker_id for runtime in holders]]
+        data = self._block_data
         lost = False
-        for runtime, down in zip(holders, (rows == _DOWN_CODE).any(axis=1).tolist()):
-            if down:
-                runtime.on_down()
-                lost = True
+        for runtime in runtimes:
+            if runtime.has_program and not runtime.enrolled:
+                downs = data.events(runtime.worker_id)[1]
+                index = bisect_right(downs, rel)
+                if index < len(downs) and downs[index] <= rel + advance:
+                    runtime.on_down()
+                    lost = True
         return lost
 
     # ------------------------------------------------------------------

@@ -5,7 +5,7 @@ The Section VII campaign evaluates many heuristics on the *same*
 :class:`~repro.simulation.engine.SimulationEngine` instances repeats the
 expensive, heuristic-independent work once per heuristic: sampling (or trace
 decoding) the worker-state blocks and deriving their per-column companions
-(DOWN mask, column-change mask, next-change table).
+(DOWN mask, column-change mask, per-worker event lists).
 
 This module removes that duplication without changing a single result:
 
@@ -15,8 +15,8 @@ This module removes that duplication without changing a single result:
   :class:`~repro.simulation.blocks.SharedBlockSource` serves it in aligned
   windows — ``[k·B, (k+1)·B)`` for block size ``B`` — each wrapped in one
   :class:`~repro.simulation.kernels.BlockData` that every engine of the
-  pass shares (masks and tables are computed once per window, not once per
-  engine).  A solo engine reads its windows from a private source of the
+  pass shares (masks and event lists are computed once per window, not once
+  per engine).  A solo engine reads its windows from a private source of the
   same kind, so each engine of the pass sees the realisation it would see
   running alone with the same seed.
 * :class:`MultiHeuristicDriver` builds one engine per scheduler, all backed

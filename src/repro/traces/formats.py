@@ -549,10 +549,6 @@ class TraceCatalog:
                 f"(available: {self.names()})"
             ) from None
 
-    def options(self, name: str) -> dict:
-        """The ``catalog.json`` ingestion options for dataset *name* (may be empty)."""
-        return dict(self._options.get(name, {}))
-
     def load(self, name: str, *, defaults: Optional[dict] = None) -> AvailabilityTrace:
         """Load (and cache) dataset *name*.
 

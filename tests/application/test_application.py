@@ -11,7 +11,6 @@ class TestApplication:
         app = Application(tasks_per_iteration=5, iterations=10)
         assert app.m == 5
         assert app.iterations == 10
-        assert app.total_tasks() == 50
 
     def test_defaults(self):
         app = Application(tasks_per_iteration=3)

@@ -1,13 +1,14 @@
 """Differential tests of the engine's span-scan primitives.
 
 Every primitive in :mod:`repro.simulation.kernels` is checked against a
-dumb slot-by-slot reference.  The table builders run on seeded random
-blocks; the phase tables are also a Hypothesis property.  The three span
-scans keep their seeded random cases and are also Hypothesis properties over
-generated blocks, with the edge cases the engine relies on pinned as
-explicit examples: one-column blocks, all-DOWN rows, a scan starting at the
-last column, an empty enrolled set, ``needed <= 1``, a single worker that
-still needs data and a communication jump cut short by DOWN.
+dumb slot-by-slot reference.  The per-worker event lists of
+:class:`BlockData` run on seeded random blocks and are also a Hypothesis
+property.  The three span scans keep their seeded random cases and are also
+Hypothesis properties over generated blocks, with the edge cases the engine
+relies on pinned as explicit examples: one-column blocks, all-DOWN rows, a
+scan starting at the last column, an empty enrolled set, ``needed <= 1``, a
+single worker that still needs data and a communication jump cut short by
+DOWN.
 """
 
 from operator import itemgetter
@@ -23,8 +24,6 @@ from repro.simulation.kernels import (
     comm_phase_span,
     compute_span,
     frozen_span,
-    next_change_table,
-    phase_tables,
 )
 
 UP, RECLAIMED, DOWN = 0, 1, 2
@@ -45,16 +44,21 @@ def random_block(rng, num_workers, length, p_down=0.2):
     return block
 
 
-def brute_next_change(block):
-    num_workers, length = block.shape
-    table = np.full((num_workers, length), length, dtype=np.int32)
-    for q in range(num_workers):
-        for j in range(length):
-            for k in range(j + 1, length):
-                if block[q, k] != block[q, j]:
-                    table[q, j] = k
-                    break
-    return table
+def brute_events(block, q):
+    """Worker *q*'s non-UP, DOWN and state-change columns, column by column."""
+    non_up, down, changes = [], [], []
+    for k in range(block.shape[1]):
+        if block[q, k] != UP:
+            non_up.append(k)
+        if block[q, k] == DOWN:
+            down.append(k)
+        if k > 0 and block[q, k] != block[q, k - 1]:
+            changes.append(k)
+    return non_up, down, changes
+
+
+def as_lists(events):
+    return tuple(columns.tolist() for columns in events)
 
 
 def brute_frozen_span(block, enrolled, rel):
@@ -84,23 +88,6 @@ def brute_compute_span(block, enrolled, rel, length, needed):
     return advance, progressed
 
 
-def brute_phase_tables(block):
-    """Row-offset cumulative UP counts and the next-DOWN table."""
-    num_workers, length = block.shape
-    width = length + 1
-    up_counts = np.zeros((num_workers, width), dtype=np.int64)
-    next_down = np.full((num_workers, width), length, dtype=np.int64)
-    for q in range(num_workers):
-        count = q * width
-        for k in range(width):
-            up_counts[q, k] = count
-            if k < length and block[q, k] == UP:
-                count += 1
-        for k in reversed(range(length)):
-            next_down[q, k] = k if block[q, k] == DOWN else next_down[q, k + 1]
-    return up_counts, next_down
-
-
 def brute_comm_phase(block, enrolled, needs, rel, length):
     """Slot-by-slot surplus-capacity policy: every needing UP worker served."""
     count = len(enrolled)
@@ -121,11 +108,24 @@ def brute_comm_phase(block, enrolled, needs, rel, length):
     return advance, units, holders
 
 
+def check_comm_phase(block, ids, needs, rel):
+    """``comm_phase_span`` against the slot-by-slot policy."""
+    advance, units, holders = comm_phase_span(
+        BlockData(block, None), ids.tolist(), needs.tolist(), rel
+    )
+    expected = brute_comm_phase(block, ids, needs, rel, block.shape[1])
+    assert advance == expected[0]
+    assert units == expected[1].tolist()
+    assert holders == ids[expected[2]].tolist()
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_next_change_table_matches_brute_force(seed):
+def test_block_data_events_match_brute_force(seed):
     rng = np.random.default_rng(seed)
     block = random_block(rng, num_workers=5, length=40)
-    assert np.array_equal(next_change_table(block), brute_next_change(block))
+    data = BlockData(block, None)
+    for q in range(5):
+        assert as_lists(data.events(q)) == brute_events(block, q)
 
 
 def test_block_companions_matches_brute_force():
@@ -148,20 +148,21 @@ def test_block_companions_matches_brute_force():
 def test_frozen_span_variants_agree_with_brute_force(seed):
     rng = np.random.default_rng(100 + seed)
     block = random_block(rng, num_workers=6, length=50)
-    table = next_change_table(block)
+    data = BlockData(block, None)
     length = block.shape[1]
     for _ in range(20):
         size = int(rng.integers(0, 5))
         enrolled = np.sort(rng.choice(6, size=size, replace=False)).astype(np.int64)
         rel = int(rng.integers(0, length))
         span = brute_frozen_span(block, enrolled, rel)
-        assert frozen_span(table, enrolled, rel) == span
+        assert frozen_span(data, enrolled.tolist(), rel) == span
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_compute_span_variants_agree_with_brute_force(seed):
     rng = np.random.default_rng(200 + seed)
     block = np.ascontiguousarray(random_block(rng, num_workers=6, length=700))
+    data = BlockData(block, None)
     length = block.shape[1]
     for _ in range(15):
         size = int(rng.integers(1, 5))
@@ -169,7 +170,7 @@ def test_compute_span_variants_agree_with_brute_force(seed):
         rel = int(rng.integers(0, length))
         needed = int(rng.integers(1, 8))
         expected = brute_compute_span(block, enrolled, rel, length, needed)
-        assert compute_span(block, enrolled, rel, length, needed) == expected
+        assert compute_span(data, enrolled.tolist(), rel, needed) == expected
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -188,11 +189,7 @@ def test_comm_phase_span_variants_agree_with_brute_force(seed):
         needs = rng.integers(0, 6, size=size).astype(np.int64)
         if not needs.any():
             needs[0] = 1
-        expected = brute_comm_phase(block, enrolled, needs, rel, length)
-        advance, units, holders = comm_phase_span(phase_tables(block), enrolled, needs, rel)
-        assert advance == expected[0]
-        assert np.array_equal(units, expected[1])
-        assert np.array_equal(holders, expected[2])
+        check_comm_phase(block, enrolled, needs, rel)
 
 
 def state_block(rows):
@@ -243,8 +240,8 @@ def int64s(*values):
 @example((state_block([[(UP, 3), (DOWN, 2)], [(RECLAIMED, 5)]]), int64s(0, 1), 4))
 def test_frozen_span_matches_brute_force(case):
     block, ids, rel = case
-    table = next_change_table(block)
-    assert frozen_span(table, ids, rel) == brute_frozen_span(block, ids, rel)
+    data = BlockData(block, None)
+    assert frozen_span(data, ids.tolist(), rel) == brute_frozen_span(block, ids, rel)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -264,7 +261,7 @@ def test_compute_span_matches_brute_force(case, needed):
     block, ids, rel = case
     length = block.shape[1]
     expected = brute_compute_span(block, ids, rel, length, needed)
-    assert compute_span(block, ids, rel, length, needed) == expected
+    assert compute_span(BlockData(block, None), ids.tolist(), rel, needed) == expected
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -273,15 +270,10 @@ def test_compute_span_matches_brute_force(case, needed):
 @example(state_block([[(DOWN, 7)], [(UP, 2), (DOWN, 5)]]))
 @example(state_block([[(RECLAIMED, 2), (UP, 3), (DOWN, 1), (UP, 2)]]))
 @example(state_block([[(DOWN, 1)]]))
-# Column indices past 2**15 - 1 switch next_down to a wider dtype.
-@example(state_block([[(UP, 5), (DOWN, 1), (UP, 2**15 - 5), (DOWN, 1)], [(RECLAIMED, 2**15 + 2)]]))
-def test_phase_tables_match_brute_force(block):
-    up_counts, next_down = phase_tables(block)
-    expected_counts, expected_down = brute_phase_tables(block)
-    assert np.array_equal(up_counts, expected_counts)
-    assert np.array_equal(next_down, expected_down)
-    # The row offsets keep the flat counts sorted for one searchsorted.
-    assert (np.diff(up_counts.ravel()) >= 0).all()
+def test_block_data_events_match_brute_force_property(block):
+    data = BlockData(block, None)
+    for q in range(block.shape[0]):
+        assert as_lists(data.events(q)) == brute_events(block, q)
 
 
 @st.composite
@@ -314,29 +306,19 @@ def phase_cases(draw):
 @example((state_block([[(UP, 2), (RECLAIMED, 1), (DOWN, 1)]]), int64s(0), 0, int64s(5)))
 def test_comm_phase_span_matches_brute_force(case):
     block, ids, rel, needs = case
-    length = block.shape[1]
-    expected = brute_comm_phase(block, ids, needs, rel, length)
-    advance, units, holders = comm_phase_span(phase_tables(block), ids, needs, rel)
-    assert advance == expected[0]
-    assert np.array_equal(units, expected[1])
-    assert np.array_equal(holders, expected[2])
+    check_comm_phase(block, ids, needs, rel)
 
 
-def test_block_data_builds_next_change_once():
+def test_block_data_builds_events_once_per_read_worker():
     rng = np.random.default_rng(9)
     block = random_block(rng, num_workers=3, length=20)
     data = BlockData(block, None)
-    table = data.ensure_next_change()
-    assert data.ensure_next_change() is table
-    assert np.array_equal(table, next_change_table(block))
     assert data.length == 20
-
-
-def test_block_data_builds_phase_tables_once():
-    rng = np.random.default_rng(9)
-    block = random_block(rng, num_workers=3, length=20)
-    data = BlockData(block, None)
-    tables = data.ensure_phase_tables()
-    assert data.ensure_phase_tables() is tables
-    for built, expected in zip(tables, phase_tables(block)):
-        assert np.array_equal(built, expected)
+    assert data._events == [None, None, None]
+    lists = data.events(1)
+    assert data.events(1) is lists
+    # Only the worker that was read has lists; a scan reads only its workers.
+    assert data._events == [None, lists, None]
+    frozen_span(data, [2], 0)
+    assert data._events[0] is None and data._events[1] is lists
+    assert as_lists(data._events[2]) == brute_events(block, 2)
